@@ -10,7 +10,7 @@ T_0 <= 2 pi (-F''(0))^{-1/(2s)}.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -85,8 +85,7 @@ class _RescaledSystem:
 
     def jac_u(self, a, lam):
         cls = self.cls
-        f2 = self.well.f2(cls.values(a)) * (1.0 / cls.M)
-        return np.diag(cls.lam) + lam * self.scale * 2.0 * (cls.S.T @ (f2[:, None] * cls.S))
+        return np.diag(cls.lam) + lam * self.scale * cls.gram(self.well.f2(cls.values(a)))
 
     def jac_lam(self, a):
         cls = self.cls
@@ -213,17 +212,9 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
         points.append(pt)
         ds = min(ds * 1.3, ds_arc)
 
-    c, _ = _fit_direction(points, lam_b)
-    direction = "supercritical" if c > 0 else "subcritical"
-    return Branch(points=tuple(points), bifurcation_lambda=lam_b, direction=direction)
-
-
-def _fit_direction(points, lam_b, n=10):
-    n = min(n, len(points))
-    x = np.array([p.lam for p in points[:n]]) - lam_b
-    y = np.array([p.amplitude for p in points[:n]]) ** 2
-    c = float(x @ y) / float(x @ x)
-    return c, None
+    branch = Branch(points=tuple(points), bifurcation_lambda=lam_b, direction="")
+    c, _ = branch.pitchfork_fit()
+    return replace(branch, direction="supercritical" if c > 0 else "subcritical")
 
 
 def classify_criticality(frac: FracOrder, well: DoubleWell, m, n_quad=4096):

@@ -175,7 +175,7 @@ def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction, orth_tol=1e-9) -> 
         worst = float(proj[np.argmax(np.abs(proj))])
         if abs(worst) > orth_tol * max(1.0, float(np.linalg.norm(gc))):
             raise SolvabilityViolation(worst)
-    inv = np.where(null_mask, 0.0, np.divide(1.0, sv, where=~null_mask))
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=~null_mask)
     uc = Vt.T @ (inv * (U.T @ gc))
     return FredholmSolve(solution=coords_to_function(op.T, uc), kernel=kernel)
 

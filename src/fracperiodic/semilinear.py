@@ -17,7 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InconsistentBracket, NoConvergence, SingularJacobian
-from .spectral import DoubleWell, FracOrder, PeriodicFunction, energy_functional, multipliers
+from .spectral import (
+    DoubleWell,
+    FracOrder,
+    PeriodicFunction,
+    energy_functional,
+    grid_analysis,
+    grid_synthesis,
+)
 
 __all__ = [
     "SolveConfig",
@@ -29,6 +36,7 @@ __all__ = [
 
 NONCONSTANT_AMPLITUDE = 1e-6   # deviation-from-mean threshold for classification
 DESCENT_GRAD_TOL = 1e-4        # descent hands over to Newton below this
+FFT_MIN_N = 256                # below this the dense S/C products beat an FFT call
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,15 @@ class _SymmetryClass:
     Coefficient vectors: odd -> [a_1..a_N]; even -> [b_0..b_N];
     full -> [b_0..b_N, a_1..a_N].  The nonlinear term is evaluated on a
     4(N+1)-point grid, which integrates products up to degree 4N exactly.
+
+    Transform layer: ``values`` (coefficients -> grid) and ``project``
+    (grid -> coefficients) use dense sin/cos tables below N = FFT_MIN_N and
+    the real-FFT transforms of :mod:`fracperiodic.spectral` from there on,
+    where the tables are never built; both give the same numbers to
+    round-off.  Products with a grid function g enter only through ``gram``,
+    which builds the Galerkin matrix of multiplication by g from the cosine
+    and sine transforms of g as Toeplitz +- Hankel blocks in O(N^2), at
+    every N.
     """
 
     def __init__(self, symmetry, T, N, frac: FracOrder):
@@ -86,11 +103,19 @@ class _SymmetryClass:
         M = 4 * (N + 1)
         self.x = np.arange(M) * (T / M)
         self.M = M
-        phase = np.outer(self.x, m) * w
-        self.S = np.sin(phase)          # (M, N)
-        self.C = np.cos(phase)
+        self.fft = N >= FFT_MIN_N
+        if not self.fft:
+            phase = np.outer(self.x, m) * w
+            self.S = np.sin(phase)          # (M, N)
+            self.C = np.cos(phase)
 
     def values(self, c):
+        if self.fft:
+            if self.symmetry == "odd":
+                return grid_synthesis(self.M, sin_coeffs=c)
+            if self.symmetry == "even":
+                return grid_synthesis(self.M, cos_coeffs=c)
+            return grid_synthesis(self.M, c[: self.N + 1], c[self.N + 1 :])
         if self.symmetry == "odd":
             return self.S @ c
         if self.symmetry == "even":
@@ -99,6 +124,13 @@ class _SymmetryClass:
 
     def project(self, samples):
         """Grid samples of a trig polynomial -> class coefficient vector."""
+        if self.fft:
+            b, a = grid_analysis(samples, self.N)
+            if self.symmetry == "odd":
+                return a
+            if self.symmetry == "even":
+                return b
+            return np.concatenate((b, a))
         if self.symmetry == "odd":
             return (2.0 / self.M) * (self.S.T @ samples)
         mean = float(np.mean(samples))
@@ -107,6 +139,29 @@ class _SymmetryClass:
             return np.concatenate(([mean], cos_part))
         sin_part = (2.0 / self.M) * (self.S.T @ samples)
         return np.concatenate(([mean], cos_part, sin_part))
+
+    def gram(self, g):
+        """Matrix of c -> project(g * values(c)) for grid samples g.
+
+        With g_k = mean of g cos(2 pi k j / M) and h_k the same with sin,
+        2 mean(g sin_m sin_n) = g_|m-n| - g_{m+n}, 2 mean(g cos_m cos_n) =
+        g_|m-n| + g_{m+n} and 2 mean(g sin_m cos_n) = h_{m+n} + h_{m-n};
+        the indices reach 2N < M/2, so one rfft of g gives every entry.
+        """
+        spec = np.fft.rfft(g) / self.M
+        gc, gs = spec.real, -spec.imag
+        k = np.arange(self.N + 1)
+        diff, tot = k[:, None] - k[None, :], k[:, None] + k[None, :]
+        dist = np.abs(diff)
+        if self.symmetry == "odd":
+            return (gc[dist] - gc[tot])[1:, 1:]
+        cc = gc[dist] + gc[tot]
+        if self.symmetry == "full":
+            sc = gs[tot] + np.sign(diff) * gs[dist]   # rows sin_m, columns cos_n
+            ss = gc[dist] - gc[tot]
+            cc = np.block([[cc, sc.T[:, 1:]], [sc[1:], ss[1:, 1:]]])
+        cc[0] *= 0.5   # the mean carries weight 1, the other rows 2
+        return cc
 
     def linear_part(self, c):
         if self.symmetry == "odd":
@@ -119,19 +174,9 @@ class _SymmetryClass:
         return self.linear_part(c) + self.project(well.f1(self.values(c)))
 
     def jacobian(self, c, well: DoubleWell):
-        f2 = well.f2(self.values(c)) * (1.0 / self.M)
-        if self.symmetry == "odd":
-            J = 2.0 * (self.S.T @ (f2[:, None] * self.S))
-            return np.diag(self.lam) + J
-        if self.symmetry == "even":
-            B = np.hstack([np.ones((self.M, 1)), self.C])
-            scale = np.concatenate(([1.0], np.full(self.N, 2.0)))
-            J = scale[:, None] * (B.T @ (f2[:, None] * B))
-            return np.diag(np.concatenate(([0.0], self.lam))) + J
-        B = np.hstack([np.ones((self.M, 1)), self.C, self.S])
-        scale = np.concatenate(([1.0], np.full(2 * self.N, 2.0)))
-        J = scale[:, None] * (B.T @ (f2[:, None] * B))
-        return np.diag(np.concatenate(([0.0], self.lam, self.lam))) + J
+        J = self.gram(well.f2(self.values(c)))
+        J[np.diag_indices_from(J)] += self.linear_part(np.ones(J.shape[0]))
+        return J
 
     def l2_norm(self, c):
         """L^2 norm of the function with class coefficients c."""

@@ -86,6 +86,47 @@ class FracOrder:
 
 
 # ---------------------------------------------------------------------------
+# uniform-grid transforms
+#
+# Both directions work on the grid x_j = j T / M, where the phase of mode m
+# is 2 pi m j / M whatever the period, so one real FFT of length M serves
+# every T.
+
+
+def grid_synthesis(M, cos_coeffs=None, sin_coeffs=None):
+    """Values at x_j = j T / M (j = 0..M-1) of
+    b_0 + sum_m [a_m sin(w m x) + b_m cos(w m x)], from b = cos_coeffs
+    (b_0..b_N) and a = sin_coeffs (a_1..a_N); either may be None for zero.
+
+    One inverse real FFT of length M.  Mode m contributes the complex
+    amplitude b_m - i a_m at frequency m mod M; modes at or above M/2 are
+    folded onto their aliases first, so the values are exact for every M.
+    """
+    n_cos = 0 if cos_coeffs is None else len(cos_coeffs)
+    n_sin = 0 if sin_coeffs is None else len(sin_coeffs)
+    n = max(n_cos, n_sin + 1)
+    z = np.zeros(-(-n // M) * M, dtype=complex)
+    if n_cos:
+        z[:n_cos] = cos_coeffs
+    if n_sin:
+        z[1 : n_sin + 1] -= 1j * np.asarray(sin_coeffs)
+    z = z.reshape(-1, M).sum(axis=0)   # z[r]: total amplitude at frequency r mod M
+    r = np.arange(M // 2 + 1)
+    half = (0.5 * M) * (z[r] + np.conj(z[-r % M]))
+    return np.fft.irfft(half, n=M)
+
+
+def grid_analysis(samples, N):
+    """Discrete Fourier coefficients (b_0..b_N, a_1..a_N) of M equispaced
+    samples, N <= M/2: b_0 is the mean, and b_m, a_m are (2/M) times the sums
+    of the samples against cos and sin of 2 pi m j / M.  One real FFT."""
+    spec = np.fft.rfft(samples) / (0.5 * samples.shape[0])
+    b = spec.real[: N + 1].copy()
+    b[0] *= 0.5
+    return b, -spec.imag[1 : N + 1]
+
+
+# ---------------------------------------------------------------------------
 # periodic functions
 
 
@@ -145,13 +186,7 @@ class PeriodicFunction:
         M = values.shape[0]
         if M < 4 or M % 2 != 0:
             raise ValueError("need an even number (>=4) of equispaced samples")
-        N = M // 2 - 1
-        c = np.fft.rfft(values) / M
-        b = np.empty(N + 1)
-        a = np.empty(N)
-        b[0] = c[0].real
-        b[1:] = 2.0 * c[1 : N + 1].real
-        a[:] = -2.0 * c[1 : N + 1].imag
+        b, a = grid_analysis(values, M // 2 - 1)
         if odd:
             b[:] = 0.0
         return cls(T=T, sin_coeffs=a, cos_coeffs=b, odd=odd)
@@ -178,8 +213,12 @@ class PeriodicFunction:
 
     def grid_values(self):
         if "grid_values" not in self._cache:
-            self._cache["grid_values"] = _freeze(self(self.grid()))
+            self._cache["grid_values"] = _freeze(self.sample(2 * self.N + 2))
         return self._cache["grid_values"]
+
+    def sample(self, M):
+        """Values at the M equispaced points x_j = j T / M, j = 0..M-1."""
+        return grid_synthesis(M, self.cos_coeffs, self.sin_coeffs)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -484,7 +523,7 @@ def potential_energy_half(u: PeriodicFunction, well: DoubleWell, n_grid=None):
     """int_0^{T/2} F(u) dx by periodic-trapezoid quadrature."""
     n = n_grid or max(8 * u.N + 64, 256)
     x = np.linspace(0.0, u.T / 2.0, n + 1)
-    vals = well.f(u(x))
+    vals = well.f(u.sample(2 * n)[: n + 1])
     return float(np.trapezoid(vals, x))
 
 

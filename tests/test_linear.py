@@ -2,6 +2,7 @@
 coercive shift, Fredholm alternative, eigenvalue sets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ def test_fredholm_kernel_orthogonal():
     assert not res.unique
     assert abs(res.solution.cos_coeffs[1] - 1.0) < 1e-9
     assert abs(res.solution.cos_coeffs[0]) < 1e-9  # minimal norm: no kernel part
+
+
+def test_fredholm_kernel_solve_reads_no_uninitialized_memory():
+    g = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[], cos_coeffs=[0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_fredholm(make_op(), g)
+    assert res.kernel.dim == 1
+    assert np.all(np.isfinite(res.solution.cos_coeffs))
 
 
 def test_fredholm_violation():

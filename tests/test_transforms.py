@@ -1,0 +1,92 @@
+"""The transform layer against dense sin/cos matrices built here: grid
+synthesis/analysis and the Toeplitz +- Hankel Gram matrices of the symmetry
+classes on both sides of the dense/FFT switch, the bifurcation Jacobian,
+and the uniform-grid evaluator of PeriodicFunction."""
+
+import math
+
+import numpy as np
+import pytest
+
+from fracperiodic.bifurcation import _RescaledSystem
+from fracperiodic.semilinear import FFT_MIN_N, _SymmetryClass
+from fracperiodic.spectral import DoubleWell, FracOrder, PeriodicFunction, potential_energy_half
+
+RTOL = 1e-12
+
+
+def assert_rel(got, ref, rtol=RTOL):
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def dense_basis(symmetry, N, M):
+    """Columns of the class basis on the M-point grid, and the projection
+    weight of each row (1 for the mean, 2 for the trig modes)."""
+    phase = 2.0 * math.pi * np.outer(np.arange(M), np.arange(1, N + 1)) / M
+    S, C = np.sin(phase), np.cos(phase)
+    one = np.ones((M, 1))
+    B = {"odd": S, "even": np.hstack([one, C]), "full": np.hstack([one, C, S])}[symmetry]
+    weight = np.full(B.shape[1], 2.0)
+    if symmetry != "odd":
+        weight[0] = 1.0
+    return B, weight
+
+
+def random_coeffs(rng, n):
+    return rng.standard_normal(n) * 0.5 / (1.0 + np.arange(n))
+
+
+@pytest.mark.parametrize("N", [32, 300])
+@pytest.mark.parametrize("symmetry", ["odd", "even", "full"])
+def test_symmetry_class_matches_dense(symmetry, N):
+    cls = _SymmetryClass(symmetry, 7.3, N, FracOrder(0.4))
+    assert cls.fft == (N >= FFT_MIN_N)
+    B, weight = dense_basis(symmetry, N, cls.M)
+    rng = np.random.default_rng(N)
+    c = random_coeffs(rng, B.shape[1])
+    u = B @ c
+    assert_rel(cls.values(c), u)
+    assert_rel(cls.project(u), (weight / cls.M) * (B.T @ u))
+    well = DoubleWell.quartic()
+    J = weight[:, None] * (B.T @ ((well.f2(u) / cls.M)[:, None] * B))
+    J += np.diag(cls.linear_part(np.ones(B.shape[1])))
+    assert_rel(cls.jacobian(c, well), J)
+
+
+@pytest.mark.parametrize("N", [32, 300])
+def test_rescaled_jacobian_matches_dense(N):
+    sys = _RescaledSystem(FracOrder(0.5), DoubleWell.quartic(2.0), N)
+    S, _ = dense_basis("odd", N, sys.cls.M)
+    a = random_coeffs(np.random.default_rng(7), N)
+    lam = 1.7
+    f2 = sys.well.f2(S @ a) / sys.cls.M
+    J = np.diag(sys.cls.lam) + lam * sys.scale * 2.0 * (S.T @ (f2[:, None] * S))
+    assert_rel(sys.jac_u(a, lam), J)
+
+
+def random_function(T=5.0, N=40, seed=3):
+    rng = np.random.default_rng(seed)
+    return PeriodicFunction(T=T, sin_coeffs=random_coeffs(rng, N),
+                            cos_coeffs=random_coeffs(rng, N + 1))
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 20, 81, 82, 200])
+def test_sample_matches_pointwise(M):
+    # M < 2N + 2 folds modes onto their aliases
+    u = random_function()
+    assert_rel(u.sample(M), u(np.arange(M) * (u.T / M)))
+
+
+def test_grid_values_match_pointwise():
+    u = random_function()
+    assert_rel(u.grid_values(), u(u.grid()))
+
+
+@pytest.mark.parametrize("n_grid", [None, 10, 64])
+def test_potential_energy_half_matches_pointwise(n_grid):
+    u = random_function()
+    well = DoubleWell.quartic()
+    n = n_grid or max(8 * u.N + 64, 256)
+    x = np.linspace(0.0, u.T / 2.0, n + 1)
+    ref = float(np.trapezoid(well.f(u(x)), x))
+    assert abs(potential_energy_half(u, well, n_grid) - ref) <= RTOL * abs(ref)
