@@ -55,15 +55,22 @@ def _save_function(u, path):
 
 
 def _potential(spec_str):
-    """'quartic', 'quartic:SCALE', or 'poly:c0,c1,...' -> DoubleWell."""
+    """'quartic', 'quartic:SCALE', or 'poly:c0,c1,...' -> DoubleWell.
+
+    Every command that takes a potential assumes a double well with wells
+    at +-1, so a spec that fails ``DoubleWell.check_shape`` is a ValueError.
+    """
     if spec_str == "quartic":
-        return DoubleWell.quartic()
-    if spec_str.startswith("quartic:"):
-        return DoubleWell.quartic(float(spec_str.split(":", 1)[1]))
-    if spec_str.startswith("poly:"):
+        well = DoubleWell.quartic()
+    elif spec_str.startswith("quartic:"):
+        well = DoubleWell.quartic(float(spec_str.split(":", 1)[1]))
+    elif spec_str.startswith("poly:"):
         coeffs = [float(t) for t in spec_str.split(":", 1)[1].split(",")]
-        return DoubleWell.from_poly(coeffs)
-    raise ValueError(f"unknown potential spec {spec_str!r}")
+        well = DoubleWell.from_poly(coeffs)
+    else:
+        raise ValueError(f"unknown potential spec {spec_str!r}")
+    well.check_shape()
+    return well
 
 
 def _float_list(text):
@@ -216,9 +223,10 @@ def _resolve(cmd, args):
 
 
 def _jobs(cfg):
-    if cfg.get("jobs") is not None:
-        return cfg["jobs"]
-    return int(os.environ.get(JOBS_ENV, "1"))
+    jobs = cfg["jobs"] if cfg.get("jobs") is not None else int(os.environ.get(JOBS_ENV, "1"))
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
+    return jobs
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,22 @@
 restricted energy minimization with Newton refinement, and the bisection
 estimate of the smallest period admitting nonconstant solutions.
 
-The descent phase minimizes the full-period functional
+The descent phase takes modified-Newton steps with a backtracking line
+search on the full-period functional
 
     E(u) = (1/2) <u, (-d_xx)^s u> + int_{-T/2}^{T/2} F(u) dx,
 
-whose L^2 gradient is exactly the equation residual (-d_xx)^s u + F'(u);
-the reported energy J uses the half-period convention of the energy
-functional in :mod:`fracperiodic.spectral`.
+whose L^2 gradient is exactly the equation residual (-d_xx)^s u + F'(u)
+and whose Hessian is the residual Jacobian; the reported energy J uses the
+half-period convention of the energy functional in
+:mod:`fracperiodic.spectral`.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, hankel, toeplitz
 
 from .errors import InconsistentBracket, NoConvergence, SingularJacobian
 from .spectral import (
@@ -45,7 +48,7 @@ class SolveConfig:
     N: int = 64
     newton_tol: float = 1e-10
     max_newton: int = 60
-    max_descent: int = 4000
+    max_descent: int = 4000        # cap on modified-Newton descent steps per start
     multistarts: int = 6
     seed: int = 0
 
@@ -150,15 +153,16 @@ class _SymmetryClass:
         """
         spec = np.fft.rfft(g) / self.M
         gc, gs = spec.real, -spec.imag
-        k = np.arange(self.N + 1)
-        diff, tot = k[:, None] - k[None, :], k[:, None] + k[None, :]
-        dist = np.abs(diff)
-        if self.symmetry == "odd":
-            return (gc[dist] - gc[tot])[1:, 1:]
-        cc = gc[dist] + gc[tot]
+        N = self.N
+        if self.symmetry == "odd":   # modes 1..N: g_|m-n| - g_{m+n}
+            return toeplitz(gc[:N]) - hankel(gc[2 : N + 2], gc[N + 1 : 2 * N + 1])
+        dist = toeplitz(gc[: N + 1])                       # g_|m-n|, m, n = 0..N
+        tot = hankel(gc[: N + 1], gc[N : 2 * N + 1])       # g_{m+n}
+        cc = dist + tot
         if self.symmetry == "full":
-            sc = gs[tot] + np.sign(diff) * gs[dist]   # rows sin_m, columns cos_n
-            ss = gc[dist] - gc[tot]
+            # rows sin_m, columns cos_n; gs_0 = 0 keeps the diagonal of sign(m-n) h_|m-n| zero
+            sc = hankel(gs[: N + 1], gs[N : 2 * N + 1]) + toeplitz(gs[: N + 1], -gs[: N + 1])
+            ss = dist - tot
             cc = np.block([[cc, sc.T[:, 1:]], [sc[1:], ss[1:, 1:]]])
         cc[0] *= 0.5   # the mean carries weight 1, the other rows 2
         return cc
@@ -236,18 +240,51 @@ def _newton(cls: _SymmetryClass, c, well, tol, max_iter):
     raise NoConvergence(f"Newton stalled at residual {rnorm:.3e} (tol {tol:.1e})")
 
 
+def _shifted_cholesky(H):
+    """Cholesky factor of H + tau I for the first tau in the sequence 0
+    (when min diag H > 0) or beta - min diag H, then doubling by at least
+    beta = 1e-3, that makes the factorization succeed (Nocedal & Wright,
+    Alg. 3.3).
+
+    Only the lower triangle of H is read, so H is taken as the symmetric
+    matrix with that lower triangle; its diagonal is overwritten.
+    """
+    beta = 1e-3
+    idx = np.diag_indices_from(H)
+    diag = H[idx].copy()
+    tau = 0.0 if diag.min() > 0.0 else beta - diag.min()
+    while True:
+        H[idx] = diag + tau
+        try:
+            return cho_factor(H, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            tau = max(2.0 * tau, beta)
+
+
 def _descent(cls: _SymmetryClass, c, well, max_iter):
-    """Preconditioned gradient descent on the full-period energy."""
-    f2_bound = float(np.max(np.abs(well.f2(np.linspace(-1.2, 1.2, 41)))))
-    precond = 1.0 / (cls.linear_part(np.ones_like(c)) + f2_bound)
+    """Modified-Newton descent on the full-period energy E.
+
+    dE/dc = W * residual with W = T/2 on every mode and T on the mean, and
+    the Hessian of E is W J.  The step solves with the symmetric
+    Hhat = W^(1/2) J W^(-1/2), shifted positive definite, and backtracks on
+    E.  It stops at any critical point: the even-class solution is a saddle
+    of E, so no positive-definite Hessian is required at exit.
+    """
+    sw = np.ones_like(c)
+    if cls.symmetry != "odd":
+        sw[0] = math.sqrt(2.0)   # relative sqrt(W); the scale of W cancels in the step
     energy = cls.energy_full(c, well)
     for _ in range(max_iter):
         grad = cls.residual(c, well)
         if cls.l2_norm(grad) < DESCENT_GRAD_TOL:
             break
+        H = cls.jacobian(c, well)   # W differs from a multiple of I only on the mean
+        H[0] *= sw[0]
+        H[:, 0] /= sw[0]
+        p = -cho_solve(_shifted_cholesky(H), sw * grad, check_finite=False) / sw
         step = 1.0
         while step > 1e-8:
-            trial = c - step * precond * grad
+            trial = c + step * p
             e_new = cls.energy_full(trial, well)
             if e_new < energy:
                 c, energy = trial, e_new
@@ -270,10 +307,15 @@ def _normalize_sign(cls, c):
     return c
 
 
-def _starts(cls: _SymmetryClass, cfg: SolveConfig):
+def _starts(cls: _SymmetryClass, cfg: SolveConfig, well: DoubleWell):
     """Multistart initial data: c * (first harmonic) with sign flips, plus a
-    sharpened interface template for long periods."""
-    out = []
+    sharpened interface template for long periods.
+
+    For an even well the mirror image -c of a start is dropped after the
+    multistart cut: E(-c) = E(c), and its iterates are the exact negations,
+    which sign normalization maps back onto the same solution.
+    """
+    out = []   # (coefficients, is the mirror image of the previous start)
     amps = [0.2, 0.5, 0.9]
     for amp in amps:
         for sgn in (1.0, -1.0):
@@ -282,14 +324,14 @@ def _starts(cls: _SymmetryClass, cfg: SolveConfig):
                 c[0] = sgn * amp
             else:
                 c[1] = sgn * amp
-            out.append(c)
+            out.append((c, sgn < 0))
     if cls.T > 4.0 * math.pi:
         g = cls.T / 4.0
         base = np.sin(2.0 * math.pi * cls.x / cls.T) if cls.symmetry == "odd" else np.cos(
             2.0 * math.pi * cls.x / cls.T
         )
-        out.insert(0, cls.project(np.tanh(g * base)))
-    return out[: max(cfg.multistarts, 1)]
+        out.insert(0, (cls.project(np.tanh(g * base)), False))
+    return [c for c, mirror in out[: max(cfg.multistarts, 1)] if not (mirror and well.even)]
 
 
 def _package(cls: _SymmetryClass, c, rnorm, frac, well):
@@ -306,19 +348,27 @@ def _package(cls: _SymmetryClass, c, rnorm, frac, well):
     )
 
 
+def _check_period(T):
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"period must be positive and finite, got {T!r}")
+
+
 def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = None) -> SemilinearSolution:
     """Local energy minimizer in the requested symmetry class.
 
-    Runs multistart preconditioned descent followed by Newton; returns the
-    lowest-energy nonconstant candidate, or the trivial critical point with
-    classification "trivial" when every start collapses to a constant.
+    Runs multistart modified-Newton descent on the energy followed by Newton
+    on the residual; returns the lowest-energy nonconstant candidate, or the
+    trivial critical point with classification "trivial" when every start
+    collapses to a constant.  Raises ValueError unless T is positive and
+    finite.
     """
+    _check_period(T)
     cfg = cfg or SolveConfig()
     if cfg.symmetry == "even" and not well.even:
         raise ValueError("even-class minimization requires an even potential")
     cls = _SymmetryClass(cfg.symmetry, T, cfg.N, frac)
     best = None
-    for c0 in _starts(cls, cfg):
+    for c0 in _starts(cls, cfg, well):
         c = _descent(cls, c0.copy(), well, cfg.max_descent)
         try:
             c, rnorm = _newton(cls, c, well, cfg.newton_tol, cfg.max_newton)
@@ -343,7 +393,10 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
 
 def newton_refine(u0: PeriodicFunction, T, frac: FracOrder, well: DoubleWell, tol=1e-10,
                   max_iter=60) -> SemilinearSolution:
-    """Newton refinement of an approximate solution (odd inputs stay odd)."""
+    """Newton refinement of an approximate solution (odd inputs stay odd).
+
+    Raises ValueError unless T is positive and finite."""
+    _check_period(T)
     if u0.T != T:
         u0 = u0.rescaled(T)
     symmetry = "odd" if u0.odd else "full"
@@ -360,8 +413,10 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
     Brackets between "only trivial minimizers" and "nonconstant minimizer
     found"; the estimate never exceeds the linearization bound
     2 pi (-F''(0))^{-1/(2s)} up to tol.  With jobs > 1 a coarse period grid
-    is classified in parallel first to tighten the bracket.
+    is classified in parallel first to tighten the bracket.  Raises
+    ValueError unless T_hi is positive and finite.
     """
+    _check_period(T_hi)
     f2_0 = float(well.f2(0.0))
     if f2_0 >= 0:
         raise ValueError("find_min_period requires F''(0) < 0")

@@ -80,6 +80,28 @@ def test_bad_potential_spec(tmp_path):
     assert run(["solve", "--s", "0.5", "--T", "8", "--potential", "sextic"]) == 2
 
 
+def test_bad_period_is_usage_error(tmp_path):
+    for argv in (["solve", "--s", "0.5", "--T", "nan"],
+                 ["solve", "--s", "0.5", "--T", "-1"],
+                 ["min-period", "--s", "0.5", "--T-hi", "inf"]):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_non_double_well_potential_rejected(tmp_path):
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--s", "0.5", "--T", "8", "--potential", "poly:1,0,1",
+                "--out", str(out)]) == 2
+    assert not out.exists()
+    assert run(["solve", "--s", "0.5", "--T", "8", "--potential", "quartic:-1"]) == 2
+
+
+def test_jobs_below_one_is_usage_error():
+    assert run(["min-period", "--s", "0.5", "--T-hi", "8", "--jobs", "0"]) == 2
+    assert run(["energy-scan", "--s", "0.25", "--T-list", "16", "--jobs", "-1"]) == 2
+
+
 def test_missing_input_file(tmp_path):
     assert run(["apply", "--s", "0.5", "--input", str(tmp_path / "nope.json")]) == 2
 

@@ -1,11 +1,13 @@
 """Semilinear solver tests: energy minimization in symmetry classes,
 Newton refinement, and the minimal-period bisection."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from fracperiodic import semilinear
 from fracperiodic.semilinear import (
     SolveConfig,
     find_min_period,
@@ -162,3 +164,54 @@ def test_min_period_near_local_limit():
 def test_min_period_rejects_low_bracket():
     with pytest.raises(ValueError):
         find_min_period(FracOrder(0.5), well(), T_hi=3.0)
+
+
+def test_near_critical_solve_takes_few_iterations(monkeypatch):
+    # at T = 6.2 the first-harmonic curvature (2 pi / T)^(2s) + F''(0) is
+    # nearly 0; a gradient descent needs thousands of residual evaluations here
+    calls = []
+    residual = semilinear._SymmetryClass.residual
+
+    def counted(self, c, w):
+        calls.append(None)
+        return residual(self, c, w)
+
+    monkeypatch.setattr(semilinear._SymmetryClass, "residual", counted)
+    frac, cfg = FracOrder(0.5), SolveConfig(N=32)
+    assert minimize_energy(6.2, frac, well(), cfg).classification == "trivial"
+    assert len(calls) <= 200
+    assert minimize_energy(6.0, frac, well(), cfg).classification == "trivial"
+    assert minimize_energy(6.4, frac, well(), cfg).nonconstant
+
+
+@pytest.mark.parametrize("symmetry,T,multistarts", [
+    ("odd", 6.4, 6), ("odd", 8.0, 6), ("odd", 40.0, 6), ("even", 8.0, 6),
+    ("odd", 8.0, 2), ("even", 8.0, 2),
+])
+def test_mirror_starts_dropped_exactly(monkeypatch, symmetry, T, multistarts):
+    frac = FracOrder(0.5)
+    cfg = SolveConfig(symmetry=symmetry, N=64 if T > 10 else 32, multistarts=multistarts)
+    cls = semilinear._SymmetryClass(symmetry, T, cfg.N, frac)
+    signed = dataclasses.replace(well(), even=False)
+    assert len(semilinear._starts(cls, cfg, well())) < len(semilinear._starts(cls, cfg, signed))
+    dropped = minimize_energy(T, frac, well(), cfg)
+    keep_both = semilinear._starts
+    monkeypatch.setattr(semilinear, "_starts", lambda c, k, w: keep_both(c, k, signed))
+    both = minimize_energy(T, frac, well(), cfg)
+    assert dropped.classification == both.classification == "nonconstant"
+    assert np.max(np.abs(dropped.u.sin_coeffs - both.u.sin_coeffs)) <= 1e-12
+    assert np.max(np.abs(dropped.u.cos_coeffs - both.u.cos_coeffs)) <= 1e-12
+    assert abs(dropped.energy - both.energy) <= 1e-12
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+def test_bad_period_rejected(T):
+    frac = FracOrder(0.5)
+    with pytest.raises(ValueError):
+        minimize_energy(T, frac, well(), SolveConfig(N=32))
+    u0 = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.5], cos_coeffs=None)
+    with pytest.raises(ValueError):
+        newton_refine(u0, T, frac, well())
+    if T > 0:
+        with pytest.raises(ValueError):
+            find_min_period(frac, well(), T_hi=T)
