@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import IdentityViolation, InequalityViolation
-from .extension import ExtensionField, YQuadrature, extend_bessel
+from .extension import ExtensionField, extend_bessel
 from .semilinear import SemilinearSolution, SolveConfig, minimize_energy
 from .spectral import DoubleWell, FracOrder, PeriodicFunction, energy_functional
 
@@ -56,41 +56,22 @@ class HamiltonianReport:
             yield xi, vi, vi - self.c_t
 
 
-def _mode_tables(field: ExtensionField, x):
-    """Coefficient tables C_x, C_y with U_x(x,y) = C_x @ phi(y) and
-    y^a U_y(x,y) = C_y @ psi_w(y), where phi/psi_w are per-mode profile
-    columns; lets whole node batches be evaluated with two matmuls."""
+def _squared_fields(field: ExtensionField, x, y_plus, y_minus):
+    """U_x^2 on y_plus times x and (y^a U_y)^2 on y_minus times x, of shapes
+    y.shape + x.shape.
+
+    U_x = sum_m J_m(y) omega_m [a_m cos - b_m sin] and y^a U_y = sum_m
+    psi_m(y) [a_m sin + b_m cos] with psi_m = y^a J_m', so a whole node batch
+    takes one profile table and one matmul per factor.
+    """
     u = field.base
     m = np.arange(1, u.N + 1)
     om = u.omega * m
     phase = np.multiply.outer(np.asarray(x, dtype=float), m) * u.omega
     Cx = np.cos(phase) * (om * u.sin_coeffs) - np.sin(phase) * (om * u.cos_coeffs[1:])
     Cy = np.sin(phase) * u.sin_coeffs + np.cos(phase) * u.cos_coeffs[1:]
-    return Cx, Cy
-
-
-def _profile_columns(field: ExtensionField, y):
-    """phi_m(y) and the weighted psi_m(y) = y^a J_m'(y) for all modes, shape (len(y), N)."""
-    phi = np.column_stack([p.value(y) for p in field.profiles])
-    psi = np.column_stack([p.weighted_deriv(y) for p in field.profiles])
-    return phi, psi
-
-
-def _kinetic_difference(field: ExtensionField, x, rule: YQuadrature):
-    """int_0^ymax [U_x^2 - U_y^2] y^a dy at the points x.
-
-    The U_x^2 term carries the weight y^a directly; the U_y^2 term is
-    rewritten as (y^a U_y)^2 y^{-a} so both factors stay finite at y = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if field.base.N == 0:
-        return np.zeros_like(x)
-    Cx, Cy = _mode_tables(field, x)
-    phi, _ = _profile_columns(field, rule.nodes_plus)
-    _, psi = _profile_columns(field, rule.nodes_minus)
-    plus = (Cx @ phi.T) ** 2 @ rule.weights_plus
-    minus = (Cy @ psi.T) ** 2 @ rule.weights_minus
-    return plus - minus
+    ux2 = (field.profile_table(y_plus) @ Cx.T) ** 2
+    return ux2, (field.profile_table(y_minus, "weighted_deriv") @ Cy.T) ** 2
 
 
 def hamiltonian_check(u, frac: FracOrder, well: DoubleWell, n_samples=64,
@@ -105,7 +86,10 @@ def hamiltonian_check(u, frac: FracOrder, well: DoubleWell, n_samples=64,
     trace = _trace(u)
     field = extend_bessel(trace, frac, n_quad=n_quad)
     x = np.arange(n_samples) * (trace.T / n_samples)
-    w = 0.5 * frac.d_s * _kinetic_difference(field, x, field.quadrature)
+    rule = field.quadrature
+    # int_0^ymax [U_x^2 - U_y^2] y^a dy: U_y^2 y^a is (y^a U_y)^2 y^{-a}, finite at y = 0
+    ux2, uy2 = _squared_fields(field, x, rule.nodes_plus, rule.nodes_minus)
+    w = 0.5 * frac.d_s * (rule.weights_plus @ ux2 - rule.weights_minus @ uy2)
     values = w - well.f(trace(x))
     c_t = float(np.mean(values))
     dev = np.abs(values - c_t)
@@ -149,15 +133,11 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, c_t=None, nx=64, ny=64,
     # one Jacobi rule on (0, 1), rescaled per row: nodes scale linearly,
     # weights pick up y^{1 +- a}
     base = field.quadrature.scaled(1.0)
-    Cx, Cy = _mode_tables(field, x)
-    phi, _ = _profile_columns(field, np.multiply.outer(y_pos, base.nodes_plus).ravel())
-    _, psi = _profile_columns(field, np.multiply.outer(y_pos, base.nodes_minus).ravel())
-    n = base.n
-    ux2 = ((Cx @ phi.T) ** 2).reshape(len(x), len(y_pos), n)
-    uy2 = ((Cy @ psi.T) ** 2).reshape(len(x), len(y_pos), n)
+    ux2, uy2 = _squared_fields(field, x, np.multiply.outer(y_pos, base.nodes_plus),
+                               np.multiply.outer(y_pos, base.nodes_minus))
     wp = base.weights_plus * y_pos[:, None] ** (1.0 + frac.a)
     wm = base.weights_minus * y_pos[:, None] ** (1.0 - frac.a)
-    kinetic = np.einsum("xjn,jn->jx", ux2, wp) - np.einsum("xjn,jn->jx", uy2, wm)
+    kinetic = np.einsum("jnx,jn->jx", ux2, wp) - np.einsum("jnx,jn->jx", uy2, wm)
     v_hat = np.vstack([boundary, 0.5 * frac.d_s * kinetic + boundary])
     y = np.concatenate(([0.0], y_pos))
 
@@ -169,12 +149,9 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, c_t=None, nx=64, ny=64,
         raise InequalityViolation((float(x[ix]), float(y[iy])), worst - c_hat)
     # C_hat >= (d_s/2) int U_y^2(T/2, tau) tau^a dtau, with equality for even
     # solutions (U_x vanishes on the reflection axis x = T/2)
-    xm = trace.T / 2.0
     rule = field.quadrature
-    lower = 0.5 * frac.d_s * float(
-        sum(wq * field.weighted_dy(xm, yq) ** 2 for yq, wq in
-            zip(rule.nodes_minus, rule.weights_minus))
-    )
+    _, uy2 = _squared_fields(field, trace.T / 2.0, rule.nodes_plus, rule.nodes_minus)
+    lower = 0.5 * frac.d_s * float(rule.weights_minus @ uy2)
     return ModicaReport(
         x=x, y=y, v_hat=v_hat, c_hat=c_hat, c_hat_lower=lower,
         argmax=(float(x[ix]), float(y[iy])),

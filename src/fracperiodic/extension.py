@@ -15,6 +15,7 @@ analytic x/y derivatives for the diagnostics module.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,85 +36,83 @@ __all__ = [
 ]
 
 _SERIES_SWITCH = 2.0   # series below, scipy.special.kv above
-_SERIES_TERMS = 30
+_SERIES_TERMS = 18     # below t = 2 the terms from j = 18 on are under 1e-28
 _OVERFLOW_ARG = 700.0  # K_s underflows; profile clamped to 0 beyond
+
+
+def _horner(c, x):
+    """sum_j c_j x^j by Horner's rule, in place on one array."""
+    out = np.full_like(x, c[-1])
+    for cj in c[-2::-1]:
+        out *= x
+        out += cj
+    return out
+
+
+def _scaled_kv(c, p, nu, t):
+    """c t^p K_nu(t), computed in place on t (callers pass a fresh copy), so
+    a large table costs one temporary instead of four."""
+    k = kv(nu, t)
+    t **= p
+    k *= t
+    k *= c
+    return k
 
 
 class _Profile:
     """Universal mode profile phi_s(t) = mu t^s K_s(t) and derivatives.
 
-    Small arguments use the power series in t^{2j} and t^{2s+2j} (no
-    cancellation); large arguments use kv directly.
+    Small arguments sum the power series in t^{2j} and t^{2s+2j} by Horner
+    in t^2 (no cancellation); large arguments use one kv per point through
+    d/dt [t^s K_s(t)] = -t^s K_{1-s}(t).  Every method takes an array of any
+    shape, so one call serves a whole (y x mode) table.
     """
 
     def __init__(self, s):
         self.s = s
         j = np.arange(_SERIES_TERMS)
-        self.alpha = gamma(1 - s) * 0.25**j / (np.cumprod(np.concatenate(([1.0], j[1:]))) * gamma(j + 1 - s))
-        self.beta = -gamma(1 - s) * 2.0 ** (-2 * s) * 0.25**j / (
-            np.cumprod(np.concatenate(([1.0], j[1:]))) * gamma(j + 1 + s)
-        )
+        fact = np.cumprod(np.concatenate(([1.0], j[1:])))
+        self.alpha = gamma(1 - s) * 0.25**j / (fact * gamma(j + 1 - s))
+        self.beta = -gamma(1 - s) * 2.0 ** (-2 * s) * 0.25**j / (fact * gamma(j + 1 + s))
+        self.dalpha = (2 * j * self.alpha)[1:]   # alpha-part of phi'(t) / t, in powers of t^2
+        self.dbeta = (2 * s + 2 * j) * self.beta
         self.mu = 2.0 ** (1 - s) * gamma(1 - s) * math.sin(s * math.pi) / math.pi
 
-    def _series(self, t):
-        s = self.s
-        j = np.arange(_SERIES_TERMS)
-        t = np.asarray(t, dtype=float)[..., None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ta = np.where(t > 0, t, 1.0) ** (2.0 * j)
-            tb = np.where(t > 0, t, 1.0) ** (2.0 * s + 2.0 * j)
-        out = ta @ self.alpha + np.where(t[..., 0] > 0, tb @ self.beta, 0.0)
-        zero = t[..., 0] == 0
-        if np.any(zero):
-            out = np.where(zero, 1.0, out)
-        return out
+    def _split(self, t):
+        t = np.asarray(t, dtype=float)
+        small = (t > 0) & (t < _SERIES_SWITCH)
+        big = (t >= _SERIES_SWITCH) & (t <= _OVERFLOW_ARG)
+        return t, np.zeros_like(t), small, big
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        small = t < _SERIES_SWITCH
-        big = ~small & (t <= _OVERFLOW_ARG)
-        out[small] = self._series(t[small])
-        ts = t[big]
-        out[big] = self.mu * ts**self.s * kv(self.s, ts)
-        out[t > _OVERFLOW_ARG] = 0.0
+        t, out, small, big = self._split(t)
+        ts = t[small]
+        t2 = ts * ts
+        out[small] = _horner(self.alpha, t2) + ts ** (2 * self.s) * _horner(self.beta, t2)
+        out[big] = _scaled_kv(self.mu, self.s, self.s, t[big])
+        out[t == 0] = 1.0
         return out
 
     def deriv(self, t):
         """phi'(t); singular like t^{2s-1} at 0 for s < 1/2."""
         s = self.s
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        small = (t < _SERIES_SWITCH) & (t > 0)
-        big = ~small & (t <= _OVERFLOW_ARG) & (t > 0)
-        j = np.arange(_SERIES_TERMS)
-        ts = t[small][:, None]
-        da = (ts ** (2 * j[1:] - 1)) @ (2 * j[1:] * self.alpha[1:])
-        db = (ts ** (2 * s + 2 * j - 1)) @ ((2 * s + 2 * j) * self.beta)
-        out[small] = da + db
-        tb = t[big]
-        kprime = -0.5 * (kv(s - 1, tb) + kv(s + 1, tb))
-        out[big] = self.mu * (s * tb ** (s - 1) * kv(s, tb) + tb**s * kprime)
-        out[t > _OVERFLOW_ARG] = 0.0
+        t, out, small, big = self._split(t)
+        ts = t[small]
+        t2 = ts * ts
+        out[small] = ts * _horner(self.dalpha, t2) + ts ** (2 * s - 1) * _horner(self.dbeta, t2)
+        out[big] = _scaled_kv(-self.mu, s, 1 - s, t[big])
         out[t == 0] = np.inf if s < 0.5 else (0.0 if s > 0.5 else -1.0)
-        if s == 0.5:
-            out[t == 0] = -1.0
         return out
 
     def weighted_deriv(self, t):
         """psi(t) = t^{1-2s} phi'(t); psi(0) = -C_s = -(2s/4^s) Gamma(1-s)/Gamma(1+s)."""
         s = self.s
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        small = (t < _SERIES_SWITCH) & (t > 0)
-        big = ~small & (t > 0)
-        j = np.arange(_SERIES_TERMS)
-        ts = t[small][:, None]
-        da = (ts ** (2 * (j[1:] - s))) @ (2 * j[1:] * self.alpha[1:])
-        db = (ts ** (2 * j)) @ ((2 * s + 2 * j) * self.beta)
-        out[small] = da + db
-        out[big] = t[big] ** (1 - 2 * s) * self.deriv(t[big])
-        out[t == 0] = 2 * s * self.beta[0]
+        t, out, small, big = self._split(t)
+        ts = t[small]
+        t2 = ts * ts
+        out[small] = ts ** (2 - 2 * s) * _horner(self.dalpha, t2) + _horner(self.dbeta, t2)
+        out[big] = _scaled_kv(-self.mu, 1 - s, 1 - s, t[big])
+        out[t == 0] = self.dbeta[0]
         return out
 
 
@@ -229,11 +228,32 @@ class ExtensionField:
     method: str
     y_max: float
     quadrature: YQuadrature
-    profiles: tuple = ()
 
     # -- evaluation --------------------------------------------------------
 
-    def _modal(self, x, y, mode_fn):
+    @cached_property
+    def _phi(self):
+        return _Profile(self.frac.s)
+
+    def profile_table(self, y, kind="value"):
+        """(..., N) table of J_m(y), J_m'(y) or y^a J_m'(y) for m = 1..N.
+
+        ``kind`` is "value", "deriv" or "weighted_deriv"; the universal
+        profile is evaluated once on outer(y, omega_m).
+        """
+        om = self.base.omega * np.arange(1, self.base.N + 1)
+        t = np.multiply.outer(np.asarray(y, dtype=float), om)
+        if kind == "value":
+            return self._phi.value(t)
+        if kind == "deriv":
+            return om * self._phi.deriv(t)
+        if kind == "weighted_deriv":
+            return om ** (2 * self.frac.s) * self._phi.weighted_deriv(t)
+        raise ValueError(f"unknown profile kind {kind!r}")
+
+    def _modal(self, x, y, kind, dx=False):
+        """sum_m J_m(y) [a_m sin + b_m cos](omega m x) with J_m from ``kind``,
+        or its x-derivative."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         u = self.base
@@ -241,40 +261,29 @@ class ExtensionField:
             return np.zeros(np.broadcast(x, y).shape)
         m = np.arange(1, u.N + 1)
         phase = np.multiply.outer(x, m) * u.omega
-        damp = np.stack([mode_fn(p, y) for p in self.profiles], axis=-1)
-        sin_part = (np.sin(phase) * damp) @ u.sin_coeffs
-        cos_part = (np.cos(phase) * damp) @ u.cos_coeffs[1:]
-        return sin_part + cos_part
+        damp = self.profile_table(y, kind)
+        a, b = u.sin_coeffs, u.cos_coeffs[1:]
+        if dx:   # d/dx [a sin + b cos](omega m x) = omega m [a cos - b sin]
+            a, b = -u.omega * m * b, u.omega * m * a
+        return (np.sin(phase) * damp) @ a + (np.cos(phase) * damp) @ b
 
     def value(self, x, y):
         if self.method == "poisson-convolution":
             return self._poisson_value(x, y)
-        out = self.base.cos_coeffs[0] + self._modal(x, y, lambda p, y: p.value(y))
-        return out
+        return self.base.cos_coeffs[0] + self._modal(x, y, "value")
 
     def dx(self, x, y):
         self._require_bessel()
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        u = self.base
-        if u.N == 0:
-            return np.zeros(np.broadcast(x, y).shape)
-        m = np.arange(1, u.N + 1)
-        phase = np.multiply.outer(x, m) * u.omega
-        damp = np.stack([p.value(y) for p in self.profiles], axis=-1)
-        om = u.omega * m
-        return (np.cos(phase) * damp) @ (om * u.sin_coeffs) - (np.sin(phase) * damp) @ (
-            om * u.cos_coeffs[1:]
-        )
+        return self._modal(x, y, "value", dx=True)
 
     def dy(self, x, y):
         self._require_bessel()
-        return self._modal(x, y, lambda p, y: p.deriv(y))
+        return self._modal(x, y, "deriv")
 
     def weighted_dy(self, x, y):
         """y^a dU/dy, evaluated without cancellation down to y = 0."""
         self._require_bessel()
-        return self._modal(x, y, lambda p, y: p.weighted_deriv(y))
+        return self._modal(x, y, "weighted_deriv")
 
     def _require_bessel(self):
         if self.method != "bessel-series":
@@ -308,11 +317,8 @@ def extend_bessel(u: PeriodicFunction, frac: FracOrder, y_max=None, n_quad=128) 
     """Mode-by-mode extension U(x,y) = b_0 + sum J_m(y) [a_m sin + b_m cos]."""
     if y_max is None:
         y_max = 40.0 / u.omega
-    profiles = tuple(BesselProfile(omega=u.omega * m, frac=frac) for m in range(1, u.N + 1))
     rule = YQuadrature(y_max=y_max, a=frac.a, n=n_quad)
-    return ExtensionField(
-        base=u, frac=frac, method="bessel-series", y_max=y_max, quadrature=rule, profiles=profiles
-    )
+    return ExtensionField(base=u, frac=frac, method="bessel-series", y_max=y_max, quadrature=rule)
 
 
 def extend_poisson(u: PeriodicFunction, frac: FracOrder, y_max=None, n_quad=128) -> ExtensionField:
@@ -360,7 +366,7 @@ def dirichlet_to_neumann(field: ExtensionField, n_out=None) -> PeriodicFunction:
     """
     u = field.base
     if field.method == "bessel-series":
-        lam = np.array([-field.frac.d_s * p.weighted_deriv(0.0) for p in field.profiles])
+        lam = -field.frac.d_s * field.profile_table(0.0, "weighted_deriv")
         b = np.concatenate(([0.0], lam * u.cos_coeffs[1:]))
         return PeriodicFunction(T=u.T, sin_coeffs=lam * u.sin_coeffs, cos_coeffs=b, odd=u.odd)
     n_out = n_out or 2 * u.N + 2
@@ -374,25 +380,18 @@ def dirichlet_to_neumann(field: ExtensionField, n_out=None) -> PeriodicFunction:
 # ---------------------------------------------------------------------------
 # weighted Dirichlet energy
 
-
-def _profile_energy_integral(phi: _Profile, a, t_max, n=384):
-    """int_0^{t_max} [t^a phi^2 + t^{-a} psi^2] dt with psi = t^a phi'."""
-    out = 0.0
-    for beta, fn in ((a, phi.value), (-a, lambda t: phi.weighted_deriv(t))):
-        t, w = roots_jacobi(n, 0.0, beta)
-        yq = t_max * (t + 1.0) / 2.0
-        wq = w * (t_max / 2.0) ** (beta + 1.0)
-        out += float(fn(yq) ** 2 @ wq)
-    return out
+_ENERGY_NODES = 384
 
 
 def extension_energy(field: ExtensionField, y_max=None, tail_tol=1e-10):
     """int int y^a |grad U|^2 over one period x (0, infinity).
 
-    Mode orthogonality in x reduces the integral to one universal profile
-    integral per mode; equals (1/d_s) <u, (-d_xx)^s u> up to quadrature
-    error.  Raises TailNotConverged when y_max cuts the exponential tail
-    too early.
+    Mode orthogonality in x reduces the integral to the universal profile
+    integral int_0^{t_m} [t^a phi^2 + t^{-a} psi^2] dt (psi = t^a phi') per
+    mode, t_m = min(omega_m y_max, 40); one pair of Jacobi rules on (0, 1)
+    serves every mode.  Equals (1/d_s) <u, (-d_xx)^s u> up to
+    quadrature error.  Raises TailNotConverged when y_max cuts the
+    exponential tail too early.
     """
     u, frac = field.base, field.frac
     y_max = y_max or field.y_max
@@ -403,15 +402,11 @@ def extension_energy(field: ExtensionField, y_max=None, tail_tol=1e-10):
         raise TailNotConverged(
             f"omega_1 * y_max = {om1 * y_max:.2f} < 15: tail above tolerance {tail_tol:g}"
         )
-    phi = _Profile(frac.s)
-    total = 0.0
-    m = np.arange(1, u.N + 1)
     power = u.sin_coeffs**2 + u.cos_coeffs[1:] ** 2
-    for mi, pw in zip(m, power):
-        if pw == 0.0:
-            continue
-        om = u.omega * mi
-        t_max = min(om * y_max, 40.0)
-        integral = _profile_energy_integral(phi, frac.a, t_max)
-        total += pw * om ** (2 * frac.s) * integral
-    return 0.5 * u.T * total
+    om = u.omega * np.arange(1, u.N + 1)
+    t_max = np.minimum(om * y_max, 40.0)
+    unit = YQuadrature(y_max=1.0, a=frac.a, n=_ENERGY_NODES)   # rescaled per mode
+    plus = field._phi.value(np.multiply.outer(t_max, unit.nodes_plus)) ** 2 @ unit.weights_plus
+    minus = field._phi.weighted_deriv(np.multiply.outer(t_max, unit.nodes_minus)) ** 2 @ unit.weights_minus
+    integral = plus * t_max ** (1.0 + frac.a) + minus * t_max ** (1.0 - frac.a)
+    return 0.5 * u.T * float(power * om ** (2 * frac.s) @ integral)

@@ -32,14 +32,38 @@ COERCIVITY_MARGIN = 0.1   # gamma = max(0, -min k) + margin
 
 def _basis_samples(T, N, x):
     """Orthonormal basis sampled at points x: columns [const, cos_1, sin_1, ...]."""
-    M = x.shape[0]
-    E = np.empty((M, 2 * N + 1))
+    E = np.empty((x.shape[0], 2 * N + 1))
     E[:, 0] = 1.0 / math.sqrt(T)
-    w = 2.0 * math.pi / T
-    for m in range(1, N + 1):
-        E[:, 2 * m - 1] = math.sqrt(2.0 / T) * np.cos(w * m * x)
-        E[:, 2 * m] = math.sqrt(2.0 / T) * np.sin(w * m * x)
+    phase = np.multiply.outer(x, (2.0 * math.pi / T) * np.arange(1, N + 1))
+    np.cos(phase, out=E[:, 1::2])
+    np.sin(phase, out=E[:, 2::2])
+    E[:, 1:] *= math.sqrt(2.0 / T)
     return E
+
+
+def _galerkin_matrix(T, N, lam, k):
+    """diag(lam) on the cos/sin pairs plus multiplication by k, symmetrized.
+
+    The k-multiplication runs on a dealiased grid: a product of two basis
+    modes has trig degree <= 2N, times deg(k) <= N, so 4(N+1) nodes
+    integrate it exactly.
+    """
+    M = 4 * (N + 1)
+    x = np.arange(M) * (T / M)
+    E = _basis_samples(T, N, x)
+    kw = k(x) * (T / M)
+    A = E.T @ (kw[:, None] * E)
+    diag = A.reshape(-1)[:: 2 * N + 2]   # a view of the diagonal
+    diag[1::2] += lam
+    diag[2::2] += lam
+    return 0.5 * (A + A.T)
+
+
+def _lowest_eigh(A, count):
+    """Lowest min(count, dim A) eigenpairs of the symmetric A, nondecreasing."""
+    n = min(max(count, 0), A.shape[0])
+    evals, vecs = eigh(A, subset_by_index=[0, max(n, 1) - 1])
+    return evals[:n], vecs[:, :n]
 
 
 def coords_to_function(T, c, odd=None):
@@ -79,22 +103,8 @@ class GalerkinOperator:
     def __post_init__(self):
         if self.k.T != self.T:
             raise ValueError("coefficient k must have period T")
-        N, T = self.N, self.T
-        w = 2.0 * math.pi / T
-        m = np.arange(1, N + 1)
-        lam = (w * m) ** (2.0 * self.frac.s)
-        diag = np.zeros(2 * N + 1)
-        diag[1::2] = lam
-        diag[2::2] = lam
-        A = np.diag(diag)
-        # k-multiplication on a dealiased grid: product of two basis modes has
-        # trig degree <= 2N, times deg(k) <= N -> 4(N+1) nodes integrate exactly
-        M = 4 * (N + 1)
-        x = np.arange(M) * (T / M)
-        E = _basis_samples(T, N, x)
-        kw = self.k(x) * (T / M)
-        A = A + E.T @ (kw[:, None] * E)
-        A = 0.5 * (A + A.T)
+        lam = (2.0 * math.pi / self.T * np.arange(1, self.N + 1)) ** (2.0 * self.frac.s)
+        A = _galerkin_matrix(self.T, self.N, lam, self.k)
         A.flags.writeable = False
         object.__setattr__(self, "matrix", A)
 
@@ -184,35 +194,21 @@ def eigenvalue_set(op: GalerkinOperator, count: int):
     """Lowest `count` eigenpairs of the symmetric Galerkin matrix, nondecreasing."""
     if count > op.matrix.shape[0]:
         raise ValueError("count exceeds the Galerkin dimension 2N+1")
-    evals, evecs = eigh(op.matrix)
-    return [(float(evals[j]), coords_to_function(op.T, evecs[:, j])) for j in range(count)]
+    evals, evecs = _lowest_eigh(op.matrix, count)
+    return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(evals, evecs.T)]
 
 
 def schrodinger_fractional_spectrum(V: PeriodicFunction, frac: FracOrder, count: int, N=None):
     """Eigenpairs of [-d_xx + V]^s: same eigenvectors as A = -d_xx + V,
     eigenvalues lambda_m^s, realized through the matrix power A^s = Q L^s Q^T.
+    lambda -> lambda^s is nondecreasing, so the lowest eigenpairs of A give
+    the lowest of A^s in the same order.
     """
     N = N or max(V.N, 16)
     grid = np.linspace(0.0, V.T, 8 * (N + 1), endpoint=False)
     if np.any(V(grid) < 0.0):
         raise NegativePotential("potential must be nonnegative on the grid")
-    w = 2.0 * math.pi / V.T
-    m = np.arange(1, N + 1)
-    lam2 = (w * m) ** 2
-    diag = np.zeros(2 * N + 1)
-    diag[1::2] = lam2
-    diag[2::2] = lam2
-    M = 4 * (N + 1)
-    x = np.arange(M) * (V.T / M)
-    E = _basis_samples(V.T, N, x)
-    kw = V(x) * (V.T / M)
-    A = np.diag(diag) + E.T @ (kw[:, None] * E)
-    A = 0.5 * (A + A.T)
-    evals, Q = eigh(A)
+    A = _galerkin_matrix(V.T, N, (2.0 * math.pi / V.T * np.arange(1, N + 1)) ** 2, V)
+    evals, Q = _lowest_eigh(A, count)
     evals = np.clip(evals, 0.0, None)  # round-off can push the zero mode negative
-    frac_evals = evals**frac.s
-    order = np.argsort(frac_evals, kind="stable")
-    out = []
-    for j in order[:count]:
-        out.append((float(frac_evals[j]), coords_to_function(V.T, Q[:, j])))
-    return out
+    return [(float(lam**frac.s), coords_to_function(V.T, v)) for lam, v in zip(evals, Q.T)]

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, hankel, toeplitz
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InconsistentBracket, NoConvergence, SingularJacobian
 from .spectral import (
@@ -76,6 +76,20 @@ class SemilinearSolution:
 
 # ---------------------------------------------------------------------------
 # symmetry classes: coefficient vector <-> function, residual, Jacobian
+
+
+def _toeplitz(col, row):
+    """n x n strided view of one vector with entries col[i - j] on and below
+    the diagonal and row[j - i] above: no O(n^2) gather, no wrapper cost."""
+    v = np.concatenate((col[::-1], row[1:]))
+    n, b = len(col), v.itemsize
+    return np.ndarray((n, n), buffer=v, offset=(n - 1) * b, strides=(-b, b))
+
+
+def _hankel(c, n):
+    """n x n strided view with entries c[i + j], i, j < n."""
+    v = np.ascontiguousarray(c[: 2 * n - 1])
+    return np.ndarray((n, n), buffer=v, strides=(v.itemsize, v.itemsize))
 
 
 class _SymmetryClass:
@@ -155,13 +169,13 @@ class _SymmetryClass:
         gc, gs = spec.real, -spec.imag
         N = self.N
         if self.symmetry == "odd":   # modes 1..N: g_|m-n| - g_{m+n}
-            return toeplitz(gc[:N]) - hankel(gc[2 : N + 2], gc[N + 1 : 2 * N + 1])
-        dist = toeplitz(gc[: N + 1])                       # g_|m-n|, m, n = 0..N
-        tot = hankel(gc[: N + 1], gc[N : 2 * N + 1])       # g_{m+n}
+            return _toeplitz(gc[:N], gc[:N]) - _hankel(gc[2:], N)
+        dist = _toeplitz(gc[: N + 1], gc[: N + 1])         # g_|m-n|, m, n = 0..N
+        tot = _hankel(gc, N + 1)                           # g_{m+n}
         cc = dist + tot
         if self.symmetry == "full":
             # rows sin_m, columns cos_n; gs_0 = 0 keeps the diagonal of sign(m-n) h_|m-n| zero
-            sc = hankel(gs[: N + 1], gs[N : 2 * N + 1]) + toeplitz(gs[: N + 1], -gs[: N + 1])
+            sc = _hankel(gs, N + 1) + _toeplitz(gs[: N + 1], -gs[: N + 1])
             ss = dist - tot
             cc = np.block([[cc, sc.T[:, 1:]], [sc[1:], ss[1:, 1:]]])
         cc[0] *= 0.5   # the mean carries weight 1, the other rows 2
@@ -186,8 +200,6 @@ class _SymmetryClass:
         """L^2 norm of the function with class coefficients c."""
         if self.symmetry == "odd":
             return math.sqrt(self.T / 2.0 * float(c @ c))
-        if self.symmetry == "even":
-            return math.sqrt(self.T * (c[0] ** 2 + 0.5 * float(c[1:] @ c[1:])))
         return math.sqrt(self.T * (c[0] ** 2 + 0.5 * float(c[1:] @ c[1:])))
 
     def energy_full(self, c, well: DoubleWell):
@@ -241,10 +253,14 @@ def _newton(cls: _SymmetryClass, c, well, tol, max_iter):
 
 
 def _shifted_cholesky(H):
-    """Cholesky factor of H + tau I for the first tau in the sequence 0
-    (when min diag H > 0) or beta - min diag H, then doubling by at least
-    beta = 1e-3, that makes the factorization succeed (Nocedal & Wright,
-    Alg. 3.3).
+    """Cholesky factor of H + tau_k I for the first k that makes the
+    factorization succeed, where tau_0 = 0 (when min diag H > 0) or
+    beta - min diag H and tau_{k+1} = max(2 tau_k, beta = 1e-3) (Nocedal &
+    Wright, Alg. 3.3).
+
+    H + tau I stays positive definite as tau grows, so the first success is
+    found by probing k = 0, 1, 2, 4, 8, ... and bisecting the last gap:
+    about 2 log2 k factorizations instead of k + 1.
 
     Only the lower triangle of H is read, so H is taken as the symmetric
     matrix with that lower triangle; its diagonal is overwritten.
@@ -252,13 +268,27 @@ def _shifted_cholesky(H):
     beta = 1e-3
     idx = np.diag_indices_from(H)
     diag = H[idx].copy()
-    tau = 0.0 if diag.min() > 0.0 else beta - diag.min()
-    while True:
-        H[idx] = diag + tau
+    taus = [0.0 if diag.min() > 0.0 else beta - diag.min()]
+
+    def factor(k):
+        while len(taus) <= k:
+            taus.append(max(2.0 * taus[-1], beta))
+        H[idx] = diag + taus[k]
         try:
             return cho_factor(H, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
-            tau = max(2.0 * tau, beta)
+            return None
+
+    lo, hi = -1, 0   # tau_lo fails (or lo = -1), the first success is at most hi
+    while (chol := factor(hi)) is None:
+        lo, hi = hi, max(2 * hi, 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (trial := factor(mid)) is None:
+            lo = mid
+        else:
+            hi, chol = mid, trial
+    return chol
 
 
 def _descent(cls: _SymmetryClass, c, well, max_iter):

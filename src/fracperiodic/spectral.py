@@ -152,12 +152,14 @@ class PeriodicFunction:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("period T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"period T must be positive and finite, got {self.T}")
         a = _freeze(self.sin_coeffs)
         b = _freeze(self.cos_coeffs)
         if b.shape[0] != a.shape[0] + 1:
             raise ValueError("cos_coeffs must have length N+1, sin_coeffs length N")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("Fourier coefficients must be finite")
         if self.odd and np.any(b != 0.0):
             raise ValueError("odd function must have zero cosine coefficients")
         object.__setattr__(self, "sin_coeffs", a)

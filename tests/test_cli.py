@@ -169,3 +169,12 @@ def test_extend_points(tmp_path):
     # s = 1/2: U(x, y) = e^{-y} sin x
     assert abs(float(rows[0][2]) - math.sin(1.0)) < 1e-10
     assert abs(float(rows[1][2]) - math.exp(-1.0) * math.sin(1.0)) < 1e-8
+
+
+def test_apply_non_finite_input_is_usage_error(tmp_path):
+    inp = tmp_path / "u.json"
+    inp.write_text('{"T": 6.283185307179586, "N": 1, "odd": true, "a": [NaN], "b": [0.0, 0.0]}\n')
+    out = tmp_path / "lu.json"
+    code = run(["apply", "--s", "0.5", "--input", str(inp), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()

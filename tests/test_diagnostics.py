@@ -14,6 +14,7 @@ from fracperiodic.diagnostics import (
     test_function_bound as competitor_bound,
 )
 from fracperiodic.errors import IdentityViolation
+from fracperiodic.extension import extend_bessel
 from fracperiodic.semilinear import SolveConfig, minimize_energy
 from fracperiodic.spectral import DoubleWell, FracOrder, PeriodicFunction
 
@@ -74,6 +75,22 @@ def test_modica_lower_bound_even_solution():
     rep = modica_check(sol, FracOrder(0.5), well())
     assert rep.c_hat_lower <= rep.c_hat + 1e-10
     assert abs(rep.c_hat - rep.c_hat_lower) < 1e-6
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_modica_lower_bound_is_per_node_sum(s):
+    # c_hat_lower against (d_s/2) sum_q w_q (y^a U_y(T/2, y_q))^2, node by node
+    frac = FracOrder(s)
+    sol = solved(s=s, symmetry="even")
+    rep = modica_check(sol, frac, well())
+    field = extend_bessel(sol.u, frac, n_quad=96)
+    rule = field.quadrature
+    ref = 0.5 * frac.d_s * sum(
+        wq * float(field.weighted_dy(sol.u.T / 2.0, yq)) ** 2
+        for yq, wq in zip(rule.nodes_minus, rule.weights_minus)
+    )
+    assert ref > 0.01
+    assert abs(rep.c_hat_lower - ref) <= 1e-13 * ref
 
 
 def test_modica_pde_residual_small():

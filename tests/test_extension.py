@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from fracperiodic import extension
 from fracperiodic.errors import TailNotConverged
 from fracperiodic.extension import (
     BesselProfile,
+    _Profile,
     dirichlet_to_neumann,
     extend_bessel,
     extend_poisson,
@@ -86,7 +88,76 @@ def test_profile_half_order_closed_form():
     assert np.max(np.abs(p.value(ys) - np.exp(-3.0 * ys))) < 1e-10
 
 
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_profile_derivatives_against_three_kv_route(s):
+    # for t >= 2 phi' = -mu t^s K_{1-s} (one kv) against the product rule
+    # with K_s' = -(K_{s-1} + K_{s+1}) / 2 (three kv)
+    from scipy.special import kv
+
+    phi = _Profile(s)
+    t = np.geomspace(2.0, 600.0, 400)
+    kprime = -0.5 * (kv(s - 1, t) + kv(s + 1, t))
+    ref = phi.mu * (s * t ** (s - 1) * kv(s, t) + t**s * kprime)
+    assert np.max(np.abs(phi.deriv(t) / ref - 1.0)) < 1e-12
+    assert np.max(np.abs(phi.weighted_deriv(t) / (t ** (1 - 2 * s) * ref) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_profile_series_against_power_sums(s):
+    # below t = 2 the Horner sums equal the series written out term by term
+    phi = _Profile(s)
+    t = np.concatenate((np.geomspace(1e-8, 1.0, 40), np.linspace(1.0, 2.0, 41)[:-1]))
+    j = np.arange(len(phi.alpha))
+    ta = t[:, None] ** (2.0 * j)
+    tb = t[:, None] ** (2.0 * s + 2.0 * j)
+    value = ta @ phi.alpha + tb @ phi.beta
+    dphi = (ta[:, 1:] / t[:, None]) @ (2 * j[1:] * phi.alpha[1:]) + (tb / t[:, None]) @ (
+        (2 * s + 2 * j) * phi.beta
+    )
+    assert np.max(np.abs(phi.value(t) / value - 1.0)) < 1e-13
+    assert np.max(np.abs(phi.deriv(t) / dphi - 1.0)) < 1e-13
+    assert np.max(np.abs(phi.weighted_deriv(t) / (t ** (1 - 2 * s) * dphi) - 1.0)) < 1e-13
+
+
 # -- field construction ------------------------------------------------------
+
+
+def per_mode_field(field, name, x, y):
+    """field.<name>(x, y) summed mode by mode from per-mode BesselProfile objects."""
+    u = field.base
+    x = np.asarray(x, dtype=float)
+    kind = {"value": "value", "dx": "value", "dy": "deriv", "weighted_dy": "weighted_deriv"}[name]
+    out = np.zeros(np.broadcast(x, np.asarray(y)).shape)
+    for m in range(1, u.N + 1):
+        damp = getattr(BesselProfile(omega=u.omega * m, frac=field.frac), kind)(y)
+        a, b = u.sin_coeffs[m - 1], u.cos_coeffs[m]
+        ph = u.omega * m * x
+        if name == "dx":
+            out = out + damp * u.omega * m * (a * np.cos(ph) - b * np.sin(ph))
+        else:
+            out = out + damp * (a * np.sin(ph) + b * np.cos(ph))
+    return out + (u.cos_coeffs[0] if name == "value" else 0.0)
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+def test_universal_table_matches_per_mode_profiles(s):
+    rng = np.random.default_rng(5)
+    u = random_function(rng, T=7.3, N=24)
+    field = extend_bessel(u, FracOrder(s))
+    x = np.linspace(0.0, u.T, 13)[:, None]
+    y = np.array([1e-4, 0.05, 0.4, 1.0, 3.0, 9.0, 30.0, 900.0])
+    for name in ("value", "dx", "dy", "weighted_dy"):
+        for xs, ys in ((x, y[None, :]), (1.1, 0.7)):
+            got = getattr(field, name)(xs, ys)
+            ref = per_mode_field(field, name, xs, ys)
+            assert np.shape(got) == np.shape(ref)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+    for kind in ("value", "deriv", "weighted_deriv"):
+        ref = np.column_stack([getattr(BesselProfile(omega=u.omega * m, frac=field.frac), kind)(y)
+                               for m in range(1, u.N + 1)])
+        assert np.max(np.abs(field.profile_table(y, kind) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    with pytest.raises(ValueError):
+        field.profile_table(y, "second_deriv")
 
 
 def test_bessel_trace_and_periodicity():
@@ -228,6 +299,35 @@ def test_energy_matches_spectral():
         e_ext = extension_energy(extend_bessel(u, frac))
         e_spec = spectral_dirichlet(u, frac) / frac.d_s
         assert abs(e_ext - e_spec) < 1e-6 * max(1.0, e_spec)
+
+
+def test_energy_short_strip_matches_parseval():
+    # y_max = 15.5 / omega_1 cuts modes 1 and 2 at t_max = 15.5 and 31 and
+    # clips the others at 40; the profile tails beyond are far below the
+    # quadrature error
+    rng = np.random.default_rng(41)
+    for s in (0.3, 0.5, 0.8):
+        frac = FracOrder(s)
+        u = random_function(rng, T=9.0, N=6)
+        field = extend_bessel(u, frac, y_max=15.5 / (TWO_PI / 9.0))
+        e_ext = extension_energy(field)
+        e_spec = spectral_dirichlet(u, frac) / frac.d_s
+        assert abs(e_ext - e_spec) < 1e-7 * e_spec
+
+
+def test_energy_builds_two_jacobi_rules(monkeypatch):
+    rng = np.random.default_rng(3)
+    field = extend_bessel(random_function(rng, N=12), FracOrder(0.4))
+    calls = []
+    original = extension.roots_jacobi
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(extension, "roots_jacobi", counting)
+    extension_energy(field)
+    assert len(calls) <= 2
 
 
 def test_energy_tail_guard():

@@ -10,7 +10,9 @@ import pytest
 from fracperiodic.errors import NegativePotential, NotCoercive, SolvabilityViolation
 from fracperiodic.linear import (
     GalerkinOperator,
+    _galerkin_matrix,
     eigenvalue_set,
+    function_to_coords,
     schrodinger_fractional_spectrum,
     solve_coercive,
     solve_fredholm,
@@ -162,6 +164,25 @@ def test_eigenvalues_nondecreasing():
     k = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[0.2], cos_coeffs=[1.0, 0.1])
     vals = [lam for lam, _ in eigenvalue_set(make_op(N=16, k=k), 20)]
     assert np.all(np.diff(vals) >= -1e-12)
+
+
+@pytest.mark.parametrize("count", [0, 1, 6, 33])
+def test_eigenvalue_subset_matches_full_spectrum(count):
+    # the partial eigensolve returns the bottom of the full spectrum, in order
+    k = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[0.3, -0.1], cos_coeffs=[1.0, 0.2, 0.4])
+    op = make_op(s=0.4, N=16, k=k)
+    full = np.linalg.eigvalsh(op.matrix)
+    pairs = eigenvalue_set(op, count)
+    assert len(pairs) == count
+    assert np.allclose([lam for lam, _ in pairs], full[:count], rtol=0, atol=1e-12)
+    for lam, v in pairs:
+        c = function_to_coords(v, 16)
+        assert np.linalg.norm(op.matrix @ c - lam * c) < 1e-10
+    # Schrodinger: the bottom of the full spectrum of -d_xx + k, to the power s
+    A = _galerkin_matrix(TWO_PI, 16, np.arange(1, 17) ** 2.0, k)
+    ref = np.clip(np.linalg.eigvalsh(A), 0.0, None)[:count] ** 0.4
+    sch = schrodinger_fractional_spectrum(k, FracOrder(0.4), count, N=16)
+    assert np.allclose([lam for lam, _ in sch], ref, rtol=0, atol=1e-12)
 
 
 # -- fractional Schrodinger spectrum -----------------------------------------

@@ -215,3 +215,38 @@ def test_bad_period_rejected(T):
     if T > 0:
         with pytest.raises(ValueError):
             find_min_period(frac, well(), T_hi=T)
+
+
+def test_shifted_cholesky_bisection_keeps_the_shift(monkeypatch):
+    # the doubling-then-bisection search must accept the same tau as the plain
+    # search tau_0, tau_1, ... (Nocedal & Wright, Alg. 3.3), with fewer
+    # factorizations
+    calls = []
+    cho_factor = semilinear.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return cho_factor(*args, **kwargs)
+
+    def plain(H):
+        beta = 1e-3
+        idx = np.diag_indices_from(H)
+        diag = H[idx].copy()
+        tau = 0.0 if diag.min() > 0.0 else beta - diag.min()
+        while True:
+            H[idx] = diag + tau
+            try:
+                return semilinear.cho_factor(H, lower=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                tau = max(2.0 * tau, beta)
+
+    monkeypatch.setattr(semilinear, "cho_factor", counted)
+    frac, cfg = FracOrder(0.5), SolveConfig(N=512)
+    fast = minimize_energy(201.4, frac, well(), cfg)
+    n_fast = len(calls)
+    calls.clear()
+    monkeypatch.setattr(semilinear, "_shifted_cholesky", plain)
+    ref = minimize_energy(201.4, frac, well(), cfg)
+    assert np.array_equal(fast.u.sin_coeffs, ref.u.sin_coeffs)
+    assert fast.energy == ref.energy
+    assert n_fast < len(calls)

@@ -68,6 +68,22 @@ def test_odd_flag_zeroes_cosines():
     assert np.all(u.cos_coeffs == 0.0)
 
 
+@pytest.mark.parametrize("T", [0.0, -2.0, math.nan, math.inf])
+def test_periodic_function_rejects_bad_period(T):
+    with pytest.raises(ValueError):
+        PeriodicFunction(T=T, sin_coeffs=[1.0], cos_coeffs=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_periodic_function_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError):
+        PeriodicFunction(T=TWO_PI, sin_coeffs=[1.0, bad], cos_coeffs=[0.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        PeriodicFunction(T=TWO_PI, sin_coeffs=[1.0, 0.0], cos_coeffs=[bad, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        PeriodicFunction.from_dict({"T": TWO_PI, "a": [bad], "b": [0.0, 0.0]})
+
+
 def test_json_round_trip():
     rng = np.random.default_rng(3)
     u = random_function(rng, T=8.0, N=5)

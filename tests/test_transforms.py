@@ -90,3 +90,32 @@ def test_potential_energy_half_matches_pointwise(n_grid):
     x = np.linspace(0.0, u.T / 2.0, n + 1)
     ref = float(np.trapezoid(well.f(u(x)), x))
     assert abs(potential_energy_half(u, well, n_grid) - ref) <= RTOL * abs(ref)
+
+
+def scipy_gram(cls, g):
+    """gram built with scipy.linalg.toeplitz/hankel, block by block."""
+    from scipy.linalg import hankel, toeplitz
+
+    spec = np.fft.rfft(g) / cls.M
+    gc, gs = spec.real, -spec.imag
+    N = cls.N
+    if cls.symmetry == "odd":
+        return toeplitz(gc[:N]) - hankel(gc[2 : N + 2], gc[N + 1 : 2 * N + 1])
+    dist = toeplitz(gc[: N + 1])
+    tot = hankel(gc[: N + 1], gc[N : 2 * N + 1])
+    cc = dist + tot
+    if cls.symmetry == "full":
+        sc = hankel(gs[: N + 1], gs[N : 2 * N + 1]) + toeplitz(gs[: N + 1], -gs[: N + 1])
+        cc = np.block([[cc, sc.T[:, 1:]], [sc[1:], (dist - tot)[1:, 1:]]])
+    cc[0] *= 0.5
+    return cc
+
+
+@pytest.mark.parametrize("N", [32, 300, 512])
+@pytest.mark.parametrize("symmetry", ["odd", "even", "full"])
+def test_gram_strided_blocks_bit_identical(symmetry, N):
+    cls = _SymmetryClass(symmetry, 7.3, N, FracOrder(0.5))
+    g = np.random.default_rng(N).standard_normal(cls.M)
+    got = cls.gram(g)
+    assert np.array_equal(got, scipy_gram(cls, g))
+    assert got.flags.writeable   # jacobian adds the multiplier in place
