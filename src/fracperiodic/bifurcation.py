@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BranchLost, NoConvergence, SingularJacobian, StepFailure
-from .semilinear import _SymmetryClass
+from .semilinear import _SymmetryClass, newton_refine
 from .spectral import DoubleWell, FracOrder, PeriodicFunction
 
 __all__ = [
@@ -103,28 +102,18 @@ class _RescaledSystem:
 
 def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max, N=None):
     """Values of lambda where the linearization at the trivial branch is
-    singular in the odd 2 pi class: root-brackets sign changes of the
-    determinant of G_u(lambda, 0) over a scan grid."""
+    singular in the odd 2 pi class, ascending, at most m_max of them.
+
+    G_u(lambda, 0) = diag(lambda_m) + lambda B with B = gram(F''(0)) / -F''(0),
+    so the singular lambda are the real positive eigenvalues of the pencil,
+    -B^{-1} diag(lambda_m)."""
     N = N or max(DEFAULT_N, m_max + 8)
     sys = _RescaledSystem(frac, well, N)
-    zero = np.zeros(N)
-
-    def det_sign_log(lam):
-        sign, logdet = np.linalg.slogdet(sys.jac_u(zero, lam))
-        return sign * math.exp(min(logdet / N, 50.0))  # geometric-mean surrogate
-
-    lam_hi = float(m_max) ** (2.0 * frac.s)
-    targets = np.arange(1, m_max + 1) ** (2.0 * frac.s)
-    gap = min(np.diff(np.concatenate(([0.0], targets)))) if m_max > 1 else targets[0]
-    grid = np.arange(1e-6, lam_hi + 0.5 * gap, gap / 4.0)
-    vals = np.array([det_sign_log(l) for l in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(float(brentq(det_sign_log, grid[i], grid[i + 1], xtol=1e-13)))
-    return roots[:m_max]
+    cls = sys.cls
+    B = sys.scale * cls.gram(well.f2(cls.values(np.zeros(N))))
+    ev = np.linalg.eigvals(np.linalg.solve(-B, np.diag(cls.lam)))
+    real = ev.real[(np.abs(ev.imag) <= 1e-12 * np.abs(ev)) & (ev.real > 0.0)]
+    return [float(v) for v in np.sort(real)[:m_max]]
 
 
 def _corrector(sys, a, lam, tangent, target, tol=RESIDUAL_TOL, max_iter=30):
@@ -261,8 +250,6 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     x = (lambda / -F''(0))^{1/(2s)} xbar, realizing solutions of the
     original equation with period T(lambda) = 2 pi (lambda/-F''(0))^{1/(2s)};
     each rescaled solution is re-verified against the period-T operator."""
-    from .semilinear import newton_refine
-
     N = N or DEFAULT_N
     sys = _RescaledSystem(frac, well, N)
     if lambda_grid is None:

@@ -21,7 +21,7 @@ from scipy.special import zeta
 from .errors import IdentityViolation, InequalityViolation
 from .extension import ExtensionField, extend_bessel
 from .semilinear import SemilinearSolution, SolveConfig, minimize_energy
-from .spectral import DoubleWell, FracOrder, PeriodicFunction, energy_functional
+from .spectral import DoubleWell, FracOrder, _gauss_jacobi_01, _gauss_legendre_01
 
 __all__ = [
     "HamiltonianReport",
@@ -225,15 +225,9 @@ def energy_scan(frac: FracOrder, well: DoubleWell, T_list, jobs=1, seed=0) -> En
     entries.sort()
     Ts = np.array([e[0] for e in entries])
     Js = np.array([e[1] for e in entries])
-    if frac.s < 0.5:
-        regime = "sub-half"
-        slope = float(np.polyfit(np.log(Ts), np.log(Js), 1)[0])
-    elif frac.s == 0.5:
-        regime = "half"
-        slope = float(np.polyfit(np.log(Ts), Js, 1)[0])
-    else:
-        regime = "super-half"
-        slope = float(np.polyfit(np.log(Ts), np.log(Js), 1)[0])
+    regime = "sub-half" if frac.s < 0.5 else ("half" if frac.s == 0.5 else "super-half")
+    # log-log slope, or the slope of J against ln T in the logarithmic regime
+    slope = float(np.polyfit(np.log(Ts), Js if regime == "half" else np.log(Js), 1)[0])
     sigmas = Js / (float(well.f(0.0)) * Ts)
     return EnergyScanReport(
         entries=tuple((float(T), float(J)) for T, J in entries),
@@ -311,11 +305,8 @@ def _tail_integral(rg, G, T, r0, s):
 def _near_integral(rg, G, T, s, d):
     """int_0^T G(r) r^{-1-2s} dr; the r^{1-2s} singularity is handled by
     Gauss-Jacobi on [0, d] applied to the smooth factor G(r)/r^2."""
-    from scipy.special import roots_jacobi
-
-    t, w = roots_jacobi(64, 0.0, 1.0 - 2.0 * s)
-    r = d * (t + 1.0) / 2.0
-    wq = w * (d / 2.0) ** (2.0 - 2.0 * s)
+    r, wq = _gauss_jacobi_01(64, 1.0 - 2.0 * s)
+    r, wq = d * r, wq * d ** (2.0 - 2.0 * s)
     g_over_r2 = np.interp(r, rg, G) / r**2
     out = float(g_over_r2 @ wq)
     mask = rg >= d
@@ -325,13 +316,9 @@ def _near_integral(rg, G, T, s, d):
 
 def _pair_integral(ax, bx, cx, dx, h, s, n=96):
     """int_a^b int_c^d |h(x)-h(xbar)|^2 / |x-xbar|^{1+2s} dxbar dx (disjoint)."""
-    from numpy.polynomial.legendre import leggauss
-
-    t, w = leggauss(n)
-    x = 0.5 * (bx - ax) * t + 0.5 * (bx + ax)
-    wx = 0.5 * (bx - ax) * w
-    xb = 0.5 * (dx - cx) * t + 0.5 * (dx + cx)
-    wxb = 0.5 * (dx - cx) * w
+    r, w = _gauss_legendre_01(n)
+    x, wx = ax + (bx - ax) * r, (bx - ax) * w
+    xb, wxb = cx + (dx - cx) * r, (dx - cx) * w
     hx = h(x)[:, None]
     hxb = h(xb)[None, :]
     kern = (hx - hxb) ** 2 / np.abs(x[:, None] - xb[None, :]) ** (1.0 + 2.0 * s)

@@ -8,21 +8,23 @@ universal profile
     phi(t) = mu t^s K_s(t),  t = (2 pi m / T) y,  phi(0) = 1,
 
 with K_s the second modified Bessel function.  Poisson route: convolution
-with the s-Poisson kernel folded over all periodic images.  The two agree
-and cross-certify each other; the Bessel route additionally exposes
-analytic x/y derivatives for the diagnostics module.
+with the s-Poisson kernel folded over all periodic images.  The kernel is
+even, so the convolution damps mode m by the kernel's cosine coefficient
+c_m(y) = int P_per(z, y) cos(omega m z) dz, which a fixed composite
+Gauss-Legendre rule computes from kernel values alone (no Bessel function).
+The two routes agree and cross-certify each other; the Bessel route
+additionally exposes analytic x/y derivatives for the diagnostics module.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma, kv, roots_jacobi, zeta
 
-from .errors import ExtrapolationDivergence, TailNotConverged
-from .spectral import FracOrder, PeriodicFunction, frac_laplacian
+from .errors import ExtrapolationDivergence, QuadratureNonConvergence, TailNotConverged
+from .spectral import FracOrder, PeriodicFunction, _freeze
 
 __all__ = [
     "BesselProfile",
@@ -187,7 +189,7 @@ def poisson_kernel_periodized(z, y, frac: FracOrder, T):
     s = frac.s
     p = (1.0 + 2.0 * s) / 2.0
     z = np.asarray(z, dtype=float)
-    zr = np.mod(z + T / 2.0, T) - T / 2.0
+    zr = z - T * np.rint(z / T)   # into [-T/2, T/2], exact for |z| < T/2 (the peak)
     jc = 8 + int(math.ceil(3.0 * abs(y) / T))
     j = np.arange(-jc, jc + 1)
     direct = np.sum(((zr[..., None] + j * T) ** 2 + y * y) ** (-p), axis=-1)
@@ -207,6 +209,49 @@ def poisson_kernel_periodized(z, y, frac: FracOrder, T):
         coeff *= -(p + i) / (i + 1.0)
         ypow *= y * y
     return frac.c_poisson * abs(y) ** (2.0 * s) * (direct + tail)
+
+
+_POISSON_ORDERS = (20, 30)   # Gauss-Legendre nodes per panel: the value and its check
+_POISSON_TOL = 1e-12
+
+
+@lru_cache(maxsize=4)
+def _legendre(n):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    return tuple(map(_freeze, np.polynomial.legendre.leggauss(n)))
+
+
+def _poisson_cosine_coeffs(frac: FracOrder, T, N, y):
+    """c_m(y) = int_{-T/2}^{T/2} P_per(z, y) cos(omega m z) dz for m = 0..N.
+
+    Composite Gauss-Legendre on [0, T/2] (the kernel is even): panel edges
+    y/4, y/2, y, 2y, ... grade away from the peak at z = 0, and each panel
+    is split so that none is longer than half a wavelength of mode N.  Both
+    orders of _POISSON_ORDERS run on the same panels with one kernel call;
+    QuadratureNonConvergence is raised when they differ by more than
+    _POISSON_TOL.  c_0 is the kernel mass, 1 up to quadrature error.
+    """
+    half = 0.5 * T
+    geo = y * 2.0 ** np.arange(-2.0, math.log2(half / y))   # y/4, y/2, y, ... below T/2
+    edges = np.concatenate(([0.0], geo, [half]))
+    pieces = np.ceil(np.diff(edges) * (max(N, 1) / half)).astype(int)
+    edges = np.concatenate([np.linspace(a, b, n, endpoint=False)
+                            for a, b, n in zip(edges[:-1], edges[1:], pieces)] + [[half]])
+    mid, rad = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    rules = [_legendre(n) for n in _POISSON_ORDERS]
+    z = np.concatenate([(mid[:, None] + np.multiply.outer(rad, t)).ravel() for t, _ in rules])
+    w = np.concatenate([np.multiply.outer(rad, 2.0 * wt).ravel() for _, wt in rules])
+    wk = w * poisson_kernel_periodized(z, y, frac, T)
+    cos = np.cos(np.multiply.outer(z, (2.0 * math.pi / T) * np.arange(N + 1)))
+    n = rad.size * _POISSON_ORDERS[0]
+    low, high = wk[:n] @ cos[:n], wk[n:] @ cos[n:]
+    err = float(np.max(np.abs(high - low)))
+    if err > _POISSON_TOL:
+        raise QuadratureNonConvergence(
+            f"Poisson-kernel cosine coefficients at y = {y:.3e}: orders "
+            f"{_POISSON_ORDERS} differ by {err:.3e} (tol {_POISSON_TOL:.0e})"
+        )
+    return high
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +296,13 @@ class ExtensionField:
             return om ** (2 * self.frac.s) * self._phi.weighted_deriv(t)
         raise ValueError(f"unknown profile kind {kind!r}")
 
-    def _modal(self, x, y, kind, dx=False):
-        """sum_m J_m(y) [a_m sin + b_m cos](omega m x) with J_m from ``kind``,
-        or its x-derivative."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def _modal(self, x, damp, dx=False):
+        """sum_m damp_m [a_m sin + b_m cos](omega m x) for a (..., N) table of
+        per-mode damping factors (J_m(y), a derivative, or c_m(y)), or its
+        x-derivative."""
         u = self.base
-        if u.N == 0:
-            return np.zeros(np.broadcast(x, y).shape)
         m = np.arange(1, u.N + 1)
-        phase = np.multiply.outer(x, m) * u.omega
-        damp = self.profile_table(y, kind)
+        phase = np.multiply.outer(np.asarray(x, dtype=float), m) * u.omega
         a, b = u.sin_coeffs, u.cos_coeffs[1:]
         if dx:   # d/dx [a sin + b cos](omega m x) = omega m [a cos - b sin]
             a, b = -u.omega * m * b, u.omega * m * a
@@ -270,20 +311,20 @@ class ExtensionField:
     def value(self, x, y):
         if self.method == "poisson-convolution":
             return self._poisson_value(x, y)
-        return self.base.cos_coeffs[0] + self._modal(x, y, "value")
+        return self.base.cos_coeffs[0] + self._modal(x, self.profile_table(y))
 
     def dx(self, x, y):
         self._require_bessel()
-        return self._modal(x, y, "value", dx=True)
+        return self._modal(x, self.profile_table(y), dx=True)
 
     def dy(self, x, y):
         self._require_bessel()
-        return self._modal(x, y, "deriv")
+        return self._modal(x, self.profile_table(y, "deriv"))
 
     def weighted_dy(self, x, y):
         """y^a dU/dy, evaluated without cancellation down to y = 0."""
         self._require_bessel()
-        return self._modal(x, y, "weighted_deriv")
+        return self._modal(x, self.profile_table(y, "weighted_deriv"))
 
     def _require_bessel(self):
         if self.method != "bessel-series":
@@ -292,43 +333,30 @@ class ExtensionField:
     # -- poisson convolution ----------------------------------------------
 
     def _poisson_value(self, x, y):
-        u, T = self.base, self.base.T
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        ys = np.broadcast_to(np.asarray(y, dtype=float), xs.shape)
-        out = np.empty_like(xs)
-        for i, (xi, yi) in enumerate(zip(xs.ravel(), ys.ravel())):
-            if yi == 0.0:
-                out.ravel()[i] = u(xi)
-                continue
-            val, _ = quad(
-                lambda z: poisson_kernel_periodized(z, yi, self.frac, T) * u(xi - z),
-                -T / 2.0,
-                T / 2.0,
-                points=[0.0],
-                limit=300,
-                epsabs=1e-13,
-                epsrel=1e-12,
-            )
-            out.ravel()[i] = val
-        return out if np.ndim(x) else float(out[0])
+        """u * P_per(., y): mode m damped by the kernel's cosine coefficient
+        c_m(y), one coefficient set per distinct height; c_m(0) = 1."""
+        u = self.base
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.abs(np.asarray(y, dtype=float)))
+        levels, inverse = np.unique(y, return_inverse=True)
+        c = np.array([_poisson_cosine_coeffs(self.frac, u.T, u.N, yk) if yk else np.ones(u.N + 1)
+                      for yk in levels])[inverse.reshape(y.shape)]
+        return u.cos_coeffs[0] * c[..., 0] + self._modal(x, c[..., 1:])
+
+
+def _extend(method, u: PeriodicFunction, frac: FracOrder, y_max, n_quad) -> ExtensionField:
+    y_max = 40.0 / u.omega if y_max is None else y_max
+    rule = YQuadrature(y_max=y_max, a=frac.a, n=n_quad)
+    return ExtensionField(base=u, frac=frac, method=method, y_max=y_max, quadrature=rule)
 
 
 def extend_bessel(u: PeriodicFunction, frac: FracOrder, y_max=None, n_quad=128) -> ExtensionField:
     """Mode-by-mode extension U(x,y) = b_0 + sum J_m(y) [a_m sin + b_m cos]."""
-    if y_max is None:
-        y_max = 40.0 / u.omega
-    rule = YQuadrature(y_max=y_max, a=frac.a, n=n_quad)
-    return ExtensionField(base=u, frac=frac, method="bessel-series", y_max=y_max, quadrature=rule)
+    return _extend("bessel-series", u, frac, y_max, n_quad)
 
 
 def extend_poisson(u: PeriodicFunction, frac: FracOrder, y_max=None, n_quad=128) -> ExtensionField:
     """Extension by convolution with the periodized s-Poisson kernel."""
-    if y_max is None:
-        y_max = 40.0 / u.omega
-    rule = YQuadrature(y_max=y_max, a=frac.a, n=n_quad)
-    return ExtensionField(
-        base=u, frac=frac, method="poisson-convolution", y_max=y_max, quadrature=rule
-    )
+    return _extend("poisson-convolution", u, frac, y_max, n_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -338,23 +366,25 @@ _RICHARDSON_LEVELS = 7
 _RICHARDSON_RATIO = 0.55
 
 
-def _neumann_poisson_at(field: ExtensionField, x, y0):
-    """-d_s lim y^a U_y by fitting (U(x,y) - u(x))/y^{2s} against the
-    boundary expansion kappa + c1 y^{2-2s} + c2 y^2 + c3 y^{4-2s}."""
+def _neumann_poisson(field: ExtensionField, x, y0):
+    """-d_s lim y^a U_y at every x by fitting (U(x,y) - u(x))/y^{2s} against
+    the boundary expansion kappa + c1 y^{2-2s} + c2 y^2 + c3 y^{4-2s}: one
+    least-squares solve with a column per x."""
     s = field.frac.s
     ys = y0 * _RICHARDSON_RATIO ** np.arange(_RICHARDSON_LEVELS)
-    f = np.array([(field.value(x, yi) - field.base(x)) / yi ** (2 * s) for yi in ys])
+    ux = field.base(x)
+    f = np.array([(field.value(x, yi) - ux) / yi ** (2 * s) for yi in ys])
     expo = [2.0 - 2.0 * s, 2.0, 4.0 - 2.0 * s]
     A = np.column_stack([np.ones_like(ys)] + [ys**p for p in expo])
-    coef, res, *_ = np.linalg.lstsq(A, f, rcond=None)
-    fit_err = float(np.max(np.abs(A @ coef - f)))
-    scale = max(1.0, float(np.max(np.abs(f))))
-    if fit_err > 1e-5 * scale:
+    coef, *_ = np.linalg.lstsq(A, f, rcond=None)
+    fit_err = np.max(np.abs(A @ coef - f), axis=0)
+    scale = np.maximum(1.0, np.max(np.abs(f), axis=0))
+    worst = int(np.argmax(fit_err / scale))
+    if fit_err[worst] > 1e-5 * scale[worst]:
         raise ExtrapolationDivergence(
-            f"Neumann-limit fit residual {fit_err:.3e} too large at x = {x:.6g}"
+            f"Neumann-limit fit residual {fit_err[worst]:.3e} too large at x = {x[worst]:.6g}"
         )
-    kappa = coef[0]
-    return -field.frac.d_s * 2.0 * s * kappa
+    return -field.frac.d_s * 2.0 * s * coef[0]
 
 
 def dirichlet_to_neumann(field: ExtensionField, n_out=None) -> PeriodicFunction:
@@ -362,7 +392,8 @@ def dirichlet_to_neumann(field: ExtensionField, n_out=None) -> PeriodicFunction:
 
     Bessel route: exact per-mode limit of y^a J_m'(y).  Poisson route:
     Richardson-type fit of the boundary expansion at a geometric sequence
-    of heights, sampled on the coefficient grid.
+    of heights, sampled on the coefficient grid (one field evaluation per
+    height, one least-squares solve for the whole grid).
     """
     u = field.base
     if field.method == "bessel-series":
@@ -371,9 +402,7 @@ def dirichlet_to_neumann(field: ExtensionField, n_out=None) -> PeriodicFunction:
         return PeriodicFunction(T=u.T, sin_coeffs=lam * u.sin_coeffs, cos_coeffs=b, odd=u.odd)
     n_out = n_out or 2 * u.N + 2
     xg = np.arange(n_out) * (u.T / n_out)
-    omega_max = u.omega * max(u.N, 1)
-    y0 = 0.25 / omega_max
-    vals = np.array([_neumann_poisson_at(field, xi, y0) for xi in xg])
+    vals = _neumann_poisson(field, xg, 0.25 / (u.omega * max(u.N, 1)))
     return PeriodicFunction.from_samples(u.T, vals, odd=u.odd).truncate(u.N)
 
 

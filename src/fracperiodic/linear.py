@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .errors import NegativePotential, NotCoercive, SolvabilityViolation
 from .spectral import FracOrder, PeriodicFunction
@@ -150,13 +150,12 @@ class FredholmSolve:
 def solve_coercive(op: GalerkinOperator, mu: float, g: PeriodicFunction) -> CoerciveSolve:
     """Solve (L + mu) u = g; requires mu >= gamma so the shifted form is coercive."""
     A = op.matrix + mu * np.eye(op.matrix.shape[0])
-    evals = np.linalg.eigvalsh(A)
-    if evals[0] <= 0.0:
-        raise NotCoercive(
-            f"smallest eigenvalue {evals[0]:.3e} of L + mu is nonpositive (mu={mu:g})"
-        )
+    try:
+        factor = cho_factor(A)
+    except np.linalg.LinAlgError as exc:
+        raise NotCoercive(f"L + mu is not positive definite (mu={mu:g}): {exc}") from exc
     gc = function_to_coords(g, op.N)
-    uc = np.linalg.solve(A, gc)
+    uc = cho_solve(factor, gc)
     res = float(np.linalg.norm(A @ uc - gc))
     gn = float(np.linalg.norm(gc))
     u = coords_to_function(op.T, uc)
@@ -172,21 +171,20 @@ def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction, orth_tol=1e-9) -> 
     vector; the minimal-norm solution is returned together with the kernel
     basis, and SolvabilityViolation is raised otherwise.
     """
-    U, sv, Vt = np.linalg.svd(op.matrix)
-    thresh = KERNEL_RTOL * sv[0] if sv[0] > 0 else KERNEL_RTOL
+    w, V = np.linalg.eigh(op.matrix)   # symmetric: the singular values are |w|
+    sv = np.abs(w)
+    thresh = KERNEL_RTOL * (float(sv.max()) or 1.0)
     null_mask = sv < thresh
     gc = function_to_coords(g, op.N)
-    kernel_vecs = []
-    for row in Vt[null_mask]:
-        kernel_vecs.append(coords_to_function(op.T, row))
-    kernel = KernelBasis(vectors=tuple(kernel_vecs), threshold=thresh)
+    null = V[:, null_mask].T
+    kernel = KernelBasis(vectors=tuple(coords_to_function(op.T, v) for v in null), threshold=thresh)
     if kernel.dim:
-        proj = Vt[null_mask] @ gc
+        proj = null @ gc
         worst = float(proj[np.argmax(np.abs(proj))])
         if abs(worst) > orth_tol * max(1.0, float(np.linalg.norm(gc))):
             raise SolvabilityViolation(worst)
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=~null_mask)
-    uc = Vt.T @ (inv * (U.T @ gc))
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=~null_mask)
+    uc = V @ (inv * (V.T @ gc))
     return FredholmSolve(solution=coords_to_function(op.T, uc), kernel=kernel)
 
 

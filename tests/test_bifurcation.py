@@ -44,6 +44,49 @@ def test_detection_requires_negative_curvature():
         detect_bifurcation_points(FracOrder(0.5), bad, 2)
 
 
+def sign_scan_points(frac, well, m_max, N):
+    """Bifurcation points by the determinant sign scan plus brentq: the
+    reference for the pencil-eigenvalue detector."""
+    from scipy.optimize import brentq
+
+    from fracperiodic.bifurcation import _RescaledSystem
+
+    sys = _RescaledSystem(frac, well, N)
+    zero = np.zeros(N)
+
+    def det_sign_log(lam):
+        sign, logdet = np.linalg.slogdet(sys.jac_u(zero, lam))
+        return sign * math.exp(min(logdet / N, 50.0))
+
+    targets = np.arange(1, m_max + 1) ** (2.0 * frac.s)
+    gap = min(np.diff(np.concatenate(([0.0], targets)))) if m_max > 1 else targets[0]
+    grid = np.arange(1e-6, targets[-1] + 0.5 * gap, gap / 4.0)
+    vals = np.array([det_sign_log(lam) for lam in grid])
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append(brentq(det_sign_log, grid[i], grid[i + 1], xtol=1e-13))
+    return roots[:m_max]
+
+
+@pytest.mark.parametrize("potential", [
+    DoubleWell.quartic(),
+    DoubleWell.quartic(2.5),
+    DoubleWell.from_poly([0.25, 0.0, -0.5, 0.0, 0.25]),
+    DoubleWell.from_poly([0.3, 0.0, -0.9, 0.0, 0.45, 0.0, 0.15]),
+])
+def test_detection_matches_sign_scan(potential):
+    for s in (0.15, 0.5, 0.85):
+        for m_max in (1, 4, 9):
+            N = max(24, m_max + 8)
+            found = detect_bifurcation_points(FracOrder(s), potential, m_max)
+            ref = sign_scan_points(FracOrder(s), potential, m_max, N)
+            assert len(found) == len(ref) == m_max
+            assert np.max(np.abs(np.array(found) - ref)) < 1e-10
+
+
 # -- continuation ------------------------------------------------------------
 
 

@@ -171,6 +171,21 @@ def test_extend_points(tmp_path):
     assert abs(float(rows[1][2]) - math.exp(-1.0) * math.sin(1.0)) < 1e-8
 
 
+def test_extend_poisson_matches_bessel(tmp_path):
+    inp = tmp_path / "u.json"
+    write_function(inp, T=5.0, sin_coeffs=[1.0, -0.3, 0.2], cos_coeffs=[0.4, 0.1, 0.0, -0.5])
+    values = {}
+    for method in ("bessel", "poisson"):
+        out = tmp_path / f"{method}.csv"
+        assert run(["extend", "--s", "0.3", "--input", str(inp), "--method", method,
+                    "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["x", "y", "U"]
+        values[method] = np.array(rows, dtype=float)
+    assert np.array_equal(values["bessel"][:, :2], values["poisson"][:, :2])
+    assert np.max(np.abs(values["bessel"][:, 2] - values["poisson"][:, 2])) < 1e-6
+
+
 def test_apply_non_finite_input_is_usage_error(tmp_path):
     inp = tmp_path / "u.json"
     inp.write_text('{"T": 6.283185307179586, "N": 1, "odd": true, "a": [NaN], "b": [0.0, 0.0]}\n')

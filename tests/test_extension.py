@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from fracperiodic import extension
-from fracperiodic.errors import TailNotConverged
+from fracperiodic.errors import (
+    ExtrapolationDivergence,
+    QuadratureNonConvergence,
+    TailNotConverged,
+)
 from fracperiodic.extension import (
     BesselProfile,
     _Profile,
@@ -219,6 +223,83 @@ def test_poisson_matches_bessel():
         assert abs(fb.value(x0, y0) - fp.value(x0, y0)) < 1e-6
 
 
+def quad_convolution(u, frac, x, y):
+    """(u * P_per(., y))(x) by adaptive quadrature over half a period, with
+    the even kernel folding u(x - z) + u(x + z): the oracle for the
+    Poisson route, independent of its panels."""
+    from scipy.integrate import quad
+
+    val, _, _, *msg = quad(
+        lambda z: poisson_kernel_periodized(z, y, frac, u.T) * (u(x - z) + u(x + z)),
+        0.0, u.T / 2, limit=300, epsabs=1e-13, epsrel=1e-12, full_output=1,
+    )
+    assert not msg, f"quadrature oracle did not converge: {msg}"
+    return val
+
+
+@pytest.mark.parametrize("N", [2, 8, 24])
+@pytest.mark.parametrize("s", [0.15, 0.35, 0.5, 0.75, 0.9])
+def test_poisson_route_against_quad(s, N):
+    rng = np.random.default_rng(int(100 * s) + N)
+    u = random_function(rng, N=N)
+    frac = FracOrder(s)
+    field = extend_poisson(u, frac)
+    for y in np.geomspace(1e-3 / (u.omega * N), 5.0 / u.omega, 3):
+        x = float(rng.uniform(0.0, u.T))
+        assert abs(field.value(x, y) - quad_convolution(u, frac, x, y)) < 1e-10
+
+
+def test_poisson_kernel_cosine_mass():
+    # c_0(y) is the kernel mass, computed by the rule and not set to 1
+    for s in (0.1, 0.35, 0.5, 0.75, 0.95):
+        for T in (0.5, TWO_PI, 50.0):
+            om = TWO_PI / T
+            for y in np.geomspace(1e-4 / om, 50.0 / om, 7):
+                c = extension._poisson_cosine_coeffs(FracOrder(s), T, 8, y)
+                assert abs(c[0] - 1.0) < 1e-12
+
+
+def test_poisson_rule_too_coarse_raises(monkeypatch):
+    u = random_function(np.random.default_rng(6), N=8)
+    field = extend_poisson(u, FracOrder(0.4))
+    monkeypatch.setattr(extension, "_POISSON_ORDERS", (2, 3))
+    with pytest.raises(QuadratureNonConvergence):
+        field.value(1.0, 0.01)
+
+
+def test_poisson_route_uses_no_bessel_function(monkeypatch):
+    u = random_function(np.random.default_rng(7), N=6)
+    frac = FracOrder(0.3)
+    xs = np.linspace(0.0, u.T, 7)[:, None]
+    ys = np.array([0.0, 0.02, 0.7, 3.0])
+    ref = extend_bessel(u, frac).value(xs, ys)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Poisson route evaluated a Bessel profile")
+
+    monkeypatch.setattr(extension, "kv", forbidden)
+    monkeypatch.setattr(extension, "_Profile", forbidden)
+    got = extend_poisson(u, frac).value(xs, ys)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_poisson_kernel_keeps_precision_at_the_peak():
+    # at y = 1e-9 the j = 0 image carries all but ~1e-20 of the kernel near
+    # z = 0; wrapping z through a shift by T/2 would cost about 1e-7 of it
+    frac = FracOrder(0.6)
+    y = 1e-9
+    z = np.array([0.0, 3e-10, 1e-9, -2e-9])
+    ref = frac.c_poisson * y ** (2 * frac.s) * (z**2 + y**2) ** (-0.5 - frac.s)
+    assert np.max(np.abs(poisson_kernel_periodized(z, y, frac, TWO_PI) / ref - 1.0)) < 1e-13
+    # images of a point are the same point
+    z = np.array([0.3, -2.0, 3.1])
+    base = poisson_kernel_periodized(z, 0.1, frac, TWO_PI)
+    for j in (-2, 1, 3):
+        shifted = poisson_kernel_periodized(z + j * TWO_PI, 0.1, frac, TWO_PI)
+        assert np.max(np.abs(shifted / base - 1.0)) < 1e-12
+
+
 def test_half_order_closed_form_field():
     # s = 1/2: U = sum e^{-omega m y} (modes), for both constructions
     u = PeriodicFunction.from_modes(8.0, sin_coeffs=[1.0, 0.0, -0.4], cos_coeffs=[0.2, 0.0, 0.5])
@@ -274,6 +355,40 @@ def test_dtn_poisson_route():
     dtn = dirichlet_to_neumann(extend_poisson(u, frac))
     ref = frac_laplacian(u, frac)
     assert np.max(np.abs(dtn.sin_coeffs - ref.sin_coeffs)) < 1e-6
+
+
+def test_dtn_poisson_one_fit_matches_per_point_fits():
+    # the vectorized fit against one least-squares solve per x on the same
+    # field values
+    rng = np.random.default_rng(23)
+    u = random_function(rng, N=3)
+    frac = FracOrder(0.35)
+    field = extend_poisson(u, frac)
+    xg = np.arange(8) * (u.T / 8)
+    y0 = 0.25 / (3 * u.omega)
+    got = extension._neumann_poisson(field, xg, y0)
+    s = frac.s
+    ys = y0 * extension._RICHARDSON_RATIO ** np.arange(extension._RICHARDSON_LEVELS)
+    A = np.column_stack([np.ones_like(ys)] + [ys**p for p in (2 - 2 * s, 2.0, 4 - 2 * s)])
+    for x, g in zip(xg, got):
+        f = np.array([(field.value(x, y) - u(x)) / y ** (2 * s) for y in ys])
+        kappa = np.linalg.lstsq(A, f, rcond=None)[0][0]
+        assert abs(g - (-frac.d_s * 2 * s * kappa)) < 1e-12 * max(1.0, abs(g))
+
+
+def test_dtn_poisson_divergence_names_worst_point(monkeypatch):
+    u = random_function(np.random.default_rng(29), N=2)
+    field = extend_poisson(u, FracOrder(0.5))
+    xg = np.arange(6) * (u.T / 6)
+    real_value = extension.ExtensionField.value
+
+    def noisy(self, x, y):   # spoil the column at x = xg[4] only
+        v = real_value(self, x, y)
+        return v + np.where(np.isclose(x, xg[4]), 1e-2 * math.sin(1e3 * y), 0.0)
+
+    monkeypatch.setattr(extension.ExtensionField, "value", noisy)
+    with pytest.raises(ExtrapolationDivergence, match=f"x = {xg[4]:.6g}"):
+        extension._neumann_poisson(field, xg, 0.25 / u.omega)
 
 
 # -- weighted energy ---------------------------------------------------------

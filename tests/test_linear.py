@@ -77,6 +77,30 @@ def test_not_coercive_raises():
         solve_coercive(make_op(k=k), 0.0, zero_k())
 
 
+def test_coercive_cholesky_matches_dense_solve():
+    rng = np.random.default_rng(17)
+    k = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=rng.uniform(-0.5, 0.5, 3),
+                                    cos_coeffs=rng.uniform(-0.5, 0.5, 4))
+    g = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=rng.standard_normal(5),
+                                    cos_coeffs=rng.standard_normal(6))
+    op = make_op(s=0.4, N=24, k=k)
+    mu = 1.2
+    res = solve_coercive(op, mu, g)
+    A = op.matrix + mu * np.eye(op.matrix.shape[0])
+    ref = np.linalg.solve(A, function_to_coords(g, op.N))
+    got = function_to_coords(res.u, op.N)
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_not_coercive_at_the_threshold():
+    # L + mu with mu just below -lambda_min is indefinite; just above it is not
+    k = PeriodicFunction.constant(TWO_PI, -2.0)
+    op = make_op(k=k)
+    with pytest.raises(NotCoercive):
+        solve_coercive(op, 2.0 - 1e-6, zero_k())
+    assert solve_coercive(op, 2.0 + 1e-6, zero_k()).u.coeff_norm() == 0.0
+
+
 # -- Fredholm alternative ----------------------------------------------------
 
 
@@ -96,6 +120,39 @@ def test_fredholm_kernel_solve_reads_no_uninitialized_memory():
         res = solve_fredholm(make_op(), g)
     assert res.kernel.dim == 1
     assert np.all(np.isfinite(res.solution.cos_coeffs))
+
+
+def svd_fredholm(A, gc):
+    """Kernel projector and minimal-norm solution from a full SVD: the
+    reference for the symmetric-eigensolver route."""
+    U, sv, Vt = np.linalg.svd(A)
+    null = sv < 1e-9 * sv[0]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=~null)
+    return Vt[null].T @ Vt[null], Vt.T @ (inv * (U.T @ gc))
+
+
+@pytest.mark.parametrize("kernel_dim", [0, 1, 2])
+def test_fredholm_matches_svd_route(kernel_dim):
+    # k = 0: constants; k = -1 at s = 1/2: cos x, sin x (eigenvalue m - 1 = 0);
+    # k = 1: no kernel
+    rng = np.random.default_rng(kernel_dim)
+    k = {0: 1.0, 1: 0.0, 2: -1.0}[kernel_dim]
+    op = make_op(k=PeriodicFunction.constant(TWO_PI, k))
+    A = op.matrix
+    P_ref, _ = svd_fredholm(A, np.zeros(A.shape[0]))
+    # data orthogonal to the kernel
+    gc = rng.standard_normal(A.shape[0])
+    gc -= P_ref @ gc
+    g = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=gc[2::2] / math.sqrt(math.pi),
+                                    cos_coeffs=np.concatenate(([gc[0] / math.sqrt(TWO_PI)],
+                                                               gc[1::2] / math.sqrt(math.pi))))
+    res = solve_fredholm(op, g)
+    assert res.kernel.dim == kernel_dim
+    P = sum((np.outer(c, c) for c in (function_to_coords(v, op.N) for v in res.kernel.vectors)),
+            np.zeros_like(A))
+    assert np.max(np.abs(P - P_ref)) < 1e-12
+    _, ref = svd_fredholm(A, function_to_coords(g, op.N))
+    assert np.max(np.abs(function_to_coords(res.solution, op.N) - ref)) < 1e-12
 
 
 def test_fredholm_violation():
