@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import BranchLost, NoConvergence, SingularJacobian, StepFailure
-from .semilinear import _SymmetryClass, newton_refine
+from .semilinear import _SymmetryClass
 from .spectral import DoubleWell, FracOrder, PeriodicFunction
 
 __all__ = [
@@ -105,15 +106,15 @@ def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max, N=None):
     singular in the odd 2 pi class, ascending, at most m_max of them.
 
     G_u(lambda, 0) = diag(lambda_m) + lambda B with B = gram(F''(0)) / -F''(0),
-    so the singular lambda are the real positive eigenvalues of the pencil,
-    -B^{-1} diag(lambda_m)."""
+    so the singular lambda are the positive eigenvalues of the symmetric-
+    definite pencil diag(lambda_m) v = lambda (-B) v (-B is positive definite
+    because F''(0) < 0)."""
     N = N or max(DEFAULT_N, m_max + 8)
     sys = _RescaledSystem(frac, well, N)
     cls = sys.cls
     B = sys.scale * cls.gram(well.f2(cls.values(np.zeros(N))))
-    ev = np.linalg.eigvals(np.linalg.solve(-B, np.diag(cls.lam)))
-    real = ev.real[(np.abs(ev.imag) <= 1e-12 * np.abs(ev)) & (ev.real > 0.0)]
-    return [float(v) for v in np.sort(real)[:m_max]]
+    ev = eigh(np.diag(cls.lam), -B, eigvals_only=True)   # real, ascending
+    return [float(v) for v in ev[ev > 0.0][:m_max]]
 
 
 def _corrector(sys, a, lam, tangent, target, tol=RESIDUAL_TOL, max_iter=30):
@@ -250,6 +251,8 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     x = (lambda / -F''(0))^{1/(2s)} xbar, realizing solutions of the
     original equation with period T(lambda) = 2 pi (lambda/-F''(0))^{1/(2s)};
     each rescaled solution is re-verified against the period-T operator."""
+    from .semilinear import newton_refine
+
     N = N or DEFAULT_N
     sys = _RescaledSystem(frac, well, N)
     if lambda_grid is None:

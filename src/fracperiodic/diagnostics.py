@@ -225,9 +225,15 @@ def energy_scan(frac: FracOrder, well: DoubleWell, T_list, jobs=1, seed=0) -> En
     entries.sort()
     Ts = np.array([e[0] for e in entries])
     Js = np.array([e[1] for e in entries])
-    regime = "sub-half" if frac.s < 0.5 else ("half" if frac.s == 0.5 else "super-half")
-    # log-log slope, or the slope of J against ln T in the logarithmic regime
-    slope = float(np.polyfit(np.log(Ts), Js if regime == "half" else np.log(Js), 1)[0])
+    if frac.s < 0.5:
+        regime = "sub-half"
+        slope = float(np.polyfit(np.log(Ts), np.log(Js), 1)[0])
+    elif frac.s == 0.5:
+        regime = "half"
+        slope = float(np.polyfit(np.log(Ts), Js, 1)[0])
+    else:
+        regime = "super-half"
+        slope = float(np.polyfit(np.log(Ts), np.log(Js), 1)[0])
     sigmas = Js / (float(well.f(0.0)) * Ts)
     return EnergyScanReport(
         entries=tuple((float(T), float(J)) for T, J in entries),
@@ -306,7 +312,8 @@ def _near_integral(rg, G, T, s, d):
     """int_0^T G(r) r^{-1-2s} dr; the r^{1-2s} singularity is handled by
     Gauss-Jacobi on [0, d] applied to the smooth factor G(r)/r^2."""
     r, wq = _gauss_jacobi_01(64, 1.0 - 2.0 * s)
-    r, wq = d * r, wq * d ** (2.0 - 2.0 * s)
+    r = d * r
+    wq = wq * d ** (2.0 - 2.0 * s)
     g_over_r2 = np.interp(r, rg, G) / r**2
     out = float(g_over_r2 @ wq)
     mask = rg >= d
@@ -317,8 +324,10 @@ def _near_integral(rg, G, T, s, d):
 def _pair_integral(ax, bx, cx, dx, h, s, n=96):
     """int_a^b int_c^d |h(x)-h(xbar)|^2 / |x-xbar|^{1+2s} dxbar dx (disjoint)."""
     r, w = _gauss_legendre_01(n)
-    x, wx = ax + (bx - ax) * r, (bx - ax) * w
-    xb, wxb = cx + (dx - cx) * r, (dx - cx) * w
+    x = ax + (bx - ax) * r
+    wx = (bx - ax) * w
+    xb = cx + (dx - cx) * r
+    wxb = (dx - cx) * w
     hx = h(x)[:, None]
     hxb = h(xb)[None, :]
     kern = (hx - hxb) ** 2 / np.abs(x[:, None] - xb[None, :]) ** (1.0 + 2.0 * s)

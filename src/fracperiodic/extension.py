@@ -18,13 +18,13 @@ additionally exposes analytic x/y derivatives for the diagnostics module.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gamma, kv, roots_jacobi, zeta
 
 from .errors import ExtrapolationDivergence, QuadratureNonConvergence, TailNotConverged
-from .spectral import FracOrder, PeriodicFunction, _freeze
+from .spectral import FracOrder, PeriodicFunction, _gauss_legendre_01
 
 __all__ = [
     "BesselProfile",
@@ -177,22 +177,25 @@ class YQuadrature:
 # periodized Poisson kernel
 
 _MAX_BINOMIAL_TERMS = 60
+_BLOCK = 1 << 18   # array elements per block of kernel images or cosine terms
 
 
 def poisson_kernel_periodized(z, y, frac: FracOrder, T):
     """sum_j p_s(z + jT, y): the s-Poisson kernel folded over all images.
 
-    Near images are summed directly; the two one-sided tails are expanded
-    binomially in (y/|z+jT|)^2 and summed in closed form with Hurwitz zeta,
-    which is exact to machine precision.
+    Near images are summed directly, in blocks of at most _BLOCK array
+    elements; the two one-sided tails are expanded binomially in
+    (y/|z+jT|)^2 and summed in closed form with Hurwitz zeta, which is exact
+    to machine precision.
     """
     s = frac.s
     p = (1.0 + 2.0 * s) / 2.0
     z = np.asarray(z, dtype=float)
     zr = z - T * np.rint(z / T)   # into [-T/2, T/2], exact for |z| < T/2 (the peak)
     jc = 8 + int(math.ceil(3.0 * abs(y) / T))
-    j = np.arange(-jc, jc + 1)
-    direct = np.sum(((zr[..., None] + j * T) ** 2 + y * y) ** (-p), axis=-1)
+    step = max(1, _BLOCK // zr.size)   # images per block: memory stays flat as y grows
+    direct = sum(np.sum(((zr[..., None] + np.arange(lo, min(lo + step, jc + 1)) * T) ** 2
+                         + y * y) ** (-p), axis=-1) for lo in range(-jc, jc + 1, step))
 
     # tails j > jc and j < -jc
     tail = np.zeros_like(zr)
@@ -215,10 +218,11 @@ _POISSON_ORDERS = (20, 30)   # Gauss-Legendre nodes per panel: the value and its
 _POISSON_TOL = 1e-12
 
 
-@lru_cache(maxsize=4)
-def _legendre(n):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    return tuple(map(_freeze, np.polynomial.legendre.leggauss(n)))
+def _cosine_sums(z, wk, om):
+    """sum_i wk_i cos(om z_i) for every om, in blocks of at most _BLOCK cosines."""
+    step = max(1, _BLOCK // om.size)
+    return sum(wk[i:i + step] @ np.cos(np.multiply.outer(z[i:i + step], om))
+               for i in range(0, z.size, step))
 
 
 def _poisson_cosine_coeffs(frac: FracOrder, T, N, y):
@@ -237,14 +241,14 @@ def _poisson_cosine_coeffs(frac: FracOrder, T, N, y):
     pieces = np.ceil(np.diff(edges) * (max(N, 1) / half)).astype(int)
     edges = np.concatenate([np.linspace(a, b, n, endpoint=False)
                             for a, b, n in zip(edges[:-1], edges[1:], pieces)] + [[half]])
-    mid, rad = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    rules = [_legendre(n) for n in _POISSON_ORDERS]
-    z = np.concatenate([(mid[:, None] + np.multiply.outer(rad, t)).ravel() for t, _ in rules])
-    w = np.concatenate([np.multiply.outer(rad, 2.0 * wt).ravel() for _, wt in rules])
-    wk = w * poisson_kernel_periodized(z, y, frac, T)
-    cos = np.cos(np.multiply.outer(z, (2.0 * math.pi / T) * np.arange(N + 1)))
-    n = rad.size * _POISSON_ORDERS[0]
-    low, high = wk[:n] @ cos[:n], wk[n:] @ cos[n:]
+    left, width = edges[:-1], np.diff(edges)
+    rules = [_gauss_legendre_01(n) for n in _POISSON_ORDERS]
+    z = np.concatenate([(left[:, None] + np.multiply.outer(width, r)).ravel() for r, _ in rules])
+    wk = np.concatenate([np.multiply.outer(2.0 * width, w).ravel() for _, w in rules])   # x2: even
+    wk *= poisson_kernel_periodized(z, y, frac, T)
+    om = (2.0 * math.pi / T) * np.arange(N + 1)
+    n = width.size * _POISSON_ORDERS[0]
+    low, high = _cosine_sums(z[:n], wk[:n], om), _cosine_sums(z[n:], wk[n:], om)
     err = float(np.max(np.abs(high - low)))
     if err > _POISSON_TOL:
         raise QuadratureNonConvergence(

@@ -413,9 +413,11 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
             best = sol
     if best is not None:
         return best
-    # all multistarts collapsed: report the trivial critical point u = 0
-    # (F'(0) = 0 under the double-well monotonicity condition)
+    # all multistarts collapsed: report the trivial critical point
     c0 = np.zeros(cls.N if cfg.symmetry == "odd" else cls.N + 1)
+    if cfg.symmetry == "even":
+        root = 0.0  # F'(0) = 0 under the double-well monotonicity condition
+        c0[0] = root
     return _package(cls, c0, cls.l2_norm(cls.residual(c0, well)), frac, well)
 
 

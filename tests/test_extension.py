@@ -2,6 +2,7 @@
 field constructions, Dirichlet-to-Neumann consistency, weighted energy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,34 @@ def test_poisson_route_uses_no_bessel_function(monkeypatch):
     got = extend_poisson(u, frac).value(xs, ys)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_poisson_route_far_above_the_period():
+    # at y = 1e5 T/(2 pi) every mode but the mean has decayed; about 95 000
+    # kernel images per node are summed, in blocks of bounded size
+    u = random_function(np.random.default_rng(8), N=8)
+    field = extend_poisson(u, FracOrder(0.5))
+    tracemalloc.start()
+    try:
+        got = field.value(np.array([0.0, 1.0, 2.5]), 1e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - u.cos_coeffs[0])) < 1e-12
+    assert peak < 32 * 2**20   # the unblocked image sum needs about 300 MiB
+
+
+def test_poisson_cosine_table_memory_at_large_N():
+    # about 26 000 rule nodes times 513 modes: 100 MiB as one cosine table
+    tracemalloc.start()
+    try:
+        c = extension._poisson_cosine_coeffs(FracOrder(0.5), TWO_PI, 512, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(c[0] - 1.0) < 1e-12
+    assert peak < 32 * 2**20
 
 
 def test_poisson_kernel_keeps_precision_at_the_peak():
