@@ -91,9 +91,6 @@ class _RescaledSystem:
         cls = self.cls
         return self.scale * cls.project(self.well.f1(cls.values(a)))
 
-    def res_norm(self, a, lam):
-        return self.cls.l2_norm(self.residual(a, lam))
-
     def sigma_min(self, a, lam):
         return float(np.linalg.svd(self.jac_u(a, lam), compute_uv=False)[-1])
 
@@ -165,7 +162,7 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
             a = -a  # odd-class sign normalization <u, sin m x> >= 0
         u = sys.to_function(a)
         return a, BranchPoint(lam=lam, u=u, amplitude=u.amplitude(),
-                              residual=sys.res_norm(a, lam),
+                              residual=sys.cls.l2_norm(sys.residual(a, lam)),
                               sigma_min=sys.sigma_min(a, lam))
 
     a, lam = _first_point(sys, lam_b)

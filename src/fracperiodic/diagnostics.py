@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .errors import IdentityViolation, InequalityViolation
+from .errors import IdentityViolation, InequalityViolation, QuadratureNonConvergence
 from .extension import ExtensionField, extend_bessel
 from .semilinear import SemilinearSolution, SolveConfig, minimize_energy
 from .spectral import DoubleWell, FracOrder, _gauss_jacobi_01, _gauss_legendre_01
@@ -115,6 +115,52 @@ class ModicaReport:
     top_row_max: float         # max |v_hat| on the largest-y row (tail -> 0)
 
 
+_MODICA_ORDERS = (8, 12)   # Gauss-Legendre nodes per y-panel: the value and its check
+_MODICA_TOL = 1e-10
+_PANEL_RATIO = 1.25        # coarser height grids are split into geometric sub-panels
+
+
+def _modica_kinetic(field: ExtensionField, x, y_pos):
+    """int_0^{y_j} [U_x^2 - U_y^2] tau^a dtau at every height: the running sum
+    of the integrals over [0, y_1] and over each panel [y_{j-1}, y_j].
+
+    The first row uses the field's Jacobi rules rescaled to (0, y_1), which
+    absorb the weights tau^{+-a}.  Away from tau = 0 the integrand is smooth,
+    so on the panels (each split into sub-panels of ratio <= _PANEL_RATIO)
+    one Gauss-Legendre node set carries both weights, and the two orders of
+    _MODICA_ORDERS share one profile table.  QuadratureNonConvergence is
+    raised when their running sums differ by more than
+    _MODICA_TOL * max(1, |sum|).
+    """
+    if not y_pos.size:
+        return np.zeros((0, np.size(x)))
+    a = field.frac.a
+    rule = field.quadrature
+    r = y_pos[0] / field.y_max   # rescaled Jacobi rule: weights pick up r^{1 +- a}
+    ux2, uy2 = _squared_fields(field, x, r * rule.nodes_plus, r * rule.nodes_minus)
+    first = r ** (1.0 + a) * (rule.weights_plus @ ux2) - r ** (1.0 - a) * (rule.weights_minus @ uy2)
+
+    ratio = y_pos[1:] / y_pos[:-1]
+    k = max(1, math.ceil(np.log(np.max(ratio, initial=1.0)) / math.log(_PANEL_RATIO)))
+    edges = y_pos[:-1, None] * ratio[:, None] ** (np.arange(k + 1) / k)
+    lo, width = edges[:, :-1, None], np.diff(edges, axis=1)[..., None]
+    rules = [_gauss_legendre_01(n) for n in _MODICA_ORDERS]
+    tau = np.concatenate([lo + width * t for t, _ in rules], axis=2)   # (panel, sub-panel, node)
+    wk = np.concatenate([width * w for _, w in rules], axis=2)
+    ux2, uy2 = _squared_fields(field, x, tau, tau)
+    terms = ((wk * tau ** a)[..., None] * ux2 - (wk * tau ** -a)[..., None] * uy2).sum(axis=1)
+    n = _MODICA_ORDERS[0]
+    low, high = terms[:, :n].sum(axis=1), terms[:, n:].sum(axis=1)
+    kinetic = np.cumsum(np.vstack([first, high]), axis=0)
+    err = float(np.max(np.abs(np.cumsum(low - high, axis=0)) / np.maximum(1.0, np.abs(kinetic[1:])),
+                       initial=0.0))
+    if err > _MODICA_TOL:
+        raise QuadratureNonConvergence(
+            f"Modica y-panels: orders {_MODICA_ORDERS} differ by {err:.3e} (tol {_MODICA_TOL:.0e})"
+        )
+    return kinetic
+
+
 def modica_check(u, frac: FracOrder, well: DoubleWell, c_t=None, nx=64, ny=64,
                  tol=1e-5, n_quad=96) -> ModicaReport:
     """Pointwise bound v_hat(x, y) <= C_hat on a grid of the half-strip.
@@ -130,15 +176,7 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, c_t=None, nx=64, ny=64,
     x = np.arange(nx) * (trace.T / nx)
     y_pos = np.geomspace(0.02 / trace.omega, 12.0 / trace.omega, ny - 1)
     boundary = -well.f(trace(x)) - c_t
-    # one Jacobi rule on (0, 1), rescaled per row: nodes scale linearly,
-    # weights pick up y^{1 +- a}
-    base = field.quadrature.scaled(1.0)
-    ux2, uy2 = _squared_fields(field, x, np.multiply.outer(y_pos, base.nodes_plus),
-                               np.multiply.outer(y_pos, base.nodes_minus))
-    wp = base.weights_plus * y_pos[:, None] ** (1.0 + frac.a)
-    wm = base.weights_minus * y_pos[:, None] ** (1.0 - frac.a)
-    kinetic = np.einsum("jnx,jn->jx", ux2, wp) - np.einsum("jnx,jn->jx", uy2, wm)
-    v_hat = np.vstack([boundary, 0.5 * frac.d_s * kinetic + boundary])
+    v_hat = np.vstack([boundary, 0.5 * frac.d_s * _modica_kinetic(field, x, y_pos) + boundary])
     y = np.concatenate(([0.0], y_pos))
 
     c_hat = float(np.max(boundary))

@@ -169,9 +169,6 @@ class YQuadrature:
             object.__setattr__(self, f"nodes_{nm}", y)
             object.__setattr__(self, f"weights_{nm}", wy)
 
-    def scaled(self, y_max):
-        return YQuadrature(y_max=y_max, a=self.a, n=self.n)
-
 
 # ---------------------------------------------------------------------------
 # periodized Poisson kernel
@@ -276,7 +273,7 @@ class ExtensionField:
     frac: FracOrder
     method: str
     y_max: float
-    quadrature: YQuadrature
+    quadrature: YQuadrature | None = None   # Jacobi rules on (0, y_max); Bessel field only
 
     # -- evaluation --------------------------------------------------------
 
@@ -323,7 +320,16 @@ class ExtensionField:
 
     def dy(self, x, y):
         self._require_bessel()
-        return self._modal(x, self.profile_table(y, "deriv"))
+        y = np.asarray(y, dtype=float)
+        zero = y == 0
+        if self.frac.s >= 0.5 or not np.any(zero):
+            return self._modal(x, self.profile_table(y, "deriv"))
+        # s < 1/2: U_y = y^{-a} (y^a U_y) is infinite at y = 0 with the sign of
+        # y^a U_y, and 0 where that limit vanishes
+        w = self.weighted_dy(x, y)
+        edge = np.where(w == 0, 0.0, np.copysign(np.inf, w))
+        inner = self._modal(x, self.profile_table(np.where(zero, 1.0, y), "deriv"))
+        return np.where(zero, edge, inner)[()]
 
     def weighted_dy(self, x, y):
         """y^a dU/dy, evaluated without cancellation down to y = 0."""
@@ -347,20 +353,17 @@ class ExtensionField:
         return u.cos_coeffs[0] * c[..., 0] + self._modal(x, c[..., 1:])
 
 
-def _extend(method, u: PeriodicFunction, frac: FracOrder, y_max, n_quad) -> ExtensionField:
-    y_max = 40.0 / u.omega if y_max is None else y_max
-    rule = YQuadrature(y_max=y_max, a=frac.a, n=n_quad)
-    return ExtensionField(base=u, frac=frac, method=method, y_max=y_max, quadrature=rule)
-
-
 def extend_bessel(u: PeriodicFunction, frac: FracOrder, y_max=None, n_quad=128) -> ExtensionField:
     """Mode-by-mode extension U(x,y) = b_0 + sum J_m(y) [a_m sin + b_m cos]."""
-    return _extend("bessel-series", u, frac, y_max, n_quad)
+    y_max = 40.0 / u.omega if y_max is None else y_max
+    return ExtensionField(base=u, frac=frac, method="bessel-series", y_max=y_max,
+                          quadrature=YQuadrature(y_max=y_max, a=frac.a, n=n_quad))
 
 
-def extend_poisson(u: PeriodicFunction, frac: FracOrder, y_max=None, n_quad=128) -> ExtensionField:
+def extend_poisson(u: PeriodicFunction, frac: FracOrder, y_max=None) -> ExtensionField:
     """Extension by convolution with the periodized s-Poisson kernel."""
-    return _extend("poisson-convolution", u, frac, y_max, n_quad)
+    y_max = 40.0 / u.omega if y_max is None else y_max
+    return ExtensionField(base=u, frac=frac, method="poisson-convolution", y_max=y_max)
 
 
 # ---------------------------------------------------------------------------

@@ -429,22 +429,28 @@ def _oracle_fixed(u, frac, x, n):
     """Fixed-order evaluation of the folded singular integral at points x."""
     s, T = frac.s, u.T
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    # g(r) = 2u(x) - u(x+r) - u(x-r) = sum_m 4 sin^2(omega m r / 2) u_m(x), with
+    # u_m the m-th mode: summed without the cancellation of the difference
+    m = np.arange(1, u.N + 1)
+    phase = np.multiply.outer(x, m) * u.omega
+    modes = np.sin(phase) * u.sin_coeffs + np.cos(phase) * u.cos_coeffs[1:]
 
-    # singular part: int_0^T [g(r)/r^2] r^{1-2s} dr, g(r) = 2u(x)-u(x+r)-u(x-r)
+    def g(r):
+        return modes @ (4.0 * np.sin(np.multiply.outer(m, r) * (0.5 * u.omega)) ** 2)
+
+    # singular part: int_0^T [g(r)/r^2] r^{1-2s} dr
     r1, w1 = _gauss_jacobi_01(n, 1.0 - 2.0 * s)
     r1 = r1 * T
     w1 = w1 * T ** (2.0 - 2.0 * s)
-    g1 = 2.0 * u(x)[:, None] - u(x[:, None] + r1[None, :]) - u(x[:, None] - r1[None, :])
-    sing = (g1 / r1**2) @ w1
+    sing = g(r1) @ (w1 / r1**2)
 
     # smooth remainder: int_0^T g(r) [S(r) - r^{-1-2s}] dr,
     # S(r) - r^{-1-2s} = T^{-1-2s} zeta(1+2s, 1 + r/T)
     r2, w2 = _gauss_legendre_01(n)
     r2 = r2 * T
     w2 = w2 * T
-    g2 = 2.0 * u(x)[:, None] - u(x[:, None] + r2[None, :]) - u(x[:, None] - r2[None, :])
     ker = T ** (-1.0 - 2.0 * s) * zeta(1.0 + 2.0 * s, 1.0 + r2 / T)
-    smooth = g2 @ (w2 * ker)
+    smooth = g(r2) @ (w2 * ker)
 
     return frac.c_sing * (sing + smooth)
 

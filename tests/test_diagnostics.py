@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracperiodic import diagnostics
 from fracperiodic.diagnostics import (
     energy_scan,
     hamiltonian_check,
@@ -13,8 +14,8 @@ from fracperiodic.diagnostics import (
     modica_pde_residual,
     test_function_bound as competitor_bound,
 )
-from fracperiodic.errors import IdentityViolation
-from fracperiodic.extension import extend_bessel
+from fracperiodic.errors import IdentityViolation, QuadratureNonConvergence
+from fracperiodic.extension import YQuadrature, extend_bessel
 from fracperiodic.semilinear import SolveConfig, minimize_energy
 from fracperiodic.spectral import DoubleWell, FracOrder, PeriodicFunction
 
@@ -91,6 +92,70 @@ def test_modica_lower_bound_is_per_node_sum(s):
     )
     assert ref > 0.01
     assert abs(rep.c_hat_lower - ref) <= 1e-13 * ref
+
+
+def nested_v_hat(sol, frac, c_t, n, nx=64, ny=64):
+    """v_hat with a fresh n-node Jacobi rule on (0, y_j) for every height y_j."""
+    u = sol.u
+    field = extend_bessel(u, frac)
+    x = np.arange(nx) * (u.T / nx)
+    y_pos = np.geomspace(0.02 / u.omega, 12.0 / u.omega, ny - 1)
+    unit = YQuadrature(y_max=1.0, a=frac.a, n=n)
+    ux2, uy2 = diagnostics._squared_fields(field, x, np.multiply.outer(y_pos, unit.nodes_plus),
+                                           np.multiply.outer(y_pos, unit.nodes_minus))
+    wp = unit.weights_plus * y_pos[:, None] ** (1.0 + frac.a)
+    wm = unit.weights_minus * y_pos[:, None] ** (1.0 - frac.a)
+    kinetic = np.einsum("jnx,jn->jx", ux2, wp) - np.einsum("jnx,jn->jx", uy2, wm)
+    boundary = -well().f(u(x)) - c_t
+    return np.vstack([boundary, 0.5 * frac.d_s * kinetic + boundary])
+
+
+@pytest.mark.parametrize("symmetry", ["odd", "even"])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_modica_panels_match_refined_nested_rule(s, symmetry):
+    # the nested rule converges like n^-4 away from s = 1/2 (3.8e-9 apart at
+    # n = 192 and 384 for s = 0.3), so the reference takes 384 nodes
+    frac = FracOrder(s)
+    sol = solved(s=s, symmetry=symmetry)
+    c_t = hamiltonian_check(sol, frac, well(), tol=np.inf).c_t
+    rep = modica_check(sol, frac, well(), c_t=c_t)
+    assert np.max(np.abs(rep.v_hat - nested_v_hat(sol, frac, c_t, 384))) <= 1e-9
+
+
+@pytest.mark.parametrize("s, T", [(0.5, 8.0), (0.514, 7.77)])
+def test_modica_report_agrees_with_nested_96_node_rule(s, T):
+    # the former scan: one 96-node rule per height, off by about 4e-9 itself
+    frac = FracOrder(s)
+    sol = solved(T=T, s=s, symmetry="even")
+    c_t = hamiltonian_check(sol, frac, well(), tol=np.inf).c_t
+    rep = modica_check(sol, frac, well(), c_t=c_t)
+    ref = nested_v_hat(sol, frac, c_t, 96)
+    iy, ix = np.unravel_index(int(np.argmax(ref)), ref.shape)
+    assert rep.argmax == (float(rep.x[ix]), float(rep.y[iy]))
+    assert abs(rep.c_hat - float(np.max(ref[0]))) <= 1e-12
+    field = extend_bessel(sol.u, frac, n_quad=96)
+    rule = field.quadrature
+    lower = 0.5 * frac.d_s * float(rule.weights_minus @ field.weighted_dy(T / 2.0, rule.nodes_minus) ** 2)
+    assert abs(rep.c_hat_lower - lower) <= 1e-12
+    assert abs(rep.top_row_max - float(np.max(np.abs(ref[-1])))) <= 1e-8
+
+
+def test_modica_panel_orders_too_low_raise(monkeypatch):
+    monkeypatch.setattr(diagnostics, "_MODICA_ORDERS", (1, 2))
+    with pytest.raises(QuadratureNonConvergence):
+        modica_check(solved(), FracOrder(0.5), well())
+
+
+@pytest.mark.parametrize("ny", [1, 2, 3, 9])
+def test_modica_coarse_height_grids(ny):
+    # coarse grids have wide panels; they are split into sub-panels
+    frac = FracOrder(0.3)
+    sol = solved(s=0.3, N=32)
+    c_t = hamiltonian_check(sol, frac, well(), n_samples=8, tol=np.inf).c_t
+    rep = modica_check(sol, frac, well(), c_t=c_t, nx=8, ny=ny)
+    assert rep.v_hat.shape == (ny, 8)
+    ref = nested_v_hat(sol, frac, c_t, 384, nx=8, ny=ny)
+    assert np.max(np.abs(rep.v_hat - ref)) <= 1e-9
 
 
 def test_modica_pde_residual_small():

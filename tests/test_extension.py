@@ -165,6 +165,33 @@ def test_universal_table_matches_per_mode_profiles(s):
         field.profile_table(y, "second_deriv")
 
 
+def test_dy_at_the_boundary_below_one_half():
+    # U_y = y^{-a} (y^a U_y) is +-inf at y = 0 for s < 1/2, with the sign of
+    # y^a U_y, and 0 where that limit vanishes; no 0 * inf on the way
+    u = PeriodicFunction(T=TWO_PI, sin_coeffs=[0.3, -0.5], cos_coeffs=[0.0, 0.0, 0.0])
+    field = extend_bessel(u, FracOrder(0.3))
+    x = np.array([0.0, 1.0, 2.0, 4.0])
+    got = field.dy(x, 0.0)
+    w = field.weighted_dy(x, 0.0)
+    assert got[0] == 0.0 and w[0] == 0.0
+    assert np.all(np.isinf(got[1:])) and np.all(np.sign(got[1:]) == np.sign(w[1:]))
+    assert np.all(np.sign(field.dy(x[1:], 1e-9)) == np.sign(w[1:]))
+    assert field.dy(1.0, 0.0) == np.inf
+    table = field.dy(x[:, None], np.array([0.0, 0.4]))
+    assert np.array_equal(table[:, 0], got)
+    assert np.array_equal(table[:, 1], field.dy(x, 0.4))
+
+
+@pytest.mark.parametrize("s", [0.5, 0.7])
+def test_dy_at_the_boundary_from_one_half(s):
+    u = PeriodicFunction(T=TWO_PI, sin_coeffs=[0.3, -0.5], cos_coeffs=[0.0, 0.0, 0.0])
+    field = extend_bessel(u, FracOrder(s))
+    x = np.array([0.0, 1.0, 2.0])
+    ref = per_mode_field(field, "dy", x, 0.0)
+    assert np.all(np.isfinite(ref))
+    assert np.max(np.abs(field.dy(x, 0.0) - ref)) < 1e-14
+
+
 def test_bessel_trace_and_periodicity():
     rng = np.random.default_rng(2)
     u = random_function(rng, N=5)
@@ -283,6 +310,17 @@ def test_poisson_route_uses_no_bessel_function(monkeypatch):
     got = extend_poisson(u, frac).value(xs, ys)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_poisson_field_builds_no_jacobi_rule(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the Poisson route built a Jacobi rule")
+
+    monkeypatch.setattr(extension, "roots_jacobi", forbidden)
+    u = random_function(np.random.default_rng(9), N=5)
+    field = extend_poisson(u, FracOrder(0.6))
+    assert field.quadrature is None
+    assert np.isfinite(field.value(np.array([0.0, 1.0]), 0.3)).all()
 
 
 def test_poisson_route_far_above_the_period():

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracperiodic.extension import extend_bessel, extend_poisson
-from fracperiodic.spectral import FracOrder, PeriodicFunction, gagliardo_energy, spectral_dirichlet
+from fracperiodic.spectral import (
+    FracOrder,
+    PeriodicFunction,
+    frac_laplacian,
+    gagliardo_energy,
+    multipliers,
+    singular_integral_oracle,
+    spectral_dirichlet,
+)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -43,3 +51,14 @@ def test_parseval_matches_gagliardo(u, s):
     frac = FracOrder(s)
     spectral = spectral_dirichlet(u, frac)
     assert abs(gagliardo_energy(u, frac) - spectral) < 1e-9 * max(1.0, spectral)
+
+
+@PROPERTY
+@given(u=traces(), s=st.floats(0.85, 0.99), x=st.floats(0.0, 1.0))
+def test_oracle_matches_multiplier_near_one(u, s, x):
+    # orders close to 1, where the second difference of u used to cancel
+    frac = FracOrder(s)
+    x = x * u.T
+    amplitude = np.abs(u.sin_coeffs) + np.abs(u.cos_coeffs[1:])
+    scale = max(1.0, float(multipliers(u, frac) @ amplitude))
+    assert abs(singular_integral_oracle(u, frac, x) - frac_laplacian(u, frac)(x)) < 1e-9 * scale
