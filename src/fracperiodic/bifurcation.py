@@ -17,7 +17,7 @@ from scipy.linalg import eigh
 
 from .errors import BranchLost, NoConvergence, SingularJacobian, StepFailure
 from .semilinear import _SymmetryClass
-from .spectral import DoubleWell, FracOrder, PeriodicFunction
+from .spectral import DoubleWell, FracOrder, PeriodicFunction, gram
 
 __all__ = [
     "BranchPoint",
@@ -85,7 +85,7 @@ class _RescaledSystem:
 
     def jac_u(self, a, lam):
         cls = self.cls
-        return np.diag(cls.lam) + lam * self.scale * cls.gram(self.well.f2(cls.values(a)))
+        return np.diag(cls.lam) + lam * self.scale * gram("odd", self.N, self.well.f2(cls.values(a)))
 
     def jac_lam(self, a):
         cls = self.cls
@@ -109,7 +109,7 @@ def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max, N=None):
     N = N or max(DEFAULT_N, m_max + 8)
     sys = _RescaledSystem(frac, well, N)
     cls = sys.cls
-    B = sys.scale * cls.gram(well.f2(cls.values(np.zeros(N))))
+    B = sys.scale * gram("odd", N, well.f2(cls.values(np.zeros(N))))
     ev = eigh(np.diag(cls.lam), -B, eigvals_only=True)   # real, ascending
     return [float(v) for v in ev[ev > 0.0][:m_max]]
 

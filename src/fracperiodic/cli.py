@@ -21,8 +21,6 @@ from .spectral import DoubleWell, FracOrder, PeriodicFunction
 
 __all__ = ["main", "run"]
 
-JOBS_ENV = "FRACPERIODIC_JOBS"
-
 
 def _fmt(x):
     return format(float(x), ".17g")
@@ -110,14 +108,12 @@ _COMMANDS = {
         ("potential", str, "quartic", "quartic | quartic:SCALE | poly:c0,c1,..."),
         ("symmetry", str, "odd", "odd | even"),
         ("N", int, 64, "truncation"),
-        ("seed", int, 0, "multistart seed"),
     ],
     "min-period": [
         ("s", float, None, "fractional order"),
         ("potential", str, "quartic", "potential spec"),
         ("T-hi", float, None, "upper bracket period"),
         ("tol", float, 0.05, "bisection tolerance"),
-        ("jobs", int, None, "parallel workers (default $" + JOBS_ENV + " or 1)"),
     ],
     "continue": [
         ("s", float, None, "fractional order"),
@@ -152,8 +148,6 @@ _COMMANDS = {
         ("s", float, None, "fractional order"),
         ("potential", str, "quartic", "potential spec"),
         ("T-list", str, "16,32,64,128", "comma list of periods"),
-        ("seed", int, 0, "multistart seed"),
-        ("jobs", int, None, "parallel workers (default $" + JOBS_ENV + " or 1)"),
     ],
     "test-bound": [
         ("s", float, None, "fractional order"),
@@ -222,13 +216,6 @@ def _resolve(cmd, args):
     return resolved
 
 
-def _jobs(cfg):
-    jobs = cfg["jobs"] if cfg.get("jobs") is not None else int(os.environ.get(JOBS_ENV, "1"))
-    if jobs < 1:
-        raise UsageError(f"jobs must be at least 1, got {jobs}")
-    return jobs
-
-
 # ---------------------------------------------------------------------------
 # command bodies
 
@@ -266,7 +253,7 @@ def _cmd_solve_linear(cfg):
 def _cmd_solve(cfg):
     frac = FracOrder(cfg["s"])
     well = _potential(cfg["potential"])
-    sc = semilinear.SolveConfig(symmetry=cfg["symmetry"], N=cfg["N"], seed=cfg["seed"])
+    sc = semilinear.SolveConfig(symmetry=cfg["symmetry"], N=cfg["N"])
     sol = semilinear.minimize_energy(cfg["T"], frac, well, sc)
     print(f"classification={sol.classification} residual={_fmt(sol.residual)} "
           f"energy={_fmt(sol.energy)} amplitude={_fmt(sol.amplitude)}", file=sys.stderr)
@@ -276,7 +263,7 @@ def _cmd_solve(cfg):
 def _cmd_min_period(cfg):
     frac = FracOrder(cfg["s"])
     well = _potential(cfg["potential"])
-    est = semilinear.find_min_period(frac, well, cfg["T-hi"], tol=cfg["tol"], jobs=_jobs(cfg))
+    est = semilinear.find_min_period(frac, well, cfg["T-hi"], tol=cfg["tol"])
     bound = 2.0 * math.pi * (-float(well.f2(0.0))) ** (-1.0 / (2.0 * frac.s))
     _write_csv(cfg["out"], ["estimate", "bound", "tol"], [(est, bound, cfg["tol"])])
 
@@ -305,17 +292,16 @@ def _cmd_t0_bound(cfg):
                [(e.lam, e.period, e.amplitude, e.residual_rescaled) for e in rep.entries])
 
 
-def _solution_for(cfg, frac, well):
-    sc = semilinear.SolveConfig(symmetry=cfg.get("symmetry", "even") or "even",
-                                N=max(48, int(1.5 * cfg["T"])))
-    return semilinear.minimize_energy(cfg["T"], frac, well, sc)
+def _certified_solution(T, frac, well, symmetry):
+    """The minimizer a certificate command checks: truncation grows with T."""
+    sc = semilinear.SolveConfig(symmetry=symmetry, N=max(48, int(1.5 * T)))
+    return semilinear.minimize_energy(T, frac, well, sc)
 
 
 def _cmd_hamiltonian(cfg):
     frac = FracOrder(cfg["s"])
     well = _potential(cfg["potential"])
-    sc = semilinear.SolveConfig(symmetry=cfg["symmetry"], N=max(48, int(1.5 * cfg["T"])))
-    sol = semilinear.minimize_energy(cfg["T"], frac, well, sc)
+    sol = _certified_solution(cfg["T"], frac, well, cfg["symmetry"])
     rep = diagnostics.hamiltonian_check(sol, frac, well, n_samples=cfg["n-samples"],
                                         tol=cfg["tol"])
     print(f"C_T={_fmt(rep.c_t)} max_deviation={_fmt(rep.max_deviation)}", file=sys.stderr)
@@ -327,7 +313,7 @@ def _cmd_hamiltonian(cfg):
 def _cmd_modica(cfg):
     frac = FracOrder(cfg["s"])
     well = _potential(cfg["potential"])
-    sol = _solution_for(cfg, frac, well)
+    sol = _certified_solution(cfg["T"], frac, well, "even")
     rep = diagnostics.modica_check(sol, frac, well, nx=cfg["nx"], ny=cfg["ny"], tol=cfg["tol"])
     print(f"C_hat={_fmt(rep.c_hat)} lower_bound={_fmt(rep.c_hat_lower)} "
           f"argmax=({_fmt(rep.argmax[0])},{_fmt(rep.argmax[1])})", file=sys.stderr)
@@ -338,8 +324,7 @@ def _cmd_modica(cfg):
 def _cmd_energy_scan(cfg):
     frac = FracOrder(cfg["s"])
     well = _potential(cfg["potential"])
-    rep = diagnostics.energy_scan(frac, well, _float_list(cfg["T-list"]),
-                                  jobs=_jobs(cfg), seed=cfg["seed"])
+    rep = diagnostics.energy_scan(frac, well, _float_list(cfg["T-list"]))
     print(f"regime={rep.regime} slope={_fmt(rep.slope)} ratio={_fmt(rep.ratio)} "
           f"sigma={_fmt(rep.sigma)}", file=sys.stderr)
     rows = []

@@ -12,7 +12,6 @@ makes the identity hold for every order s (it is 1 at s = 1/2).
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,28 +238,18 @@ class EnergyScanReport:
         return np.array(self.entries)
 
 
-def _scan_cell(args):
-    T, frac, well, seed = args
-    cfg = SolveConfig(symmetry="odd", N=max(64, int(1.5 * T)), seed=seed)
-    sol = minimize_energy(T, frac, well, cfg)
-    return T, sol.energy
-
-
-def energy_scan(frac: FracOrder, well: DoubleWell, T_list, jobs=1, seed=0) -> EnergyScanReport:
-    """Minimize at each period and fit the growth law of J(U_T).
+def energy_scan(frac: FracOrder, well: DoubleWell, T_list) -> EnergyScanReport:
+    """Minimize at each period, in increasing order, and fit the growth law
+    of J(U_T).
 
     Expected regimes: J ~ T^{1-2s} for s < 1/2, J ~ ln T at s = 1/2, and
     bounded J for s > 1/2; also records sigma = J/(F(0) T), which must drop
     below 1/2 for large periods.
     """
-    T_list = sorted(T_list)
-    work = [(T, frac, well, seed) for T in T_list]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_scan_cell, work))
-    else:
-        entries = [_scan_cell(wk) for wk in work]
-    entries.sort()
+    entries = []
+    for T in sorted(T_list):
+        cfg = SolveConfig(symmetry="odd", N=max(64, int(1.5 * T)))
+        entries.append((T, minimize_energy(T, frac, well, cfg).energy))
     Ts = np.array([e[0] for e in entries])
     Js = np.array([e[1] for e in entries])
     if frac.s < 0.5:

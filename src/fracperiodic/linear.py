@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .errors import NegativePotential, NotCoercive, SolvabilityViolation
-from .spectral import FracOrder, PeriodicFunction
+from .spectral import FracOrder, PeriodicFunction, gram
 
 __all__ = [
     "GalerkinOperator",
@@ -30,29 +30,22 @@ KERNEL_RTOL = 1e-9        # singular values below this (relative) span the kerne
 COERCIVITY_MARGIN = 0.1   # gamma = max(0, -min k) + margin
 
 
-def _basis_samples(T, N, x):
-    """Orthonormal basis sampled at points x: columns [const, cos_1, sin_1, ...]."""
-    E = np.empty((x.shape[0], 2 * N + 1))
-    E[:, 0] = 1.0 / math.sqrt(T)
-    phase = np.multiply.outer(x, (2.0 * math.pi / T) * np.arange(1, N + 1))
-    np.cos(phase, out=E[:, 1::2])
-    np.sin(phase, out=E[:, 2::2])
-    E[:, 1:] *= math.sqrt(2.0 / T)
-    return E
-
-
 def _galerkin_matrix(T, N, lam, k):
     """diag(lam) on the cos/sin pairs plus multiplication by k, symmetrized.
 
-    The k-multiplication runs on a dealiased grid: a product of two basis
-    modes has trig degree <= 2N, times deg(k) <= N, so 4(N+1) nodes
-    integrate it exactly.
+    The k-multiplication is the full-class ``gram`` of k on a dealiased grid:
+    a product of two basis modes has trig degree <= 2N, times deg(k) <= N,
+    so 4(N+1) nodes integrate it exactly.  Reordering [b_0..b_N, a_1..a_N]
+    to [b_0, b_1, a_1, ...] and scaling row i by sqrt(w_i)^-1 and column j
+    by sqrt(w_j) (w = 1 on the mean, 2 elsewhere) gives the orthonormal-basis
+    matrix.
     """
-    M = 4 * (N + 1)
-    x = np.arange(M) * (T / M)
-    E = _basis_samples(T, N, x)
-    kw = k(x) * (T / M)
-    A = E.T @ (kw[:, None] * E)
+    order = np.zeros(2 * N + 1, dtype=int)
+    order[1::2] = np.arange(1, N + 1)
+    order[2::2] = np.arange(N + 1, 2 * N + 1)
+    A = gram("full", N, k.sample(4 * (N + 1)))[np.ix_(order, order)]
+    A[0, 1:] *= math.sqrt(2.0)
+    A[1:, 0] /= math.sqrt(2.0)
     diag = A.reshape(-1)[:: 2 * N + 2]   # a view of the diagonal
     diag[1::2] += lam
     diag[2::2] += lam

@@ -14,7 +14,7 @@ half-period convention of the energy functional in
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -25,6 +25,7 @@ from .spectral import (
     FracOrder,
     PeriodicFunction,
     energy_functional,
+    gram,
     grid_analysis,
     grid_synthesis,
 )
@@ -50,7 +51,6 @@ class SolveConfig:
     max_newton: int = 60
     max_descent: int = 4000        # cap on modified-Newton descent steps per start
     multistarts: int = 6
-    seed: int = 0
 
     def __post_init__(self):
         if self.symmetry not in ("odd", "even"):
@@ -78,20 +78,6 @@ class SemilinearSolution:
 # symmetry classes: coefficient vector <-> function, residual, Jacobian
 
 
-def _toeplitz(col, row):
-    """n x n strided view of one vector with entries col[i - j] on and below
-    the diagonal and row[j - i] above: no O(n^2) gather, no wrapper cost."""
-    v = np.concatenate((col[::-1], row[1:]))
-    n, b = len(col), v.itemsize
-    return np.ndarray((n, n), buffer=v, offset=(n - 1) * b, strides=(-b, b))
-
-
-def _hankel(c, n):
-    """n x n strided view with entries c[i + j], i, j < n."""
-    v = np.ascontiguousarray(c[: 2 * n - 1])
-    return np.ndarray((n, n), buffer=v, strides=(v.itemsize, v.itemsize))
-
-
 class _SymmetryClass:
     """Residual/Jacobian machinery on a symmetry-restricted trig basis.
 
@@ -103,10 +89,9 @@ class _SymmetryClass:
     (grid -> coefficients) use dense sin/cos tables below N = FFT_MIN_N and
     the real-FFT transforms of :mod:`fracperiodic.spectral` from there on,
     where the tables are never built; both give the same numbers to
-    round-off.  Products with a grid function g enter only through ``gram``,
-    which builds the Galerkin matrix of multiplication by g from the cosine
-    and sine transforms of g as Toeplitz +- Hankel blocks in O(N^2), at
-    every N.
+    round-off.  Products with a grid function g enter only through
+    :func:`fracperiodic.spectral.gram`, which builds the Galerkin matrix of
+    multiplication by g as Toeplitz +- Hankel blocks in O(N^2), at every N.
     """
 
     def __init__(self, symmetry, T, N, frac: FracOrder):
@@ -157,30 +142,6 @@ class _SymmetryClass:
         sin_part = (2.0 / self.M) * (self.S.T @ samples)
         return np.concatenate(([mean], cos_part, sin_part))
 
-    def gram(self, g):
-        """Matrix of c -> project(g * values(c)) for grid samples g.
-
-        With g_k = mean of g cos(2 pi k j / M) and h_k the same with sin,
-        2 mean(g sin_m sin_n) = g_|m-n| - g_{m+n}, 2 mean(g cos_m cos_n) =
-        g_|m-n| + g_{m+n} and 2 mean(g sin_m cos_n) = h_{m+n} + h_{m-n};
-        the indices reach 2N < M/2, so one rfft of g gives every entry.
-        """
-        spec = np.fft.rfft(g) / self.M
-        gc, gs = spec.real, -spec.imag
-        N = self.N
-        if self.symmetry == "odd":   # modes 1..N: g_|m-n| - g_{m+n}
-            return _toeplitz(gc[:N], gc[:N]) - _hankel(gc[2:], N)
-        dist = _toeplitz(gc[: N + 1], gc[: N + 1])         # g_|m-n|, m, n = 0..N
-        tot = _hankel(gc, N + 1)                           # g_{m+n}
-        cc = dist + tot
-        if self.symmetry == "full":
-            # rows sin_m, columns cos_n; gs_0 = 0 keeps the diagonal of sign(m-n) h_|m-n| zero
-            sc = _hankel(gs, N + 1) + _toeplitz(gs[: N + 1], -gs[: N + 1])
-            ss = dist - tot
-            cc = np.block([[cc, sc.T[:, 1:]], [sc[1:], ss[1:, 1:]]])
-        cc[0] *= 0.5   # the mean carries weight 1, the other rows 2
-        return cc
-
     def linear_part(self, c):
         if self.symmetry == "odd":
             return self.lam * c
@@ -192,7 +153,7 @@ class _SymmetryClass:
         return self.linear_part(c) + self.project(well.f1(self.values(c)))
 
     def jacobian(self, c, well: DoubleWell):
-        J = self.gram(well.f2(self.values(c)))
+        J = gram(self.symmetry, self.N, well.f2(self.values(c)))
         J[np.diag_indices_from(J)] += self.linear_part(np.ones(J.shape[0]))
         return J
 
@@ -437,14 +398,13 @@ def newton_refine(u0: PeriodicFunction, T, frac: FracOrder, well: DoubleWell, to
 
 
 def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
-                    cfg: SolveConfig = None, jobs=1) -> float:
+                    cfg: SolveConfig = None) -> float:
     """Bisection estimate of the smallest period with a nonconstant solution.
 
     Brackets between "only trivial minimizers" and "nonconstant minimizer
     found"; the estimate never exceeds the linearization bound
-    2 pi (-F''(0))^{-1/(2s)} up to tol.  With jobs > 1 a coarse period grid
-    is classified in parallel first to tighten the bracket.  Raises
-    ValueError unless T_hi is positive and finite.
+    2 pi (-F''(0))^{-1/(2s)} up to tol.  Raises ValueError unless T_hi is
+    positive and finite.
     """
     _check_period(T_hi)
     f2_0 = float(well.f2(0.0))
@@ -463,17 +423,6 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
         raise InconsistentBracket(f"nonconstant solution found at T = {lo:g} below the bound")
     if not nonconstant_at(hi):
         raise InconsistentBracket(f"no nonconstant solution found at T_hi = {hi:g}")
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        grid = list(np.linspace(lo, hi, 2 * jobs + 2)[1:-1])
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            flags = list(pool.map(nonconstant_at, grid))
-        for T, flag in zip(grid, flags):
-            if flag:
-                hi = min(hi, T)
-            elif T < hi:
-                lo = max(lo, T)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if nonconstant_at(mid):

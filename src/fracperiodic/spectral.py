@@ -126,6 +126,47 @@ def grid_analysis(samples, N):
     return b, -spec.imag[1 : N + 1]
 
 
+def _toeplitz(col, row):
+    """n x n strided view of one vector with entries col[i - j] on and below
+    the diagonal and row[j - i] above: no O(n^2) gather, no wrapper cost."""
+    v = np.concatenate((col[::-1], row[1:]))
+    n, b = len(col), v.itemsize
+    return np.ndarray((n, n), buffer=v, offset=(n - 1) * b, strides=(-b, b))
+
+
+def _hankel(c, n):
+    """n x n strided view with entries c[i + j], i, j < n."""
+    v = np.ascontiguousarray(c[: 2 * n - 1])
+    return np.ndarray((n, n), buffer=v, strides=(v.itemsize, v.itemsize))
+
+
+def gram(symmetry, N, g):
+    """Matrix of c -> (coefficients of g * u_c) for samples g on a grid of
+    M >= 4N points, in a symmetry class: odd c = [a_1..a_N], even
+    c = [b_0..b_N], full c = [b_0..b_N, a_1..a_N].  The coefficients are
+    those of grid_analysis, so the mean row carries weight 1 and the others 2.
+
+    With g_k = mean of g cos(2 pi k j / M) and h_k the same with sin,
+    2 mean(g sin_m sin_n) = g_|m-n| - g_{m+n}, 2 mean(g cos_m cos_n) =
+    g_|m-n| + g_{m+n} and 2 mean(g sin_m cos_n) = h_{m+n} + h_{m-n};
+    the indices reach 2N < M/2, so one rfft of g gives every entry.
+    """
+    spec = np.fft.rfft(g) / g.shape[0]
+    gc, gs = spec.real, -spec.imag
+    if symmetry == "odd":   # modes 1..N: g_|m-n| - g_{m+n}
+        return _toeplitz(gc[:N], gc[:N]) - _hankel(gc[2:], N)
+    dist = _toeplitz(gc[: N + 1], gc[: N + 1])         # g_|m-n|, m, n = 0..N
+    tot = _hankel(gc, N + 1)                           # g_{m+n}
+    cc = dist + tot
+    if symmetry == "full":
+        # rows sin_m, columns cos_n; gs_0 = 0 keeps the diagonal of sign(m-n) h_|m-n| zero
+        sc = _hankel(gs, N + 1) + _toeplitz(gs[: N + 1], -gs[: N + 1])
+        ss = dist - tot
+        cc = np.block([[cc, sc.T[:, 1:]], [sc[1:], ss[1:, 1:]]])
+    cc[0] *= 0.5   # the mean carries weight 1, the other rows 2
+    return cc
+
+
 # ---------------------------------------------------------------------------
 # periodic functions
 

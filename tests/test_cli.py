@@ -3,6 +3,8 @@ merging, --dry-run, and run-to-run determinism."""
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 
@@ -50,8 +52,7 @@ def test_solve_deterministic(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
-        code = run(["solve", "--s", "0.5", "--T", "8", "--N", "48",
-                    "--seed", "0", "--out", str(out)])
+        code = run(["solve", "--s", "0.5", "--T", "8", "--N", "48", "--out", str(out)])
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]  # byte-identical across runs
@@ -97,9 +98,43 @@ def test_non_double_well_potential_rejected(tmp_path):
     assert run(["solve", "--s", "0.5", "--T", "8", "--potential", "quartic:-1"]) == 2
 
 
-def test_jobs_below_one_is_usage_error():
-    assert run(["min-period", "--s", "0.5", "--T-hi", "8", "--jobs", "0"]) == 2
-    assert run(["energy-scan", "--s", "0.25", "--T-list", "16", "--jobs", "-1"]) == 2
+def test_removed_flags_are_usage_errors(tmp_path):
+    # every computation is sequential and deterministic: no worker count, no seed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jobs = 2\n")
+    for argv in (["min-period", "--s", "0.5", "--T-hi", "8", "--jobs", "2"],
+                 ["energy-scan", "--s", "0.25", "--T-list", "16", "--jobs", "2"],
+                 ["solve", "--s", "0.5", "--T", "8", "--seed", "0"],
+                 ["energy-scan", "--s", "0.25", "--T-list", "16", "--seed", "0"],
+                 ["energy-scan", "--s", "0.25", "--T-list", "16", "--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def readme_commands():
+    """Argument lists of the `fracperiodic ...` lines in the README's sh blocks."""
+    lines, in_sh = [], False
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line.strip() == "```sh"
+        elif in_sh and line.startswith("fracperiodic "):
+            lines.append(shlex.split(line)[1:])
+    return lines
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert commands
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"example{i}.out"
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(out)
+        else:
+            argv += ["--out", str(out)]
+        assert run(argv) == 0, argv
+        assert out.stat().st_size > 0
 
 
 def test_missing_input_file(tmp_path):

@@ -33,6 +33,32 @@ def make_op(s=0.5, T=TWO_PI, N=16, k=None):
 # -- assembly ----------------------------------------------------------------
 
 
+def dense_galerkin(T, N, lam, k):
+    """Orthonormal-basis Galerkin matrix by the dense quadrature product
+    E^T diag(k w) E on the 4(N+1)-point grid, with E the sampled basis."""
+    M = 4 * (N + 1)
+    x = np.arange(M) * (T / M)
+    E = np.empty((M, 2 * N + 1))
+    E[:, 0] = 1.0 / math.sqrt(T)
+    phase = np.multiply.outer(x, (2.0 * math.pi / T) * np.arange(1, N + 1))
+    E[:, 1::2] = math.sqrt(2.0 / T) * np.cos(phase)
+    E[:, 2::2] = math.sqrt(2.0 / T) * np.sin(phase)
+    A = E.T @ ((k(x) * (T / M))[:, None] * E)
+    A[np.arange(1, 2 * N + 1), np.arange(1, 2 * N + 1)] += np.repeat(lam, 2)
+    return A
+
+
+@pytest.mark.parametrize("N", [16, 300])
+def test_matrix_matches_dense_quadrature(N):
+    rng = np.random.default_rng(N)
+    T = 7.3
+    k = PeriodicFunction(T=T, sin_coeffs=rng.standard_normal(N) / (1.0 + np.arange(N)) ** 2,
+                         cos_coeffs=rng.standard_normal(N + 1) / (1.0 + np.arange(N + 1)) ** 2)
+    op = make_op(s=0.37, T=T, N=N, k=k)
+    ref = dense_galerkin(T, N, (2.0 * math.pi / T * np.arange(1, N + 1)) ** 0.74, k)
+    assert np.max(np.abs(op.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_matrix_symmetric():
     k = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[0.2], cos_coeffs=[0.1, 0.3])
     op = make_op(s=0.35, k=k)

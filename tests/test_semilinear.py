@@ -61,11 +61,12 @@ def test_solution_inside_wells():
 
 
 def test_translation_quotient_unique():
-    # the sign-normalized odd minimizer is seed-independent
+    # the sign-normalized odd minimizer does not depend on how many starts reach it
     for s in (0.3, 0.5, 0.7):
-        a = minimize_energy(8.0, FracOrder(s), well(), SolveConfig(N=48, seed=0))
-        b = minimize_energy(8.0, FracOrder(s), well(), SolveConfig(N=48, seed=7))
-        assert np.max(np.abs(a.u.sin_coeffs - b.u.sin_coeffs)) < 1e-6
+        ref = minimize_energy(8.0, FracOrder(s), well(), SolveConfig(N=48))
+        for starts in (1, 3):
+            b = minimize_energy(8.0, FracOrder(s), well(), SolveConfig(N=48, multistarts=starts))
+            assert np.max(np.abs(ref.u.sin_coeffs - b.u.sin_coeffs)) < 1e-6
 
 
 def test_odd_solution_monotone_on_half_period():
