@@ -16,8 +16,16 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import BranchLost, NoConvergence, SingularJacobian, StepFailure
-from .semilinear import _SymmetryClass
-from .spectral import DoubleWell, FracOrder, PeriodicFunction, gram
+from .spectral import (
+    DoubleWell,
+    FracOrder,
+    PeriodicFunction,
+    _newton,
+    _SymmetryClass,
+    gram,
+    linearization_bound,
+    unstable_curvature,
+)
 
 __all__ = [
     "BranchPoint",
@@ -68,34 +76,27 @@ class Branch:
 
 
 class _RescaledSystem:
-    """G(lambda, a) on odd sine coefficients, period 2 pi."""
+    """G(lambda, a) on odd sine coefficients, period 2 pi: the odd-class
+    residual with coupling k = lambda / -F''(0)."""
 
     def __init__(self, frac: FracOrder, well: DoubleWell, N=DEFAULT_N):
-        f2_0 = float(well.f2(0.0))
-        if f2_0 >= 0:
-            raise ValueError("bifurcation analysis requires F''(0) < 0")
-        self.scale = 1.0 / (-f2_0)
+        self.curvature = unstable_curvature(well, "bifurcation analysis")   # -F''(0)
+        self.scale = 1.0 / self.curvature
         self.cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
         self.well = well
         self.N = N
 
     def residual(self, a, lam):
-        cls = self.cls
-        return cls.lam * a + lam * self.scale * cls.project(self.well.f1(cls.values(a)))
+        return self.cls.residual(a, self.well, lam * self.scale)
 
     def jac_u(self, a, lam):
-        cls = self.cls
-        return np.diag(cls.lam) + lam * self.scale * gram("odd", self.N, self.well.f2(cls.values(a)))
+        return self.cls.jacobian(a, self.well, lam * self.scale)
 
     def jac_lam(self, a):
-        cls = self.cls
-        return self.scale * cls.project(self.well.f1(cls.values(a)))
+        return self.scale * self.cls.nonlinear(a, self.well)
 
     def sigma_min(self, a, lam):
         return float(np.linalg.svd(self.jac_u(a, lam), compute_uv=False)[-1])
-
-    def to_function(self, a):
-        return self.cls.to_function(a)
 
 
 def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max, N=None):
@@ -110,7 +111,7 @@ def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max, N=None):
     sys = _RescaledSystem(frac, well, N)
     cls = sys.cls
     B = sys.scale * gram("odd", N, well.f2(cls.values(np.zeros(N))))
-    ev = eigh(np.diag(cls.lam), -B, eigvals_only=True)   # real, ascending
+    ev = eigh(np.diag(cls.mult), -B, eigvals_only=True)   # real, ascending
     return [float(v) for v in ev[ev > 0.0][:m_max]]
 
 
@@ -138,7 +139,7 @@ def _corrector(sys, a, lam, tangent, target, tol=RESIDUAL_TOL, max_iter=30):
 def _first_point(sys, lam_b, eps=1e-3):
     """Leave the trivial branch with predictor eps * sin(m x) and a pinned
     amplitude; solves for (a, lambda) with <a, e_m> fixed."""
-    lin = np.abs(sys.cls.lam - lam_b)
+    lin = np.abs(sys.cls.mult - lam_b)
     m_idx = int(np.argmin(lin))
     a = np.zeros(sys.N)
     a[m_idx] = eps
@@ -154,13 +155,13 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
     pitchfork nearest lambda_start, in the odd 2 pi class."""
     N = N or DEFAULT_N
     sys = _RescaledSystem(frac, well, N)
-    targets = sys.cls.lam  # m^{2s}
+    targets = sys.cls.mult  # m^{2s}
     lam_b = float(targets[np.argmin(np.abs(targets - lambda_start))])
 
     def make_point(a, lam):
         if a[np.argmax(np.abs(a))] < 0:
             a = -a  # odd-class sign normalization <u, sin m x> >= 0
-        u = sys.to_function(a)
+        u = sys.cls.to_function(a)
         return a, BranchPoint(lam=lam, u=u, amplitude=u.amplitude(),
                               residual=sys.cls.l2_norm(sys.residual(a, lam)),
                               sigma_min=sys.sigma_min(a, lam))
@@ -210,14 +211,12 @@ def classify_criticality(frac: FracOrder, well: DoubleWell, m, n_quad=4096):
     branching is not excluded)."""
     if abs(float(well.f3(0.0))) > 1e-10:
         return "inconclusive"
-    f2_0 = float(well.f2(0.0))
-    if f2_0 >= 0:
-        raise ValueError("requires F''(0) < 0")
+    curvature = unstable_curvature(well)
     lam = float(m) ** (2.0 * frac.s)
     x = np.linspace(-math.pi, math.pi, n_quad, endpoint=False)
     phi = np.sin(m * x) / math.sqrt(math.pi)  # normalized: int phi^2 = 1
     phi4 = float(np.sum(phi**4)) * (2.0 * math.pi / n_quad)
-    coeff = (lam * float(well.f4(0.0)) / (-f2_0)) * phi4 / 6.0
+    coeff = (lam * float(well.f4(0.0)) / curvature) * phi4 / 6.0
     return "supercritical" if coeff > 0 else "subcritical"
 
 
@@ -255,19 +254,15 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     if lambda_grid is None:
         lambda_grid = np.concatenate([[1.001, 1.003, 1.01, 1.03], np.arange(1.1, 4.01, 0.1)])
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
-    f2_0 = float(well.f2(0.0))
-    bound = 2.0 * math.pi * (-f2_0) ** (-1.0 / (2.0 * frac.s))
+    bound = linearization_bound(frac, well)
 
     a, lam = _first_point(sys, 1.0, eps=1e-2)
-    tangent = np.zeros(sys.N + 1)
-    tangent[-1] = 1.0  # pins lambda; the corrector is plain Newton in a
 
     def advance(a, lam, lam_new):
         # predictor follows the pitchfork scaling amp ~ sqrt(lambda - 1) so
-        # Newton does not fall back onto the trivial branch
+        # Newton at fixed lambda does not fall back onto the trivial branch
         a_pred = a * math.sqrt(max(lam_new - 1.0, 0.0) / (lam - 1.0))
-        target = np.concatenate([a_pred, [lam_new]])
-        a_new, _ = _corrector(sys, a_pred, float(lam_new), tangent, target)
+        a_new, _ = _newton(sys.cls, a_pred, well, RESIDUAL_TOL, 30, lam_new * sys.scale)
         if np.max(np.abs(a_new)) < 0.5 * np.max(np.abs(a_pred)):
             raise BranchLost("collapsed toward the trivial branch")
         return a_new
@@ -287,8 +282,8 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
                 if n_sub > 64:
                     raise
         a, lam = a_try, float(lam_target)
-        period = 2.0 * math.pi * (lam / (-f2_0)) ** (1.0 / (2.0 * frac.s))
-        u_T = sys.to_function(a).rescaled(period)
+        period = 2.0 * math.pi * (lam / sys.curvature) ** (1.0 / (2.0 * frac.s))
+        u_T = sys.cls.to_function(a).rescaled(period)
         refined = newton_refine(u_T, period, frac, well, tol=1e-9)
         entries.append(
             T0Entry(lam=lam, period=period, amplitude=refined.amplitude,

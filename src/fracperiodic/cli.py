@@ -9,7 +9,6 @@ error (solvability/identity violations and friends), 2 usage error.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -264,7 +263,7 @@ def _cmd_min_period(cfg):
     frac = FracOrder(cfg["s"])
     well = _potential(cfg["potential"])
     est = semilinear.find_min_period(frac, well, cfg["T-hi"], tol=cfg["tol"])
-    bound = 2.0 * math.pi * (-float(well.f2(0.0))) ** (-1.0 / (2.0 * frac.s))
+    bound = spectral.linearization_bound(frac, well)
     _write_csv(cfg["out"], ["estimate", "bound", "tol"], [(est, bound, cfg["tol"])])
 
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gamma, kv, roots_jacobi, zeta
+from scipy.special import gamma, kv, zeta
 
 from .errors import ExtrapolationDivergence, QuadratureNonConvergence, TailNotConverged
-from .spectral import FracOrder, PeriodicFunction, _gauss_legendre_01
+from .spectral import FracOrder, PeriodicFunction, _gauss_jacobi_01, _gauss_legendre_01
 
 __all__ = [
     "BesselProfile",
@@ -161,9 +161,9 @@ class YQuadrature:
     def __post_init__(self):
         for sign, nm in ((+1.0, "plus"), (-1.0, "minus")):
             beta = sign * self.a
-            t, w = roots_jacobi(self.n, 0.0, beta)
-            y = self.y_max * (t + 1.0) / 2.0
-            wy = w * (self.y_max / 2.0) ** (beta + 1.0)
+            r, w = _gauss_jacobi_01(self.n, beta)
+            y = self.y_max * r
+            wy = w * self.y_max ** (beta + 1.0)
             y.flags.writeable = False
             wy.flags.writeable = False
             object.__setattr__(self, f"nodes_{nm}", y)

@@ -103,7 +103,7 @@ class GalerkinOperator:
 
     @property
     def gamma(self):
-        kmin = float(np.min(self.k(np.linspace(0, self.T, 8 * (self.N + 1), endpoint=False))))
+        kmin = float(np.min(self.k.sample(8 * (self.N + 1))))
         return max(0.0, -kmin) + COERCIVITY_MARGIN
 
     def apply(self, u: PeriodicFunction) -> PeriodicFunction:

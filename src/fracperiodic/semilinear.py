@@ -24,10 +24,10 @@ from .spectral import (
     DoubleWell,
     FracOrder,
     PeriodicFunction,
+    _newton,
+    _SymmetryClass,
     energy_functional,
-    gram,
-    grid_analysis,
-    grid_synthesis,
+    linearization_bound,
 )
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
 
 NONCONSTANT_AMPLITUDE = 1e-6   # deviation-from-mean threshold for classification
 DESCENT_GRAD_TOL = 1e-4        # descent hands over to Newton below this
-FFT_MIN_N = 256                # below this the dense S/C products beat an FFT call
 
 
 @dataclass(frozen=True)
@@ -72,145 +71,6 @@ class SemilinearSolution:
     @property
     def nonconstant(self):
         return self.classification == "nonconstant"
-
-
-# ---------------------------------------------------------------------------
-# symmetry classes: coefficient vector <-> function, residual, Jacobian
-
-
-class _SymmetryClass:
-    """Residual/Jacobian machinery on a symmetry-restricted trig basis.
-
-    Coefficient vectors: odd -> [a_1..a_N]; even -> [b_0..b_N];
-    full -> [b_0..b_N, a_1..a_N].  The nonlinear term is evaluated on a
-    4(N+1)-point grid, which integrates products up to degree 4N exactly.
-
-    Transform layer: ``values`` (coefficients -> grid) and ``project``
-    (grid -> coefficients) use dense sin/cos tables below N = FFT_MIN_N and
-    the real-FFT transforms of :mod:`fracperiodic.spectral` from there on,
-    where the tables are never built; both give the same numbers to
-    round-off.  Products with a grid function g enter only through
-    :func:`fracperiodic.spectral.gram`, which builds the Galerkin matrix of
-    multiplication by g as Toeplitz +- Hankel blocks in O(N^2), at every N.
-    """
-
-    def __init__(self, symmetry, T, N, frac: FracOrder):
-        self.symmetry = symmetry
-        self.T = T
-        self.N = N
-        self.frac = frac
-        w = 2.0 * math.pi / T
-        m = np.arange(1, N + 1)
-        self.lam = (w * m) ** (2.0 * frac.s)
-        M = 4 * (N + 1)
-        self.x = np.arange(M) * (T / M)
-        self.M = M
-        self.fft = N >= FFT_MIN_N
-        if not self.fft:
-            phase = np.outer(self.x, m) * w
-            self.S = np.sin(phase)          # (M, N)
-            self.C = np.cos(phase)
-
-    def values(self, c):
-        if self.fft:
-            if self.symmetry == "odd":
-                return grid_synthesis(self.M, sin_coeffs=c)
-            if self.symmetry == "even":
-                return grid_synthesis(self.M, cos_coeffs=c)
-            return grid_synthesis(self.M, c[: self.N + 1], c[self.N + 1 :])
-        if self.symmetry == "odd":
-            return self.S @ c
-        if self.symmetry == "even":
-            return c[0] + self.C @ c[1:]
-        return c[0] + self.C @ c[1 : self.N + 1] + self.S @ c[self.N + 1 :]
-
-    def project(self, samples):
-        """Grid samples of a trig polynomial -> class coefficient vector."""
-        if self.fft:
-            b, a = grid_analysis(samples, self.N)
-            if self.symmetry == "odd":
-                return a
-            if self.symmetry == "even":
-                return b
-            return np.concatenate((b, a))
-        if self.symmetry == "odd":
-            return (2.0 / self.M) * (self.S.T @ samples)
-        mean = float(np.mean(samples))
-        cos_part = (2.0 / self.M) * (self.C.T @ samples)
-        if self.symmetry == "even":
-            return np.concatenate(([mean], cos_part))
-        sin_part = (2.0 / self.M) * (self.S.T @ samples)
-        return np.concatenate(([mean], cos_part, sin_part))
-
-    def linear_part(self, c):
-        if self.symmetry == "odd":
-            return self.lam * c
-        if self.symmetry == "even":
-            return np.concatenate(([0.0], self.lam * c[1:]))
-        return np.concatenate(([0.0], self.lam * c[1 : self.N + 1], self.lam * c[self.N + 1 :]))
-
-    def residual(self, c, well: DoubleWell):
-        return self.linear_part(c) + self.project(well.f1(self.values(c)))
-
-    def jacobian(self, c, well: DoubleWell):
-        J = gram(self.symmetry, self.N, well.f2(self.values(c)))
-        J[np.diag_indices_from(J)] += self.linear_part(np.ones(J.shape[0]))
-        return J
-
-    def l2_norm(self, c):
-        """L^2 norm of the function with class coefficients c."""
-        if self.symmetry == "odd":
-            return math.sqrt(self.T / 2.0 * float(c @ c))
-        return math.sqrt(self.T * (c[0] ** 2 + 0.5 * float(c[1:] @ c[1:])))
-
-    def energy_full(self, c, well: DoubleWell):
-        quad = self.lam @ (c**2) if self.symmetry == "odd" else self.lam @ (
-            c[1 : self.N + 1] ** 2
-            + (c[self.N + 1 :] ** 2 if self.symmetry == "full" else 0.0)
-        )
-        pot = float(np.sum(well.f(self.values(c)))) * (self.T / self.M)
-        return 0.5 * (self.T / 2.0) * float(quad) + pot
-
-    def to_function(self, c):
-        if self.symmetry == "odd":
-            return PeriodicFunction(
-                T=self.T, sin_coeffs=np.asarray(c), cos_coeffs=np.zeros(self.N + 1), odd=True
-            )
-        if self.symmetry == "even":
-            return PeriodicFunction(T=self.T, sin_coeffs=np.zeros(self.N), cos_coeffs=np.asarray(c))
-        return PeriodicFunction(
-            T=self.T, sin_coeffs=np.asarray(c[self.N + 1 :]), cos_coeffs=np.asarray(c[: self.N + 1])
-        )
-
-    def from_function(self, u: PeriodicFunction):
-        v = u.truncate(self.N)
-        if self.symmetry == "odd":
-            return v.sin_coeffs.copy()
-        if self.symmetry == "even":
-            return v.cos_coeffs.copy()
-        return np.concatenate([v.cos_coeffs, v.sin_coeffs])
-
-
-def _newton(cls: _SymmetryClass, c, well, tol, max_iter):
-    """Newton iteration on the class residual; returns (c, residual_norm)."""
-    res = cls.residual(c, well)
-    rnorm = cls.l2_norm(res)
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            return c, rnorm
-        J = cls.jacobian(c, well)
-        try:
-            delta = np.linalg.solve(J, res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(delta)):
-            raise SingularJacobian("Newton step is not finite")
-        c = c - delta
-        res = cls.residual(c, well)
-        rnorm = cls.l2_norm(res)
-    if rnorm <= tol:
-        return c, rnorm
-    raise NoConvergence(f"Newton stalled at residual {rnorm:.3e} (tol {tol:.1e})")
 
 
 def _shifted_cholesky(H):
@@ -255,15 +115,14 @@ def _shifted_cholesky(H):
 def _descent(cls: _SymmetryClass, c, well, max_iter):
     """Modified-Newton descent on the full-period energy E.
 
-    dE/dc = W * residual with W = T/2 on every mode and T on the mean, and
-    the Hessian of E is W J.  The step solves with the symmetric
-    Hhat = W^(1/2) J W^(-1/2), shifted positive definite, and backtracks on
-    E.  It stops at any critical point: the even-class solution is a saddle
-    of E, so no positive-definite Hessian is required at exit.
+    dE/dc = W * residual with W = (T/2) cls.weight (T/2 on every mode and T
+    on the mean), and the Hessian of E is W J.  The step solves with the
+    symmetric Hhat = W^(1/2) J W^(-1/2), shifted positive definite, and
+    backtracks on E.  It stops at any critical point: the even-class
+    solution is a saddle of E, so no positive-definite Hessian is required
+    at exit.
     """
-    sw = np.ones_like(c)
-    if cls.symmetry != "odd":
-        sw[0] = math.sqrt(2.0)   # relative sqrt(W); the scale of W cancels in the step
+    sw = np.sqrt(cls.weight)   # relative sqrt(W); the scale of W cancels in the step
     energy = cls.energy_full(c, well)
     for _ in range(max_iter):
         grad = cls.residual(c, well)
@@ -289,13 +148,8 @@ def _descent(cls: _SymmetryClass, c, well, max_iter):
 def _normalize_sign(cls, c):
     """Pin the translation/sign quotient: odd -> <u, sin w x> >= 0,
     even -> u(0) >= 0."""
-    if cls.symmetry == "odd":
-        if c[0] < 0:
-            c = -c
-    else:
-        if cls.values(c)[0] < 0:
-            c = -c
-    return c
+    lead = c[0] if cls.odd else cls.values(c)[0]
+    return -c if lead < 0 else c
 
 
 def _starts(cls: _SymmetryClass, cfg: SolveConfig, well: DoubleWell):
@@ -310,17 +164,12 @@ def _starts(cls: _SymmetryClass, cfg: SolveConfig, well: DoubleWell):
     amps = [0.2, 0.5, 0.9]
     for amp in amps:
         for sgn in (1.0, -1.0):
-            c = np.zeros(cls.N if cls.symmetry == "odd" else cls.N + 1)
-            if cls.symmetry == "odd":
-                c[0] = sgn * amp
-            else:
-                c[1] = sgn * amp
+            c = np.zeros_like(cls.mult)
+            c[0 if cls.odd else 1] = sgn * amp   # a_1 or b_1
             out.append((c, sgn < 0))
     if cls.T > 4.0 * math.pi:
         g = cls.T / 4.0
-        base = np.sin(2.0 * math.pi * cls.x / cls.T) if cls.symmetry == "odd" else np.cos(
-            2.0 * math.pi * cls.x / cls.T
-        )
+        base = (np.sin if cls.odd else np.cos)(2.0 * math.pi * cls.x / cls.T)
         out.insert(0, (cls.project(np.tanh(g * base)), False))
     return [c for c, mirror in out[: max(cfg.multistarts, 1)] if not (mirror and well.even)]
 
@@ -374,11 +223,9 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
             best = sol
     if best is not None:
         return best
-    # all multistarts collapsed: report the trivial critical point
-    c0 = np.zeros(cls.N if cfg.symmetry == "odd" else cls.N + 1)
-    if cfg.symmetry == "even":
-        root = 0.0  # F'(0) = 0 under the double-well monotonicity condition
-        c0[0] = root
+    # all multistarts collapsed: report the trivial critical point u = 0
+    # (F'(0) = 0 under the double-well monotonicity condition)
+    c0 = np.zeros_like(cls.mult)
     return _package(cls, c0, cls.l2_norm(cls.residual(c0, well)), frac, well)
 
 
@@ -407,10 +254,7 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
     positive and finite.
     """
     _check_period(T_hi)
-    f2_0 = float(well.f2(0.0))
-    if f2_0 >= 0:
-        raise ValueError("find_min_period requires F''(0) < 0")
-    bound = 2.0 * math.pi * (-f2_0) ** (-1.0 / (2.0 * frac.s))
+    bound = linearization_bound(frac, well, "find_min_period")
     if T_hi <= bound:
         raise ValueError(f"T_hi must exceed the bifurcation bound {bound:g}")
     cfg = cfg or SolveConfig(N=32)

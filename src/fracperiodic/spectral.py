@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma, zeta
 
-from .errors import QuadratureNonConvergence
+from .errors import NoConvergence, QuadratureNonConvergence, SingularJacobian
 
 __all__ = [
     "FracOrder",
@@ -423,6 +423,138 @@ class DoubleWell:
         return True
 
 
+def unstable_curvature(well: DoubleWell, who=""):
+    """-F''(0) for a well whose constant state u = 0 is unstable; raises
+    ValueError("<who> requires F''(0) < 0") otherwise."""
+    f2_0 = float(well.f2(0.0))
+    if f2_0 >= 0:
+        raise ValueError(f"{who} requires F''(0) < 0".lstrip())
+    return -f2_0
+
+
+def linearization_bound(frac: FracOrder, well: DoubleWell, who=""):
+    """2 pi (-F''(0))^{-1/(2s)}: the period above which the first mode of the
+    linearization at u = 0 is unstable."""
+    return 2.0 * math.pi * unstable_curvature(well, who) ** (-1.0 / (2.0 * frac.s))
+
+
+# ---------------------------------------------------------------------------
+# symmetry classes: the discretized semilinear system
+
+FFT_MIN_N = 256   # below this the dense basis products beat an FFT call
+
+
+class _SymmetryClass:
+    """Fourier-Galerkin system of (-d_xx)^s u + k F'(u) = 0 on a symmetry
+    class of T-periodic trig polynomials of degree N.
+
+    A class is an index into the full layout [b_0..b_N, a_1..a_N]: odd
+    takes [a_1..a_N], even [b_0..b_N], full all of it.  Each coefficient
+    carries its multiplier (w m)^{2s} (0 on the mean) and its L^2 weight in
+    units of T/2 (2 on the mean, 1 on the trig modes).  The nonlinear term
+    is evaluated on a 4(N+1)-point grid, which integrates products up to
+    degree 4N exactly.
+
+    ``values`` (coefficients -> grid) and ``project`` (grid -> coefficients)
+    use one dense basis table below N = FFT_MIN_N and grid_synthesis /
+    grid_analysis from there on, where the table is never built; both give
+    the same numbers to round-off.  Products with a grid function enter
+    only through gram, at every N.
+    """
+
+    def __init__(self, symmetry, T, N, frac: FracOrder):
+        self.symmetry = symmetry
+        self.T = T
+        self.N = N
+        self.odd = symmetry == "odd"
+        w = 2.0 * math.pi / T
+        m = np.arange(1, N + 1)
+        lam = (w * m) ** (2.0 * frac.s)
+        part = {"odd": slice(N + 1, None), "even": slice(N + 1), "full": slice(None)}[symmetry]
+        self.idx = np.arange(2 * N + 1)[part]
+        self.mult = np.concatenate(([0.0], lam, lam))[self.idx]
+        self.weight = np.concatenate(([2.0], np.ones(2 * N)))[self.idx]
+        M = 4 * (N + 1)
+        self.x = np.arange(M) * (T / M)
+        self.M = M
+        self.fft = N >= FFT_MIN_N
+        if not self.fft:   # basis columns: cos(w j x) for index j <= N, sin(w (j - N) x) above
+            cos_m, sin_m = self.idx[self.idx <= N], self.idx[self.idx > N] - N
+            self.basis = np.hstack((np.cos(np.outer(self.x, cos_m) * w), np.sin(np.outer(self.x, sin_m) * w)))
+            self.proj_scale = np.concatenate(([1.0 / M], np.full(2 * N, 2.0 / M)))[self.idx]
+
+    def _layout(self, c):
+        """Class coefficients c in the full layout, as (b_0..b_N, a_1..a_N)."""
+        full = np.zeros(2 * self.N + 1)
+        full[self.idx] = c
+        return full[: self.N + 1], full[self.N + 1 :]
+
+    def values(self, c):
+        if self.fft:
+            return grid_synthesis(self.M, *self._layout(c))
+        return self.basis @ c
+
+    def project(self, samples):
+        """Grid samples of a trig polynomial -> class coefficient vector."""
+        if self.fft:
+            return np.concatenate(grid_analysis(samples, self.N))[self.idx]
+        return self.proj_scale * (self.basis.T @ samples)
+
+    def linear_part(self, c):
+        return self.mult * c
+
+    def nonlinear(self, c, well: DoubleWell):
+        """Class coefficients of F'(u_c)."""
+        return self.project(well.f1(self.values(c)))
+
+    def residual(self, c, well: DoubleWell, k=1.0):
+        return self.linear_part(c) + k * self.nonlinear(c, well)
+
+    def jacobian(self, c, well: DoubleWell, k=1.0):
+        J = gram(self.symmetry, self.N, k * well.f2(self.values(c)))
+        J.flat[:: J.shape[0] + 1] += self.mult   # the diagonal
+        return J
+
+    def l2_norm(self, c):
+        """L^2 norm of the function with class coefficients c."""
+        return math.sqrt(self.T / 2.0 * float(c @ (self.weight * c)))
+
+    def energy_full(self, c, well: DoubleWell):
+        pot = float(np.sum(well.f(self.values(c)))) * (self.T / self.M)
+        return 0.5 * (self.T / 2.0) * float(self.mult @ (c**2)) + pot
+
+    def to_function(self, c):
+        b, a = self._layout(c)
+        return PeriodicFunction(T=self.T, sin_coeffs=a, cos_coeffs=b, odd=self.odd)
+
+    def from_function(self, u: PeriodicFunction):
+        v = u.truncate(self.N)
+        return np.concatenate((v.cos_coeffs, v.sin_coeffs))[self.idx]
+
+
+def _newton(cls: _SymmetryClass, c, well, tol, max_iter, k=1.0):
+    """Newton iteration on the class residual with coupling k; returns
+    (c, residual_norm)."""
+    res = cls.residual(c, well, k)
+    rnorm = cls.l2_norm(res)
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            return c, rnorm
+        J = cls.jacobian(c, well, k)
+        try:
+            delta = np.linalg.solve(J, res)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(str(exc)) from exc
+        if not np.all(np.isfinite(delta)):
+            raise SingularJacobian("Newton step is not finite")
+        c = c - delta
+        res = cls.residual(c, well, k)
+        rnorm = cls.l2_norm(res)
+    if rnorm <= tol:
+        return c, rnorm
+    raise NoConvergence(f"Newton stalled at residual {rnorm:.3e} (tol {tol:.1e})")
+
+
 # ---------------------------------------------------------------------------
 # fractional Laplacian: multiplier route
 
@@ -466,9 +598,23 @@ def _gauss_legendre_01(n):
     return (t + 1.0) / 2.0, w / 2.0
 
 
+def _folded_rules(frac, T, n):
+    """The two n-point rules (r, w) on (0, T) whose sums over g(r_i) w_i add
+    up to int_0^T g(r) S(r) dr for a g vanishing like r^2 at 0: Gauss-Jacobi
+    with weight r^{1-2s} for the j = 0 image g(r) / r^{1+2s}, and
+    Gauss-Legendre for the smooth remainder with
+    S(r) - r^{-1-2s} = T^{-1-2s} zeta(1+2s, 1 + r/T)."""
+    s = frac.s
+    r1, w1 = _gauss_jacobi_01(n, 1.0 - 2.0 * s)
+    r1 = r1 * T
+    w1 = w1 * T ** (2.0 - 2.0 * s) / r1**2
+    r2, w2 = _gauss_legendre_01(n)
+    w2 = w2 * T ** (-2.0 * s) * zeta(1.0 + 2.0 * s, 1.0 + r2)
+    return (r1, w1), (r2 * T, w2)
+
+
 def _oracle_fixed(u, frac, x, n):
     """Fixed-order evaluation of the folded singular integral at points x."""
-    s, T = frac.s, u.T
     x = np.atleast_1d(np.asarray(x, dtype=float))
     # g(r) = 2u(x) - u(x+r) - u(x-r) = sum_m 4 sin^2(omega m r / 2) u_m(x), with
     # u_m the m-th mode: summed without the cancellation of the difference
@@ -479,21 +625,7 @@ def _oracle_fixed(u, frac, x, n):
     def g(r):
         return modes @ (4.0 * np.sin(np.multiply.outer(m, r) * (0.5 * u.omega)) ** 2)
 
-    # singular part: int_0^T [g(r)/r^2] r^{1-2s} dr
-    r1, w1 = _gauss_jacobi_01(n, 1.0 - 2.0 * s)
-    r1 = r1 * T
-    w1 = w1 * T ** (2.0 - 2.0 * s)
-    sing = g(r1) @ (w1 / r1**2)
-
-    # smooth remainder: int_0^T g(r) [S(r) - r^{-1-2s}] dr,
-    # S(r) - r^{-1-2s} = T^{-1-2s} zeta(1+2s, 1 + r/T)
-    r2, w2 = _gauss_legendre_01(n)
-    r2 = r2 * T
-    w2 = w2 * T
-    ker = T ** (-1.0 - 2.0 * s) * zeta(1.0 + 2.0 * s, 1.0 + r2 / T)
-    smooth = g(r2) @ (w2 * ker)
-
-    return frac.c_sing * (sing + smooth)
+    return frac.c_sing * sum(g(r) @ w for r, w in _folded_rules(frac, u.T, n))
 
 
 def singular_integral_oracle(u: PeriodicFunction, frac: FracOrder, x, quad_tol=1e-10):
@@ -528,29 +660,15 @@ def spectral_dirichlet(u: PeriodicFunction, frac: FracOrder):
 
 
 def _gagliardo_fixed(u, frac, n_r, n_x):
-    s, T = frac.s, u.T
+    T = u.T
     x = np.arange(n_x) * (T / n_x)
-    ux = u(x)
+    ux = u(x)[:, None]
 
-    def inner(r, w, kernel):
-        dp = (ux[:, None] - u(x[:, None] + r[None, :])) ** 2
-        dm = (ux[:, None] - u(x[:, None] - r[None, :])) ** 2
-        return ((dp + dm) * kernel[None, :]) @ w
+    def inner(r, w):
+        return ((ux - u(x[:, None] + r)) ** 2 + (ux - u(x[:, None] - r)) ** 2) @ w
 
-    # singular piece with Jacobi weight r^{1-2s} on (0,T)
-    r1, w1 = _gauss_jacobi_01(n_r, 1.0 - 2.0 * s)
-    r1 = r1 * T
-    w1 = w1 * T ** (2.0 - 2.0 * s)
-    part1 = inner(r1, w1, 1.0 / r1**2)
-
-    # smooth remainder with the Hurwitz-zeta image tail
-    r2, w2 = _gauss_legendre_01(n_r)
-    r2 = r2 * T
-    w2 = w2 * T
-    ker = T ** (-1.0 - 2.0 * s) * zeta(1.0 + 2.0 * s, 1.0 + r2 / T)
-    part2 = inner(r2, w2, ker)
-
-    return (frac.c_sing / 2.0) * float(np.sum(part1 + part2)) * (T / n_x)
+    total = sum(float(np.sum(inner(r, w))) for r, w in _folded_rules(frac, T, n_r))
+    return (frac.c_sing / 2.0) * total * (T / n_x)
 
 
 def gagliardo_energy(u: PeriodicFunction, frac: FracOrder, quad_tol=1e-9):

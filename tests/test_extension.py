@@ -316,7 +316,7 @@ def test_poisson_field_builds_no_jacobi_rule(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the Poisson route built a Jacobi rule")
 
-    monkeypatch.setattr(extension, "roots_jacobi", forbidden)
+    monkeypatch.setattr(extension, "_gauss_jacobi_01", forbidden)
     u = random_function(np.random.default_rng(9), N=5)
     field = extend_poisson(u, FracOrder(0.6))
     assert field.quadrature is None
@@ -501,13 +501,13 @@ def test_energy_builds_two_jacobi_rules(monkeypatch):
     rng = np.random.default_rng(3)
     field = extend_bessel(random_function(rng, N=12), FracOrder(0.4))
     calls = []
-    original = extension.roots_jacobi
+    original = extension._gauss_jacobi_01
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(extension, "roots_jacobi", counting)
+    monkeypatch.setattr(extension, "_gauss_jacobi_01", counting)
     extension_energy(field)
     assert len(calls) <= 2
 

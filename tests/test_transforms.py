@@ -1,7 +1,8 @@
 """The transform layer against dense sin/cos matrices built here: grid
-synthesis/analysis and the Toeplitz +- Hankel Gram matrices of the symmetry
-classes on both sides of the dense/FFT switch, the bifurcation Jacobian,
-and the uniform-grid evaluator of PeriodicFunction."""
+synthesis/analysis, the symmetry classes (transforms, residual, Jacobian,
+norm, energy) on both sides of the dense/FFT switch and their Toeplitz +-
+Hankel Gram matrices, the bifurcation residual and Jacobian, and the
+uniform-grid evaluator of PeriodicFunction."""
 
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from fracperiodic.bifurcation import _RescaledSystem
-from fracperiodic.semilinear import FFT_MIN_N, _SymmetryClass
+from fracperiodic.spectral import FFT_MIN_N, _SymmetryClass
 from fracperiodic.spectral import (
     DoubleWell,
     FracOrder,
@@ -42,21 +43,40 @@ def random_coeffs(rng, n):
     return rng.standard_normal(n) * 0.5 / (1.0 + np.arange(n))
 
 
+def dense_multipliers(symmetry, T, N, s):
+    lam = (2.0 * math.pi / T * np.arange(1, N + 1)) ** (2.0 * s)
+    return {"odd": lam, "even": np.concatenate(([0.0], lam)),
+            "full": np.concatenate(([0.0], lam, lam))}[symmetry]
+
+
 @pytest.mark.parametrize("N", [32, 300])
 @pytest.mark.parametrize("symmetry", ["odd", "even", "full"])
 def test_symmetry_class_matches_dense(symmetry, N):
-    cls = _SymmetryClass(symmetry, 7.3, N, FracOrder(0.4))
+    T = 7.3
+    cls = _SymmetryClass(symmetry, T, N, FracOrder(0.4))
     assert cls.fft == (N >= FFT_MIN_N)
     B, weight = dense_basis(symmetry, N, cls.M)
+    mult = dense_multipliers(symmetry, T, N, 0.4)
     rng = np.random.default_rng(N)
     c = random_coeffs(rng, B.shape[1])
     u = B @ c
     assert_rel(cls.values(c), u)
     assert_rel(cls.project(u), (weight / cls.M) * (B.T @ u))
+    assert_rel(cls.linear_part(c), mult * c)
     well = DoubleWell.quartic()
-    J = weight[:, None] * (B.T @ ((well.f2(u) / cls.M)[:, None] * B))
-    J += np.diag(cls.linear_part(np.ones(B.shape[1])))
-    assert_rel(cls.jacobian(c, well), J)
+    for k in (1.0, 1.7):
+        assert_rel(cls.residual(c, well, k), mult * c + k * (weight / cls.M) * (B.T @ well.f1(u)))
+        J = k * weight[:, None] * (B.T @ ((well.f2(u) / cls.M)[:, None] * B)) + np.diag(mult)
+        assert_rel(cls.jacobian(c, well, k), J)
+    # the grid integrates polynomials up to degree 4N exactly
+    norm = math.sqrt(T * np.mean(u**2))
+    assert abs(cls.l2_norm(c) - norm) <= RTOL * norm
+    energy = 0.5 * T * np.mean(u * (B @ (mult * c))) + T * np.mean(well.f(u))
+    assert abs(cls.energy_full(c, well) - energy) <= RTOL * abs(energy)
+    f = cls.to_function(c)
+    assert f.odd == (symmetry == "odd")
+    assert_rel(f(cls.x), u)
+    assert np.array_equal(cls.from_function(f), c)
 
 
 @pytest.mark.parametrize("N", [32, 300])
@@ -65,8 +85,12 @@ def test_rescaled_jacobian_matches_dense(N):
     S, _ = dense_basis("odd", N, sys.cls.M)
     a = random_coeffs(np.random.default_rng(7), N)
     lam = 1.7
-    f2 = sys.well.f2(S @ a) / sys.cls.M
-    J = np.diag(sys.cls.lam) + lam * sys.scale * 2.0 * (S.T @ (f2[:, None] * S))
+    lam_m = dense_multipliers("odd", 2.0 * math.pi, N, 0.5)
+    u = S @ a
+    f1 = sys.well.f1(u) / sys.cls.M
+    assert_rel(sys.residual(a, lam), lam_m * a + lam * sys.scale * 2.0 * (S.T @ f1))
+    f2 = sys.well.f2(u) / sys.cls.M
+    J = np.diag(lam_m) + lam * sys.scale * 2.0 * (S.T @ (f2[:, None] * S))
     assert_rel(sys.jac_u(a, lam), J)
 
 
