@@ -96,7 +96,8 @@ class _RescaledSystem:
         return self.scale * self.cls.nonlinear(a, self.well)
 
     def sigma_min(self, a, lam):
-        return float(np.linalg.svd(self.jac_u(a, lam), compute_uv=False)[-1])
+        """Smallest singular value of the symmetric G_u: its smallest |eigenvalue|."""
+        return float(np.min(np.abs(np.linalg.eigvalsh(self.jac_u(a, lam)))))
 
 
 def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max, N=None):

@@ -11,6 +11,12 @@ whose L^2 gradient is exactly the equation residual (-d_xx)^s u + F'(u)
 and whose Hessian is the residual Jacobian; the reported energy J uses the
 half-period convention of the energy functional in
 :mod:`fracperiodic.spectral`.
+
+From N = COARSE_MIN_N on, each start first descends in the same symmetry
+class at N // 4 (with the starts built there); the result is zero-padded
+to N, where descent and Newton finish, usually in one step each, because
+the coarse minimizer already agrees with the fine one to truncation error.
+Below COARSE_MIN_N every start descends at N only.
 """
 
 import math
@@ -40,6 +46,7 @@ __all__ = [
 
 NONCONSTANT_AMPLITUDE = 1e-6   # deviation-from-mean threshold for classification
 DESCENT_GRAD_TOL = 1e-4        # descent hands over to Newton below this
+COARSE_MIN_N = 128             # from this N on, each start first descends at N // 4
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ class SolveConfig:
     N: int = 64
     newton_tol: float = 1e-10
     max_newton: int = 60
-    max_descent: int = 4000        # cap on modified-Newton descent steps per start
+    max_descent: int = 4000        # cap on modified-Newton descent steps per start and stage
     multistarts: int = 6
 
     def __post_init__(self):
@@ -207,9 +214,12 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
     if cfg.symmetry == "even" and not well.even:
         raise ValueError("even-class minimization requires an even potential")
     cls = _SymmetryClass(cfg.symmetry, T, cfg.N, frac)
+    first = _SymmetryClass(cfg.symmetry, T, cfg.N // 4, frac) if cfg.N >= COARSE_MIN_N else cls
     best = None
-    for c0 in _starts(cls, cfg, well):
-        c = _descent(cls, c0.copy(), well, cfg.max_descent)
+    for c0 in _starts(first, cfg, well):
+        c = _descent(first, c0.copy(), well, cfg.max_descent)
+        if first is not cls:   # prolong by zero padding and finish at N
+            c = _descent(cls, cls.from_function(first.to_function(c)), well, cfg.max_descent)
         try:
             c, rnorm = _newton(cls, c, well, cfg.newton_tol, cfg.max_newton)
         except (NoConvergence, SingularJacobian):

@@ -124,6 +124,19 @@ def test_branch_rescaling_round_trip():
     assert np.max(np.abs(back.sin_coeffs - u.sin_coeffs)) < 1e-10
 
 
+@pytest.mark.parametrize("N", [24, 64])
+def test_sigma_min_matches_svd(N):
+    # G_u is symmetric, so its smallest |eigenvalue| is its smallest singular value
+    from fracperiodic.bifurcation import _RescaledSystem
+
+    sys = _RescaledSystem(FracOrder(0.5), well(), N)
+    rng = np.random.default_rng(N)
+    for lam in (0.5, 1.0, 1.7):
+        for a in (np.zeros(N), 0.3 * rng.standard_normal(N) / np.arange(1, N + 1) ** 2):
+            svd = np.linalg.svd(sys.jac_u(a, lam), compute_uv=False)[-1]
+            assert abs(sys.sigma_min(a, lam) - svd) <= 1e-12
+
+
 # -- criticality -------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracperiodic.extension import extend_bessel, extend_poisson
 from fracperiodic.spectral import (
+    DoubleWell,
     FracOrder,
     PeriodicFunction,
     frac_laplacian,
@@ -16,6 +17,7 @@ from fracperiodic.spectral import (
     multipliers,
     singular_integral_oracle,
     spectral_dirichlet,
+    _SymmetryClass,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -62,3 +64,22 @@ def test_oracle_matches_multiplier_near_one(u, s, x):
     amplitude = np.abs(u.sin_coeffs) + np.abs(u.cos_coeffs[1:])
     scale = max(1.0, float(multipliers(u, frac) @ amplitude))
     assert abs(singular_integral_oracle(u, frac, x) - frac_laplacian(u, frac)(x)) < 1e-9 * scale
+
+
+@PROPERTY
+@given(symmetry=st.sampled_from(["odd", "even"]), Nc=st.sampled_from([3, 8, 16, 64]),
+       T=st.floats(2.0 * math.pi, 40.0), s=orders, data=st.data())
+def test_prolongation_by_zero_padding_is_exact(symmetry, Nc, T, s, data):
+    # both grids integrate the degree-4 Nc quartic energy density, and the
+    # products of the cubic F' with the coarse modes, exactly
+    frac, well = FracOrder(s), DoubleWell.quartic()
+    coarse = _SymmetryClass(symmetry, T, Nc, frac)
+    fine = _SymmetryClass(symmetry, T, 4 * Nc, frac)
+    raw = data.draw(st.lists(coefficient, min_size=coarse.idx.size, max_size=coarse.idx.size))
+    m = np.where(coarse.idx > Nc, coarse.idx - Nc, np.maximum(coarse.idx, 1))   # mode numbers
+    c = np.array(raw) / m**2.0
+    p = fine.from_function(coarse.to_function(c))
+    e_coarse, e_fine = coarse.energy_full(c, well), fine.energy_full(p, well)
+    assert abs(e_fine - e_coarse) <= 1e-12 * abs(e_coarse)
+    r_coarse, r_fine = coarse.residual(c, well), fine.residual(p, well)
+    assert np.max(np.abs(r_fine[: r_coarse.size] - r_coarse)) <= 1e-12

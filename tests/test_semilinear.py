@@ -251,3 +251,53 @@ def test_shifted_cholesky_bisection_keeps_the_shift(monkeypatch):
     assert np.array_equal(fast.u.sin_coeffs, ref.u.sin_coeffs)
     assert fast.energy == ref.energy
     assert n_fast < len(calls)
+
+
+@pytest.mark.parametrize("symmetry", ["odd", "even"])
+@pytest.mark.parametrize("N,T", [(128, 40.0), (256, 100.0)])
+def test_coarse_stage_keeps_the_minimizer(monkeypatch, symmetry, N, T):
+    for s in (0.3, 0.5, 0.7):
+        frac, cfg = FracOrder(s), SolveConfig(symmetry=symmetry, N=N)
+        staged = minimize_energy(T, frac, well(), cfg)
+        with monkeypatch.context() as m:
+            m.setattr(semilinear, "COARSE_MIN_N", math.inf)
+            single = minimize_energy(T, frac, well(), cfg)
+        assert staged.classification == single.classification == "nonconstant"
+        assert abs(staged.energy - single.energy) <= 1e-9 * abs(single.energy)
+        assert abs(staged.amplitude - single.amplitude) <= 1e-9 * single.amplitude
+        assert staged.residual <= cfg.newton_tol
+
+
+@pytest.mark.parametrize("symmetry", ["odd", "even"])
+@pytest.mark.parametrize("N,T", [(32, 8.0), (64, 20.0)])
+def test_small_N_skips_the_coarse_stage(monkeypatch, symmetry, N, T):
+    frac, cfg = FracOrder(0.5), SolveConfig(symmetry=symmetry, N=N)
+    ref = minimize_energy(T, frac, well(), cfg)
+    monkeypatch.setattr(semilinear, "COARSE_MIN_N", math.inf)
+    single = minimize_energy(T, frac, well(), cfg)
+    assert np.array_equal(ref.u.sin_coeffs, single.u.sin_coeffs)
+    assert np.array_equal(ref.u.cos_coeffs, single.u.cos_coeffs)
+    assert (ref.energy, ref.amplitude, ref.residual) == (single.energy, single.amplitude, single.residual)
+
+
+def test_fine_level_factorizations_per_start(monkeypatch):
+    # after the N / 4 descent, each start needs about one descent step and
+    # one Newton step at N = 512: at most 2 factorizations or dense solves
+    T, N = 201.4, 512
+    frac, cfg = FracOrder(0.5), SolveConfig(N=N)
+    calls = []
+    cho_factor, solve = semilinear.cho_factor, np.linalg.solve
+
+    def counted(f):
+        def wrapped(A, *args, **kwargs):
+            if np.shape(A) == (N, N):
+                calls.append(f.__name__)
+            return f(A, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(semilinear, "cho_factor", counted(cho_factor))
+    monkeypatch.setattr(np.linalg, "solve", counted(solve))
+    sol = minimize_energy(T, frac, well(), cfg)
+    starts = semilinear._starts(semilinear._SymmetryClass("odd", T, N, frac), cfg, well())
+    assert sol.nonconstant and sol.residual <= cfg.newton_tol
+    assert 0 < len(calls) <= 2 * len(starts)
