@@ -75,31 +75,6 @@ class Branch:
         return c, r2
 
 
-class _RescaledSystem:
-    """G(lambda, a) on odd sine coefficients, period 2 pi: the odd-class
-    residual with coupling k = lambda / -F''(0)."""
-
-    def __init__(self, frac: FracOrder, well: DoubleWell, N=DEFAULT_N):
-        self.curvature = unstable_curvature(well, "bifurcation analysis")   # -F''(0)
-        self.scale = 1.0 / self.curvature
-        self.cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
-        self.well = well
-        self.N = N
-
-    def residual(self, a, lam):
-        return self.cls.residual(a, self.well, lam * self.scale)
-
-    def jac_u(self, a, lam):
-        return self.cls.jacobian(a, self.well, lam * self.scale)
-
-    def jac_lam(self, a):
-        return self.scale * self.cls.nonlinear(a, self.well)
-
-    def sigma_min(self, a, lam):
-        """Smallest singular value of the symmetric G_u: its smallest |eigenvalue|."""
-        return float(np.min(np.abs(np.linalg.eigvalsh(self.jac_u(a, lam)))))
-
-
 def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max, N=None):
     """Values of lambda where the linearization at the trivial branch is
     singular in the odd 2 pi class, ascending, at most m_max of them.
@@ -109,93 +84,87 @@ def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max, N=None):
     definite pencil diag(lambda_m) v = lambda (-B) v (-B is positive definite
     because F''(0) < 0)."""
     N = N or max(DEFAULT_N, m_max + 8)
-    sys = _RescaledSystem(frac, well, N)
-    cls = sys.cls
-    B = sys.scale * gram("odd", N, well.f2(cls.values(np.zeros(N))))
+    scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
+    cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
+    B = scale * gram("odd", N, well.f2(cls.values(np.zeros(N))))
     ev = eigh(np.diag(cls.mult), -B, eigvals_only=True)   # real, ascending
     return [float(v) for v in ev[ev > 0.0][:m_max]]
 
 
-def _corrector(sys, a, lam, tangent, target, tol=RESIDUAL_TOL, max_iter=30):
-    """Newton on [G; arclength constraint] for the bordered unknown (a, lambda)."""
-    for _ in range(max_iter):
-        res = sys.residual(a, lam)
-        con = float(tangent[:-1] @ (a - target[:-1]) + tangent[-1] * (lam - target[-1]))
-        if sys.cls.l2_norm(res) <= tol and abs(con) <= 1e-12:
-            return a, lam
-        J = np.zeros((sys.N + 1, sys.N + 1))
-        J[: sys.N, : sys.N] = sys.jac_u(a, lam)
-        J[: sys.N, -1] = sys.jac_lam(a)
-        J[-1, :] = tangent
-        rhs = np.concatenate([res, [con]])
-        try:
-            delta = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        a = a - delta[:-1]
-        lam = lam - delta[-1]
-    raise NoConvergence("bordered Newton did not converge")
+def _corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max_iter=30):
+    """Newton on the bordered system [G(a, lambda); tangent . (z - target)]
+    for z = (a, lambda), where G is the odd-class residual with coupling
+    lambda * scale.  Converged when |G| <= tol and the arclength row is
+    below 1e-12."""
+    def residual(z):
+        return np.append(cls.residual(z[:-1], well, z[-1] * scale), tangent @ (z - target))
+
+    def jacobian(z):   # [[G_u, G_lambda]; tangent]
+        J = np.empty((cls.N + 1, cls.N + 1))
+        J[:-1, :-1] = cls.jacobian(z[:-1], well, z[-1] * scale)
+        J[:-1, -1] = scale * cls.nonlinear(z[:-1], well)
+        J[-1] = tangent
+        return J
+
+    def norm(r):
+        return cls.l2_norm(r[:-1]) if abs(r[-1]) <= 1e-12 else math.inf
+
+    return _newton(residual, jacobian, z, tol, max_iter, norm)[0]
 
 
-def _first_point(sys, lam_b, eps=1e-3):
+def _first_point(cls, well, scale, lam_b, eps=1e-3):
     """Leave the trivial branch with predictor eps * sin(m x) and a pinned
-    amplitude; solves for (a, lambda) with <a, e_m> fixed."""
-    lin = np.abs(sys.cls.mult - lam_b)
-    m_idx = int(np.argmin(lin))
-    a = np.zeros(sys.N)
-    a[m_idx] = eps
-    tangent = np.zeros(sys.N + 1)
+    amplitude; solves for z = (a, lambda) with <a, e_m> fixed."""
+    m_idx = int(np.argmin(np.abs(cls.mult - lam_b)))
+    z = np.zeros(cls.N + 1)
+    z[m_idx], z[-1] = eps, lam_b + 1e-4
+    tangent = np.zeros(cls.N + 1)
     tangent[m_idx] = 1.0
-    target = np.concatenate([a, [lam_b + 1e-4]])
-    return _corrector(sys, a, lam_b + 1e-4, tangent, target)
+    return _corrector(cls, well, scale, z, tangent, z)
 
 
 def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_arc,
                     N=None, max_retries=10) -> Branch:
     """Pseudo-arclength continuation from the trivial branch through the
-    pitchfork nearest lambda_start, in the odd 2 pi class."""
+    pitchfork nearest lambda_start, in the odd 2 pi class.  Raises
+    ValueError unless ds_arc is positive and finite and steps >= 2."""
+    if not (ds_arc > 0 and math.isfinite(ds_arc)):
+        raise ValueError(f"ds_arc must be positive and finite, got {ds_arc!r}")
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2 (the tangent needs two points), got {steps!r}")
     N = N or DEFAULT_N
-    sys = _RescaledSystem(frac, well, N)
-    targets = sys.cls.mult  # m^{2s}
-    lam_b = float(targets[np.argmin(np.abs(targets - lambda_start))])
+    scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
+    cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
+    lam_b = float(cls.mult[np.argmin(np.abs(cls.mult - lambda_start))])   # nearest m^{2s}
 
-    def make_point(a, lam):
+    def make_point(z):
+        a, lam = z[:-1], float(z[-1])
         if a[np.argmax(np.abs(a))] < 0:
             a = -a  # odd-class sign normalization <u, sin m x> >= 0
-        u = sys.cls.to_function(a)
-        return a, BranchPoint(lam=lam, u=u, amplitude=u.amplitude(),
-                              residual=sys.cls.l2_norm(sys.residual(a, lam)),
-                              sigma_min=sys.sigma_min(a, lam))
+        u = cls.to_function(a)
+        G_u = cls.jacobian(a, well, lam * scale)   # symmetric: sigma_min is its smallest |eigenvalue|
+        return BranchPoint(lam=lam, u=u, amplitude=u.amplitude(),
+                           residual=cls.l2_norm(cls.residual(a, well, lam * scale)),
+                           sigma_min=float(np.min(np.abs(np.linalg.eigvalsh(G_u)))))
 
-    a, lam = _first_point(sys, lam_b)
-    a, pt = make_point(a, lam)
-    points = [pt]
-    z_prev = np.concatenate([a, [lam]])
-    # second point along growing amplitude to define the tangent
-    a2, lam2 = _first_point(sys, lam_b, eps=2e-3)
-    a2, pt2 = make_point(a2, lam2)
-    points.append(pt2)
-    z = np.concatenate([a2, [lam2]])
-    tangent = (z - z_prev) / np.linalg.norm(z - z_prev)
-
+    # the second point lies along growing amplitude and defines the first tangent
+    z_prev = _first_point(cls, well, scale, lam_b)
+    z = _first_point(cls, well, scale, lam_b, eps=2e-3)
+    points = [make_point(z_prev), make_point(z)]
     ds = ds_arc
     while len(points) < steps:
-        stepped = False
+        tangent = (z - z_prev) / np.linalg.norm(z - z_prev)
         for _ in range(max_retries):
             pred = z + ds * tangent
             try:
-                a_new, lam_new = _corrector(sys, pred[:-1].copy(), float(pred[-1]), tangent, pred)
+                z_new = _corrector(cls, well, scale, pred, tangent, pred)
+                break
             except (NoConvergence, SingularJacobian):
                 ds *= 0.5
-                continue
-            stepped = True
-            break
-        if not stepped:
+        else:
             raise StepFailure(f"continuation step failed below ds = {ds:.2e}")
-        z_new = np.concatenate([a_new, [lam_new]])
-        tangent = (z_new - z) / np.linalg.norm(z_new - z)
-        z = z_new
-        a_new, pt = make_point(a_new, lam_new)
+        z_prev, z = z, z_new
+        pt = make_point(z)
         if pt.amplitude < 1e-10:
             raise BranchLost("amplitude collapsed to the trivial branch")
         points.append(pt)
@@ -251,19 +220,23 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     from .semilinear import newton_refine
 
     N = N or DEFAULT_N
-    sys = _RescaledSystem(frac, well, N)
+    scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
+    cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
     if lambda_grid is None:
         lambda_grid = np.concatenate([[1.001, 1.003, 1.01, 1.03], np.arange(1.1, 4.01, 0.1)])
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
     bound = linearization_bound(frac, well)
 
-    a, lam = _first_point(sys, 1.0, eps=1e-2)
+    z = _first_point(cls, well, scale, 1.0, eps=1e-2)
+    a, lam = z[:-1], float(z[-1])
 
     def advance(a, lam, lam_new):
         # predictor follows the pitchfork scaling amp ~ sqrt(lambda - 1) so
         # Newton at fixed lambda does not fall back onto the trivial branch
         a_pred = a * math.sqrt(max(lam_new - 1.0, 0.0) / (lam - 1.0))
-        a_new, _ = _newton(sys.cls, a_pred, well, RESIDUAL_TOL, 30, lam_new * sys.scale)
+        k = lam_new * scale
+        a_new, _ = _newton(lambda a: cls.residual(a, well, k), lambda a: cls.jacobian(a, well, k),
+                           a_pred, RESIDUAL_TOL, 30, cls.l2_norm)
         if np.max(np.abs(a_new)) < 0.5 * np.max(np.abs(a_pred)):
             raise BranchLost("collapsed toward the trivial branch")
         return a_new
@@ -283,8 +256,8 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
                 if n_sub > 64:
                     raise
         a, lam = a_try, float(lam_target)
-        period = 2.0 * math.pi * (lam / sys.curvature) ** (1.0 / (2.0 * frac.s))
-        u_T = sys.cls.to_function(a).rescaled(period)
+        period = 2.0 * math.pi * (lam * scale) ** (1.0 / (2.0 * frac.s))
+        u_T = cls.to_function(a).rescaled(period)
         refined = newton_refine(u_T, period, frac, well, tol=1e-9)
         entries.append(
             T0Entry(lam=lam, period=period, amplitude=refined.amplitude,

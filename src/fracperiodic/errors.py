@@ -34,7 +34,7 @@ class ExtrapolationDivergence(FracPeriodicError):
 
 
 class TailNotConverged(FracPeriodicError):
-    """The y-integral tail beyond y_max exceeds the tolerance."""
+    """y_max cuts the y-integral before its exponential tail is negligible."""
 
 
 class NoConvergence(FracPeriodicError):

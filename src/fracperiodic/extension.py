@@ -419,15 +419,15 @@ def dirichlet_to_neumann(field: ExtensionField, n_out=None) -> PeriodicFunction:
 _ENERGY_NODES = 384
 
 
-def extension_energy(field: ExtensionField, y_max=None, tail_tol=1e-10):
+def extension_energy(field: ExtensionField, y_max=None):
     """int int y^a |grad U|^2 over one period x (0, infinity).
 
     Mode orthogonality in x reduces the integral to the universal profile
     integral int_0^{t_m} [t^a phi^2 + t^{-a} psi^2] dt (psi = t^a phi') per
     mode, t_m = min(omega_m y_max, 40); one pair of Jacobi rules on (0, 1)
     serves every mode.  Equals (1/d_s) <u, (-d_xx)^s u> up to
-    quadrature error.  Raises TailNotConverged when y_max cuts the
-    exponential tail too early.
+    quadrature error.  Raises TailNotConverged unless omega_1 * y_max >= 15,
+    where the exponential tail beyond y_max is negligible.
     """
     u, frac = field.base, field.frac
     y_max = y_max or field.y_max
@@ -435,9 +435,7 @@ def extension_energy(field: ExtensionField, y_max=None, tail_tol=1e-10):
         return 0.0
     om1 = u.omega
     if om1 * y_max < 15.0:
-        raise TailNotConverged(
-            f"omega_1 * y_max = {om1 * y_max:.2f} < 15: tail above tolerance {tail_tol:g}"
-        )
+        raise TailNotConverged(f"omega_1 * y_max = {om1 * y_max:.2f} < 15: y_max cuts the tail too early")
     power = u.sin_coeffs**2 + u.cos_coeffs[1:] ** 2
     om = u.omega * np.arange(1, u.N + 1)
     t_max = np.minimum(om * y_max, 40.0)

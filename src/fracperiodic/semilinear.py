@@ -65,6 +65,8 @@ class SolveConfig:
             raise ValueError("truncation N must be at least 8")
         if self.newton_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.multistarts < 1:
+            raise ValueError(f"multistarts must be at least 1, got {self.multistarts}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,7 @@ def _starts(cls: _SymmetryClass, cfg: SolveConfig, well: DoubleWell):
         g = cls.T / 4.0
         base = (np.sin if cls.odd else np.cos)(2.0 * math.pi * cls.x / cls.T)
         out.insert(0, (cls.project(np.tanh(g * base)), False))
-    return [c for c, mirror in out[: max(cfg.multistarts, 1)] if not (mirror and well.even)]
+    return [c for c, mirror in out[: cfg.multistarts] if not (mirror and well.even)]
 
 
 def _package(cls: _SymmetryClass, c, rnorm, frac, well):
@@ -221,7 +223,8 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
         if first is not cls:   # prolong by zero padding and finish at N
             c = _descent(cls, cls.from_function(first.to_function(c)), well, cfg.max_descent)
         try:
-            c, rnorm = _newton(cls, c, well, cfg.newton_tol, cfg.max_newton)
+            c, rnorm = _newton(lambda c: cls.residual(c, well), lambda c: cls.jacobian(c, well),
+                               c, cfg.newton_tol, cfg.max_newton, cls.l2_norm)
         except (NoConvergence, SingularJacobian):
             continue
         vals = cls.values(c)
@@ -250,7 +253,8 @@ def newton_refine(u0: PeriodicFunction, T, frac: FracOrder, well: DoubleWell, to
     symmetry = "odd" if u0.odd else "full"
     N = max(u0.N, 8)
     cls = _SymmetryClass(symmetry, T, N, frac)
-    c, rnorm = _newton(cls, cls.from_function(u0), well, tol, max_iter)
+    c, rnorm = _newton(lambda c: cls.residual(c, well), lambda c: cls.jacobian(c, well),
+                       cls.from_function(u0), tol, max_iter, cls.l2_norm)
     return _package(cls, c, rnorm, frac, well)
 
 
@@ -260,10 +264,12 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
 
     Brackets between "only trivial minimizers" and "nonconstant minimizer
     found"; the estimate never exceeds the linearization bound
-    2 pi (-F''(0))^{-1/(2s)} up to tol.  Raises ValueError unless T_hi is
-    positive and finite.
+    2 pi (-F''(0))^{-1/(2s)} up to tol.  Raises ValueError unless T_hi and
+    tol are positive and finite.
     """
     _check_period(T_hi)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     bound = linearization_bound(frac, well, "find_min_period")
     if T_hi <= bound:
         raise ValueError(f"T_hi must exceed the bifurcation bound {bound:g}")

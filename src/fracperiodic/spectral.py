@@ -532,26 +532,28 @@ class _SymmetryClass:
         return np.concatenate((v.cos_coeffs, v.sin_coeffs))[self.idx]
 
 
-def _newton(cls: _SymmetryClass, c, well, tol, max_iter, k=1.0):
-    """Newton iteration on the class residual with coupling k; returns
-    (c, residual_norm)."""
-    res = cls.residual(c, well, k)
-    rnorm = cls.l2_norm(res)
+def _newton(residual, jacobian, z, tol, max_iter, norm):
+    """Newton iteration z <- z - jacobian(z)^{-1} residual(z) until
+    norm(residual(z)) <= tol; returns (z, that norm).  The one Newton loop
+    of the package: the semilinear solves pass a class residual, and the
+    continuation corrector its bordered system."""
+    res = residual(z)
+    rnorm = norm(res)
     for _ in range(max_iter):
         if rnorm <= tol:
-            return c, rnorm
-        J = cls.jacobian(c, well, k)
+            return z, rnorm
+        J = jacobian(z)
         try:
             delta = np.linalg.solve(J, res)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton step is not finite")
-        c = c - delta
-        res = cls.residual(c, well, k)
-        rnorm = cls.l2_norm(res)
+        z = z - delta
+        res = residual(z)
+        rnorm = norm(res)
     if rnorm <= tol:
-        return c, rnorm
+        return z, rnorm
     raise NoConvergence(f"Newton stalled at residual {rnorm:.3e} (tol {tol:.1e})")
 
 

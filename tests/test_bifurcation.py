@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from fracperiodic.bifurcation import (
+    RESIDUAL_TOL,
+    _corrector,
+    _first_point,
     classify_criticality,
     continue_branch,
     detect_bifurcation_points,
     verify_T0_bound,
 )
-from fracperiodic.spectral import DoubleWell, FracOrder, frac_laplacian
+from fracperiodic.errors import NoConvergence
+from fracperiodic.spectral import DoubleWell, FracOrder, _SymmetryClass, frac_laplacian
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,13 +53,12 @@ def sign_scan_points(frac, well, m_max, N):
     reference for the pencil-eigenvalue detector."""
     from scipy.optimize import brentq
 
-    from fracperiodic.bifurcation import _RescaledSystem
-
-    sys = _RescaledSystem(frac, well, N)
+    cls = _SymmetryClass("odd", TWO_PI, N, frac)
+    curvature = -float(well.f2(0.0))
     zero = np.zeros(N)
 
     def det_sign_log(lam):
-        sign, logdet = np.linalg.slogdet(sys.jac_u(zero, lam))
+        sign, logdet = np.linalg.slogdet(cls.jacobian(zero, well, lam / curvature))
         return sign * math.exp(min(logdet / N, 50.0))
 
     targets = np.arange(1, m_max + 1) ** (2.0 * frac.s)
@@ -124,17 +127,43 @@ def test_branch_rescaling_round_trip():
     assert np.max(np.abs(back.sin_coeffs - u.sin_coeffs)) < 1e-10
 
 
+def test_continue_branch_rejects_bad_step():
+    frac = FracOrder(0.5)
+    for ds in (0.0, -0.05, math.nan, math.inf):
+        with pytest.raises(ValueError, match="ds_arc"):
+            continue_branch(frac, well(), lambda_start=1.0, steps=5, ds_arc=ds)
+    for steps in (1, 0):
+        with pytest.raises(ValueError, match="steps"):
+            continue_branch(frac, well(), lambda_start=1.0, steps=steps, ds_arc=0.05)
+
+
 @pytest.mark.parametrize("N", [24, 64])
 def test_sigma_min_matches_svd(N):
     # G_u is symmetric, so its smallest |eigenvalue| is its smallest singular value
-    from fracperiodic.bifurcation import _RescaledSystem
+    br = continue_branch(FracOrder(0.5), well(), lambda_start=1.0, steps=8, ds_arc=0.05, N=N)
+    cls = _SymmetryClass("odd", TWO_PI, N, FracOrder(0.5))
+    for p in br.points:   # -F''(0) = 1: the coupling is lambda
+        G_u = cls.jacobian(cls.from_function(p.u), well(), p.lam)
+        svd = np.linalg.svd(G_u, compute_uv=False)[-1]
+        assert abs(p.sigma_min - svd) <= 1e-12
 
-    sys = _RescaledSystem(FracOrder(0.5), well(), N)
-    rng = np.random.default_rng(N)
-    for lam in (0.5, 1.0, 1.7):
-        for a in (np.zeros(N), 0.3 * rng.standard_normal(N) / np.arange(1, N + 1) ** 2):
-            svd = np.linalg.svd(sys.jac_u(a, lam), compute_uv=False)[-1]
-            assert abs(sys.sigma_min(a, lam) - svd) <= 1e-12
+
+def test_corrector_lands_on_branch_and_arclength_row():
+    cls, N = _SymmetryClass("odd", TWO_PI, 24, FracOrder(0.5)), 24
+    z_prev = _first_point(cls, well(), 1.0, 1.0)
+    z = _first_point(cls, well(), 1.0, 1.0, eps=2e-3)
+    tangent = (z - z_prev) / np.linalg.norm(z - z_prev)
+    target = z + 0.05 * tangent
+    start = target + 1e-3 * np.random.default_rng(5).standard_normal(N + 1) / np.arange(1, N + 2)
+    got = _corrector(cls, well(), 1.0, start, tangent, target)
+    assert cls.l2_norm(cls.residual(got[:-1], well(), got[-1])) <= RESIDUAL_TOL
+    assert abs(tangent @ (got - target)) <= 1e-12
+    assert got[-1] > 1.0 and got[0] > 0.04   # past the pitchfork, amplitude grown
+    # z already solves G = 0, so only the arclength row can move it onto the target plane
+    moved = _corrector(cls, well(), 1.0, z, tangent, target)
+    assert abs(tangent @ (moved - target)) <= 1e-12
+    with pytest.raises(NoConvergence):
+        _corrector(cls, well(), 1.0, start, tangent, target, max_iter=1)
 
 
 # -- criticality -------------------------------------------------------------

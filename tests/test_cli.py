@@ -90,6 +90,19 @@ def test_bad_period_is_usage_error(tmp_path):
         assert not out.exists()
 
 
+def test_bad_tolerance_and_step_are_usage_errors(tmp_path):
+    # --tol 0 never ends the bisection, --tol nan skips it; --ds 0 divides 0/0
+    # in the tangent, and one step leaves no second point for it
+    argvs = [["min-period", "--s", "0.5", "--T-hi", "9", "--tol", tol]
+             for tol in ("0", "-1", "nan", "inf")]
+    argvs += [["continue", "--s", "0.5", "--ds", ds] for ds in ("0", "-0.05", "nan", "inf")]
+    argvs += [["continue", "--s", "0.5", "--steps", steps] for steps in ("1", "0")]
+    for argv in argvs:
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        assert not out.exists()
+
+
 def test_non_double_well_potential_rejected(tmp_path):
     out = tmp_path / "sol.json"
     assert run(["solve", "--s", "0.5", "--T", "8", "--potential", "poly:1,0,1",

@@ -34,6 +34,9 @@ def test_solve_config_validation():
         SolveConfig(symmetry="diagonal")
     with pytest.raises(ValueError):
         SolveConfig(N=4)
+    for multistarts in (0, -3):   # no silent clamp to one start
+        with pytest.raises(ValueError, match="multistarts"):
+            SolveConfig(multistarts=multistarts)
 
 
 def test_odd_solution_above_threshold():
@@ -165,6 +168,13 @@ def test_min_period_near_local_limit():
 def test_min_period_rejects_low_bracket():
     with pytest.raises(ValueError):
         find_min_period(FracOrder(0.5), well(), T_hi=3.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_min_period_rejects_bad_tol(tol):
+    # tol <= 0 never ends the bisection; nan or inf would skip it and return T_hi
+    with pytest.raises(ValueError, match="tol"):
+        find_min_period(FracOrder(0.5), well(), T_hi=9.0, tol=tol)
 
 
 def test_near_critical_solve_takes_few_iterations(monkeypatch):

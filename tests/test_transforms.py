@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from fracperiodic.bifurcation import _RescaledSystem
 from fracperiodic.spectral import FFT_MIN_N, _SymmetryClass
 from fracperiodic.spectral import (
     DoubleWell,
@@ -81,17 +80,19 @@ def test_symmetry_class_matches_dense(symmetry, N):
 
 @pytest.mark.parametrize("N", [32, 300])
 def test_rescaled_jacobian_matches_dense(N):
-    sys = _RescaledSystem(FracOrder(0.5), DoubleWell.quartic(2.0), N)
-    S, _ = dense_basis("odd", N, sys.cls.M)
+    # G(lambda, a) is the odd 2 pi class residual with coupling k = lambda / -F''(0)
+    well = DoubleWell.quartic(2.0)
+    cls = _SymmetryClass("odd", 2.0 * math.pi, N, FracOrder(0.5))
+    S, _ = dense_basis("odd", N, cls.M)
     a = random_coeffs(np.random.default_rng(7), N)
-    lam = 1.7
+    k = 1.7 / 2.0   # F''(0) = -2
     lam_m = dense_multipliers("odd", 2.0 * math.pi, N, 0.5)
     u = S @ a
-    f1 = sys.well.f1(u) / sys.cls.M
-    assert_rel(sys.residual(a, lam), lam_m * a + lam * sys.scale * 2.0 * (S.T @ f1))
-    f2 = sys.well.f2(u) / sys.cls.M
-    J = np.diag(lam_m) + lam * sys.scale * 2.0 * (S.T @ (f2[:, None] * S))
-    assert_rel(sys.jac_u(a, lam), J)
+    f1 = well.f1(u) / cls.M
+    assert_rel(cls.residual(a, well, k), lam_m * a + k * 2.0 * (S.T @ f1))
+    f2 = well.f2(u) / cls.M
+    J = np.diag(lam_m) + k * 2.0 * (S.T @ (f2[:, None] * S))
+    assert_rel(cls.jacobian(a, well, k), J)
 
 
 def random_function(T=5.0, N=40, seed=3):
