@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import BranchLost, NoConvergence, SingularJacobian, StepFailure
 from .spectral import (
@@ -79,16 +78,18 @@ def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max, N=None):
     """Values of lambda where the linearization at the trivial branch is
     singular in the odd 2 pi class, ascending, at most m_max of them.
 
-    G_u(lambda, 0) = diag(lambda_m) + lambda B with B = gram(F''(0)) / -F''(0),
-    so the singular lambda are the positive eigenvalues of the symmetric-
-    definite pencil diag(lambda_m) v = lambda (-B) v (-B is positive definite
-    because F''(0) < 0)."""
+    G_u(lambda, 0) = D + lambda B with D = diag(lambda_m) > 0 and
+    B = gram(F''(0)) / -F''(0), so the singular lambda are the eigenvalues of
+    the symmetric-definite pencil D v = lambda (-B) v (-B is positive definite
+    because F''(0) < 0): lambda = 1 / mu for the eigenvalues mu of the scaled
+    D^{-1/2} (-B) D^{-1/2}."""
     N = N or max(DEFAULT_N, m_max + 8)
     scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
     cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
     B = scale * gram("odd", N, well.f2(cls.values(np.zeros(N))))
-    ev = eigh(np.diag(cls.mult), -B, eigvals_only=True)   # real, ascending
-    return [float(v) for v in ev[ev > 0.0][:m_max]]
+    d = 1.0 / np.sqrt(cls.mult)
+    mu = np.linalg.eigvalsh(-B * np.outer(d, d))   # positive and ascending, so lambda = 1 / mu descends
+    return [float(1.0 / v) for v in mu[::-1][:m_max]]
 
 
 def _corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max_iter=30):
@@ -127,7 +128,10 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
                     N=None, max_retries=10) -> Branch:
     """Pseudo-arclength continuation from the trivial branch through the
     pitchfork nearest lambda_start, in the odd 2 pi class.  Raises
-    ValueError unless ds_arc is positive and finite and steps >= 2."""
+    ValueError unless lambda_start is finite, ds_arc is positive and finite
+    and steps >= 2."""
+    if not math.isfinite(lambda_start):
+        raise ValueError(f"lambda_start must be finite, got {lambda_start!r}")
     if not (ds_arc > 0 and math.isfinite(ds_arc)):
         raise ValueError(f"ds_arc must be positive and finite, got {ds_arc!r}")
     if steps < 2:
@@ -216,15 +220,19 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     """Continue past the first pitchfork and undo the rescaling
     x = (lambda / -F''(0))^{1/(2s)} xbar, realizing solutions of the
     original equation with period T(lambda) = 2 pi (lambda/-F''(0))^{1/(2s)};
-    each rescaled solution is re-verified against the period-T operator."""
+    each rescaled solution is re-verified against the period-T operator.
+    Raises ValueError unless every lambda in lambda_grid is finite and above
+    1, the first pitchfork."""
     from .semilinear import newton_refine
 
-    N = N or DEFAULT_N
-    scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
-    cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
     if lambda_grid is None:
         lambda_grid = np.concatenate([[1.001, 1.003, 1.01, 1.03], np.arange(1.1, 4.01, 0.1)])
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
+    if not np.all(np.isfinite(lambda_grid) & (lambda_grid > 1.0)):
+        raise ValueError(f"lambda_grid must hold finite values above 1, got {lambda_grid.tolist()}")
+    N = N or DEFAULT_N
+    scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
+    cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
     bound = linearization_bound(frac, well)
 
     z = _first_point(cls, well, scale, 1.0, eps=1e-2)

@@ -26,11 +26,14 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v)
-                              for v in row))
-    text = "\n".join(lines) + "\n"
+    """Header line, then one line per row.  Each column holds numbers,
+    printed as "%.17g" (the digits of _fmt), or other values, printed
+    through str; the first row tells which.  The whole table is formatted
+    by one % operation."""
+    rows = list(rows)
+    fmt = ",".join("%.17g" if isinstance(v, (int, float, np.floating)) else "%s"
+                   for v in (rows[0] if rows else ()))
+    text = ",".join(header) + "\n" + "".join([fmt + "\n"] * len(rows)) % tuple(v for r in rows for v in r)
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -316,8 +319,8 @@ def _cmd_modica(cfg):
     rep = diagnostics.modica_check(sol, frac, well, nx=cfg["nx"], ny=cfg["ny"], tol=cfg["tol"])
     print(f"C_hat={_fmt(rep.c_hat)} lower_bound={_fmt(rep.c_hat_lower)} "
           f"argmax=({_fmt(rep.argmax[0])},{_fmt(rep.argmax[1])})", file=sys.stderr)
-    rows = [(x, y, rep.v_hat[j, i]) for j, y in enumerate(rep.y) for i, x in enumerate(rep.x)]
-    _write_csv(cfg["out"], ["x", "y", "v_hat"], rows)
+    rows = np.column_stack((np.tile(rep.x, rep.y.size), np.repeat(rep.y, rep.x.size), rep.v_hat.ravel()))
+    _write_csv(cfg["out"], ["x", "y", "v_hat"], rows.tolist())
 
 
 def _cmd_energy_scan(cfg):

@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import IdentityViolation, InequalityViolation, QuadratureNonConvergence
 from .extension import ExtensionField, extend_bessel
 from .semilinear import SemilinearSolution, SolveConfig, minimize_energy
-from .spectral import DoubleWell, FracOrder, _gauss_jacobi_01, _gauss_legendre_01
+from .spectral import DoubleWell, FracOrder, _gauss_jacobi_01, _gauss_legendre_01, _hurwitz_zeta
 
 __all__ = [
     "HamiltonianReport",
@@ -331,7 +330,7 @@ def _tail_integral(rg, G, T, r0, s):
     # r = r0 + rho + jT, j >= 0: sum_j (.)^{-1-2s} = T^{-1-2s} zeta(1+2s, (r0+rho)/T)
     rho = rg
     Gs = np.interp(np.mod(r0 + rho, T), rg, G, period=T)
-    weight = T ** (-1.0 - 2.0 * s) * zeta(1.0 + 2.0 * s, (r0 + rho) / T)
+    weight = T ** (-1.0 - 2.0 * s) * _hurwitz_zeta(1.0 + 2.0 * s, (r0 + rho) / T)
     return float(np.trapezoid(Gs * weight, rho))
 
 

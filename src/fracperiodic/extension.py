@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gamma, kv, zeta
 
 from .errors import ExtrapolationDivergence, QuadratureNonConvergence, TailNotConverged
-from .spectral import FracOrder, PeriodicFunction, _gauss_jacobi_01, _gauss_legendre_01
+from .spectral import FracOrder, PeriodicFunction, _gauss_jacobi_01, _gauss_legendre_01, _hurwitz_zeta
 
 __all__ = [
     "BesselProfile",
@@ -37,9 +36,12 @@ __all__ = [
     "poisson_kernel_periodized",
 ]
 
-_SERIES_SWITCH = 2.0   # series below, scipy.special.kv above
+_SERIES_SWITCH = 2.0   # power series below, the Chebyshev interpolant of e^t sqrt(t) K_nu(t) above
 _SERIES_TERMS = 18     # below t = 2 the terms from j = 18 on are under 1e-28
-_OVERFLOW_ARG = 700.0  # K_s underflows; profile clamped to 0 beyond
+_VALUE_CUTOFF = 40.0   # phi_s(t) < 4e-17 beyond: the value is clamped to 0 there
+_OVERFLOW_ARG = 700.0  # e^{-t} underflows; the derivatives are clamped to 0 beyond
+_KV_DEGREE = 18        # interpolant degree: 6e-15 relative on t >= 2 for nu in (0, 1)
+_KV_PANELS = 64        # trapezoid panels of the integral that gives the interpolation data
 
 
 def _horner(c, x):
@@ -51,11 +53,36 @@ def _horner(c, x):
     return out
 
 
-def _scaled_kv(c, p, nu, t):
-    """c t^p K_nu(t), computed in place on t (callers pass a fresh copy), so
-    a large table costs one temporary instead of four."""
-    k = kv(nu, t)
-    t **= p
+def _kv_chebyshev(nu):
+    """Chebyshev coefficients of e^t sqrt(t) K_nu(t) in xi = 4/t - 1, which
+    maps t in [2, inf) onto (-1, 1] (Trefethen, ATAP ch. 3 and 19).
+
+    The data at the Chebyshev points come from e^t K_nu(t) =
+    int_0^U exp(-2 t sinh^2(u/2)) cosh(nu u) du, U = acosh(1 + 40/t): the
+    integrand is even in u and below e^{-40} at U, so the trapezoid rule
+    with _KV_PANELS panels is exact to round-off.
+    """
+    n = _KV_DEGREE + 1
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    t = 4.0 / (np.cos(theta) + 1.0)
+    u = np.multiply.outer(np.arccosh(1.0 + 40.0 / t), np.arange(_KV_PANELS + 1) / _KV_PANELS)
+    f = np.exp(-2.0 * t[:, None] * np.sinh(0.5 * u) ** 2) * np.cosh(nu * u)
+    vals = np.trapezoid(f, u, axis=1) * np.sqrt(t)
+    c = (2.0 / n) * (np.cos(np.outer(np.arange(n), theta)) @ vals)
+    c[0] *= 0.5
+    return c
+
+
+def _scaled_kv(c, p, cheb, t):
+    """c t^p K_nu(t) for t >= 2 from the Chebyshev coefficients ``cheb`` of
+    nu, by Clenshaw's recurrence; works in place on t (callers pass a fresh
+    copy)."""
+    xi = 4.0 / t - 1.0
+    b1, b2 = 0.0, 0.0
+    for ck in cheb[:0:-1]:
+        b1, b2 = 2.0 * xi * b1 - b2 + ck, b1
+    k = (xi * b1 - b2 + cheb[0]) * np.exp(-t)   # e^t sqrt(t) K_nu(t) times e^{-t}
+    t **= p - 0.5
     k *= t
     k *= c
     return k
@@ -65,33 +92,37 @@ class _Profile:
     """Universal mode profile phi_s(t) = mu t^s K_s(t) and derivatives.
 
     Small arguments sum the power series in t^{2j} and t^{2s+2j} by Horner
-    in t^2 (no cancellation); large arguments use one kv per point through
-    d/dt [t^s K_s(t)] = -t^s K_{1-s}(t).  Every method takes an array of any
-    shape, so one call serves a whole (y x mode) table.
+    in t^2 (no cancellation); large arguments use the K_nu interpolant of
+    _kv_chebyshev through d/dt [t^s K_s(t)] = -t^s K_{1-s}(t).  Every method
+    takes an array of any shape, so one call serves a whole (y x mode)
+    table.
     """
 
     def __init__(self, s):
         self.s = s
         j = np.arange(_SERIES_TERMS)
-        fact = np.cumprod(np.concatenate(([1.0], j[1:])))
-        self.alpha = gamma(1 - s) * 0.25**j / (fact * gamma(j + 1 - s))
-        self.beta = -gamma(1 - s) * 2.0 ** (-2 * s) * 0.25**j / (fact * gamma(j + 1 + s))
+        def series(nu):   # 0.25^j Gamma(1 + nu) / (j! Gamma(j + 1 + nu)), by the recurrence in j
+            return 0.25**j / np.cumprod(np.concatenate(([1.0], j[1:] * (j[1:] + nu))))
+        self.alpha = series(-s)
+        self.beta = -(math.gamma(1 - s) / math.gamma(1 + s)) * 2.0 ** (-2 * s) * series(s)
         self.dalpha = (2 * j * self.alpha)[1:]   # alpha-part of phi'(t) / t, in powers of t^2
         self.dbeta = (2 * s + 2 * j) * self.beta
-        self.mu = 2.0 ** (1 - s) * gamma(1 - s) * math.sin(s * math.pi) / math.pi
+        self.mu = 2.0 ** (1 - s) * math.gamma(1 - s) * math.sin(s * math.pi) / math.pi
+        self.cheb = _kv_chebyshev(s)              # K_s, for the value
+        self.cheb_dual = _kv_chebyshev(1.0 - s)   # K_{1-s}, for the derivatives
 
-    def _split(self, t):
+    def _split(self, t, top=_OVERFLOW_ARG):
         t = np.asarray(t, dtype=float)
         small = (t > 0) & (t < _SERIES_SWITCH)
-        big = (t >= _SERIES_SWITCH) & (t <= _OVERFLOW_ARG)
+        big = (t >= _SERIES_SWITCH) & (t <= top)
         return t, np.zeros_like(t), small, big
 
     def value(self, t):
-        t, out, small, big = self._split(t)
+        t, out, small, big = self._split(t, _VALUE_CUTOFF)
         ts = t[small]
         t2 = ts * ts
         out[small] = _horner(self.alpha, t2) + ts ** (2 * self.s) * _horner(self.beta, t2)
-        out[big] = _scaled_kv(self.mu, self.s, self.s, t[big])
+        out[big] = _scaled_kv(self.mu, self.s, self.cheb, t[big])
         out[t == 0] = 1.0
         return out
 
@@ -102,7 +133,7 @@ class _Profile:
         ts = t[small]
         t2 = ts * ts
         out[small] = ts * _horner(self.dalpha, t2) + ts ** (2 * s - 1) * _horner(self.dbeta, t2)
-        out[big] = _scaled_kv(-self.mu, s, 1 - s, t[big])
+        out[big] = _scaled_kv(-self.mu, s, self.cheb_dual, t[big])
         out[t == 0] = np.inf if s < 0.5 else (0.0 if s > 0.5 else -1.0)
         return out
 
@@ -113,7 +144,7 @@ class _Profile:
         ts = t[small]
         t2 = ts * ts
         out[small] = ts ** (2 - 2 * s) * _horner(self.dalpha, t2) + _horner(self.dbeta, t2)
-        out[big] = _scaled_kv(-self.mu, 1 - s, 1 - s, t[big])
+        out[big] = _scaled_kv(-self.mu, 1 - s, self.cheb_dual, t[big])
         out[t == 0] = self.dbeta[0]
         return out
 
@@ -201,7 +232,7 @@ def poisson_kernel_periodized(z, y, frac: FracOrder, T):
     for i in range(_MAX_BINOMIAL_TERMS):
         q = 2.0 * p + 2.0 * i
         term = coeff * ypow * T ** (-q) * (
-            zeta(q, jc + 1.0 + zr / T) + zeta(q, jc + 1.0 - zr / T)
+            _hurwitz_zeta(q, jc + 1.0 + zr / T) + _hurwitz_zeta(q, jc + 1.0 - zr / T)
         )
         tail += term
         if np.max(np.abs(term)) < 1e-18 * max(np.max(direct), 1e-300):

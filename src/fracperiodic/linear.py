@@ -8,9 +8,9 @@ inner product is the Euclidean dot product of coordinate vectors.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .errors import NegativePotential, NotCoercive, SolvabilityViolation
 from .spectral import FracOrder, PeriodicFunction, gram
@@ -50,13 +50,6 @@ def _galerkin_matrix(T, N, lam, k):
     diag[1::2] += lam
     diag[2::2] += lam
     return 0.5 * (A + A.T)
-
-
-def _lowest_eigh(A, count):
-    """Lowest min(count, dim A) eigenpairs of the symmetric A, nondecreasing."""
-    n = min(max(count, 0), A.shape[0])
-    evals, vecs = eigh(A, subset_by_index=[0, max(n, 1) - 1])
-    return evals[:n], vecs[:, :n]
 
 
 def coords_to_function(T, c, odd=None):
@@ -101,6 +94,12 @@ class GalerkinOperator:
         A.flags.writeable = False
         object.__setattr__(self, "matrix", A)
 
+    @cached_property
+    def _eigh(self):
+        """(w, V): the full eigendecomposition of the matrix, w ascending;
+        computed once and shared by eigenvalue_set and both solves."""
+        return np.linalg.eigh(self.matrix)
+
     @property
     def gamma(self):
         kmin = float(np.min(self.k.sample(8 * (self.N + 1))))
@@ -141,15 +140,16 @@ class FredholmSolve:
 
 
 def solve_coercive(op: GalerkinOperator, mu: float, g: PeriodicFunction) -> CoerciveSolve:
-    """Solve (L + mu) u = g; requires mu >= gamma so the shifted form is coercive."""
-    A = op.matrix + mu * np.eye(op.matrix.shape[0])
-    try:
-        factor = cho_factor(A)
-    except np.linalg.LinAlgError as exc:
-        raise NotCoercive(f"L + mu is not positive definite (mu={mu:g}): {exc}") from exc
+    """Solve (L + mu) u = g; requires mu >= gamma so the shifted form is coercive.
+
+    u = V ((V^T g) / (w + mu)) on the operator's eigendecomposition; raises
+    NotCoercive unless min w + mu > 0."""
+    w, V = op._eigh
+    if not w[0] + mu > 0.0:
+        raise NotCoercive(f"L + mu is not positive definite (mu={mu:g}): lowest eigenvalue {w[0] + mu:.3e}")
     gc = function_to_coords(g, op.N)
-    uc = cho_solve(factor, gc)
-    res = float(np.linalg.norm(A @ uc - gc))
+    uc = V @ ((V.T @ gc) / (w + mu))
+    res = float(np.linalg.norm(op.matrix @ uc + mu * uc - gc))
     gn = float(np.linalg.norm(gc))
     u = coords_to_function(op.T, uc)
     stability = float(np.linalg.norm(uc)) / gn if gn > 0 else 0.0
@@ -164,7 +164,7 @@ def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction, orth_tol=1e-9) -> 
     vector; the minimal-norm solution is returned together with the kernel
     basis, and SolvabilityViolation is raised otherwise.
     """
-    w, V = np.linalg.eigh(op.matrix)   # symmetric: the singular values are |w|
+    w, V = op._eigh   # symmetric: the singular values are |w|
     sv = np.abs(w)
     thresh = KERNEL_RTOL * (float(sv.max()) or 1.0)
     null_mask = sv < thresh
@@ -185,8 +185,8 @@ def eigenvalue_set(op: GalerkinOperator, count: int):
     """Lowest `count` eigenpairs of the symmetric Galerkin matrix, nondecreasing."""
     if count > op.matrix.shape[0]:
         raise ValueError("count exceeds the Galerkin dimension 2N+1")
-    evals, evecs = _lowest_eigh(op.matrix, count)
-    return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(evals, evecs.T)]
+    w, V = op._eigh
+    return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(w[: max(count, 0)], V.T)]
 
 
 def schrodinger_fractional_spectrum(V: PeriodicFunction, frac: FracOrder, count: int, N=None):
@@ -200,6 +200,6 @@ def schrodinger_fractional_spectrum(V: PeriodicFunction, frac: FracOrder, count:
     if np.any(V(grid) < 0.0):
         raise NegativePotential("potential must be nonnegative on the grid")
     A = _galerkin_matrix(V.T, N, (2.0 * math.pi / V.T * np.arange(1, N + 1)) ** 2, V)
-    evals, Q = _lowest_eigh(A, count)
-    evals = np.clip(evals, 0.0, None)  # round-off can push the zero mode negative
+    evals, Q = np.linalg.eigh(A)
+    evals = np.clip(evals[: max(count, 0)], 0.0, None)  # round-off can push the zero mode negative
     return [(float(lam**frac.s), coords_to_function(V.T, v)) for lam, v in zip(evals, Q.T)]

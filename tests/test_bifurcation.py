@@ -16,7 +16,7 @@ from fracperiodic.bifurcation import (
     verify_T0_bound,
 )
 from fracperiodic.errors import NoConvergence
-from fracperiodic.spectral import DoubleWell, FracOrder, _SymmetryClass, frac_laplacian
+from fracperiodic.spectral import DoubleWell, FracOrder, _SymmetryClass, frac_laplacian, gram
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,3 +220,33 @@ def test_t0_scaled_well_bound():
     rep = verify_T0_bound(FracOrder(0.5), DoubleWell.quartic(4.0), lambda_grid=[1.01, 1.5])
     assert abs(rep.bound - math.pi / 2.0) < 1e-12
     assert rep.min_period > rep.bound
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("potential", [
+    DoubleWell.quartic(),
+    DoubleWell.quartic(2.5),
+    DoubleWell.from_poly([0.25, 0.0, -0.5, 0.0, 0.25]),
+    DoubleWell.from_poly([0.3, 0.0, -0.9, 0.0, 0.45, 0.0, 0.15]),
+])
+def test_detection_matches_scipy_generalized_eigh(s, potential):
+    from scipy.linalg import eigh
+
+    N, frac = 24, FracOrder(s)
+    cls = _SymmetryClass("odd", TWO_PI, N, frac)
+    B = gram("odd", N, potential.f2(cls.values(np.zeros(N)))) / -float(potential.f2(0.0))
+    ref = eigh(np.diag(cls.mult), -B, eigvals_only=True)
+    got = detect_bifurcation_points(frac, potential, 10, N=N)
+    assert np.max(np.abs(np.array(got) / ref[:10] - 1.0)) <= 1e-12
+
+
+def test_continue_branch_rejects_non_finite_lambda_start():
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lambda_start"):
+            continue_branch(FracOrder(0.5), well(), lambda_start=lam, steps=5, ds_arc=0.05)
+
+
+@pytest.mark.parametrize("grid", [[0.5, 1.1], [1.0], [1.1, math.nan], [math.inf]])
+def test_t0_bound_rejects_grid_off_the_branch(grid):
+    with pytest.raises(ValueError, match="lambda_grid"):
+        verify_T0_bound(FracOrder(0.5), well(), lambda_grid=grid)

@@ -241,3 +241,39 @@ def test_apply_non_finite_input_is_usage_error(tmp_path):
     code = run(["apply", "--s", "0.5", "--input", str(inp), "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+def test_t0_bound_grid_off_the_branch_is_usage_error(tmp_path, capsys):
+    for grid in ("0.5,1.1", "nan", "1.0"):
+        out = tmp_path / "t0.csv"
+        assert run(["t0-bound", "--s", "0.5", "--lambda-grid", grid, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "lambda_grid" in capsys.readouterr().err
+
+
+def test_continue_non_finite_lambda_start_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "branch.csv"
+    assert run(["continue", "--s", "0.5", "--lambda-start", "nan", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "lambda_start" in capsys.readouterr().err
+
+
+def test_csv_bytes_pinned(tmp_path):
+    from fracperiodic.cli import _write_csv
+
+    values = [0, 7, -3, 0.1, 1.0 / 3.0, -0.0, 0.0, math.nan, math.inf, -math.inf,
+              5e-324, 1.7976931348623157e308, np.float64(2.5e-17), np.float32(0.1)]
+    rows = [(v, -v, f"r{i}") for i, v in enumerate(values)]
+    out = tmp_path / "t.csv"
+    _write_csv(str(out), ["a", "b", "name"], rows)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "a,b,name"
+    assert lines[1:7] == ["0,0,r0", "7,-7,r1", "-3,3,r2", "0.10000000000000001,-0.10000000000000001,r3",
+                          "0.33333333333333331,-0.33333333333333331,r4", "-0,0,r5"]
+    assert lines[8:11] == ["nan,nan,r7", "inf,-inf,r8", "-inf,inf,r9"]
+    # every cell as the per-value rule formats it
+    assert lines[1:] == [",".join(format(float(v), ".17g") if isinstance(v, (int, float, np.floating))
+                                  else str(v) for v in row) for row in rows]
+    table = np.array([[v, -v] for v in values[3:12]], dtype=float)
+    _write_csv(str(out), ["a", "b"], table.tolist())   # rows of plain floats: the same digits
+    assert out.read_text().splitlines()[1:] == [ln.rsplit(",", 1)[0] for ln in lines[4:13]]

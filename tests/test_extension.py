@@ -15,7 +15,9 @@ from fracperiodic.errors import (
 )
 from fracperiodic.extension import (
     BesselProfile,
+    _kv_chebyshev,
     _Profile,
+    _scaled_kv,
     dirichlet_to_neumann,
     extend_bessel,
     extend_poisson,
@@ -305,7 +307,7 @@ def test_poisson_route_uses_no_bessel_function(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the Poisson route evaluated a Bessel profile")
 
-    monkeypatch.setattr(extension, "kv", forbidden)
+    monkeypatch.setattr(extension, "_scaled_kv", forbidden)
     monkeypatch.setattr(extension, "_Profile", forbidden)
     got = extend_poisson(u, frac).value(xs, ys)
     assert got.shape == ref.shape
@@ -553,3 +555,21 @@ def test_energy_minimality():
             diff += w0 * y0**frac.a * float(np.sum(integrand)) * dx
         # E(U + phi) - E(U) = diff >= 0 up to quadrature error
         assert diff > -1e-6 * max(1.0, base)
+
+
+def test_kv_interpolant_matches_scipy():
+    # scipy's kv itself jumps by up to 1.6e-13 at t = 2 exactly, where it
+    # switches method, so the oracle comparison starts just above it
+    from scipy.special import kv
+
+    t = np.geomspace(2.0 + 1e-9, 40.0, 2000)
+    for nu in np.linspace(0.02, 0.98, 49):
+        got = _scaled_kv(1.0, 0.0, _kv_chebyshev(nu), t.copy())
+        assert np.max(np.abs(got / kv(nu, t) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_profile_value_clamped_beyond_forty(s):
+    phi = _Profile(s)
+    assert phi.value(40.0) < 4e-17
+    assert np.all(phi.value(np.array([40.0 + 1e-9, 100.0, 800.0])) == 0.0)

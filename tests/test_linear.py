@@ -307,3 +307,22 @@ def test_schrodinger_power_consistency():
     vh, vq = half[0][1](x), quarter[0][1](x)
     overlap = abs(float(vh @ vq)) / math.sqrt(float((vh @ vh) * (vq @ vq)))
     assert overlap > 1.0 - 1e-10
+
+
+def test_dense_kernels_match_scipy():
+    from scipy.linalg import cho_factor, cho_solve, eigh
+
+    rng = np.random.default_rng(11)
+    k = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=rng.uniform(-0.5, 0.5, 4),
+                                    cos_coeffs=rng.uniform(-0.5, 0.5, 5))
+    op = make_op(s=0.4, N=24, k=k)
+    ref = eigh(op.matrix, eigvals_only=True, subset_by_index=[0, 5])
+    got = np.array([lam for lam, _ in eigenvalue_set(op, 6)])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    g = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=rng.uniform(-1, 1, 6),
+                                    cos_coeffs=rng.uniform(-1, 1, 7))
+    mu = op.gamma
+    gc = function_to_coords(g, op.N)
+    want = cho_solve(cho_factor(op.matrix + mu * np.eye(op.matrix.shape[0])), gc)
+    uc = function_to_coords(solve_coercive(op, mu, g).u, op.N)
+    assert np.linalg.norm(uc - want) <= 1e-12 * np.linalg.norm(want)

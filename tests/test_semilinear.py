@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fracperiodic import semilinear
+from fracperiodic.errors import NoConvergence
 from fracperiodic.semilinear import (
     SolveConfig,
     find_min_period,
@@ -233,11 +234,11 @@ def test_shifted_cholesky_bisection_keeps_the_shift(monkeypatch):
     # search tau_0, tau_1, ... (Nocedal & Wright, Alg. 3.3), with fewer
     # factorizations
     calls = []
-    cho_factor = semilinear.cho_factor
+    cholesky = np.linalg.cholesky
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return cho_factor(*args, **kwargs)
+        return cholesky(*args, **kwargs)
 
     def plain(H):
         beta = 1e-3
@@ -247,11 +248,11 @@ def test_shifted_cholesky_bisection_keeps_the_shift(monkeypatch):
         while True:
             H[idx] = diag + tau
             try:
-                return semilinear.cho_factor(H, lower=True, check_finite=False)
+                return np.linalg.cholesky(H)
             except np.linalg.LinAlgError:
                 tau = max(2.0 * tau, beta)
 
-    monkeypatch.setattr(semilinear, "cho_factor", counted)
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
     frac, cfg = FracOrder(0.5), SolveConfig(N=512)
     fast = minimize_energy(201.4, frac, well(), cfg)
     n_fast = len(calls)
@@ -296,7 +297,7 @@ def test_fine_level_factorizations_per_start(monkeypatch):
     T, N = 201.4, 512
     frac, cfg = FracOrder(0.5), SolveConfig(N=N)
     calls = []
-    cho_factor, solve = semilinear.cho_factor, np.linalg.solve
+    cholesky, solve = np.linalg.cholesky, np.linalg.solve
 
     def counted(f):
         def wrapped(A, *args, **kwargs):
@@ -305,9 +306,72 @@ def test_fine_level_factorizations_per_start(monkeypatch):
             return f(A, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(semilinear, "cho_factor", counted(cho_factor))
+    monkeypatch.setattr(np.linalg, "cholesky", counted(cholesky))
     monkeypatch.setattr(np.linalg, "solve", counted(solve))
     sol = minimize_energy(T, frac, well(), cfg)
     starts = semilinear._starts(semilinear._SymmetryClass("odd", T, N, frac), cfg, well())
     assert sol.nonconstant and sol.residual <= cfg.newton_tol
     assert 0 < len(calls) <= 2 * len(starts)
+
+
+def test_numpy_cholesky_reads_only_the_lower_triangle():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((40, 40))
+    S = A @ A.T + 40.0 * np.eye(40)
+    H = np.tril(S) + np.triu(rng.standard_normal((40, 40)), 1)   # noise above the diagonal
+    assert np.array_equal(np.linalg.cholesky(H), np.linalg.cholesky(S))
+
+
+@pytest.mark.parametrize("n", [64, 300])   # one LU solve, blocked substitution
+def test_shifted_solve_uses_the_lower_triangle(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    H = A @ A.T - 0.5 * n * np.eye(n)   # indefinite: the search must shift it
+    H[0, 1:] *= 2.0                     # an upper triangle that must be ignored
+    sym = np.tril(H) + np.tril(H, -1).T
+    b = rng.standard_normal(n)
+    L = semilinear._shifted_cholesky(H)
+    x = semilinear._solve_shifted(H, L, b)
+    shifted = sym + (np.diag(H) - np.diag(sym)) * np.eye(n)   # H's diagonal holds the accepted shift
+    assert np.allclose(L @ L.T, shifted, rtol=0.0, atol=1e-10 * n)
+    assert np.linalg.norm(shifted @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_fine_stage_once_per_distinct_coarse_minimizer(monkeypatch):
+    T, frac, cfg = 201.4, FracOrder(0.5), SolveConfig(N=512)
+    calls = []
+    newton = semilinear._newton
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(semilinear, "_newton", counted)
+    deduped = minimize_energy(T, frac, well(), cfg)
+    n_deduped = len(calls)
+    calls.clear()
+    monkeypatch.setattr(semilinear, "DISTINCT_L2", 0.0)   # finish every start
+    every = minimize_energy(T, frac, well(), cfg)
+    assert n_deduped == 1 < len(calls)   # the starts all descend onto one coarse minimizer
+    assert deduped.classification == every.classification == "nonconstant"
+    assert abs(deduped.energy - every.energy) <= 1e-12 * abs(every.energy)
+    assert abs(deduped.amplitude - every.amplitude) <= 1e-12 * every.amplitude
+
+
+def test_failed_fine_stage_does_not_suppress_its_duplicates(monkeypatch):
+    T, frac, cfg = 201.4, FracOrder(0.5), SolveConfig(N=512)
+    ref = minimize_energy(T, frac, well(), cfg)
+    calls = []
+    newton = semilinear._newton
+
+    def first_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise NoConvergence("forced failure of the first fine stage")
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(semilinear, "_newton", first_fails)
+    sol = minimize_energy(T, frac, well(), cfg)
+    assert len(calls) == 2   # the next duplicate finishes in place of the failed one
+    assert sol.classification == "nonconstant"
+    assert abs(sol.energy - ref.energy) <= 1e-12 * abs(ref.energy)

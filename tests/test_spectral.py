@@ -10,6 +10,8 @@ from fracperiodic.spectral import (
     DoubleWell,
     FracOrder,
     PeriodicFunction,
+    _gauss_jacobi_01,
+    _hurwitz_zeta,
     energy_functional,
     frac_laplacian,
     gagliardo_energy,
@@ -253,3 +255,48 @@ def test_quartic_monotone_between_wells():
     right = np.linspace(0.01, 0.99, 100)
     assert np.all(np.diff(well.f(left)) >= 0.0)   # nondecreasing on (-1,0)
     assert np.all(np.diff(well.f(right)) <= 0.0)  # nonincreasing on (0,1)
+
+
+# -- numpy special functions against their scipy oracles --------------------
+
+
+def test_hurwitz_zeta_matches_scipy():
+    from scipy.special import zeta
+
+    # the package's arguments: p = 1 + 2s with q in [1/2, 2] (the folded image
+    # kernel, the competitor's tail) and p = 1 + 2s + 2i with q >= 8.5 (the
+    # binomial tails of the Poisson kernel)
+    q = np.linspace(0.5, 3.0, 201)
+    for p in np.linspace(1.02, 2.98, 50):
+        assert np.max(np.abs(_hurwitz_zeta(p, q) / zeta(p, q) - 1.0)) <= 1e-14
+    q = np.linspace(8.5, 60.0, 201)
+    for p in np.linspace(1.02, 121.0, 60):
+        assert np.max(np.abs(_hurwitz_zeta(p, q) / zeta(p, q) - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 48, 64, 96, 128, 192, 384])
+def test_gauss_jacobi_rule_against_scipy_and_moments(n):
+    from scipy.special import roots_jacobi
+
+    k = np.arange(min(40, 2 * n))
+    for beta in np.linspace(-0.95, 0.95, 39):
+        r, w = _gauss_jacobi_01(n, float(beta))
+        assert not (r.flags.writeable or w.flags.writeable)
+        t, ws = roots_jacobi(n, 0.0, beta)
+        assert np.max(np.abs(r - (t + 1.0) / 2.0)) <= 1e-14
+        # int_0^1 r^(beta + k) dr = 1 / (beta + k + 1), exact for k < 2n: scipy's
+        # own weights miss this by up to 1e-8 for beta < 0 at n = 384, so
+        # there they are no oracle for ours
+        moments = (r[:, None] ** k).T @ w * (beta + k + 1.0) - 1.0
+        assert np.max(np.abs(moments)) <= 3e-12
+        if beta >= 0.0:
+            mass = 1.0 / (beta + 1.0)
+            assert np.max(np.abs(w - ws * 0.5 ** (beta + 1.0))) <= 5e-14 * mass
+
+
+def test_quartic_derivatives_exactly_odd_and_even():
+    # mirrored multistarts rely on F'(-u) = -F'(u) and F''(-u) = F''(u) bit for bit
+    well = DoubleWell.quartic()
+    u = np.random.default_rng(3).uniform(-1.5, 1.5, 4096)
+    assert np.array_equal(well.f1(-u), -well.f1(u))
+    assert np.array_equal(well.f2(-u), well.f2(u))
