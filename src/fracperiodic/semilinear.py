@@ -50,7 +50,6 @@ NONCONSTANT_AMPLITUDE = 1e-6   # deviation-from-mean threshold for classificatio
 DESCENT_GRAD_TOL = 1e-4        # descent hands over to Newton below this
 COARSE_MIN_N = 128             # from this N on, each start first descends at N // 4
 DISTINCT_L2 = math.sqrt(DESCENT_GRAD_TOL)   # coarse endpoints closer than this share a fine stage
-SUBSTITUTION_MIN_N = 96        # from this size on, descent steps solve by substitution on L
 _SUBSTITUTION_BLOCK = 64
 
 
@@ -98,8 +97,7 @@ def _shifted_cholesky(H):
     about 2 log2 k factorizations instead of k + 1.
 
     Only the lower triangle of H is read, so H is taken as the symmetric
-    matrix with that lower triangle; its diagonal is left shifted by the
-    accepted tau.
+    matrix with that lower triangle; its diagonal is overwritten.
     """
     beta = 1e-3
     idx = np.diag_indices_from(H)
@@ -124,23 +122,17 @@ def _shifted_cholesky(H):
             lo = mid
         else:
             hi, chol = mid, trial
-    H[idx] = diag + taus[hi]
     return chol
 
 
-def _solve_shifted(H, L, b):
+def _solve_shifted(L, b):
     """Solve with the shifted H that _shifted_cholesky factored into L L^T.
 
-    Below SUBSTITUTION_MIN_N one LU solve of that symmetric matrix (the
-    lower triangle of H mirrored) is cheaper than the two triangular solves,
-    which numpy only offers as general ones.  From there on, blocked forward
-    and back substitution on L: a small dense solve per diagonal block, the
-    rest matrix-vector products (with one BLAS thread the two cross near
-    n = 88; at n = 512 substitution takes 0.43 ms, the LU solve 4.6 ms).
+    Blocked forward and back substitution on L (numpy has no triangular
+    solve): a small dense solve per diagonal block, the rest matrix-vector
+    products.  At n = 512 this is about ten times faster than one LU solve.
     """
     n = b.shape[0]
-    if n < SUBSTITUTION_MIN_N:
-        return np.linalg.solve(np.tril(H) + np.tril(H, -1).T, b)
     blocks = [(i, min(i + _SUBSTITUTION_BLOCK, n)) for i in range(0, n, _SUBSTITUTION_BLOCK)]
     x = b.copy()
     for i, j in blocks:   # L y = b
@@ -169,7 +161,7 @@ def _descent(cls: _SymmetryClass, c, well, max_iter):
         H = cls.jacobian(c, well)   # W differs from a multiple of I only on the mean
         H[0] *= sw[0]
         H[:, 0] /= sw[0]
-        p = -_solve_shifted(H, _shifted_cholesky(H), sw * grad) / sw
+        p = -_solve_shifted(_shifted_cholesky(H), sw * grad) / sw
         step = 1.0
         while step > 1e-8:
             trial = c + step * p

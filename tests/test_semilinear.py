@@ -322,7 +322,7 @@ def test_numpy_cholesky_reads_only_the_lower_triangle():
     assert np.array_equal(np.linalg.cholesky(H), np.linalg.cholesky(S))
 
 
-@pytest.mark.parametrize("n", [64, 300])   # one LU solve, blocked substitution
+@pytest.mark.parametrize("n", [64, 300])   # one block, several blocks
 def test_shifted_solve_uses_the_lower_triangle(n):
     rng = np.random.default_rng(n)
     A = rng.standard_normal((n, n))
@@ -331,9 +331,11 @@ def test_shifted_solve_uses_the_lower_triangle(n):
     sym = np.tril(H) + np.tril(H, -1).T
     b = rng.standard_normal(n)
     L = semilinear._shifted_cholesky(H)
-    x = semilinear._solve_shifted(H, L, b)
-    shifted = sym + (np.diag(H) - np.diag(sym)) * np.eye(n)   # H's diagonal holds the accepted shift
-    assert np.allclose(L @ L.T, shifted, rtol=0.0, atol=1e-10 * n)
+    x = semilinear._solve_shifted(L, b)
+    shifted = L @ L.T
+    tau = np.diag(shifted - sym)   # one accepted shift on the whole diagonal
+    assert tau.min() > 0.0 and np.ptp(tau) <= 1e-10 * n
+    assert np.allclose(shifted - np.diag(tau), sym, rtol=0.0, atol=1e-10 * n)
     assert np.linalg.norm(shifted @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 

@@ -289,9 +289,11 @@ def test_gauss_jacobi_rule_against_scipy_and_moments(n):
         # there they are no oracle for ours
         moments = (r[:, None] ** k).T @ w * (beta + k + 1.0) - 1.0
         assert np.max(np.abs(moments)) <= 3e-12
+        # from n = 128 on, scipy's weights at the nodes nearest r = 1 are off
+        # by up to 1.3e-14 for beta >= 0 (ours by 6e-17, against mpmath)
         if beta >= 0.0:
-            mass = 1.0 / (beta + 1.0)
-            assert np.max(np.abs(w - ws * 0.5 ** (beta + 1.0))) <= 5e-14 * mass
+            tol = 1e-14 if n <= 96 else 2.5e-14
+            assert np.max(np.abs(w - ws * 0.5 ** (beta + 1.0))) <= tol
 
 
 def test_quartic_derivatives_exactly_odd_and_even():
