@@ -5,9 +5,15 @@ flags override a flat ``key=value`` config file, function inputs travel as
 PeriodicFunction JSON, and tabular outputs are CSV with stable headers and
 floats printed to 17 significant digits.  Exit codes: 0 success, 1 domain
 error (solvability/identity violations and friends), 2 usage error.
+
+Each subcommand is declared once, in the table ``_COMMANDS``: name -> (body,
+options), an option being ``(name, type, default, help)`` with the default
+``REQUIRED`` for a required one.  Flags, config keys, the required check and
+``--dry-run`` all read this table; its parser is built once per process.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +31,15 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _emit(path, text):
+    """Write text to stdout when path is None or "-", else to the file."""
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _write_csv(path, header, rows):
     """Header line, then one line per row.  Each column holds numbers,
     printed as "%.17g" (the digits of _fmt), or other values, printed
@@ -34,11 +49,7 @@ def _write_csv(path, header, rows):
     fmt = ",".join("%.17g" if isinstance(v, (int, float, np.floating)) else "%s"
                    for v in (rows[0] if rows else ()))
     text = ",".join(header) + "\n" + "".join([fmt + "\n"] * len(rows)) % tuple(v for r in rows for v in r)
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(path, text)
 
 
 def _load_function(path):
@@ -47,11 +58,7 @@ def _load_function(path):
 
 
 def _save_function(u, path):
-    if path in (None, "-"):
-        sys.stdout.write(u.to_json() + "\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(u.to_json() + "\n")
+    _emit(path, u.to_json() + "\n")
 
 
 def _potential(spec_str):
@@ -77,145 +84,11 @@ def _float_list(text):
     return [float(t) for t in text.split(",") if t]
 
 
-# ---------------------------------------------------------------------------
-# option registry: one source of truth for flags, config keys and --dry-run
-
-_COMMON = [
-    ("config", str, None, "flat key=value config file; flags override it"),
-    ("out", str, None, "output path (default stdout)"),
-]
-
-_COMMANDS = {
-    "apply": [
-        ("s", float, None, "fractional order in (0,1)"),
-        ("input", str, None, "PeriodicFunction JSON path"),
-    ],
-    "eig": [
-        ("s", float, None, "fractional order"),
-        ("T", float, None, "period"),
-        ("count", int, 4, "number of lowest eigenvalues"),
-        ("N", int, 32, "Galerkin truncation"),
-        ("k", str, None, "coefficient k(x) JSON (default 0)"),
-    ],
-    "solve-linear": [
-        ("s", float, None, "fractional order"),
-        ("k", str, None, "coefficient k(x) JSON"),
-        ("g", str, None, "right-hand side JSON"),
-        ("N", int, 32, "Galerkin truncation"),
-        ("mu", float, None, "shift: solve (L + mu)u = g coercively; omit for Fredholm"),
-    ],
-    "solve": [
-        ("s", float, None, "fractional order"),
-        ("T", float, None, "period"),
-        ("potential", str, "quartic", "quartic | quartic:SCALE | poly:c0,c1,..."),
-        ("symmetry", str, "odd", "odd | even"),
-        ("N", int, 64, "truncation"),
-    ],
-    "min-period": [
-        ("s", float, None, "fractional order"),
-        ("potential", str, "quartic", "potential spec"),
-        ("T-hi", float, None, "upper bracket period"),
-        ("tol", float, 0.05, "bisection tolerance"),
-    ],
-    "continue": [
-        ("s", float, None, "fractional order"),
-        ("potential", str, "quartic", "potential spec"),
-        ("lambda-start", float, 1.0, "start near this bifurcation point"),
-        ("steps", int, 50, "branch points to trace"),
-        ("ds", float, 0.05, "arclength step"),
-        ("points-dir", str, None, "directory for per-point solution JSON"),
-    ],
-    "t0-bound": [
-        ("s", float, None, "fractional order"),
-        ("potential", str, "quartic", "potential spec"),
-        ("lambda-grid", str, None, "comma list of lambda values in (1, 4]"),
-    ],
-    "hamiltonian": [
-        ("s", float, None, "fractional order"),
-        ("T", float, None, "period"),
-        ("potential", str, "quartic", "potential spec"),
-        ("symmetry", str, "odd", "odd | even"),
-        ("n-samples", int, 64, "x sample count"),
-        ("tol", float, 1e-5, "max allowed deviation"),
-    ],
-    "modica": [
-        ("s", float, None, "fractional order"),
-        ("T", float, None, "period"),
-        ("potential", str, "quartic", "potential spec"),
-        ("nx", int, 64, "grid points in x"),
-        ("ny", int, 64, "grid points in y"),
-        ("tol", float, 1e-5, "inequality slack"),
-    ],
-    "energy-scan": [
-        ("s", float, None, "fractional order"),
-        ("potential", str, "quartic", "potential spec"),
-        ("T-list", str, "16,32,64,128", "comma list of periods"),
-    ],
-    "test-bound": [
-        ("s", float, None, "fractional order"),
-        ("T", float, None, "period"),
-        ("d", float, 1.0, "interface layer width"),
-        ("potential", str, "quartic", "potential spec"),
-    ],
-    "extend": [
-        ("s", float, None, "fractional order"),
-        ("input", str, None, "trace PeriodicFunction JSON"),
-        ("method", str, "bessel", "bessel | poisson"),
-        ("points", str, None, "semicolon list of x,y pairs (default small grid)"),
-    ],
-}
-
-_REQUIRED = {
-    "apply": {"s", "input"},
-    "eig": {"s", "T"},
-    "solve-linear": {"s", "k", "g"},
-    "solve": {"s", "T"},
-    "min-period": {"s", "T-hi"},
-    "continue": {"s"},
-    "t0-bound": {"s"},
-    "hamiltonian": {"s", "T"},
-    "modica": {"s", "T"},
-    "energy-scan": {"s"},
-    "test-bound": {"s", "T"},
-    "extend": {"s", "input"},
-}
-
-
 class UsageError(Exception):
     pass
 
 
-def _resolve(cmd, args):
-    """Merge flag values over config-file values over defaults.
-
-    Returns the canonical dict {key: value}; unknown config keys are
-    rejected and missing required keys are usage errors.
-    """
-    opts = _COMMANDS[cmd] + _COMMON
-    known = {name: (typ, default) for name, typ, default, _ in opts}
-    resolved = {name: default for name, (_, default) in known.items()}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        with open(cfg_path) as fh:
-            for ln, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{cfg_path}:{ln}: expected key=value, got {line!r}")
-                key, val = (t.strip() for t in line.split("=", 1))
-                if key not in known:
-                    raise UsageError(f"{cfg_path}:{ln}: unknown key {key!r}")
-                typ, _ = known[key]
-                resolved[key] = typ(val) if typ is not str else val
-    for name in known:
-        flag_val = getattr(args, name.replace("-", "_"), None)
-        if flag_val is not None:
-            resolved[name] = flag_val
-    missing = [k for k in _REQUIRED[cmd] if resolved.get(k) is None]
-    if missing:
-        raise UsageError(f"{cmd}: missing required option(s): " + ", ".join(sorted(missing)))
-    return resolved
+REQUIRED = object()   # the default of an option that has none: leaving it out is a usage error
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +215,8 @@ def _cmd_test_bound(cfg):
     frac = FracOrder(cfg["s"])
     well = _potential(cfg["potential"])
     rep = diagnostics.test_function_bound(frac, cfg["T"], cfg["d"], well)
-    rows = [(name, val, bnd) for name, val, bnd in rep.regions()]
-    rows.append(("gagliardo_total", rep.gagliardo_total, float("nan")))
-    rows.append(("f_integral", rep.f_integral, float("nan")))
-    rows.append(("total", rep.total, float("nan")))
-    rows.append(("j_bound", rep.j_bound, float("nan")))
+    totals = ("gagliardo_total", "f_integral", "total", "j_bound")
+    rows = list(rep.regions()) + [(name, getattr(rep, name), float("nan")) for name in totals]
     _write_csv(cfg["out"], ["region", "value", "bound"], rows)
 
 
@@ -366,29 +236,136 @@ def _cmd_extend(cfg):
     _write_csv(cfg["out"], ["x", "y", "U"], rows)
 
 
-_BODIES = {
-    "apply": _cmd_apply,
-    "eig": _cmd_eig,
-    "solve-linear": _cmd_solve_linear,
-    "solve": _cmd_solve,
-    "min-period": _cmd_min_period,
-    "continue": _cmd_continue,
-    "t0-bound": _cmd_t0_bound,
-    "hamiltonian": _cmd_hamiltonian,
-    "modica": _cmd_modica,
-    "energy-scan": _cmd_energy_scan,
-    "test-bound": _cmd_test_bound,
-    "extend": _cmd_extend,
+# ---------------------------------------------------------------------------
+# the subcommand table: one source of truth for bodies, flags, config keys,
+# required options and --dry-run
+
+_COMMON = [
+    ("config", str, None, "flat key=value config file; flags override it"),
+    ("out", str, None, "output path (default stdout)"),
+]
+
+_COMMANDS = {
+    "apply": (_cmd_apply, [
+        ("s", float, REQUIRED, "fractional order in (0,1)"),
+        ("input", str, REQUIRED, "PeriodicFunction JSON path"),
+    ]),
+    "eig": (_cmd_eig, [
+        ("s", float, REQUIRED, "fractional order"),
+        ("T", float, REQUIRED, "period"),
+        ("count", int, 4, "number of lowest eigenvalues"),
+        ("N", int, 32, "Galerkin truncation"),
+        ("k", str, None, "coefficient k(x) JSON (default 0)"),
+    ]),
+    "solve-linear": (_cmd_solve_linear, [
+        ("s", float, REQUIRED, "fractional order"),
+        ("k", str, REQUIRED, "coefficient k(x) JSON"),
+        ("g", str, REQUIRED, "right-hand side JSON"),
+        ("N", int, 32, "Galerkin truncation"),
+        ("mu", float, None, "shift: solve (L + mu)u = g coercively; omit for Fredholm"),
+    ]),
+    "solve": (_cmd_solve, [
+        ("s", float, REQUIRED, "fractional order"),
+        ("T", float, REQUIRED, "period"),
+        ("potential", str, "quartic", "quartic | quartic:SCALE | poly:c0,c1,..."),
+        ("symmetry", str, "odd", "odd | even"),
+        ("N", int, 64, "truncation"),
+    ]),
+    "min-period": (_cmd_min_period, [
+        ("s", float, REQUIRED, "fractional order"),
+        ("potential", str, "quartic", "potential spec"),
+        ("T-hi", float, REQUIRED, "upper bracket period"),
+        ("tol", float, 0.05, "bisection tolerance"),
+    ]),
+    "continue": (_cmd_continue, [
+        ("s", float, REQUIRED, "fractional order"),
+        ("potential", str, "quartic", "potential spec"),
+        ("lambda-start", float, 1.0, "start near this bifurcation point"),
+        ("steps", int, 50, "branch points to trace"),
+        ("ds", float, 0.05, "arclength step"),
+        ("points-dir", str, None, "directory for per-point solution JSON"),
+    ]),
+    "t0-bound": (_cmd_t0_bound, [
+        ("s", float, REQUIRED, "fractional order"),
+        ("potential", str, "quartic", "potential spec"),
+        ("lambda-grid", str, None, "comma list of lambda values in (1, 4]"),
+    ]),
+    "hamiltonian": (_cmd_hamiltonian, [
+        ("s", float, REQUIRED, "fractional order"),
+        ("T", float, REQUIRED, "period"),
+        ("potential", str, "quartic", "potential spec"),
+        ("symmetry", str, "odd", "odd | even"),
+        ("n-samples", int, 64, "x sample count"),
+        ("tol", float, 1e-5, "max allowed deviation"),
+    ]),
+    "modica": (_cmd_modica, [
+        ("s", float, REQUIRED, "fractional order"),
+        ("T", float, REQUIRED, "period"),
+        ("potential", str, "quartic", "potential spec"),
+        ("nx", int, 64, "grid points in x"),
+        ("ny", int, 64, "grid points in y"),
+        ("tol", float, 1e-5, "inequality slack"),
+    ]),
+    "energy-scan": (_cmd_energy_scan, [
+        ("s", float, REQUIRED, "fractional order"),
+        ("potential", str, "quartic", "potential spec"),
+        ("T-list", str, "16,32,64,128", "comma list of periods"),
+    ]),
+    "test-bound": (_cmd_test_bound, [
+        ("s", float, REQUIRED, "fractional order"),
+        ("T", float, REQUIRED, "period"),
+        ("d", float, 1.0, "interface layer width"),
+        ("potential", str, "quartic", "potential spec"),
+    ]),
+    "extend": (_cmd_extend, [
+        ("s", float, REQUIRED, "fractional order"),
+        ("input", str, REQUIRED, "trace PeriodicFunction JSON"),
+        ("method", str, "bessel", "bessel | poisson"),
+        ("points", str, None, "semicolon list of x,y pairs (default small grid)"),
+    ]),
 }
 
 
+def _resolve(cmd, args):
+    """Merge flag values over config-file values over defaults.
+
+    Returns the canonical dict {key: value}; unknown config keys are
+    rejected and options left at REQUIRED are usage errors.
+    """
+    known = {name: (typ, default) for name, typ, default, _ in _COMMANDS[cmd][1] + _COMMON}
+    resolved = {name: default for name, (_, default) in known.items()}
+    cfg_path = getattr(args, "config", None)
+    if cfg_path:
+        with open(cfg_path) as fh:
+            for ln, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise UsageError(f"{cfg_path}:{ln}: expected key=value, got {line!r}")
+                key, val = (t.strip() for t in line.split("=", 1))
+                if key not in known:
+                    raise UsageError(f"{cfg_path}:{ln}: unknown key {key!r}")
+                resolved[key] = known[key][0](val)
+    for name in known:
+        flag_val = getattr(args, name.replace("-", "_"), None)
+        if flag_val is not None:
+            resolved[name] = flag_val
+    missing = [k for k, v in resolved.items() if v is REQUIRED]
+    if missing:
+        raise UsageError(f"{cmd}: missing required option(s): " + ", ".join(sorted(missing)))
+    return resolved
+
+
+@functools.cache
 def _build_parser():
+    """The argparse tree of the constant _COMMANDS, shared by every run()."""
     parser = argparse.ArgumentParser(
         prog="fracperiodic",
         description="periodic fractional Laplacian toolbox",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, opts in _COMMANDS.items():
+    for cmd, (_body, opts) in _COMMANDS.items():
         p = sub.add_parser(cmd)
         for name, typ, _default, help_text in opts + _COMMON:
             p.add_argument("--" + name, dest=name.replace("-", "_"), type=typ,
@@ -399,29 +376,21 @@ def _build_parser():
 
 
 def run(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         cfg = _resolve(args.command, args)
-    except (UsageError, OSError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    if args.dry_run:
-        for key in sorted(cfg):
-            print(f"{key}={cfg[key]}")
-        return 0
-    try:
-        _BODIES[args.command](cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        if args.dry_run:
+            for key in sorted(cfg):
+                print(f"{key}={cfg[key]}")
+        else:
+            _COMMANDS[args.command][0](cfg)
     except FracPeriodicError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -38,6 +38,16 @@ def _trace(u):
     return u.u if isinstance(u, SemilinearSolution) else u
 
 
+def _check_certificate_args(tol, **counts):
+    """A NaN or negative tol, or a sample count below 1, would switch the
+    certificate off instead of running it; tol = inf only reports."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative (inf allowed), got {tol!r}")
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n!r}")
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian identity
 
@@ -81,6 +91,7 @@ def hamiltonian_check(u, frac: FracOrder, well: DoubleWell, n_samples=64,
     sample when the deviation exceeds tol (an under-resolved quadrature or
     a non-solution input both trip it).
     """
+    _check_certificate_args(tol, n_samples=n_samples)
     trace = _trace(u)
     field = extend_bessel(trace, frac, n_quad=n_quad)
     x = np.arange(n_samples) * (trace.T / n_samples)
@@ -167,6 +178,7 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, c_t=None, nx=64, ny=64,
     with C_hat = sup_x (-F(u(x)) - C_T) > 0; the grid maximum must sit on
     the y = 0 row.  Raises InequalityViolation at the first offending point.
     """
+    _check_certificate_args(tol, nx=nx, ny=ny)
     trace = _trace(u)
     if c_t is None:
         c_t = hamiltonian_check(u, frac, well, n_samples=nx, tol=np.inf).c_t
@@ -245,8 +257,11 @@ def energy_scan(frac: FracOrder, well: DoubleWell, T_list) -> EnergyScanReport:
     bounded J for s > 1/2; also records sigma = J/(F(0) T), which must drop
     below 1/2 for large periods.
     """
+    periods = sorted(T_list)
+    if len(set(periods)) < 2:
+        raise ValueError(f"T_list must hold at least two distinct periods to fit a slope, got {periods}")
     entries = []
-    for T in sorted(T_list):
+    for T in periods:
         cfg = SolveConfig(symmetry="odd", N=max(64, int(1.5 * T)))
         entries.append((T, minimize_energy(T, frac, well, cfg).energy))
     Ts = np.array([e[0] for e in entries])

@@ -185,8 +185,10 @@ def eigenvalue_set(op: GalerkinOperator, count: int):
     """Lowest `count` eigenpairs of the symmetric Galerkin matrix, nondecreasing."""
     if count > op.matrix.shape[0]:
         raise ValueError("count exceeds the Galerkin dimension 2N+1")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count!r}")
     w, V = op._eigh
-    return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(w[: max(count, 0)], V.T)]
+    return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(w[:count], V.T)]
 
 
 def schrodinger_fractional_spectrum(V: PeriodicFunction, frac: FracOrder, count: int, N=None):

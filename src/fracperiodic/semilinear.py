@@ -67,8 +67,8 @@ class SolveConfig:
             raise ValueError("symmetry must be 'odd' or 'even'")
         if self.N < 8:
             raise ValueError("truncation N must be at least 8")
-        if self.newton_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
         if self.multistarts < 1:
             raise ValueError(f"multistarts must be at least 1, got {self.multistarts}")
 

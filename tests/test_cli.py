@@ -7,8 +7,9 @@ import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from fracperiodic.cli import run
+from fracperiodic.cli import _COMMANDS, run
 from fracperiodic.spectral import PeriodicFunction
 
 TWO_PI = 2.0 * math.pi
@@ -71,6 +72,47 @@ def test_solve_linear_fredholm_violation(tmp_path, capsys):
 def test_missing_required_is_usage_error(capsys):
     assert run(["eig", "--s", "0.5"]) == 2
     assert "T" in capsys.readouterr().err
+
+
+REQUIRED = {
+    "apply": ("s", "input"),
+    "eig": ("s", "T"),
+    "solve-linear": ("s", "k", "g"),
+    "solve": ("s", "T"),
+    "min-period": ("s", "T-hi"),
+    "continue": ("s",),
+    "t0-bound": ("s",),
+    "hamiltonian": ("s", "T"),
+    "modica": ("s", "T"),
+    "energy-scan": ("s",),
+    "test-bound": ("s", "T"),
+    "extend": ("s", "input"),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(REQUIRED))
+def test_each_required_option_is_named_when_missing(cmd, capsys):
+    assert sorted(REQUIRED) == sorted(_COMMANDS)
+    given = {name: "1" for name in REQUIRED[cmd]}
+    argv = [cmd, "--dry-run"]
+    assert run(argv + [t for name, v in given.items() for t in ("--" + name, v)]) == 0  # no others
+    capsys.readouterr()
+    for left_out in REQUIRED[cmd]:
+        rest = [t for name, v in given.items() if name != left_out for t in ("--" + name, v)]
+        assert run(argv + rest) == 2
+        assert capsys.readouterr().err == f"usage error: {cmd}: missing required option(s): {left_out}\n"
+
+
+def test_repeated_runs_are_byte_identical(tmp_path, capsys):
+    # one parser serves every run() in the process: reusing it changes nothing
+    argvs = (["eig", "--s", "0.5", "--T", "8"], ["eig", "--s", "0.5", "--T", "8", "--dry-run"],
+             ["eig", "--s", "0.5"], ["eig", "--bogus", "1"], ["frobnicate"], ["--help"],
+             ["modica", "--help"], ["solve-linear", "--s", "0.5", "--k", str(tmp_path / "nope.json"),
+                                    "--g", str(tmp_path / "nope.json")])
+    for argv in argvs:
+        outputs = [(run(argv), *capsys.readouterr()) for _ in range(2)]
+        assert outputs[0] == outputs[1], argv
+        assert outputs[0][1] or outputs[0][2], argv
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -256,6 +298,33 @@ def test_continue_non_finite_lambda_start_is_usage_error(tmp_path, capsys):
     assert run(["continue", "--s", "0.5", "--lambda-start", "nan", "--out", str(out)]) == 2
     assert not out.exists()
     assert "lambda_start" in capsys.readouterr().err
+
+
+def test_certificate_settings_that_disable_them_are_usage_errors(tmp_path, capsys):
+    # --tol nan passed every deviation; --n-samples 0 and --nx 0 divided by zero
+    cases = [("hamiltonian", "--tol", "nan", "tol"), ("hamiltonian", "--tol", "-1", "tol"),
+             ("hamiltonian", "--n-samples", "0", "n_samples"), ("modica", "--tol", "nan", "tol"),
+             ("modica", "--nx", "0", "nx"), ("modica", "--ny", "0", "ny")]
+    for cmd, flag, value, name in cases:
+        out = tmp_path / "cert.csv"
+        assert run([cmd, "--s", "0.5", "--T", "8", flag, value, "--out", str(out)]) == 2, flag
+        assert not out.exists()
+        assert f"usage error: {name} must be" in capsys.readouterr().err
+
+
+def test_eig_negative_count_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "eig.csv"
+    assert run(["eig", "--s", "0.5", "--T", "8", "--count", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "count" in capsys.readouterr().err
+
+
+def test_energy_scan_needs_two_distinct_periods(tmp_path, capsys):
+    for periods in ("16", "16,16"):
+        out = tmp_path / "scan.csv"
+        assert run(["energy-scan", "--s", "0.25", "--T-list", periods, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "T_list" in capsys.readouterr().err
 
 
 def test_csv_bytes_pinned(tmp_path):

@@ -52,6 +52,20 @@ def test_hamiltonian_negative_control():
         hamiltonian_check(u, FracOrder(0.5), well())
 
 
+def test_certificates_reject_settings_that_disable_them():
+    # a NaN tol passed any deviation (7e-3 here), and a zero sample count
+    # divided by zero; tol = inf stays allowed, it only reads c_t
+    u = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.6], cos_coeffs=None)
+    frac = FracOrder(0.5)
+    for bad in ({"tol": math.nan}, {"tol": -1e-5}, {"n_samples": 0}, {"n_samples": -4}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            hamiltonian_check(u, frac, well(), **bad)
+    for bad in ({"tol": math.nan}, {"tol": -1.0}, {"nx": 0}, {"ny": 0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            modica_check(u, frac, well(), **bad)
+    assert hamiltonian_check(u, frac, well(), tol=math.inf).max_deviation > 1e-3
+
+
 def test_hamiltonian_rows_sum_to_zero_deviation():
     rep = hamiltonian_check(solved(), FracOrder(0.5), well())
     devs = [row[2] for row in rep.rows()]
@@ -185,6 +199,13 @@ def test_energy_scan_ignores_input_order():
     a = energy_scan(FracOrder(0.5), well(), [10.0, 14.0, 18.0])
     b = energy_scan(FracOrder(0.5), well(), [18.0, 10.0, 14.0])
     assert np.array_equal(a.table(), b.table())
+
+
+@pytest.mark.parametrize("T_list", [[16.0], [16.0, 16.0], []])
+def test_energy_scan_needs_two_distinct_periods(T_list):
+    # one period leaves no slope to fit (polyfit warned and returned noise)
+    with pytest.raises(ValueError, match="T_list"):
+        energy_scan(FracOrder(0.25), well(), T_list)
 
 
 # -- ramp-competitor bound --------------------------------------------------------

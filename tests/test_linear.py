@@ -219,6 +219,12 @@ def test_eigenvalue_set_free():
     assert np.allclose(vals, [0.0, 1.0, 1.0, 2.0], atol=1e-12)
 
 
+def test_eigenvalue_set_rejects_negative_count():
+    assert eigenvalue_set(make_op(), 0) == []
+    with pytest.raises(ValueError, match="count"):
+        eigenvalue_set(make_op(), -2)
+
+
 def test_eigenvalue_shift_by_constant():
     c = 0.7
     k = PeriodicFunction.constant(TWO_PI, c)

@@ -40,6 +40,14 @@ def test_solve_config_validation():
             SolveConfig(multistarts=multistarts)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_solve_config_rejects_bad_newton_tol(tol):
+    # a NaN tolerance was accepted and made minimize_energy call the
+    # nonconstant minimizer at T = 8 "trivial"
+    with pytest.raises(ValueError, match="newton_tol"):
+        SolveConfig(newton_tol=tol)
+
+
 def test_odd_solution_above_threshold():
     sol = minimize_energy(8.0, FracOrder(0.5), well(), SolveConfig(N=48))
     assert sol.nonconstant
