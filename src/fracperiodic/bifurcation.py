@@ -223,8 +223,6 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     each rescaled solution is re-verified against the period-T operator.
     Raises ValueError unless every lambda in lambda_grid is finite and above
     1, the first pitchfork."""
-    from .semilinear import newton_refine
-
     if lambda_grid is None:
         lambda_grid = np.concatenate([[1.001, 1.003, 1.01, 1.03], np.arange(1.1, 4.01, 0.1)])
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
@@ -265,10 +263,10 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
                     raise
         a, lam = a_try, float(lam_target)
         period = 2.0 * math.pi * (lam * scale) ** (1.0 / (2.0 * frac.s))
-        u_T = cls.to_function(a).rescaled(period)
-        refined = newton_refine(u_T, period, frac, well, tol=1e-9)
-        entries.append(
-            T0Entry(lam=lam, period=period, amplitude=refined.amplitude,
-                    residual_rescaled=refined.residual)
-        )
+        # the same coefficients on period T, refined by Newton on that class
+        T_cls = _SymmetryClass("odd", period, max(N, 8), frac)
+        c, rnorm = _newton(lambda c: T_cls.residual(c, well), lambda c: T_cls.jacobian(c, well),
+                           T_cls.from_function(cls.to_function(a)), 1e-9, 60, T_cls.l2_norm)
+        entries.append(T0Entry(lam=lam, period=period, amplitude=float(np.max(np.abs(T_cls.values(c)))),
+                               residual_rescaled=rnorm))
     return T0Report(bound=bound, entries=tuple(entries))

@@ -258,8 +258,8 @@ def energy_scan(frac: FracOrder, well: DoubleWell, T_list) -> EnergyScanReport:
     below 1/2 for large periods.
     """
     periods = sorted(T_list)
-    if len(set(periods)) < 2:
-        raise ValueError(f"T_list must hold at least two distinct periods to fit a slope, got {periods}")
+    if len(periods) < 2 or len(set(periods)) < len(periods):
+        raise ValueError(f"T_list must hold two or more periods, each once, to fit a slope, got {periods}")
     entries = []
     for T in periods:
         cfg = SolveConfig(symmetry="odd", N=max(64, int(1.5 * T)))

@@ -181,12 +181,16 @@ def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction, orth_tol=1e-9) -> 
     return FredholmSolve(solution=coords_to_function(op.T, uc), kernel=kernel)
 
 
-def eigenvalue_set(op: GalerkinOperator, count: int):
-    """Lowest `count` eigenpairs of the symmetric Galerkin matrix, nondecreasing."""
-    if count > op.matrix.shape[0]:
+def _check_count(count, dim):
+    if count > dim:
         raise ValueError("count exceeds the Galerkin dimension 2N+1")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count!r}")
+
+
+def eigenvalue_set(op: GalerkinOperator, count: int):
+    """Lowest `count` eigenpairs of the symmetric Galerkin matrix, nondecreasing."""
+    _check_count(count, op.matrix.shape[0])
     w, V = op._eigh
     return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(w[:count], V.T)]
 
@@ -195,13 +199,14 @@ def schrodinger_fractional_spectrum(V: PeriodicFunction, frac: FracOrder, count:
     """Eigenpairs of [-d_xx + V]^s: same eigenvectors as A = -d_xx + V,
     eigenvalues lambda_m^s, realized through the matrix power A^s = Q L^s Q^T.
     lambda -> lambda^s is nondecreasing, so the lowest eigenpairs of A give
-    the lowest of A^s in the same order.
+    the lowest of A^s in the same order.  Requires 0 <= count <= 2N+1.
     """
     N = N or max(V.N, 16)
+    _check_count(count, 2 * N + 1)
     grid = np.linspace(0.0, V.T, 8 * (N + 1), endpoint=False)
     if np.any(V(grid) < 0.0):
         raise NegativePotential("potential must be nonnegative on the grid")
     A = _galerkin_matrix(V.T, N, (2.0 * math.pi / V.T * np.arange(1, N + 1)) ** 2, V)
     evals, Q = np.linalg.eigh(A)
-    evals = np.clip(evals[: max(count, 0)], 0.0, None)  # round-off can push the zero mode negative
+    evals = np.clip(evals[:count], 0.0, None)  # round-off can push the zero mode negative
     return [(float(lam**frac.s), coords_to_function(V.T, v)) for lam, v in zip(evals, Q.T)]

@@ -1,6 +1,7 @@
 """Nonconstant periodic solutions of (-d_xx)^s u + F'(u) = 0 by symmetry-
 restricted energy minimization with Newton refinement, and the bisection
-estimate of the smallest period admitting nonconstant solutions.
+estimate of the smallest period admitting nonconstant solutions, whose
+predicate stops at the first nonconstant start.
 
 The descent phase takes modified-Newton steps with a backtracking line
 search on the full-period functional
@@ -204,18 +205,15 @@ def _starts(cls: _SymmetryClass, cfg: SolveConfig, well: DoubleWell):
     return [c for c, mirror in out[: cfg.multistarts] if not (mirror and well.even)]
 
 
+def _nonconstant(vals):   # the one nonconstant test, on grid values
+    return float(np.max(np.abs(vals - np.mean(vals)))) > NONCONSTANT_AMPLITUDE
+
+
 def _package(cls: _SymmetryClass, c, rnorm, frac, well):
-    u = cls.to_function(c)
-    vals = cls.values(c)
-    deviation = float(np.max(np.abs(vals - np.mean(vals))))
-    classification = "nonconstant" if deviation > NONCONSTANT_AMPLITUDE else "trivial"
-    return SemilinearSolution(
-        u=u,
-        residual=rnorm,
-        energy=energy_functional(u, frac, well),
-        amplitude=float(np.max(np.abs(vals))),
-        classification=classification,
-    )
+    u, vals = cls.to_function(c), cls.values(c)
+    return SemilinearSolution(u=u, residual=rnorm, energy=energy_functional(u, frac, well),
+                              amplitude=float(np.max(np.abs(vals))),
+                              classification="nonconstant" if _nonconstant(vals) else "trivial")
 
 
 def _check_period(T):
@@ -223,22 +221,16 @@ def _check_period(T):
         raise ValueError(f"period must be positive and finite, got {T!r}")
 
 
-def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = None) -> SemilinearSolution:
-    """Local energy minimizer in the requested symmetry class.
-
-    Runs multistart modified-Newton descent on the energy followed by Newton
-    on the residual; returns the lowest-energy nonconstant candidate, or the
-    trivial critical point with classification "trivial" when every start
-    collapses to a constant.  Raises ValueError unless T is positive and
-    finite.
-    """
+def _solve_class(T, frac, well, cfg):
     _check_period(T)
-    cfg = cfg or SolveConfig()
     if cfg.symmetry == "even" and not well.even:
         raise ValueError("even-class minimization requires an even potential")
-    cls = _SymmetryClass(cfg.symmetry, T, cfg.N, frac)
-    first = _SymmetryClass(cfg.symmetry, T, cfg.N // 4, frac) if cfg.N >= COARSE_MIN_N else cls
-    best = None
+    return _SymmetryClass(cfg.symmetry, T, cfg.N, frac)
+
+
+def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell, cfg: SolveConfig):
+    """Yield (c, residual norm) of each start that converges to a nonconstant u with |u| < 1."""
+    first = _SymmetryClass(cfg.symmetry, cls.T, cfg.N // 4, frac) if cfg.N >= COARSE_MIN_N else cls
     finished = []   # coarse endpoints whose fine stage succeeded
     for c0 in _starts(first, cfg, well):
         c = coarse = _descent(first, c0.copy(), well, cfg.max_descent)
@@ -255,9 +247,25 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
         if np.max(np.abs(vals)) >= 1.0:
             continue  # spurious: genuine solutions satisfy |u| < 1
         finished.append(coarse)
-        c = _normalize_sign(cls, c)
-        sol = _package(cls, c, rnorm, frac, well)
-        if sol.nonconstant and (best is None or sol.energy < best.energy):
+        if _nonconstant(vals):
+            yield c, rnorm
+
+
+def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = None) -> SemilinearSolution:
+    """Local energy minimizer in the requested symmetry class.
+
+    Runs multistart modified-Newton descent on the energy followed by Newton
+    on the residual; returns the lowest-energy nonconstant candidate, or the
+    trivial critical point with classification "trivial" when every start
+    collapses to a constant.  Raises ValueError unless T is positive and
+    finite.
+    """
+    cfg = cfg or SolveConfig()
+    cls = _solve_class(T, frac, well, cfg)
+    best = None
+    for c, rnorm in _nonconstant_starts(cls, frac, well, cfg):
+        sol = _package(cls, _normalize_sign(cls, c), rnorm, frac, well)
+        if best is None or sol.energy < best.energy:
             best = sol
     if best is not None:
         return best
@@ -289,8 +297,9 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
 
     Brackets between "only trivial minimizers" and "nonconstant minimizer
     found"; the estimate never exceeds the linearization bound
-    2 pi (-F''(0))^{-1/(2s)} up to tol.  Raises ValueError unless T_hi and
-    tol are positive and finite.
+    2 pi (-F''(0))^{-1/(2s)} up to tol.  The predicate is
+    minimize_energy(T, ...).nonconstant, stopped at the first nonconstant
+    start.  Raises ValueError unless T_hi and tol are positive and finite.
     """
     _check_period(T_hi)
     if not (tol > 0 and math.isfinite(tol)):
@@ -301,7 +310,8 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
     cfg = cfg or SolveConfig(N=32)
 
     def nonconstant_at(T):
-        return minimize_energy(T, frac, well, cfg).nonconstant
+        starts = _nonconstant_starts(_solve_class(T, frac, well, cfg), frac, well, cfg)
+        return next(starts, None) is not None
 
     lo, hi = bound / 4.0, T_hi
     if nonconstant_at(lo):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracperiodic import bifurcation, semilinear
 from fracperiodic.bifurcation import (
     RESIDUAL_TOL,
     _corrector,
@@ -16,6 +17,7 @@ from fracperiodic.bifurcation import (
     verify_T0_bound,
 )
 from fracperiodic.errors import NoConvergence
+from fracperiodic.semilinear import newton_refine
 from fracperiodic.spectral import DoubleWell, FracOrder, _SymmetryClass, frac_laplacian, gram
 
 TWO_PI = 2.0 * math.pi
@@ -250,3 +252,35 @@ def test_continue_branch_rejects_non_finite_lambda_start():
 def test_t0_bound_rejects_grid_off_the_branch(grid):
     with pytest.raises(ValueError, match="lambda_grid"):
         verify_T0_bound(FracOrder(0.5), well(), lambda_grid=grid)
+
+
+@pytest.mark.parametrize("N", [None, 6, 16])   # N = 6 is padded to 8 on period T
+def test_t0_entries_match_newton_refine(monkeypatch, N):
+    # each entry is newton_refine(u, T, tol=1e-9) of the rescaled continuation
+    # solution u, bit for bit; the spy records the starts of those solves
+    starts = []
+    newton = bifurcation._newton
+
+    def spy(residual, jacobian, z, tol, max_iter, norm):
+        if tol == 1e-9:
+            starts.append(z.copy())
+        return newton(residual, jacobian, z, tol, max_iter, norm)
+
+    monkeypatch.setattr(bifurcation, "_newton", spy)
+    frac = FracOrder(0.5)
+    rep = verify_T0_bound(frac, well(), N=N)
+    n = N or bifurcation.DEFAULT_N
+    assert len(starts) == len(rep.entries)
+    for e, z in zip(rep.entries, starts):
+        assert z.size == max(n, 8) and not np.any(z[n:])
+        u = _SymmetryClass("odd", TWO_PI, n, frac).to_function(z[:n]).rescaled(e.period)
+        ref = newton_refine(u, e.period, frac, well(), tol=1e-9)
+        assert (e.amplitude, e.residual_rescaled) == (ref.amplitude, ref.residual)
+
+
+def test_t0_bound_does_not_call_newton_refine(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_T0_bound called newton_refine")
+
+    monkeypatch.setattr(semilinear, "newton_refine", forbidden)
+    assert verify_T0_bound(FracOrder(0.5), well(), lambda_grid=[1.5]).max_residual <= 1e-9

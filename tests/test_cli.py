@@ -320,7 +320,7 @@ def test_eig_negative_count_is_usage_error(tmp_path, capsys):
 
 
 def test_energy_scan_needs_two_distinct_periods(tmp_path, capsys):
-    for periods in ("16", "16,16"):
+    for periods in ("16", "16,16", "16,16,32"):
         out = tmp_path / "scan.csv"
         assert run(["energy-scan", "--s", "0.25", "--T-list", periods, "--out", str(out)]) == 2
         assert not out.exists()

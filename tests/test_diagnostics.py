@@ -201,9 +201,10 @@ def test_energy_scan_ignores_input_order():
     assert np.array_equal(a.table(), b.table())
 
 
-@pytest.mark.parametrize("T_list", [[16.0], [16.0, 16.0], []])
+@pytest.mark.parametrize("T_list", [[16.0], [16.0, 16.0], [], [16.0, 16.0, 32.0]])
 def test_energy_scan_needs_two_distinct_periods(T_list):
-    # one period leaves no slope to fit (polyfit warned and returned noise)
+    # one period leaves no slope to fit (polyfit warned and returned noise);
+    # a repeated one leaves none for the running slope of its second row
     with pytest.raises(ValueError, match="T_list"):
         energy_scan(FracOrder(0.25), well(), T_list)
 

@@ -299,6 +299,20 @@ def test_schrodinger_negative_potential_rejected():
         schrodinger_fractional_spectrum(V, FracOrder(0.5), 2)
 
 
+@pytest.mark.parametrize("count", [-2, 34, 40])
+def test_schrodinger_rejects_count_off_the_basis(count):
+    # count was clamped at 0 from below and cut at 2N + 1 = 33 from above
+    V = PeriodicFunction.constant(TWO_PI, 1.0)
+    with pytest.raises(ValueError, match="count"):
+        schrodinger_fractional_spectrum(V, FracOrder(0.5), count, N=16)
+
+
+def test_schrodinger_count_bounds_included():
+    V = PeriodicFunction.constant(TWO_PI, 1.0)
+    assert schrodinger_fractional_spectrum(V, FracOrder(0.5), 0, N=16) == []
+    assert len(schrodinger_fractional_spectrum(V, FracOrder(0.5), 33, N=16)) == 33
+
+
 def test_schrodinger_power_consistency():
     # the same A underlies every power: (lambda^{1/2})^2 = (lambda^{1/4})^4,
     # and the eigenvectors agree up to sign

@@ -20,6 +20,7 @@ from fracperiodic.spectral import (
     FracOrder,
     PeriodicFunction,
     frac_laplacian,
+    linearization_bound,
     singular_integral_oracle,
 )
 
@@ -385,3 +386,70 @@ def test_failed_fine_stage_does_not_suppress_its_duplicates(monkeypatch):
     assert len(calls) == 2   # the next duplicate finishes in place of the failed one
     assert sol.classification == "nonconstant"
     assert abs(sol.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+
+
+# -- the period bisection's predicate ----------------------------------------------
+
+
+def bisect_with_minimize_energy(frac, potential, T_hi, tol, cfg):
+    """find_min_period's bracket, with minimize_energy(T, ...).nonconstant as
+    the predicate at every period."""
+    lo, hi = linearization_bound(frac, potential) / 4.0, T_hi
+    assert not minimize_energy(lo, frac, potential, cfg).nonconstant
+    assert minimize_energy(hi, frac, potential, cfg).nonconstant
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if minimize_energy(mid, frac, potential, cfg).nonconstant:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("s,scale,symmetry,N", [
+    (0.3, 1.0, "odd", 128), (0.3, 4.0, "even", 32), (0.5, 1.0, "even", 128),
+    (0.5, 4.0, "odd", 32), (0.7, 1.0, "odd", 32), (0.7, 4.0, "even", 128),
+])
+def test_min_period_predicate_is_minimize_energy(s, scale, symmetry, N):
+    # stopping at the first nonconstant start answers the same question
+    # (N = 128 runs the coarse stage)
+    frac, potential = FracOrder(s), DoubleWell.quartic(scale)
+    T_hi, cfg = 1.3 * linearization_bound(frac, potential), SolveConfig(symmetry=symmetry, N=N)
+    est = find_min_period(frac, potential, T_hi, tol=0.05, cfg=cfg)
+    assert est == bisect_with_minimize_energy(frac, potential, T_hi, 0.05, cfg)
+
+
+def test_min_period_packages_no_solution(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("find_min_period computed an energy")
+
+    monkeypatch.setattr(semilinear, "energy_functional", forbidden)
+    assert find_min_period(FracOrder(0.5), well(), T_hi=8.0) <= TWO_PI + 0.05
+
+
+def test_min_period_stops_at_the_first_nonconstant_start(monkeypatch):
+    calls = []
+    descent = semilinear._descent
+
+    def counted(*args):
+        calls.append(None)
+        return descent(*args)
+
+    monkeypatch.setattr(semilinear, "_descent", counted)
+    find_min_period(FracOrder(0.5), well(), T_hi=8.0)
+    assert len(calls) < 30   # every start of every bisection step descended 30 times
+
+
+def test_all_trivial_solve_computes_one_energy(monkeypatch):
+    # the trivial starts are not packaged, only the reported u = 0
+    calls = []
+    energy = semilinear.energy_functional
+
+    def counted(*args):
+        calls.append(None)
+        return energy(*args)
+
+    monkeypatch.setattr(semilinear, "energy_functional", counted)
+    sol = minimize_energy(4.0, FracOrder(0.5), well(), SolveConfig(N=32))
+    assert sol.classification == "trivial" and sol.amplitude == 0.0
+    assert len(calls) == 1
