@@ -38,6 +38,9 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 DEFAULT_N = 24
+MAX_STEP_RETRIES = 10      # continuation step halvings before StepFailure
+PITCHFORK_FIT_POINTS = 10  # leading branch points of the pitchfork fit
+NORMAL_FORM_NODES = 4096   # trapezoid nodes of the normal-form integral
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,11 @@ class Branch:
     def amplitudes(self):
         return np.array([p.amplitude for p in self.points])
 
-    def pitchfork_fit(self, n_points=10):
+    def pitchfork_fit(self):
         """Least-squares fit amplitude^2 = c (lambda - lambda_b) over the
-        first points; returns (c, r_squared)."""
-        n = min(n_points, len(self.points))
-        x = self.lambdas()[:n] - self.bifurcation_lambda
-        y = self.amplitudes()[:n] ** 2
+        first PITCHFORK_FIT_POINTS points; returns (c, r_squared)."""
+        x = self.lambdas()[:PITCHFORK_FIT_POINTS] - self.bifurcation_lambda
+        y = self.amplitudes()[:PITCHFORK_FIT_POINTS] ** 2
         c = float(x @ y) / float(x @ x)
         ss_res = float(np.sum((y - c * x) ** 2))
         ss_tot = float(np.sum((y - np.mean(y)) ** 2))
@@ -125,7 +127,7 @@ def _first_point(cls, well, scale, lam_b, eps=1e-3):
 
 
 def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_arc,
-                    N=None, max_retries=10) -> Branch:
+                    N=None) -> Branch:
     """Pseudo-arclength continuation from the trivial branch through the
     pitchfork nearest lambda_start, in the odd 2 pi class.  Raises
     ValueError unless lambda_start is finite, ds_arc is positive and finite
@@ -158,7 +160,7 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
     ds = ds_arc
     while len(points) < steps:
         tangent = (z - z_prev) / np.linalg.norm(z - z_prev)
-        for _ in range(max_retries):
+        for _ in range(MAX_STEP_RETRIES):
             pred = z + ds * tangent
             try:
                 z_new = _corrector(cls, well, scale, pred, tangent, pred)
@@ -179,7 +181,7 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
     return replace(branch, direction="supercritical" if c > 0 else "subcritical")
 
 
-def classify_criticality(frac: FracOrder, well: DoubleWell, m, n_quad=4096):
+def classify_criticality(frac: FracOrder, well: DoubleWell, m):
     """Local pitchfork direction at lambda_{m+1} = m^{2s} from the cubic
     normal-form coefficient; 'inconclusive' when F'''(0) != 0 (transcritical
     branching is not excluded)."""
@@ -187,9 +189,9 @@ def classify_criticality(frac: FracOrder, well: DoubleWell, m, n_quad=4096):
         return "inconclusive"
     curvature = unstable_curvature(well)
     lam = float(m) ** (2.0 * frac.s)
-    x = np.linspace(-math.pi, math.pi, n_quad, endpoint=False)
+    x = np.linspace(-math.pi, math.pi, NORMAL_FORM_NODES, endpoint=False)
     phi = np.sin(m * x) / math.sqrt(math.pi)  # normalized: int phi^2 = 1
-    phi4 = float(np.sum(phi**4)) * (2.0 * math.pi / n_quad)
+    phi4 = float(np.sum(phi**4)) * (2.0 * math.pi / NORMAL_FORM_NODES)
     coeff = (lam * float(well.f4(0.0)) / curvature) * phi4 / 6.0
     return "supercritical" if coeff > 0 else "subcritical"
 

@@ -33,6 +33,10 @@ __all__ = [
     "test_function_bound",
 ]
 
+HAMILTONIAN_NODES = 128   # Jacobi nodes per weight of the y-integral of w(x)
+MODICA_NODES = 96         # Jacobi nodes per weight on [0, y_1] of the Modica scan
+PDE_STEP = 1e-4           # centered-difference step of modica_pde_residual
+
 
 def _trace(u):
     return u.u if isinstance(u, SemilinearSolution) else u
@@ -83,7 +87,7 @@ def _squared_fields(field: ExtensionField, x, y_plus, y_minus):
 
 
 def hamiltonian_check(u, frac: FracOrder, well: DoubleWell, n_samples=64,
-                      tol=1e-5, n_quad=128) -> HamiltonianReport:
+                      tol=1e-5) -> HamiltonianReport:
     """Certify that w(x) - F(u(x)) is constant in x.
 
     Samples the conserved quantity at n_samples points over one period and
@@ -93,7 +97,7 @@ def hamiltonian_check(u, frac: FracOrder, well: DoubleWell, n_samples=64,
     """
     _check_certificate_args(tol, n_samples=n_samples)
     trace = _trace(u)
-    field = extend_bessel(trace, frac, n_quad=n_quad)
+    field = extend_bessel(trace, frac, n_quad=HAMILTONIAN_NODES)
     x = np.arange(n_samples) * (trace.T / n_samples)
     rule = field.quadrature
     # int_0^ymax [U_x^2 - U_y^2] y^a dy: U_y^2 y^a is (y^a U_y)^2 y^{-a}, finite at y = 0
@@ -171,7 +175,7 @@ def _modica_kinetic(field: ExtensionField, x, y_pos):
 
 
 def modica_check(u, frac: FracOrder, well: DoubleWell, c_t=None, nx=64, ny=64,
-                 tol=1e-5, n_quad=96) -> ModicaReport:
+                 tol=1e-5) -> ModicaReport:
     """Pointwise bound v_hat(x, y) <= C_hat on a grid of the half-strip.
 
     v_hat(x,y) = (d_s/2) int_0^y [U_x^2 - U_y^2] tau^a dtau - F(u(x)) - C_T
@@ -182,7 +186,7 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, c_t=None, nx=64, ny=64,
     trace = _trace(u)
     if c_t is None:
         c_t = hamiltonian_check(u, frac, well, n_samples=nx, tol=np.inf).c_t
-    field = extend_bessel(trace, frac, n_quad=n_quad)
+    field = extend_bessel(trace, frac, n_quad=MODICA_NODES)
     x = np.arange(nx) * (trace.T / nx)
     y_pos = np.geomspace(0.02 / trace.omega, 12.0 / trace.omega, ny - 1)
     boundary = -well.f(trace(x)) - c_t
@@ -207,14 +211,14 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, c_t=None, nx=64, ny=64,
     )
 
 
-def modica_pde_residual(u, frac: FracOrder, points, h=1e-4):
+def modica_pde_residual(u, frac: FracOrder, points):
     """Max residual of div(y^{-a} grad v_hat) = d_s a y^{-1} U_y^2 at interior
     points, by centered differences of the analytic first-derivative fields
     y^{-a} v_hat_x = -d_s U_x U_y and y^{-a} v_hat_y = (d_s/2)(U_x^2 - U_y^2).
     """
     trace = _trace(u)
     field = extend_bessel(trace, frac)
-    d_s, a = frac.d_s, frac.a
+    d_s, a, h = frac.d_s, frac.a, PDE_STEP
 
     def P(x, y):
         return -d_s * field.dx(x, y) * field.dy(x, y)
@@ -266,15 +270,8 @@ def energy_scan(frac: FracOrder, well: DoubleWell, T_list) -> EnergyScanReport:
         entries.append((T, minimize_energy(T, frac, well, cfg).energy))
     Ts = np.array([e[0] for e in entries])
     Js = np.array([e[1] for e in entries])
-    if frac.s < 0.5:
-        regime = "sub-half"
-        slope = float(np.polyfit(np.log(Ts), np.log(Js), 1)[0])
-    elif frac.s == 0.5:
-        regime = "half"
-        slope = float(np.polyfit(np.log(Ts), Js, 1)[0])
-    else:
-        regime = "super-half"
-        slope = float(np.polyfit(np.log(Ts), np.log(Js), 1)[0])
+    regime = "sub-half" if frac.s < 0.5 else ("half" if frac.s == 0.5 else "super-half")
+    slope = float(np.polyfit(np.log(Ts), Js if regime == "half" else np.log(Js), 1)[0])
     sigmas = Js / (float(well.f(0.0)) * Ts)
     return EnergyScanReport(
         entries=tuple((float(T), float(J)) for T, J in entries),

@@ -134,7 +134,7 @@ class _Profile:
         t2 = ts * ts
         out[small] = ts * _horner(self.dalpha, t2) + ts ** (2 * s - 1) * _horner(self.dbeta, t2)
         out[big] = _scaled_kv(-self.mu, s, self.cheb_dual, t[big])
-        out[t == 0] = np.inf if s < 0.5 else (0.0 if s > 0.5 else -1.0)
+        out[t == 0] = -np.inf if s < 0.5 else (0.0 if s > 0.5 else -1.0)
         return out
 
     def weighted_deriv(self, t):
@@ -290,6 +290,17 @@ def _poisson_cosine_coeffs(frac: FracOrder, T, N, y):
 # extension fields
 
 
+def _points(x, y):
+    """Field evaluation points as float arrays: x finite, y finite and >= 0."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"x must be finite, got {float(x[~np.isfinite(x)][0])}")
+    bad = ~(np.isfinite(y) & (y >= 0.0))
+    if bad.any():
+        raise ValueError(f"y must be finite and nonnegative, got {float(y[bad][0])}")
+    return x, y
+
+
 @dataclass(frozen=True)
 class ExtensionField:
     """Evaluable extension of a periodic trace on the half-strip.
@@ -297,7 +308,8 @@ class ExtensionField:
     ``method`` is "bessel-series" or "poisson-convolution".  Both expose
     ``value``; the Bessel field additionally exposes analytic derivatives
     ``dx``, ``dy`` and the stable weighted derivative ``weighted_dy``
-    (= y^a dU/dy, finite down to y = 0).
+    (= y^a dU/dy, finite down to y = 0).  All four raise ValueError, naming
+    the coordinate, unless x is finite and y is finite and nonnegative.
     """
 
     base: PeriodicFunction
@@ -341,17 +353,17 @@ class ExtensionField:
         return (np.sin(phase) * damp) @ a + (np.cos(phase) * damp) @ b
 
     def value(self, x, y):
+        x, y = _points(x, y)
         if self.method == "poisson-convolution":
             return self._poisson_value(x, y)
         return self.base.cos_coeffs[0] + self._modal(x, self.profile_table(y))
 
     def dx(self, x, y):
-        self._require_bessel()
+        x, y = self._derivative_points(x, y)
         return self._modal(x, self.profile_table(y), dx=True)
 
     def dy(self, x, y):
-        self._require_bessel()
-        y = np.asarray(y, dtype=float)
+        x, y = self._derivative_points(x, y)
         zero = y == 0
         if self.frac.s >= 0.5 or not np.any(zero):
             return self._modal(x, self.profile_table(y, "deriv"))
@@ -364,12 +376,13 @@ class ExtensionField:
 
     def weighted_dy(self, x, y):
         """y^a dU/dy, evaluated without cancellation down to y = 0."""
-        self._require_bessel()
+        x, y = self._derivative_points(x, y)
         return self._modal(x, self.profile_table(y, "weighted_deriv"))
 
-    def _require_bessel(self):
+    def _derivative_points(self, x, y):
         if self.method != "bessel-series":
             raise NotImplementedError("analytic derivatives need the bessel-series field")
+        return _points(x, y)
 
     # -- poisson convolution ----------------------------------------------
 
@@ -377,7 +390,7 @@ class ExtensionField:
         """u * P_per(., y): mode m damped by the kernel's cosine coefficient
         c_m(y), one coefficient set per distinct height; c_m(0) = 1."""
         u = self.base
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.abs(np.asarray(y, dtype=float)))
+        x, y = np.broadcast_arrays(x, y)
         levels, inverse = np.unique(y, return_inverse=True)
         c = np.array([_poisson_cosine_coeffs(self.frac, u.T, u.N, yk) if yk else np.ones(u.N + 1)
                       for yk in levels])[inverse.reshape(y.shape)]
@@ -391,10 +404,9 @@ def extend_bessel(u: PeriodicFunction, frac: FracOrder, y_max=None, n_quad=128) 
                           quadrature=YQuadrature(y_max=y_max, a=frac.a, n=n_quad))
 
 
-def extend_poisson(u: PeriodicFunction, frac: FracOrder, y_max=None) -> ExtensionField:
+def extend_poisson(u: PeriodicFunction, frac: FracOrder) -> ExtensionField:
     """Extension by convolution with the periodized s-Poisson kernel."""
-    y_max = 40.0 / u.omega if y_max is None else y_max
-    return ExtensionField(base=u, frac=frac, method="poisson-convolution", y_max=y_max)
+    return ExtensionField(base=u, frac=frac, method="poisson-convolution", y_max=40.0 / u.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +437,7 @@ def _neumann_poisson(field: ExtensionField, x, y0):
     return -field.frac.d_s * 2.0 * s * coef[0]
 
 
-def dirichlet_to_neumann(field: ExtensionField, n_out=None) -> PeriodicFunction:
+def dirichlet_to_neumann(field: ExtensionField) -> PeriodicFunction:
     """-d_s lim_{y->0} y^a dU/dy as a periodic function.
 
     Bessel route: exact per-mode limit of y^a J_m'(y).  Poisson route:
@@ -438,9 +450,7 @@ def dirichlet_to_neumann(field: ExtensionField, n_out=None) -> PeriodicFunction:
         lam = -field.frac.d_s * field.profile_table(0.0, "weighted_deriv")
         b = np.concatenate(([0.0], lam * u.cos_coeffs[1:]))
         return PeriodicFunction(T=u.T, sin_coeffs=lam * u.sin_coeffs, cos_coeffs=b, odd=u.odd)
-    n_out = n_out or 2 * u.N + 2
-    xg = np.arange(n_out) * (u.T / n_out)
-    vals = _neumann_poisson(field, xg, 0.25 / (u.omega * max(u.N, 1)))
+    vals = _neumann_poisson(field, u.grid(), 0.25 / (u.omega * max(u.N, 1)))
     return PeriodicFunction.from_samples(u.T, vals, odd=u.odd).truncate(u.N)
 
 
@@ -450,7 +460,7 @@ def dirichlet_to_neumann(field: ExtensionField, n_out=None) -> PeriodicFunction:
 _ENERGY_NODES = 384
 
 
-def extension_energy(field: ExtensionField, y_max=None):
+def extension_energy(field: ExtensionField):
     """int int y^a |grad U|^2 over one period x (0, infinity).
 
     Mode orthogonality in x reduces the integral to the universal profile
@@ -458,10 +468,9 @@ def extension_energy(field: ExtensionField, y_max=None):
     mode, t_m = min(omega_m y_max, 40); one pair of Jacobi rules on (0, 1)
     serves every mode.  Equals (1/d_s) <u, (-d_xx)^s u> up to
     quadrature error.  Raises TailNotConverged unless omega_1 * y_max >= 15,
-    where the exponential tail beyond y_max is negligible.
+    where the exponential tail beyond the field's y_max is negligible.
     """
-    u, frac = field.base, field.frac
-    y_max = y_max or field.y_max
+    u, frac, y_max = field.base, field.frac, field.y_max
     if u.N == 0:
         return 0.0
     om1 = u.omega

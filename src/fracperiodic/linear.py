@@ -28,6 +28,7 @@ __all__ = [
 
 KERNEL_RTOL = 1e-9        # singular values below this (relative) span the kernel
 COERCIVITY_MARGIN = 0.1   # gamma = max(0, -min k) + margin
+ORTH_TOL = 1e-9           # Fredholm data may have a kernel component up to this (relative)
 
 
 def _galerkin_matrix(T, N, lam, k):
@@ -52,7 +53,7 @@ def _galerkin_matrix(T, N, lam, k):
     return 0.5 * (A + A.T)
 
 
-def coords_to_function(T, c, odd=None):
+def coords_to_function(T, c):
     """Coordinate vector in the orthonormal basis -> PeriodicFunction."""
     N = (c.shape[0] - 1) // 2
     b = np.empty(N + 1)
@@ -60,8 +61,7 @@ def coords_to_function(T, c, odd=None):
     b[0] = c[0] / math.sqrt(T)
     b[1:] = c[1::2] * math.sqrt(2.0 / T)
     a[:] = c[2::2] * math.sqrt(2.0 / T)
-    if odd is None:
-        odd = bool(np.all(np.abs(b) < 1e-14))
+    odd = bool(np.all(np.abs(b) < 1e-14))
     if odd:
         b = np.zeros_like(b)
     return PeriodicFunction(T=T, sin_coeffs=a, cos_coeffs=b, odd=odd)
@@ -156,7 +156,7 @@ def solve_coercive(op: GalerkinOperator, mu: float, g: PeriodicFunction) -> Coer
     return CoerciveSolve(u=u, stability_constant=stability, residual=res)
 
 
-def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction, orth_tol=1e-9) -> FredholmSolve:
+def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction) -> FredholmSolve:
     """Fredholm alternative for L u = g on the truncated basis.
 
     With a trivial numerical kernel the unique solution is returned.  With a
@@ -174,7 +174,7 @@ def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction, orth_tol=1e-9) -> 
     if kernel.dim:
         proj = null @ gc
         worst = float(proj[np.argmax(np.abs(proj))])
-        if abs(worst) > orth_tol * max(1.0, float(np.linalg.norm(gc))):
+        if abs(worst) > ORTH_TOL * max(1.0, float(np.linalg.norm(gc))):
             raise SolvabilityViolation(worst)
     inv = np.divide(1.0, w, out=np.zeros_like(w), where=~null_mask)
     uc = V @ (inv * (V.T @ gc))

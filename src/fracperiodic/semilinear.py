@@ -51,6 +51,8 @@ NONCONSTANT_AMPLITUDE = 1e-6   # deviation-from-mean threshold for classificatio
 DESCENT_GRAD_TOL = 1e-4        # descent hands over to Newton below this
 COARSE_MIN_N = 128             # from this N on, each start first descends at N // 4
 DISTINCT_L2 = math.sqrt(DESCENT_GRAD_TOL)   # coarse endpoints closer than this share a fine stage
+MAX_NEWTON = 60                # Newton iterations per start
+MAX_DESCENT = 4000             # modified-Newton descent steps per start and stage
 _SUBSTITUTION_BLOCK = 64
 
 
@@ -59,8 +61,6 @@ class SolveConfig:
     symmetry: str = "odd"          # "odd" | "even"
     N: int = 64
     newton_tol: float = 1e-10
-    max_newton: int = 60
-    max_descent: int = 4000        # cap on modified-Newton descent steps per start and stage
     multistarts: int = 6
 
     def __post_init__(self):
@@ -143,7 +143,7 @@ def _solve_shifted(L, b):
     return x
 
 
-def _descent(cls: _SymmetryClass, c, well, max_iter):
+def _descent(cls: _SymmetryClass, c, well):
     """Modified-Newton descent on the full-period energy E.
 
     dE/dc = W * residual with W = (T/2) cls.weight (T/2 on every mode and T
@@ -155,7 +155,7 @@ def _descent(cls: _SymmetryClass, c, well, max_iter):
     """
     sw = np.sqrt(cls.weight)   # relative sqrt(W); the scale of W cancels in the step
     energy = cls.energy_full(c, well)
-    for _ in range(max_iter):
+    for _ in range(MAX_DESCENT):
         grad = cls.residual(c, well)
         if cls.l2_norm(grad) < DESCENT_GRAD_TOL:
             break
@@ -233,14 +233,14 @@ def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell, 
     first = _SymmetryClass(cfg.symmetry, cls.T, cfg.N // 4, frac) if cfg.N >= COARSE_MIN_N else cls
     finished = []   # coarse endpoints whose fine stage succeeded
     for c0 in _starts(first, cfg, well):
-        c = coarse = _descent(first, c0.copy(), well, cfg.max_descent)
+        c = coarse = _descent(first, c0.copy(), well)
         if first is not cls:   # prolong by zero padding and finish at N, once per distinct endpoint
             if any(first.l2_norm(coarse - d) < DISTINCT_L2 for d in finished):
                 continue
-            c = _descent(cls, cls.from_function(first.to_function(c)), well, cfg.max_descent)
+            c = _descent(cls, cls.from_function(first.to_function(c)), well)
         try:
             c, rnorm = _newton(lambda c: cls.residual(c, well), lambda c: cls.jacobian(c, well),
-                               c, cfg.newton_tol, cfg.max_newton, cls.l2_norm)
+                               c, cfg.newton_tol, MAX_NEWTON, cls.l2_norm)
         except (NoConvergence, SingularJacobian):
             continue
         vals = cls.values(c)
@@ -276,7 +276,7 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
 
 
 def newton_refine(u0: PeriodicFunction, T, frac: FracOrder, well: DoubleWell, tol=1e-10,
-                  max_iter=60) -> SemilinearSolution:
+                  max_iter=MAX_NEWTON) -> SemilinearSolution:
     """Newton refinement of an approximate solution (odd inputs stay odd).
 
     Raises ValueError unless T is positive and finite."""

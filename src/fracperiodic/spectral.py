@@ -19,7 +19,7 @@ potential term over half a period, so J(0) = F(0) T / 2.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma
 
@@ -191,7 +191,6 @@ class PeriodicFunction:
     sin_coeffs: np.ndarray
     cos_coeffs: np.ndarray
     odd: bool = False
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
@@ -210,18 +209,15 @@ class PeriodicFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_modes(cls, T, sin_coeffs=(), cos_coeffs=None, odd=False):
+    def from_modes(cls, T, sin_coeffs=(), cos_coeffs=None):
+        """Odd when cos_coeffs is None and there are modes; else zero-pads the shorter list."""
         a = np.atleast_1d(np.asarray(sin_coeffs, dtype=float))
         if cos_coeffs is None:
-            b = np.zeros(a.shape[0] + 1)
-            odd = True if odd or a.shape[0] > 0 else odd
-        else:
-            b = np.atleast_1d(np.asarray(cos_coeffs, dtype=float))
-            if a.shape[0] + 1 != b.shape[0]:
-                n = max(a.shape[0], b.shape[0] - 1)
-                a = np.pad(a, (0, n - a.shape[0]))
-                b = np.pad(b, (0, n + 1 - b.shape[0]))
-        return cls(T=T, sin_coeffs=a, cos_coeffs=b, odd=odd)
+            return cls(T=T, sin_coeffs=a, cos_coeffs=np.zeros(a.shape[0] + 1), odd=a.shape[0] > 0)
+        b = np.atleast_1d(np.asarray(cos_coeffs, dtype=float))
+        n = max(a.shape[0], b.shape[0] - 1)
+        a, b = np.pad(a, (0, n - a.shape[0])), np.pad(b, (0, n + 1 - b.shape[0]))
+        return cls(T=T, sin_coeffs=a, cos_coeffs=b)
 
     @classmethod
     def from_samples(cls, T, values, odd=False):
@@ -236,10 +232,8 @@ class PeriodicFunction:
         return cls(T=T, sin_coeffs=a, cos_coeffs=b, odd=odd)
 
     @classmethod
-    def constant(cls, T, value, N=0):
-        b = np.zeros(N + 1)
-        b[0] = value
-        return cls(T=T, sin_coeffs=np.zeros(N), cos_coeffs=b)
+    def constant(cls, T, value):
+        return cls(T=T, sin_coeffs=np.zeros(0), cos_coeffs=np.full(1, value, dtype=float))
 
     # -- basic structure ---------------------------------------------------
 
@@ -256,9 +250,7 @@ class PeriodicFunction:
         return np.arange(M) * (self.T / M)
 
     def grid_values(self):
-        if "grid_values" not in self._cache:
-            self._cache["grid_values"] = _freeze(self.sample(2 * self.N + 2))
-        return self._cache["grid_values"]
+        return self.sample(2 * self.N + 2)
 
     def sample(self, M):
         """Values at the M equispaced points x_j = j T / M, j = 0..M-1."""
@@ -359,6 +351,8 @@ class PeriodicFunction:
 # ---------------------------------------------------------------------------
 # double-well potentials
 
+SHAPE_CHECK_POINTS = 201   # grid of DoubleWell.check_shape on each interval
+
 
 @dataclass(frozen=True)
 class DoubleWell:
@@ -391,34 +385,31 @@ class DoubleWell:
         )
 
     @classmethod
-    def from_poly(cls, coeffs, even=None):
+    def from_poly(cls, coeffs):
         """Potential given by polynomial coefficients (low order first)."""
         p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
         d = [p.deriv(k) for k in range(1, 5)]
-        if even is None:
-            odd_part = p.coef[1::2]
-            even = bool(np.all(odd_part == 0.0))
         return cls(
             f=lambda u, _p=p: _p(np.asarray(u)),
             f1=lambda u, _d=d[0]: _d(np.asarray(u)),
             f2=lambda u, _d=d[1]: _d(np.asarray(u)),
             f3=lambda u, _d=d[2]: _d(np.asarray(u)),
             f4=lambda u, _d=d[3]: _d(np.asarray(u)),
-            even=even,
+            even=bool(np.all(p.coef[1::2] == 0.0)),
             label="poly:" + ",".join(f"{c:g}" for c in p.coef),
         )
 
-    def check_shape(self, n_grid=201):
+    def check_shape(self):
         """Spot-check the double-well conditions on a grid; raise on failure."""
         if abs(float(self.f(1.0))) > 1e-12 or abs(float(self.f(-1.0))) > 1e-12:
             raise ValueError("F(+-1) must vanish")
         if abs(float(self.f1(1.0))) > 1e-12 or abs(float(self.f1(-1.0))) > 1e-12:
             raise ValueError("F'(+-1) must vanish")
-        u = np.linspace(-1.0, 1.0, n_grid)[1:-1]
+        u = np.linspace(-1.0, 1.0, SHAPE_CHECK_POINTS)[1:-1]
         if np.any(self.f(u) <= 0.0):
             raise ValueError("F must be positive on (-1,1)")
-        left = np.linspace(-1.0, 0.0, n_grid)
-        right = np.linspace(0.0, 1.0, n_grid)
+        left = np.linspace(-1.0, 0.0, SHAPE_CHECK_POINTS)
+        right = np.linspace(0.0, 1.0, SHAPE_CHECK_POINTS)
         if np.any(np.diff(self.f(left)) < -1e-12) or np.any(np.diff(self.f(right)) > 1e-12):
             raise ValueError("F must be nondecreasing on (-1,0) and nonincreasing on (0,1)")
         return True
@@ -696,6 +687,7 @@ def singular_integral_oracle(u: PeriodicFunction, frac: FracOrder, x, quad_tol=1
 # ---------------------------------------------------------------------------
 # energies
 
+GAGLIARDO_TOL = 1e-9   # relative change between radial orders that ends gagliardo_energy
 
 def spectral_dirichlet(u: PeriodicFunction, frac: FracOrder):
     """<u, (-d_xx)^s u> over one full period, by Parseval."""
@@ -715,7 +707,7 @@ def _gagliardo_fixed(u, frac, n_r, n_x):
     return (frac.c_sing / 2.0) * total * (T / n_x)
 
 
-def gagliardo_energy(u: PeriodicFunction, frac: FracOrder, quad_tol=1e-9):
+def gagliardo_energy(u: PeriodicFunction, frac: FracOrder):
     """(C(s)/2) double integral of |u(x)-u(xbar)|^2 |x-xbar|^{-1-2s} over
     one period times the whole line; the outer tail is summed in closed form
     over all periodic images.
@@ -724,7 +716,7 @@ def gagliardo_energy(u: PeriodicFunction, frac: FracOrder, quad_tol=1e-9):
     prev = _gagliardo_fixed(u, frac, 64, n_x)
     for n_r in (128, 256, 512):
         cur = _gagliardo_fixed(u, frac, n_r, n_x)
-        if abs(cur - prev) <= quad_tol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= GAGLIARDO_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise QuadratureNonConvergence("Gagliardo double integral did not converge")

@@ -346,3 +346,16 @@ def test_csv_bytes_pinned(tmp_path):
     table = np.array([[v, -v] for v in values[3:12]], dtype=float)
     _write_csv(str(out), ["a", "b"], table.tolist())   # rows of plain floats: the same digits
     assert out.read_text().splitlines()[1:] == [ln.rsplit(",", 1)[0] for ln in lines[4:13]]
+
+
+@pytest.mark.parametrize("method", ["bessel", "poisson"])
+def test_extend_points_off_the_half_strip_are_usage_errors(tmp_path, capsys, method):
+    inp = tmp_path / "u.json"
+    write_function(inp, T=TWO_PI, sin_coeffs=[1.0], cos_coeffs=None)
+    for points, name in (("nan,1", "x"), ("inf,1", "x"), ("1,-1", "y"), ("1,nan", "y"),
+                         ("1,inf", "y"), ("1,0;1,-1e-9", "y")):
+        out = tmp_path / "field.csv"
+        assert run(["extend", "--s", "0.3", "--input", str(inp), "--method", method,
+                    "--points", points, "--out", str(out)]) == 2, points
+        assert not out.exists()
+        assert f"usage error: {name} must be finite" in capsys.readouterr().err

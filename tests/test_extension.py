@@ -573,3 +573,28 @@ def test_profile_value_clamped_beyond_forty(s):
     phi = _Profile(s)
     assert phi.value(40.0) < 4e-17
     assert np.all(phi.value(np.array([40.0 + 1e-9, 100.0, 800.0])) == 0.0)
+
+
+@pytest.mark.parametrize("s, at_zero", [(0.3, -np.inf), (0.5, -1.0), (0.7, 0.0)])
+def test_profile_derivative_at_zero_has_the_sign_of_the_limit(s, at_zero):
+    # phi_s decreases from phi_s(0) = 1: phi'(1e-12) is -3.6e4 at s = 0.3
+    profile = BesselProfile(1.0, FracOrder(s))
+    near = float(profile.deriv(1e-12))
+    assert near < 0.0
+    field = extend_bessel(PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[1.0]), FracOrder(s))
+    for got in (float(profile.deriv(0.0)), float(field.profile_table(0.0, "deriv")[0])):
+        assert got == at_zero and got * near >= 0.0
+
+
+@pytest.mark.parametrize("x, y, name", [
+    (math.nan, 1.0, "x"), (math.inf, 1.0, "x"), (1.0, -1.0, "y"), (1.0, math.nan, "y"),
+    (1.0, math.inf, "y"), (np.array([0.5, -math.inf]), np.array([0.1, 0.2]), "x"),
+    (np.array([0.5, 1.0]), np.array([0.1, -1e-300]), "y"),
+])
+def test_field_rejects_points_off_the_half_strip(x, y, name):
+    u = random_function(np.random.default_rng(41), N=3)
+    frac = FracOrder(0.4)
+    bessel, poisson = extend_bessel(u, frac), extend_poisson(u, frac)
+    for call in (bessel.value, bessel.dx, bessel.dy, bessel.weighted_dy, poisson.value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call(x, y)
