@@ -15,11 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BranchLost, NoConvergence, SingularJacobian, StepFailure
+from .semilinear import MAX_NEWTON, _refine
 from .spectral import (
     DoubleWell,
     FracOrder,
     PeriodicFunction,
     _newton,
+    _solve_class,
     _SymmetryClass,
     gram,
     linearization_bound,
@@ -130,8 +132,8 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
                     N=None) -> Branch:
     """Pseudo-arclength continuation from the trivial branch through the
     pitchfork nearest lambda_start, in the odd 2 pi class.  Raises
-    ValueError unless lambda_start is finite, ds_arc is positive and finite
-    and steps >= 2."""
+    ValueError unless lambda_start is finite, ds_arc is positive and finite,
+    steps >= 2 and the well is even."""
     if not math.isfinite(lambda_start):
         raise ValueError(f"lambda_start must be finite, got {lambda_start!r}")
     if not (ds_arc > 0 and math.isfinite(ds_arc)):
@@ -140,7 +142,7 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
         raise ValueError(f"steps must be at least 2 (the tangent needs two points), got {steps!r}")
     N = N or DEFAULT_N
     scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
-    cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
+    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well)
     lam_b = float(cls.mult[np.argmin(np.abs(cls.mult - lambda_start))])   # nearest m^{2s}
 
     def make_point(z):
@@ -222,17 +224,18 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     """Continue past the first pitchfork and undo the rescaling
     x = (lambda / -F''(0))^{1/(2s)} xbar, realizing solutions of the
     original equation with period T(lambda) = 2 pi (lambda/-F''(0))^{1/(2s)};
-    each rescaled solution is re-verified against the period-T operator.
-    Raises ValueError unless every lambda in lambda_grid is finite and above
-    1, the first pitchfork."""
+    each rescaled solution is re-verified by newton_refine's Newton on period
+    T.  Raises ValueError unless the well is even and lambda_grid holds one
+    or more values, each finite and above 1 (the first pitchfork)."""
     if lambda_grid is None:
         lambda_grid = np.concatenate([[1.001, 1.003, 1.01, 1.03], np.arange(1.1, 4.01, 0.1)])
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
-    if not np.all(np.isfinite(lambda_grid) & (lambda_grid > 1.0)):
-        raise ValueError(f"lambda_grid must hold finite values above 1, got {lambda_grid.tolist()}")
+    if not (lambda_grid.size and np.all(np.isfinite(lambda_grid) & (lambda_grid > 1.0))):
+        raise ValueError(f"lambda_grid must hold one or more finite values above 1, "
+                         f"got {lambda_grid.tolist()}")
     N = N or DEFAULT_N
     scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
-    cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
+    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well)
     bound = linearization_bound(frac, well)
 
     z = _first_point(cls, well, scale, 1.0, eps=1e-2)
@@ -266,9 +269,7 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
         a, lam = a_try, float(lam_target)
         period = 2.0 * math.pi * (lam * scale) ** (1.0 / (2.0 * frac.s))
         # the same coefficients on period T, refined by Newton on that class
-        T_cls = _SymmetryClass("odd", period, max(N, 8), frac)
-        c, rnorm = _newton(lambda c: T_cls.residual(c, well), lambda c: T_cls.jacobian(c, well),
-                           T_cls.from_function(cls.to_function(a)), 1e-9, 60, T_cls.l2_norm)
+        T_cls, c, rnorm = _refine(cls.to_function(a), period, frac, well, 1e-9, MAX_NEWTON)
         entries.append(T0Entry(lam=lam, period=period, amplitude=float(np.max(np.abs(T_cls.values(c)))),
                                residual_rescaled=rnorm))
     return T0Report(bound=bound, entries=tuple(entries))

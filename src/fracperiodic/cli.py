@@ -202,13 +202,9 @@ def _cmd_energy_scan(cfg):
     rep = diagnostics.energy_scan(frac, well, _float_list(cfg["T-list"]))
     print(f"regime={rep.regime} slope={_fmt(rep.slope)} ratio={_fmt(rep.ratio)} "
           f"sigma={_fmt(rep.sigma)}", file=sys.stderr)
-    rows = []
-    for i, ((T, J), sg) in enumerate(zip(rep.entries, rep.sigma_values)):
-        sub = np.array(rep.entries[: i + 1])
-        slope = (float(np.polyfit(np.log(sub[:, 0]), np.log(sub[:, 1]), 1)[0])
-                 if i > 0 else float("nan"))
-        rows.append((T, J, slope, sg))
-    _write_csv(cfg["out"], ["T", "J", "slope_so_far", "sigma"], rows)
+    Ts, Js = np.array(rep.entries).T
+    slopes = [float("nan")] + [diagnostics._growth_slope(frac, Ts[:i], Js[:i]) for i in range(2, len(Ts) + 1)]
+    _write_csv(cfg["out"], ["T", "J", "slope_so_far", "sigma"], zip(Ts, Js, slopes, rep.sigma_values))
 
 
 def _cmd_test_bound(cfg):

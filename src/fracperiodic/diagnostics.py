@@ -76,14 +76,9 @@ def _squared_fields(field: ExtensionField, x, y_plus, y_minus):
     psi_m(y) [a_m sin + b_m cos] with psi_m = y^a J_m', so a whole node batch
     takes one profile table and one matmul per factor.
     """
-    u = field.base
-    m = np.arange(1, u.N + 1)
-    om = u.omega * m
-    phase = np.multiply.outer(np.asarray(x, dtype=float), m) * u.omega
-    Cx = np.cos(phase) * (om * u.sin_coeffs) - np.sin(phase) * (om * u.cos_coeffs[1:])
-    Cy = np.sin(phase) * u.sin_coeffs + np.cos(phase) * u.cos_coeffs[1:]
-    ux2 = (field.profile_table(y_plus) @ Cx.T) ** 2
-    return ux2, (field.profile_table(y_minus, "weighted_deriv") @ Cy.T) ** 2
+    sin, cos, (a, b), (a_x, b_x) = field.base._modes(x)
+    ux2 = (field.profile_table(y_plus) @ (sin * a_x + cos * b_x).T) ** 2
+    return ux2, (field.profile_table(y_minus, "weighted_deriv") @ (sin * a + cos * b).T) ** 2
 
 
 def hamiltonian_check(u, frac: FracOrder, well: DoubleWell, n_samples=64,
@@ -215,7 +210,13 @@ def modica_pde_residual(u, frac: FracOrder, points):
     """Max residual of div(y^{-a} grad v_hat) = d_s a y^{-1} U_y^2 at interior
     points, by centered differences of the analytic first-derivative fields
     y^{-a} v_hat_x = -d_s U_x U_y and y^{-a} v_hat_y = (d_s/2)(U_x^2 - U_y^2).
+    Raises ValueError unless every point lies above y = PDE_STEP, so that
+    the differences stay on the half-strip.
     """
+    points = list(points)
+    low = [(x0, y0) for x0, y0 in points if not y0 > PDE_STEP]
+    if low:
+        raise ValueError(f"points must have y > PDE_STEP = {PDE_STEP:g}, the difference step; got {low[0]}")
     trace = _trace(u)
     field = extend_bessel(trace, frac)
     d_s, a, h = frac.d_s, frac.a, PDE_STEP
@@ -253,6 +254,12 @@ class EnergyScanReport:
         return np.array(self.entries)
 
 
+def _growth_slope(frac: FracOrder, Ts, Js):
+    """Least-squares slope of the growth law of J over the periods: of J
+    against ln T at s = 1/2 (J ~ ln T), of ln J against ln T otherwise."""
+    return float(np.polyfit(np.log(Ts), Js if frac.s == 0.5 else np.log(Js), 1)[0])
+
+
 def energy_scan(frac: FracOrder, well: DoubleWell, T_list) -> EnergyScanReport:
     """Minimize at each period, in increasing order, and fit the growth law
     of J(U_T).
@@ -268,15 +275,13 @@ def energy_scan(frac: FracOrder, well: DoubleWell, T_list) -> EnergyScanReport:
     for T in periods:
         cfg = SolveConfig(symmetry="odd", N=max(64, int(1.5 * T)))
         entries.append((T, minimize_energy(T, frac, well, cfg).energy))
-    Ts = np.array([e[0] for e in entries])
-    Js = np.array([e[1] for e in entries])
+    Ts, Js = np.array(entries).T
     regime = "sub-half" if frac.s < 0.5 else ("half" if frac.s == 0.5 else "super-half")
-    slope = float(np.polyfit(np.log(Ts), Js if regime == "half" else np.log(Js), 1)[0])
     sigmas = Js / (float(well.f(0.0)) * Ts)
     return EnergyScanReport(
         entries=tuple((float(T), float(J)) for T, J in entries),
         regime=regime,
-        slope=slope,
+        slope=_growth_slope(frac, Ts, Js),
         ratio=float(Js[-1] / Js[0]),
         sigma=float(sigmas[-1]),
         sigma_values=tuple(float(s) for s in sigmas),
@@ -378,9 +383,12 @@ def test_function_bound(frac: FracOrder, T, d, well: DoubleWell) -> TestFunction
     Each region is integrated directly and compared with its closed-form
     upper bound; the full Gagliardo double integral plus the potential term
     yields an explicit upper bound for the minimal energy at period T.
+    Raises ValueError unless T/128 <= d < T/4: a narrower layer spans
+    fewer than 64 spacings of the autocorrelation grid, which then misses
+    the double integral by more than 1 % at s = 1/2.
     """
-    if not 0.0 < d < T / 4.0:
-        raise ValueError("layer width d must lie in (0, T/4)")
+    if not T / 128.0 <= d < T / 4.0:
+        raise ValueError(f"layer width d must lie in [T/128, T/4) = [{T / 128.0:g}, {T / 4.0:g}), got {d!r}")
     s = frac.s
     h = _competitor(T, d)
     rg, G = _autocorr_G(h, T)

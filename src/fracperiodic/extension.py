@@ -151,9 +151,10 @@ class _Profile:
 
 @dataclass(frozen=True)
 class BesselProfile:
-    """Mode profile J(y) = mu y^s K_s(omega y), normalized so J(0) = 1."""
+    """Mode profile J(y) = mu y^s K_s(omega y), normalized so J(0) = 1; for an
+    array omega each method returns the y.shape + omega.shape table."""
 
-    omega: float
+    omega: float | np.ndarray
     frac: FracOrder
     _phi: _Profile = field(init=False, repr=False, compare=False)
 
@@ -165,16 +166,14 @@ class BesselProfile:
         return self._phi.mu * self.omega**self.frac.s
 
     def value(self, y):
-        return self._phi.value(self.omega * np.asarray(y, dtype=float))
+        return self._phi.value(np.multiply.outer(y, self.omega))
 
     def deriv(self, y):
-        return self.omega * self._phi.deriv(self.omega * np.asarray(y, dtype=float))
+        return self.omega * self._phi.deriv(np.multiply.outer(y, self.omega))
 
     def weighted_deriv(self, y):
         """y^a J'(y); tends to -C_s omega^{2s} as y -> 0."""
-        return self.omega ** (2 * self.frac.s) * self._phi.weighted_deriv(
-            self.omega * np.asarray(y, dtype=float)
-        )
+        return self.omega ** (2 * self.frac.s) * self._phi.weighted_deriv(np.multiply.outer(y, self.omega))
 
 
 @dataclass(frozen=True)
@@ -321,36 +320,24 @@ class ExtensionField:
     # -- evaluation --------------------------------------------------------
 
     @cached_property
-    def _phi(self):
-        return _Profile(self.frac.s)
+    def _profile(self):
+        return BesselProfile(omega=self.base.omega * np.arange(1, self.base.N + 1), frac=self.frac)
 
     def profile_table(self, y, kind="value"):
-        """(..., N) table of J_m(y), J_m'(y) or y^a J_m'(y) for m = 1..N.
-
-        ``kind`` is "value", "deriv" or "weighted_deriv"; the universal
-        profile is evaluated once on outer(y, omega_m).
-        """
-        om = self.base.omega * np.arange(1, self.base.N + 1)
-        t = np.multiply.outer(np.asarray(y, dtype=float), om)
-        if kind == "value":
-            return self._phi.value(t)
-        if kind == "deriv":
-            return om * self._phi.deriv(t)
-        if kind == "weighted_deriv":
-            return om ** (2 * self.frac.s) * self._phi.weighted_deriv(t)
-        raise ValueError(f"unknown profile kind {kind!r}")
+        """(..., N) table of J_m(y), J_m'(y) or y^a J_m'(y) for m = 1..N: the
+        method ``kind`` ("value", "deriv" or "weighted_deriv") of one
+        BesselProfile over all omega_m."""
+        if kind not in ("value", "deriv", "weighted_deriv"):
+            raise ValueError(f"unknown profile kind {kind!r}")
+        return getattr(self._profile, kind)(y)
 
     def _modal(self, x, damp, dx=False):
         """sum_m damp_m [a_m sin + b_m cos](omega m x) for a (..., N) table of
         per-mode damping factors (J_m(y), a derivative, or c_m(y)), or its
         x-derivative."""
-        u = self.base
-        m = np.arange(1, u.N + 1)
-        phase = np.multiply.outer(np.asarray(x, dtype=float), m) * u.omega
-        a, b = u.sin_coeffs, u.cos_coeffs[1:]
-        if dx:   # d/dx [a sin + b cos](omega m x) = omega m [a cos - b sin]
-            a, b = -u.omega * m * b, u.omega * m * a
-        return (np.sin(phase) * damp) @ a + (np.cos(phase) * damp) @ b
+        sin, cos, weights, weights_dx = self.base._modes(x)
+        a, b = weights_dx if dx else weights
+        return (sin * damp) @ a + (cos * damp) @ b
 
     def value(self, x, y):
         x, y = _points(x, y)
@@ -398,8 +385,13 @@ class ExtensionField:
 
 
 def extend_bessel(u: PeriodicFunction, frac: FracOrder, y_max=None, n_quad=128) -> ExtensionField:
-    """Mode-by-mode extension U(x,y) = b_0 + sum J_m(y) [a_m sin + b_m cos]."""
+    """Mode-by-mode extension U(x,y) = b_0 + sum J_m(y) [a_m sin + b_m cos].
+
+    Raises ValueError unless y_max, the top of the quadrature rules, is
+    positive and finite."""
     y_max = 40.0 / u.omega if y_max is None else y_max
+    if not 0.0 < y_max < math.inf:
+        raise ValueError(f"y_max must be positive and finite, got {y_max!r}")
     return ExtensionField(base=u, frac=frac, method="bessel-series", y_max=y_max,
                           quadrature=YQuadrature(y_max=y_max, a=frac.a, n=n_quad))
 
@@ -480,7 +472,8 @@ def extension_energy(field: ExtensionField):
     om = u.omega * np.arange(1, u.N + 1)
     t_max = np.minimum(om * y_max, 40.0)
     unit = YQuadrature(y_max=1.0, a=frac.a, n=_ENERGY_NODES)   # rescaled per mode
-    plus = field._phi.value(np.multiply.outer(t_max, unit.nodes_plus)) ** 2 @ unit.weights_plus
-    minus = field._phi.weighted_deriv(np.multiply.outer(t_max, unit.nodes_minus)) ** 2 @ unit.weights_minus
+    phi = BesselProfile(omega=1.0, frac=frac)
+    plus = phi.value(np.multiply.outer(t_max, unit.nodes_plus)) ** 2 @ unit.weights_plus
+    minus = phi.weighted_deriv(np.multiply.outer(t_max, unit.nodes_minus)) ** 2 @ unit.weights_minus
     integral = plus * t_max ** (1.0 + frac.a) + minus * t_max ** (1.0 - frac.a)
     return 0.5 * u.T * float(power * om ** (2 * frac.s) @ integral)

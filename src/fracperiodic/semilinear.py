@@ -33,7 +33,9 @@ from .spectral import (
     DoubleWell,
     FracOrder,
     PeriodicFunction,
+    _check_period,
     _newton,
+    _solve_class,
     _SymmetryClass,
     energy_functional,
     linearization_bound,
@@ -216,18 +218,6 @@ def _package(cls: _SymmetryClass, c, rnorm, frac, well):
                               classification="nonconstant" if _nonconstant(vals) else "trivial")
 
 
-def _check_period(T):
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"period must be positive and finite, got {T!r}")
-
-
-def _solve_class(T, frac, well, cfg):
-    _check_period(T)
-    if cfg.symmetry == "even" and not well.even:
-        raise ValueError("even-class minimization requires an even potential")
-    return _SymmetryClass(cfg.symmetry, T, cfg.N, frac)
-
-
 def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell, cfg: SolveConfig):
     """Yield (c, residual norm) of each start that converges to a nonconstant u with |u| < 1."""
     first = _SymmetryClass(cfg.symmetry, cls.T, cfg.N // 4, frac) if cfg.N >= COARSE_MIN_N else cls
@@ -258,10 +248,10 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
     on the residual; returns the lowest-energy nonconstant candidate, or the
     trivial critical point with classification "trivial" when every start
     collapses to a constant.  Raises ValueError unless T is positive and
-    finite.
+    finite and the well is even.
     """
     cfg = cfg or SolveConfig()
-    cls = _solve_class(T, frac, well, cfg)
+    cls = _solve_class(cfg.symmetry, T, cfg.N, frac, well)
     best = None
     for c, rnorm in _nonconstant_starts(cls, frac, well, cfg):
         sol = _package(cls, _normalize_sign(cls, c), rnorm, frac, well)
@@ -275,19 +265,22 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
     return _package(cls, c0, cls.l2_norm(cls.residual(c0, well)), frac, well)
 
 
+def _refine(u0: PeriodicFunction, T, frac, well, tol, max_iter):
+    """Newton on the period-T class of u0's coefficients (odd when u0 is odd,
+    else full) at truncation max(u0.N, 8); returns (class, c, residual norm)."""
+    cls = _solve_class("odd" if u0.odd else "full", T, max(u0.N, 8), frac, well)
+    c, rnorm = _newton(lambda c: cls.residual(c, well), lambda c: cls.jacobian(c, well),
+                       cls.from_function(u0), tol, max_iter, cls.l2_norm)
+    return cls, c, rnorm
+
+
 def newton_refine(u0: PeriodicFunction, T, frac: FracOrder, well: DoubleWell, tol=1e-10,
                   max_iter=MAX_NEWTON) -> SemilinearSolution:
     """Newton refinement of an approximate solution (odd inputs stay odd).
 
-    Raises ValueError unless T is positive and finite."""
-    _check_period(T)
-    if u0.T != T:
-        u0 = u0.rescaled(T)
-    symmetry = "odd" if u0.odd else "full"
-    N = max(u0.N, 8)
-    cls = _SymmetryClass(symmetry, T, N, frac)
-    c, rnorm = _newton(lambda c: cls.residual(c, well), lambda c: cls.jacobian(c, well),
-                       cls.from_function(u0), tol, max_iter, cls.l2_norm)
+    Raises ValueError unless T is positive and finite, and for an odd u0
+    unless the well is even."""
+    cls, c, rnorm = _refine(u0, T, frac, well, tol, max_iter)
     return _package(cls, c, rnorm, frac, well)
 
 
@@ -299,7 +292,8 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
     found"; the estimate never exceeds the linearization bound
     2 pi (-F''(0))^{-1/(2s)} up to tol.  The predicate is
     minimize_energy(T, ...).nonconstant, stopped at the first nonconstant
-    start.  Raises ValueError unless T_hi and tol are positive and finite.
+    start.  Raises ValueError unless T_hi and tol are positive and finite
+    and the well is even.
     """
     _check_period(T_hi)
     if not (tol > 0 and math.isfinite(tol)):
@@ -310,7 +304,7 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
     cfg = cfg or SolveConfig(N=32)
 
     def nonconstant_at(T):
-        starts = _nonconstant_starts(_solve_class(T, frac, well, cfg), frac, well, cfg)
+        starts = _nonconstant_starts(_solve_class(cfg.symmetry, T, cfg.N, frac, well), frac, well, cfg)
         return next(starts, None) is not None
 
     lo, hi = bound / 4.0, T_hi

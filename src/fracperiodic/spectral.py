@@ -256,11 +256,18 @@ class PeriodicFunction:
         """Values at the M equispaced points x_j = j T / M, j = 0..M-1."""
         return grid_synthesis(M, self.cos_coeffs, self.sin_coeffs)
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+    def _modes(self, x):
+        """sin and cos of omega m x at m = 1..N, of shape x.shape + (N,), and
+        the weights on them of u - b_0 and of u': u = b_0 + sin @ a + cos @ b
+        and u' = sin @ (-omega m b) + cos @ (omega m a)."""
         m = np.arange(1, self.N + 1)
-        phase = np.multiply.outer(x, m) * self.omega
-        out = self.cos_coeffs[0] + np.sin(phase) @ self.sin_coeffs + np.cos(phase) @ self.cos_coeffs[1:]
+        phase = np.multiply.outer(np.asarray(x, dtype=float), m) * self.omega
+        a, b, om = self.sin_coeffs, self.cos_coeffs[1:], self.omega * m
+        return np.sin(phase), np.cos(phase), (a, b), (-om * b, om * a)
+
+    def __call__(self, x):
+        sin, cos, (a, b), _ = self._modes(x)
+        out = self.cos_coeffs[0] + sin @ a + cos @ b
         return out if out.shape else float(out)
 
     def truncate(self, N):
@@ -524,6 +531,21 @@ class _SymmetryClass:
         return np.concatenate((v.cos_coeffs, v.sin_coeffs))[self.idx]
 
 
+def _check_period(T):
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"period must be positive and finite, got {T!r}")
+
+
+def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell):
+    """The class of a semilinear solve with this well.  Raises ValueError unless
+    T is positive and finite and, in the odd and even classes, the well is even:
+    the odd class drops the even part of F'(u), and both take -u for a solution."""
+    _check_period(T)
+    if symmetry != "full" and not well.even:
+        raise ValueError(f"the {symmetry} class needs an even potential, got {well.label!r}")
+    return _SymmetryClass(symmetry, T, N, frac)
+
+
 def _newton(residual, jacobian, z, tol, max_iter, norm):
     """Newton iteration z <- z - jacobian(z)^{-1} residual(z) until
     norm(residual(z)) <= tol; returns (z, that norm).  The one Newton loop
@@ -650,12 +672,11 @@ def _folded_rules(frac, T, n):
 
 def _oracle_fixed(u, frac, x, n):
     """Fixed-order evaluation of the folded singular integral at points x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     # g(r) = 2u(x) - u(x+r) - u(x-r) = sum_m 4 sin^2(omega m r / 2) u_m(x), with
     # u_m the m-th mode: summed without the cancellation of the difference
+    sin, cos, (a, b), _ = u._modes(np.atleast_1d(x))
+    modes = sin * a + cos * b
     m = np.arange(1, u.N + 1)
-    phase = np.multiply.outer(x, m) * u.omega
-    modes = np.sin(phase) * u.sin_coeffs + np.cos(phase) * u.cos_coeffs[1:]
 
     def g(r):
         return modes @ (4.0 * np.sin(np.multiply.outer(m, r) * (0.5 * u.omega)) ** 2)

@@ -259,14 +259,14 @@ def test_t0_entries_match_newton_refine(monkeypatch, N):
     # each entry is newton_refine(u, T, tol=1e-9) of the rescaled continuation
     # solution u, bit for bit; the spy records the starts of those solves
     starts = []
-    newton = bifurcation._newton
+    newton = semilinear._newton
 
     def spy(residual, jacobian, z, tol, max_iter, norm):
         if tol == 1e-9:
             starts.append(z.copy())
         return newton(residual, jacobian, z, tol, max_iter, norm)
 
-    monkeypatch.setattr(bifurcation, "_newton", spy)
+    monkeypatch.setattr(semilinear, "_newton", spy)
     frac = FracOrder(0.5)
     rep = verify_T0_bound(frac, well(), N=N)
     n = N or bifurcation.DEFAULT_N
@@ -284,3 +284,18 @@ def test_t0_bound_does_not_call_newton_refine(monkeypatch):
 
     monkeypatch.setattr(semilinear, "newton_refine", forbidden)
     assert verify_T0_bound(FracOrder(0.5), well(), lambda_grid=[1.5]).max_residual <= 1e-9
+
+
+SKEW = DoubleWell.from_poly([0.25, 0.0, -0.5, 0.075, 0.25, -0.15, 0.0, 0.075])   # not even
+
+
+def test_branch_and_t0_bound_reject_a_non_even_well():
+    with pytest.raises(ValueError, match="the odd class needs an even potential"):
+        continue_branch(FracOrder(0.5), SKEW, lambda_start=1.0, steps=5, ds_arc=0.05)
+    with pytest.raises(ValueError, match="the odd class needs an even potential"):
+        verify_T0_bound(FracOrder(0.5), SKEW, lambda_grid=[1.5])
+
+
+def test_t0_bound_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="lambda_grid must hold one or more"):
+        verify_T0_bound(FracOrder(0.5), well(), lambda_grid=[])

@@ -359,3 +359,37 @@ def test_extend_points_off_the_half_strip_are_usage_errors(tmp_path, capsys, met
                     "--points", points, "--out", str(out)]) == 2, points
         assert not out.exists()
         assert f"usage error: {name} must be finite" in capsys.readouterr().err
+
+
+SKEW = "poly:0.25,0,-0.5,0.075,0.25,-0.15,0,0.075"   # a double well that is not even
+
+
+def test_non_even_well_in_a_symmetric_class_is_usage_error(tmp_path, capsys):
+    argvs = [["solve", "--s", "0.5", "--T", "20", "--N", "32", "--symmetry", sym] for sym in ("odd", "even")]
+    argvs += [["continue", "--s", "0.5", "--steps", "5"], ["t0-bound", "--s", "0.5", "--lambda-grid", "1.5"],
+              ["min-period", "--s", "0.5", "--T-hi", "8"]]
+    for argv in argvs:
+        out = tmp_path / "out"
+        assert run(argv + ["--potential", SKEW, "--out", str(out)]) == 2, argv
+        assert not out.exists()
+        assert "class needs an even potential" in capsys.readouterr().err
+
+
+def test_invalid_ranges_are_usage_errors(tmp_path, capsys):
+    for argv, name in ((["t0-bound", "--s", "0.5", "--lambda-grid", ","], "lambda_grid"),
+                       (["test-bound", "--s", "0.5", "--T", "8", "--d", "1e-200"], "layer width d"),
+                       (["test-bound", "--s", "0.5", "--T", "8", "--d", "0.06"], "layer width d")):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        assert not out.exists()
+        assert f"usage error: {name} must" in capsys.readouterr().err
+
+
+def test_energy_scan_slope_so_far_uses_the_library_fit(tmp_path, capsys):
+    # at s = 1/2 the fit is J against ln T, in the column as on stderr
+    out = tmp_path / "scan.csv"
+    assert run(["energy-scan", "--s", "0.5", "--T-list", "8,12,16", "--out", str(out)]) == 0
+    slope = capsys.readouterr().err.split("slope=")[1].split()[0]
+    header, rows = read_csv(out)
+    assert header[2] == "slope_so_far" and rows[0][2] == "nan"
+    assert rows[-1][2] == slope

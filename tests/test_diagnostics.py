@@ -256,3 +256,19 @@ def test_bound_dominates_minimal_energy():
 def test_bound_rejects_wide_layer():
     with pytest.raises(ValueError):
         competitor_bound(FracOrder(0.5), 16.0, 5.0, well())
+
+
+@pytest.mark.parametrize("y0", [0.0, 5e-5, diagnostics.PDE_STEP, -1.0, math.nan])
+def test_modica_pde_residual_rejects_points_below_the_step(y0):
+    # the differences at y0 - PDE_STEP would leave the half-strip
+    with pytest.raises(ValueError, match="points must have y > PDE_STEP"):
+        modica_pde_residual(solved(), FracOrder(0.5), [(1.0, 0.5), (1.0, y0)])
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_bound_rejects_a_layer_below_the_grid(s):
+    # T/128 is 64 spacings of the 8192-point autocorrelation grid
+    assert competitor_bound(FracOrder(s), 8.0, 8.0 / 128, well()).gagliardo_total > 0.0
+    for d in (8.0 / 129, 1e-200, 0.0, math.nan):
+        with pytest.raises(ValueError, match="layer width d must lie in"):
+            competitor_bound(FracOrder(s), 8.0, d, well())

@@ -598,3 +598,11 @@ def test_field_rejects_points_off_the_half_strip(x, y, name):
     for call in (bessel.value, bessel.dx, bessel.dy, bessel.weighted_dy, poisson.value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             call(x, y)
+
+
+@pytest.mark.parametrize("y_max", [math.nan, math.inf, 0.0, -1.0])
+def test_extend_bessel_rejects_bad_y_max(y_max):
+    # a NaN y_max used to slip past the tail guard of extension_energy
+    u = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[1.0])
+    with pytest.raises(ValueError, match="y_max must be positive and finite"):
+        extend_bessel(u, FracOrder(0.4), y_max=y_max)

@@ -7,7 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracperiodic.diagnostics import hamiltonian_check
 from fracperiodic.extension import extend_bessel, extend_poisson
+from fracperiodic.semilinear import SolveConfig, minimize_energy
 from fracperiodic.spectral import (
     DoubleWell,
     FracOrder,
@@ -84,3 +86,14 @@ def test_prolongation_by_zero_padding_is_exact(symmetry, Nc, T, s, data):
     assert abs(e_fine - e_coarse) <= 1e-12 * abs(e_coarse)
     r_coarse, r_fine = coarse.residual(c, well), fine.residual(p, well)
     assert np.max(np.abs(r_fine[: r_coarse.size] - r_coarse)) <= 1e-12
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(s=st.floats(0.25, 0.9), T=st.floats(7.0, 16.0), symmetry=st.sampled_from(["odd", "even"]))
+def test_hamiltonian_constant_along_a_minimizer(s, T, symmetry):
+    # w(x) - F(u(x)) is constant in x for every solution; the truncation
+    # grows with T as for the hamiltonian subcommand
+    frac, well = FracOrder(s), DoubleWell.quartic()
+    sol = minimize_energy(T, frac, well, SolveConfig(symmetry=symmetry, N=max(48, int(1.5 * T))))
+    assert sol.nonconstant
+    hamiltonian_check(sol, frac, well)

@@ -453,3 +453,28 @@ def test_all_trivial_solve_computes_one_energy(monkeypatch):
     sol = minimize_energy(4.0, FracOrder(0.5), well(), SolveConfig(N=32))
     assert sol.classification == "trivial" and sol.amplitude == 0.0
     assert len(calls) == 1
+
+
+# a double well that is not even: odd-order coefficients 0.075 and -0.15
+SKEW = DoubleWell.from_poly([0.25, 0.0, -0.5, 0.075, 0.25, -0.15, 0.0, 0.075])
+
+
+@pytest.mark.parametrize("symmetry", ["odd", "even"])
+def test_symmetric_classes_reject_a_non_even_well(symmetry):
+    # the odd class would drop the even part of F'(u) and report a small
+    # class residual for a u whose full residual is large
+    SKEW.check_shape()
+    with pytest.raises(ValueError, match=f"the {symmetry} class needs an even potential"):
+        minimize_energy(20.0, FracOrder(0.5), SKEW, SolveConfig(symmetry=symmetry, N=32))
+    with pytest.raises(ValueError, match=f"the {symmetry} class needs an even potential"):
+        find_min_period(FracOrder(0.5), SKEW, T_hi=8.0, cfg=SolveConfig(symmetry=symmetry, N=32))
+
+
+def test_newton_refine_rejects_a_non_even_well_only_on_odd_input():
+    frac = FracOrder(0.5)
+    odd = minimize_energy(8.0, frac, well(), SolveConfig(N=32)).u
+    with pytest.raises(ValueError, match="the odd class needs an even potential"):
+        newton_refine(odd, 8.0, frac, SKEW)
+    # the full class holds the solutions of any well
+    full = PeriodicFunction(T=8.0, sin_coeffs=odd.sin_coeffs, cos_coeffs=odd.cos_coeffs)
+    assert newton_refine(full, 8.0, frac, SKEW).residual <= 1e-10
