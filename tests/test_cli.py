@@ -393,3 +393,87 @@ def test_energy_scan_slope_so_far_uses_the_library_fit(tmp_path, capsys):
     header, rows = read_csv(out)
     assert header[2] == "slope_so_far" and rows[0][2] == "nan"
     assert rows[-1][2] == slope
+
+
+def summary(err):
+    """The one stderr summary line as (key, value) pairs, in order."""
+    (line,) = err.splitlines()
+    return [tuple(field.split("=", 1)) for field in line.split(" ")]
+
+
+def test_solve_linear_coercive_and_fredholm_run(tmp_path, capsys):
+    k = tmp_path / "k.json"
+    g = tmp_path / "g.json"
+    write_function(k, T=TWO_PI, sin_coeffs=[0.1], cos_coeffs=[1.5, 0.2])
+    write_function(g, T=TWO_PI, sin_coeffs=[1.0, 0.5], cos_coeffs=[0.0, 0.3])
+    out = tmp_path / "coercive.json"
+    assert run(["solve-linear", "--s", "0.5", "--k", str(k), "--g", str(g), "--N", "16",
+                "--mu", "0.5", "--out", str(out)]) == 0
+    fields = dict(summary(capsys.readouterr().err))
+    assert list(fields) == ["stability_constant", "residual"]
+    assert float(fields["stability_constant"]) > 0 and float(fields["residual"]) < 1e-12
+    u = PeriodicFunction.from_dict(json.loads(out.read_text()))
+    assert u.N == 16 and u.T == TWO_PI
+
+    out = tmp_path / "unique.json"
+    assert run(["solve-linear", "--s", "0.5", "--k", str(k), "--g", str(g), "--N", "16",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "kernel_dim=0 unique=True\n"
+    assert PeriodicFunction.from_dict(json.loads(out.read_text())).N == 16
+
+    # k = 0: the constants span the kernel, g has mean 0, and u = g / |m|^{2s} exactly
+    write_function(k, T=TWO_PI, sin_coeffs=[], cos_coeffs=[0.0])
+    out = tmp_path / "fredholm.json"
+    assert run(["solve-linear", "--s", "0.5", "--k", str(k), "--g", str(g), "--N", "16",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "kernel_dim=1 unique=False\n"
+    u = PeriodicFunction.from_dict(json.loads(out.read_text()))
+    assert np.allclose(u.sin_coeffs[:2], [1.0, 0.25], atol=1e-12)
+    assert np.allclose(u.cos_coeffs[:2], [0.0, 0.3], atol=1e-12)
+    assert np.max(np.abs(u.sin_coeffs[2:])) < 1e-12 and np.max(np.abs(u.cos_coeffs[2:])) < 1e-12
+
+
+def test_continue_writes_the_branch_and_its_points(tmp_path, capsys):
+    out = tmp_path / "branch.csv"
+    points = tmp_path / "points"
+    assert run(["continue", "--s", "0.5", "--steps", "5", "--points-dir", str(points),
+                "--out", str(out)]) == 0
+    assert summary(capsys.readouterr().err) == [("bifurcation_lambda", "1"), ("direction", "supercritical")]
+    header, rows = read_csv(out)
+    assert header == ["lambda", "amplitude", "residual", "sigma_min"]
+    assert len(rows) == 5
+    table = np.array(rows, dtype=float)
+    assert np.all(np.diff(table[:, 0]) > 0) and np.max(table[:, 2]) < 1e-10
+    assert sorted(p.name for p in points.iterdir()) == [f"point_{i:04d}.json" for i in range(5)]
+    for i in range(5):
+        u = PeriodicFunction.from_dict(json.loads((points / f"point_{i:04d}.json").read_text()))
+        assert u.odd and u.T == TWO_PI
+
+
+def test_hamiltonian_writes_the_first_integral(tmp_path, capsys):
+    out = tmp_path / "ham.csv"
+    assert run(["hamiltonian", "--s", "0.5", "--T", "8", "--out", str(out)]) == 0
+    fields = dict(summary(capsys.readouterr().err))
+    assert list(fields) == ["C_T", "max_deviation"]
+    header, rows = read_csv(out)
+    assert header == ["x", "w", "F_u", "deviation"]
+    assert len(rows) == 64
+    x, w, f_u, deviation = np.array(rows, dtype=float).T
+    assert np.array_equal(x, np.arange(64) * (8.0 / 64))
+    assert float(fields["max_deviation"]) <= 1e-5 and np.max(np.abs(deviation)) <= 1e-5
+    assert np.allclose(w - f_u - deviation, float(fields["C_T"]), rtol=0, atol=1e-12)
+
+
+def test_modica_writes_the_half_strip_scan(tmp_path, capsys):
+    out = tmp_path / "modica.csv"
+    assert run(["modica", "--s", "0.5", "--T", "8", "--out", str(out)]) == 0
+    fields = dict(summary(capsys.readouterr().err))
+    assert list(fields) == ["C_hat", "lower_bound", "argmax"]
+    header, rows = read_csv(out)
+    assert header == ["x", "y", "v_hat"]
+    assert len(rows) == 64 * 64
+    # the grid maximum sits on the y = 0 row, and C_hat is printed with the CSV digits
+    x_max, y_max = fields["argmax"].strip("()").split(",")
+    assert y_max == "0" and [x_max, "0", fields["C_hat"]] in rows
+    assert max(float(r[2]) for r in rows) == float(fields["C_hat"])
+    assert abs(float(fields["lower_bound"]) - float(fields["C_hat"])) < 1e-10
