@@ -10,6 +10,10 @@ Each subcommand is declared once, in the table ``_COMMANDS``: name -> (body,
 options), an option being ``(name, type, default, help)`` with the default
 ``REQUIRED`` for a required one.  Flags, config keys, the required check and
 ``--dry-run`` all read this table; its parser is built once per process.
+After ``--dry-run`` has had its chance to print the raw config, ``_inputs``
+builds the order, the potential and the function inputs in one place, and
+the body gets them as keyword arguments; ``_summary`` writes every stderr
+summary line.
 """
 
 import argparse
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import bifurcation, diagnostics, extension, linear, semilinear, spectral
 from .errors import FracPeriodicError
-from .spectral import DoubleWell, FracOrder, PeriodicFunction
+from .spectral import DoubleWell, FracOrder, PeriodicFunction, _check_period
 
 __all__ = ["main", "run"]
 
@@ -67,13 +71,11 @@ def _potential(spec_str):
     Every command that takes a potential assumes a double well with wells
     at +-1, so a spec that fails ``DoubleWell.check_shape`` is a ValueError.
     """
-    if spec_str == "quartic":
-        well = DoubleWell.quartic()
-    elif spec_str.startswith("quartic:"):
-        well = DoubleWell.quartic(float(spec_str.split(":", 1)[1]))
-    elif spec_str.startswith("poly:"):
-        coeffs = [float(t) for t in spec_str.split(":", 1)[1].split(",")]
-        well = DoubleWell.from_poly(coeffs)
+    name, colon, arg = spec_str.partition(":")
+    if name == "quartic":
+        well = DoubleWell.quartic(float(arg)) if colon else DoubleWell.quartic()
+    elif name == "poly" and colon:
+        well = DoubleWell.from_poly([float(t) for t in arg.split(",")])
     else:
         raise ValueError(f"unknown potential spec {spec_str!r}")
     well.check_shape()
@@ -92,144 +94,115 @@ REQUIRED = object()   # the default of an option that has none: leaving it out i
 
 
 # ---------------------------------------------------------------------------
-# command bodies
+# command bodies: each takes its options as keyword arguments, with the
+# inputs already built by _inputs, and holds only its computation and output
 
 
-def _cmd_apply(cfg):
-    u = _load_function(cfg["input"])
-    _save_function(spectral.frac_laplacian(u, FracOrder(cfg["s"])), cfg["out"])
-
-
-def _cmd_eig(cfg):
-    frac = FracOrder(cfg["s"])
-    k = _load_function(cfg["k"]) if cfg["k"] else PeriodicFunction.constant(cfg["T"], 0.0)
-    op = linear.GalerkinOperator(frac=frac, T=cfg["T"], N=cfg["N"], k=k)
-    pairs = linear.eigenvalue_set(op, cfg["count"])
-    _write_csv(cfg["out"], ["index", "eigenvalue"],
-               [(i, lam) for i, (lam, _) in enumerate(pairs)])
-
-
-def _cmd_solve_linear(cfg):
-    frac = FracOrder(cfg["s"])
-    k = _load_function(cfg["k"])
-    g = _load_function(cfg["g"])
-    op = linear.GalerkinOperator(frac=frac, T=k.T, N=cfg["N"], k=k)
-    if cfg["mu"] is not None:
-        res = linear.solve_coercive(op, cfg["mu"], g)
-        print(f"stability_constant={_fmt(res.stability_constant)} residual={_fmt(res.residual)}",
-              file=sys.stderr)
-        _save_function(res.u, cfg["out"])
-    else:
-        res = linear.solve_fredholm(op, g)
-        print(f"kernel_dim={res.kernel.dim} unique={res.unique}", file=sys.stderr)
-        _save_function(res.solution, cfg["out"])
-
-
-def _cmd_solve(cfg):
-    frac = FracOrder(cfg["s"])
-    well = _potential(cfg["potential"])
-    sc = semilinear.SolveConfig(symmetry=cfg["symmetry"], N=cfg["N"])
-    sol = semilinear.minimize_energy(cfg["T"], frac, well, sc)
-    print(f"classification={sol.classification} residual={_fmt(sol.residual)} "
-          f"energy={_fmt(sol.energy)} amplitude={_fmt(sol.amplitude)}", file=sys.stderr)
-    _save_function(sol.u, cfg["out"])
-
-
-def _cmd_min_period(cfg):
-    frac = FracOrder(cfg["s"])
-    well = _potential(cfg["potential"])
-    est = semilinear.find_min_period(frac, well, cfg["T-hi"], tol=cfg["tol"])
-    bound = spectral.linearization_bound(frac, well)
-    _write_csv(cfg["out"], ["estimate", "bound", "tol"], [(est, bound, cfg["tol"])])
-
-
-def _cmd_continue(cfg):
-    frac = FracOrder(cfg["s"])
-    well = _potential(cfg["potential"])
-    br = bifurcation.continue_branch(frac, well, cfg["lambda-start"], cfg["steps"], cfg["ds"])
-    print(f"bifurcation_lambda={_fmt(br.bifurcation_lambda)} direction={br.direction}",
+def _summary(**fields):
+    """The one stderr summary line: key=value pairs, floats through _fmt."""
+    print(" ".join(f"{key}={_fmt(v) if isinstance(v, float) else v}" for key, v in fields.items()),
           file=sys.stderr)
-    _write_csv(cfg["out"], ["lambda", "amplitude", "residual", "sigma_min"],
+
+
+def _cmd_apply(frac, u, out):
+    _save_function(spectral.frac_laplacian(u, frac), out)
+
+
+def _cmd_eig(frac, T, count, N, k, out):
+    k = PeriodicFunction.constant(T, 0.0) if k is None else k
+    pairs = linear.eigenvalue_set(linear.GalerkinOperator(frac=frac, T=T, N=N, k=k), count)
+    _write_csv(out, ["index", "eigenvalue"], [(i, lam) for i, (lam, _) in enumerate(pairs)])
+
+
+def _cmd_solve_linear(frac, k, g, N, mu, out):
+    op = linear.GalerkinOperator(frac=frac, T=k.T, N=N, k=k)
+    if mu is None:
+        res = linear.solve_fredholm(op, g)
+        _summary(kernel_dim=res.kernel.dim, unique=res.unique)
+    else:
+        res = linear.solve_coercive(op, mu, g)
+        _summary(stability_constant=res.stability_constant, residual=res.residual)
+    _save_function(res.solution if mu is None else res.u, out)
+
+
+def _cmd_solve(frac, T, well, symmetry, N, out):
+    sol = semilinear.minimize_energy(T, frac, well, semilinear.SolveConfig(symmetry=symmetry, N=N))
+    _summary(classification=sol.classification, residual=sol.residual, energy=sol.energy,
+             amplitude=sol.amplitude)
+    _save_function(sol.u, out)
+
+
+def _cmd_min_period(frac, well, T_hi, tol, out):
+    est = semilinear.find_min_period(frac, well, T_hi, tol=tol)
+    _write_csv(out, ["estimate", "bound", "tol"], [(est, spectral.linearization_bound(frac, well), tol)])
+
+
+def _cmd_continue(frac, well, lambda_start, steps, ds, points_dir, out):
+    br = bifurcation.continue_branch(frac, well, lambda_start, steps, ds)
+    _summary(bifurcation_lambda=br.bifurcation_lambda, direction=br.direction)
+    _write_csv(out, ["lambda", "amplitude", "residual", "sigma_min"],
                [(p.lam, p.amplitude, p.residual, p.sigma_min) for p in br.points])
-    if cfg["points-dir"]:
-        os.makedirs(cfg["points-dir"], exist_ok=True)
+    if points_dir:
+        os.makedirs(points_dir, exist_ok=True)
         for i, p in enumerate(br.points):
-            _save_function(p.u, os.path.join(cfg["points-dir"], f"point_{i:04d}.json"))
+            _save_function(p.u, os.path.join(points_dir, f"point_{i:04d}.json"))
 
 
-def _cmd_t0_bound(cfg):
-    frac = FracOrder(cfg["s"])
-    well = _potential(cfg["potential"])
-    grid = _float_list(cfg["lambda-grid"]) if cfg["lambda-grid"] else None
-    rep = bifurcation.verify_T0_bound(frac, well, lambda_grid=grid)
-    print(f"bound={_fmt(rep.bound)} min_period={_fmt(rep.min_period)}", file=sys.stderr)
-    _write_csv(cfg["out"], ["lambda", "period", "amplitude", "residual"],
+def _cmd_t0_bound(frac, well, lambda_grid, out):
+    rep = bifurcation.verify_T0_bound(frac, well, lambda_grid=_float_list(lambda_grid) if lambda_grid else None)
+    _summary(bound=rep.bound, min_period=rep.min_period)
+    _write_csv(out, ["lambda", "period", "amplitude", "residual"],
                [(e.lam, e.period, e.amplitude, e.residual_rescaled) for e in rep.entries])
 
 
 def _certified_solution(T, frac, well, symmetry):
     """The minimizer a certificate command checks: truncation grows with T."""
+    _check_period(T)
     sc = semilinear.SolveConfig(symmetry=symmetry, N=max(48, int(1.5 * T)))
     return semilinear.minimize_energy(T, frac, well, sc)
 
 
-def _cmd_hamiltonian(cfg):
-    frac = FracOrder(cfg["s"])
-    well = _potential(cfg["potential"])
-    sol = _certified_solution(cfg["T"], frac, well, cfg["symmetry"])
-    rep = diagnostics.hamiltonian_check(sol, frac, well, n_samples=cfg["n-samples"],
-                                        tol=cfg["tol"])
-    print(f"C_T={_fmt(rep.c_t)} max_deviation={_fmt(rep.max_deviation)}", file=sys.stderr)
-    fu = well.f(sol.u(rep.x))
-    _write_csv(cfg["out"], ["x", "w", "F_u", "deviation"],
-               [(x, v + f, f, v - rep.c_t) for x, v, f in zip(rep.x, rep.values, fu)])
+def _cmd_hamiltonian(frac, T, well, symmetry, n_samples, tol, out):
+    sol = _certified_solution(T, frac, well, symmetry)
+    rep = diagnostics.hamiltonian_check(sol, frac, well, n_samples=n_samples, tol=tol)
+    _summary(C_T=rep.c_t, max_deviation=rep.max_deviation)
+    _write_csv(out, ["x", "w", "F_u", "deviation"],
+               [(x, v + f, f, v - rep.c_t) for x, v, f in zip(rep.x, rep.values, well.f(sol.u(rep.x)))])
 
 
-def _cmd_modica(cfg):
-    frac = FracOrder(cfg["s"])
-    well = _potential(cfg["potential"])
-    sol = _certified_solution(cfg["T"], frac, well, "even")
-    rep = diagnostics.modica_check(sol, frac, well, nx=cfg["nx"], ny=cfg["ny"], tol=cfg["tol"])
-    print(f"C_hat={_fmt(rep.c_hat)} lower_bound={_fmt(rep.c_hat_lower)} "
-          f"argmax=({_fmt(rep.argmax[0])},{_fmt(rep.argmax[1])})", file=sys.stderr)
+def _cmd_modica(frac, T, well, nx, ny, tol, out):
+    sol = _certified_solution(T, frac, well, "even")
+    rep = diagnostics.modica_check(sol, frac, well, nx=nx, ny=ny, tol=tol)
+    _summary(C_hat=rep.c_hat, lower_bound=rep.c_hat_lower,
+             argmax=f"({_fmt(rep.argmax[0])},{_fmt(rep.argmax[1])})")
     rows = np.column_stack((np.tile(rep.x, rep.y.size), np.repeat(rep.y, rep.x.size), rep.v_hat.ravel()))
-    _write_csv(cfg["out"], ["x", "y", "v_hat"], rows.tolist())
+    _write_csv(out, ["x", "y", "v_hat"], rows.tolist())
 
 
-def _cmd_energy_scan(cfg):
-    frac = FracOrder(cfg["s"])
-    well = _potential(cfg["potential"])
-    rep = diagnostics.energy_scan(frac, well, _float_list(cfg["T-list"]))
-    print(f"regime={rep.regime} slope={_fmt(rep.slope)} ratio={_fmt(rep.ratio)} "
-          f"sigma={_fmt(rep.sigma)}", file=sys.stderr)
+def _cmd_energy_scan(frac, well, T_list, out):
+    rep = diagnostics.energy_scan(frac, well, _float_list(T_list))
+    _summary(regime=rep.regime, slope=rep.slope, ratio=rep.ratio, sigma=rep.sigma)
     Ts, Js = np.array(rep.entries).T
     slopes = [float("nan")] + [diagnostics._growth_slope(frac, Ts[:i], Js[:i]) for i in range(2, len(Ts) + 1)]
-    _write_csv(cfg["out"], ["T", "J", "slope_so_far", "sigma"], zip(Ts, Js, slopes, rep.sigma_values))
+    _write_csv(out, ["T", "J", "slope_so_far", "sigma"], zip(Ts, Js, slopes, rep.sigma_values))
 
 
-def _cmd_test_bound(cfg):
-    frac = FracOrder(cfg["s"])
-    well = _potential(cfg["potential"])
-    rep = diagnostics.test_function_bound(frac, cfg["T"], cfg["d"], well)
-    totals = ("gagliardo_total", "f_integral", "total", "j_bound")
-    rows = list(rep.regions()) + [(name, getattr(rep, name), float("nan")) for name in totals]
-    _write_csv(cfg["out"], ["region", "value", "bound"], rows)
+def _cmd_test_bound(frac, T, d, well, out):
+    rep = diagnostics.test_function_bound(frac, T, d, well)
+    totals = [(name, getattr(rep, name), float("nan")) for name in ("gagliardo_total", "f_integral", "total", "j_bound")]
+    _write_csv(out, ["region", "value", "bound"], list(rep.regions()) + totals)
 
 
-def _cmd_extend(cfg):
-    frac = FracOrder(cfg["s"])
-    u = _load_function(cfg["input"])
-    build = extension.extend_bessel if cfg["method"] == "bessel" else extension.extend_poisson
-    if cfg["method"] not in ("bessel", "poisson"):
+def _cmd_extend(frac, u, method, points, out):
+    routes = {"bessel": extension.extend_bessel, "poisson": extension.extend_poisson}
+    if method not in routes:
         raise UsageError("method must be bessel or poisson")
-    field = build(u, frac)
-    if cfg["points"]:
-        pts = [tuple(float(t) for t in pair.split(",")) for pair in cfg["points"].split(";") if pair]
+    field = routes[method](u, frac)
+    if points:
+        pts = [tuple(float(t) for t in pair.split(",")) for pair in points.split(";") if pair]
     else:
-        pts = [(x, y) for x in np.linspace(0, u.T, 5, endpoint=False)
-               for y in (0.0, 0.5, 1.0, 2.0)]
-    rows = [(x, y, float(field.value(x, y))) for x, y in pts]
-    _write_csv(cfg["out"], ["x", "y", "U"], rows)
+        pts = [(x, y) for x in np.linspace(0, u.T, 5, endpoint=False) for y in (0.0, 0.5, 1.0, 2.0)]
+    _write_csv(out, ["x", "y", "U"], [(x, y, float(field.value(x, y))) for x, y in pts])
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +296,8 @@ _COMMANDS = {
 
 
 def _resolve(cmd, args):
-    """Merge flag values over config-file values over defaults.
-
-    Returns the canonical dict {key: value}; unknown config keys are
-    rejected and options left at REQUIRED are usage errors.
-    """
+    """Merge flag values over config-file values over defaults into the canonical
+    dict {key: value}; unknown config keys and options left at REQUIRED are usage errors."""
     known = {name: (typ, default) for name, typ, default, _ in _COMMANDS[cmd][1] + _COMMON}
     resolved = {name: default for name, (_, default) in known.items()}
     cfg_path = getattr(args, "config", None)
@@ -353,21 +323,40 @@ def _resolve(cmd, args):
     return resolved
 
 
+# option -> (body parameter, builder of the input it names)
+_INPUTS = {
+    "s": ("frac", FracOrder),
+    "potential": ("well", _potential),
+    "input": ("u", _load_function),
+    "k": ("k", _load_function),
+    "g": ("g", _load_function),
+}
+
+
+def _inputs(cfg):
+    """The keyword arguments of a command body, built from the resolved config
+    in table order.  Options outside _INPUTS pass through under their name
+    with "-" turned into "_", and a None default, such as eig's --k, stays
+    None; the config file path was read by _resolve and is not passed on."""
+    kwargs = {}
+    for key, val in cfg.items():
+        if key != "config":
+            name, build = _INPUTS.get(key, (key.replace("-", "_"), None))
+            kwargs[name] = val if build is None or val is None else build(val)
+    return kwargs
+
+
 @functools.cache
 def _build_parser():
     """The argparse tree of the constant _COMMANDS, shared by every run()."""
-    parser = argparse.ArgumentParser(
-        prog="fracperiodic",
-        description="periodic fractional Laplacian toolbox",
-    )
+    parser = argparse.ArgumentParser(prog="fracperiodic", description="periodic fractional Laplacian toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, (_body, opts) in _COMMANDS.items():
         p = sub.add_parser(cmd)
         for name, typ, _default, help_text in opts + _COMMON:
             p.add_argument("--" + name, dest=name.replace("-", "_"), type=typ,
                            default=None, help=help_text)
-        p.add_argument("--dry-run", action="store_true",
-                       help="print the resolved config and exit")
+        p.add_argument("--dry-run", action="store_true", help="print the resolved config and exit")
     return parser
 
 
@@ -382,7 +371,7 @@ def run(argv=None):
             for key in sorted(cfg):
                 print(f"{key}={cfg[key]}")
         else:
-            _COMMANDS[args.command][0](cfg)
+            _COMMANDS[args.command][0](**_inputs(cfg))
     except FracPeriodicError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
