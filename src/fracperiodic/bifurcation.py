@@ -42,7 +42,6 @@ RESIDUAL_TOL = 1e-10
 DEFAULT_N = 24
 MAX_STEP_RETRIES = 10      # continuation step halvings before StepFailure
 PITCHFORK_FIT_POINTS = 10  # leading branch points of the pitchfork fit
-NORMAL_FORM_NODES = 4096   # trapezoid nodes of the normal-form integral
 
 
 @dataclass(frozen=True)
@@ -186,14 +185,14 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
 def classify_criticality(frac: FracOrder, well: DoubleWell, m):
     """Local pitchfork direction at lambda_{m+1} = m^{2s} from the cubic
     normal-form coefficient; 'inconclusive' when F'''(0) != 0 (transcritical
-    branching is not excluded)."""
+    branching is not excluded).  Raises ValueError for m < 1."""
+    if not m >= 1:
+        raise ValueError(f"mode m must be at least 1, got {m!r}")
     if abs(float(well.f3(0.0))) > 1e-10:
         return "inconclusive"
     curvature = unstable_curvature(well)
     lam = float(m) ** (2.0 * frac.s)
-    x = np.linspace(-math.pi, math.pi, NORMAL_FORM_NODES, endpoint=False)
-    phi = np.sin(m * x) / math.sqrt(math.pi)  # normalized: int phi^2 = 1
-    phi4 = float(np.sum(phi**4)) * (2.0 * math.pi / NORMAL_FORM_NODES)
+    phi4 = 3.0 / (4.0 * math.pi)   # int_{-pi}^{pi} phi^4 of phi = sin(m x) / sqrt(pi), for every m >= 1
     coeff = (lam * float(well.f4(0.0)) / curvature) * phi4 / 6.0
     return "supercritical" if coeff > 0 else "subcritical"
 

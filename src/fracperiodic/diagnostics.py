@@ -69,15 +69,15 @@ class HamiltonianReport:
 
 
 def _squared_fields(field: ExtensionField, x, y_plus, y_minus):
-    """U_x^2 on y_plus times x and (y^a U_y)^2 on y_minus times x, of shapes
-    y.shape + x.shape.
+    """U_x^2 on y_plus times x (None when y_plus is None) and (y^a U_y)^2 on
+    y_minus times x, of shapes y.shape + x.shape.
 
     U_x = sum_m J_m(y) omega_m [a_m cos - b_m sin] and y^a U_y = sum_m
     psi_m(y) [a_m sin + b_m cos] with psi_m = y^a J_m', so a whole node batch
     takes one profile table and one matmul per factor.
     """
     sin, cos, (a, b), (a_x, b_x) = field.base._modes(x)
-    ux2 = (field.profile_table(y_plus) @ (sin * a_x + cos * b_x).T) ** 2
+    ux2 = None if y_plus is None else (field.profile_table(y_plus) @ (sin * a_x + cos * b_x).T) ** 2
     return ux2, (field.profile_table(y_minus, "weighted_deriv") @ (sin * a + cos * b).T) ** 2
 
 
@@ -197,7 +197,7 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, c_t=None, nx=64, ny=64,
     # C_hat >= (d_s/2) int U_y^2(T/2, tau) tau^a dtau, with equality for even
     # solutions (U_x vanishes on the reflection axis x = T/2)
     rule = field.quadrature
-    _, uy2 = _squared_fields(field, trace.T / 2.0, rule.nodes_plus, rule.nodes_minus)
+    _, uy2 = _squared_fields(field, trace.T / 2.0, None, rule.nodes_minus)
     lower = 0.5 * frac.d_s * float(rule.weights_minus @ uy2)
     return ModicaReport(
         x=x, y=y, v_hat=v_hat, c_hat=c_hat, c_hat_lower=lower,

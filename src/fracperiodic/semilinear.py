@@ -185,13 +185,13 @@ def _normalize_sign(cls, c):
     return -c if lead < 0 else c
 
 
-def _starts(cls: _SymmetryClass, cfg: SolveConfig, well: DoubleWell):
+def _starts(cls: _SymmetryClass, cfg: SolveConfig):
     """Multistart initial data: c * (first harmonic) with sign flips, plus a
     sharpened interface template for long periods.
 
-    For an even well the mirror image -c of a start is dropped after the
-    multistart cut: E(-c) = E(c), and its iterates are the exact negations,
-    which sign normalization maps back onto the same solution.
+    The mirror -c of a start is dropped after the multistart cut: the well
+    is even (_solve_class admits no other), so E(-c) = E(c), and its iterates
+    are the exact negations, which sign normalization maps onto the same u.
     """
     out = []   # (coefficients, is the mirror image of the previous start)
     amps = [0.2, 0.5, 0.9]
@@ -204,7 +204,7 @@ def _starts(cls: _SymmetryClass, cfg: SolveConfig, well: DoubleWell):
         g = cls.T / 4.0
         base = (np.sin if cls.odd else np.cos)(2.0 * math.pi * cls.x / cls.T)
         out.insert(0, (cls.project(np.tanh(g * base)), False))
-    return [c for c, mirror in out[: cfg.multistarts] if not (mirror and well.even)]
+    return [c for c, mirror in out[: cfg.multistarts] if not mirror]
 
 
 def _nonconstant(vals):   # the one nonconstant test, on grid values
@@ -222,7 +222,7 @@ def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell, 
     """Yield (c, residual norm) of each start that converges to a nonconstant u with |u| < 1."""
     first = _SymmetryClass(cfg.symmetry, cls.T, cfg.N // 4, frac) if cfg.N >= COARSE_MIN_N else cls
     finished = []   # coarse endpoints whose fine stage succeeded
-    for c0 in _starts(first, cfg, well):
+    for c0 in _starts(first, cfg):
         c = coarse = _descent(first, c0.copy(), well)
         if first is not cls:   # prolong by zero padding and finish at N, once per distinct endpoint
             if any(first.l2_norm(coarse - d) < DISTINCT_L2 for d in finished):
@@ -290,7 +290,8 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
 
     Brackets between "only trivial minimizers" and "nonconstant minimizer
     found"; the estimate never exceeds the linearization bound
-    2 pi (-F''(0))^{-1/(2s)} up to tol.  The predicate is
+    2 pi (-F''(0))^{-1/(2s)} up to tol, or up to one double when lo and hi
+    become adjacent before tol is met.  The predicate is
     minimize_energy(T, ...).nonconstant, stopped at the first nonconstant
     start.  Raises ValueError unless T_hi and tol are positive and finite
     and the well is even.
@@ -312,8 +313,7 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
         raise InconsistentBracket(f"nonconstant solution found at T = {lo:g} below the bound")
     if not nonconstant_at(hi):
         raise InconsistentBracket(f"no nonconstant solution found at T_hi = {hi:g}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if nonconstant_at(mid):
             hi = mid
         else:

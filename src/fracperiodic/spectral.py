@@ -197,7 +197,7 @@ class PeriodicFunction:
             raise ValueError(f"period T must be positive and finite, got {self.T}")
         a = _freeze(self.sin_coeffs)
         b = _freeze(self.cos_coeffs)
-        if b.shape[0] != a.shape[0] + 1:
+        if a.ndim != 1 or b.shape != (a.shape[0] + 1,):
             raise ValueError("cos_coeffs must have length N+1, sin_coeffs length N")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("Fourier coefficients must be finite")
@@ -346,9 +346,16 @@ class PeriodicFunction:
 
     @classmethod
     def from_dict(cls, d):
-        a = np.asarray(d["a"], dtype=float)
-        b = np.asarray(d["b"], dtype=float)
-        return cls(T=float(d["T"]), sin_coeffs=a, cos_coeffs=b, odd=bool(d.get("odd", False)))
+        """Raises ValueError naming the key of a missing or non-numeric entry."""
+        def entry(key, convert):
+            try:
+                return convert(d[key])
+            except KeyError:
+                raise ValueError(f"function JSON has no {key!r} entry") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"function JSON entry {key!r} is not numeric: {exc}") from None
+        a, b = (entry(key, lambda v: np.asarray(v, dtype=float)) for key in ("a", "b"))
+        return cls(T=entry("T", float), sin_coeffs=a, cos_coeffs=b, odd=bool(d.get("odd", False)))
 
     @classmethod
     def from_json(cls, text):
@@ -381,6 +388,8 @@ class DoubleWell:
     @classmethod
     def quartic(cls, scale=1.0):
         c = float(scale)
+        if not math.isfinite(c):
+            raise ValueError(f"quartic scale must be finite, got {c!r}")
         return cls(
             f=lambda u: c * (1.0 - np.asarray(u) ** 2) ** 2 / 4.0,
             f1=lambda u: c * np.asarray(u) * (np.asarray(u) ** 2 - 1.0),   # exactly odd, unlike u**3
@@ -395,6 +404,9 @@ class DoubleWell:
     def from_poly(cls, coeffs):
         """Potential given by polynomial coefficients (low order first)."""
         p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
+        bad = np.flatnonzero(~np.isfinite(p.coef))
+        if bad.size:
+            raise ValueError(f"poly coefficient c{bad[0]} must be finite, got {float(p.coef[bad[0]])!r}")
         d = [p.deriv(k) for k in range(1, 5)]
         return cls(
             f=lambda u, _p=p: _p(np.asarray(u)),

@@ -195,6 +195,21 @@ def test_classify_agrees_with_branch_fit():
         assert label == br.direction
 
 
+@pytest.mark.parametrize("m", [2, 5, 100])
+def test_classify_higher_modes(m):
+    # int phi^4 = 3 / (4 pi) at every m >= 1: the label follows the sign of F^(4)(0)
+    soft = DoubleWell.from_poly([0.25, 0.0, -0.5, 0.0, -0.25])
+    assert classify_criticality(FracOrder(0.4), well(), m) == "supercritical"
+    assert classify_criticality(FracOrder(0.4), soft, m) == "subcritical"
+
+
+@pytest.mark.parametrize("m", [0, -1, 0.5, math.nan])
+def test_classify_rejects_a_mode_below_one(m):
+    # sin(0 x) vanishes: m = 0 used to return a label computed from 0 / 0
+    with pytest.raises(ValueError, match="mode m"):
+        classify_criticality(FracOrder(0.5), well(), m)
+
+
 # -- realized periods --------------------------------------------------------
 
 

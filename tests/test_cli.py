@@ -477,3 +477,46 @@ def test_modica_writes_the_half_strip_scan(tmp_path, capsys):
     assert y_max == "0" and [x_max, "0", fields["C_hat"]] in rows
     assert max(float(r[2]) for r in rows) == float(fields["C_hat"])
     assert abs(float(fields["lower_bound"]) - float(fields["C_hat"])) < 1e-10
+
+
+@pytest.mark.parametrize("potential", ["quartic:nan", "quartic:inf", "poly:nan", "poly:0.25,0,-0.5,0,nan"])
+def test_non_finite_potential_is_usage_error(tmp_path, capsys, potential):
+    # solve used to exit 0 with residual=nan energy=nan, and min-period
+    # blamed the period
+    for argv in (["solve", "--s", "0.5", "--T", "8", "--N", "16"],
+                 ["energy-scan", "--s", "0.5", "--T-list", "8,12"],
+                 ["hamiltonian", "--s", "0.5", "--T", "8"], ["modica", "--s", "0.5", "--T", "8"],
+                 ["min-period", "--s", "0.5", "--T-hi", "8"]):
+        out = tmp_path / "out"
+        assert run(argv + ["--potential", potential, "--out", str(out)]) == 2, argv
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "must be finite" in err, (argv, err)
+
+
+@pytest.mark.parametrize("cmd", ["apply", "extend", "solve-linear"])
+def test_function_json_without_a_key_is_usage_error(tmp_path, capsys, cmd):
+    good = tmp_path / "good.json"
+    write_function(good, T=TWO_PI, sin_coeffs=[1.0], cos_coeffs=[0.5, 0.0])
+    for text, key in (('{"T": 6.283185307179586, "b": [0.0, 1.0]}', "'a'"),
+                      ('{"T": 6.283185307179586, "a": [1.0], "b": ["x", 1.0]}', "'b'")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text + "\n")
+        inputs = {"apply": ["--input", bad], "extend": ["--input", bad],
+                  "solve-linear": ["--k", good, "--g", bad, "--mu", "1"]}[cmd]
+        out = tmp_path / "out"
+        assert run([cmd, "--s", "0.5", *map(str, inputs), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: function JSON") and key in err
+
+
+@pytest.mark.parametrize("cmd", ["hamiltonian", "modica"])
+def test_certificate_period_is_checked_before_the_truncation(tmp_path, capsys, cmd):
+    # int(1.5 * T) raised OverflowError at T = inf and a bare "cannot convert
+    # float NaN to integer" at T = nan
+    for T in ("inf", "nan", "-1"):
+        out = tmp_path / "out"
+        assert run([cmd, "--s", "0.5", "--T", T, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("usage error: period must be positive and finite")

@@ -17,7 +17,7 @@ from fracperiodic.linear import (
     solve_coercive,
     solve_fredholm,
 )
-from fracperiodic.spectral import FracOrder, PeriodicFunction
+from fracperiodic.spectral import FracOrder, PeriodicFunction, frac_laplacian
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,6 +28,27 @@ def zero_k(T=TWO_PI):
 
 def make_op(s=0.5, T=TWO_PI, N=16, k=None):
     return GalerkinOperator(frac=FracOrder(s), T=T, N=N, k=k or zero_k(T))
+
+
+def test_apply_is_the_fractional_laplacian_at_k_zero():
+    rng = np.random.default_rng(3)
+    T, N = 5.0, 12
+    u = PeriodicFunction.from_modes(T, sin_coeffs=rng.normal(size=N), cos_coeffs=rng.normal(size=N + 1))
+    for s in (0.3, 0.5, 0.8):
+        got, ref = make_op(s=s, T=T, N=N).apply(u), frac_laplacian(u, FracOrder(s))
+        assert got.T == T and got.N == N
+        assert np.allclose(got.sin_coeffs, ref.sin_coeffs, rtol=1e-12, atol=1e-12)
+        assert np.allclose(got.cos_coeffs, ref.cos_coeffs, rtol=1e-12, atol=1e-12)
+
+
+def test_apply_is_the_matrix_product():
+    rng = np.random.default_rng(4)
+    T, N = 7.0, 10
+    k = PeriodicFunction.from_modes(T, sin_coeffs=0.3 * rng.normal(size=3), cos_coeffs=[1.0, 0.2, -0.4, 0.1])
+    op = make_op(s=0.6, T=T, N=N, k=k)
+    u = PeriodicFunction.from_modes(T, sin_coeffs=rng.normal(size=N + 3), cos_coeffs=rng.normal(size=N + 4))
+    got = function_to_coords(op.apply(u), N)
+    assert np.allclose(got, op.matrix @ function_to_coords(u, N), rtol=0, atol=1e-13)
 
 
 # -- assembly ----------------------------------------------------------------

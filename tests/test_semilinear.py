@@ -1,7 +1,6 @@
 """Semilinear solver tests: energy minimization in symmetry classes,
 Newton refinement, and the minimal-period bisection."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -210,14 +209,14 @@ def test_near_critical_solve_takes_few_iterations(monkeypatch):
     ("odd", 8.0, 2), ("even", 8.0, 2),
 ])
 def test_mirror_starts_dropped_exactly(monkeypatch, symmetry, T, multistarts):
+    # the well is even, so the mirror -c of a start has the negated iterates:
+    # putting every mirror back next to its start changes no bit of the minimizer
     frac = FracOrder(0.5)
     cfg = SolveConfig(symmetry=symmetry, N=64 if T > 10 else 32, multistarts=multistarts)
-    cls = semilinear._SymmetryClass(symmetry, T, cfg.N, frac)
-    signed = dataclasses.replace(well(), even=False)
-    assert len(semilinear._starts(cls, cfg, well())) < len(semilinear._starts(cls, cfg, signed))
+    kept = semilinear._starts
+    assert len(kept(semilinear._SymmetryClass(symmetry, T, cfg.N, frac), cfg)) < multistarts
     dropped = minimize_energy(T, frac, well(), cfg)
-    keep_both = semilinear._starts
-    monkeypatch.setattr(semilinear, "_starts", lambda c, k, w: keep_both(c, k, signed))
+    monkeypatch.setattr(semilinear, "_starts", lambda c, k: [v for c0 in kept(c, k) for v in (c0, -c0)])
     both = minimize_energy(T, frac, well(), cfg)
     assert dropped.classification == both.classification == "nonconstant"
     assert np.max(np.abs(dropped.u.sin_coeffs - both.u.sin_coeffs)) <= 1e-12
@@ -318,7 +317,7 @@ def test_fine_level_factorizations_per_start(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted(cholesky))
     monkeypatch.setattr(np.linalg, "solve", counted(solve))
     sol = minimize_energy(T, frac, well(), cfg)
-    starts = semilinear._starts(semilinear._SymmetryClass("odd", T, N, frac), cfg, well())
+    starts = semilinear._starts(semilinear._SymmetryClass("odd", T, N, frac), cfg)
     assert sol.nonconstant and sol.residual <= cfg.newton_tol
     assert 0 < len(calls) <= 2 * len(starts)
 
@@ -386,6 +385,25 @@ def test_failed_fine_stage_does_not_suppress_its_duplicates(monkeypatch):
     assert len(calls) == 2   # the next duplicate finishes in place of the failed one
     assert sol.classification == "nonconstant"
     assert abs(sol.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+
+
+def test_min_period_ends_at_adjacent_doubles(monkeypatch):
+    # below the spacing of doubles near 2 pi, hi - lo never drops under tol:
+    # the bisection has to end when lo and hi are adjacent, not loop forever
+    calls = []
+    starts = semilinear._nonconstant_starts
+
+    def counted(*args):
+        calls.append(None)
+        if len(calls) > 200:
+            raise AssertionError("the bisection did not end after 200 predicate calls")
+        return starts(*args)
+
+    monkeypatch.setattr(semilinear, "_nonconstant_starts", counted)
+    frac, cfg = FracOrder(0.5), SolveConfig(N=32)
+    est = find_min_period(frac, well(), T_hi=8.0, tol=1e-300)
+    assert minimize_energy(est, frac, well(), cfg).nonconstant
+    assert not minimize_energy(np.nextafter(est, 0.0), frac, well(), cfg).nonconstant
 
 
 # -- the period bisection's predicate ----------------------------------------------

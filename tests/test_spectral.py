@@ -95,6 +95,25 @@ def test_json_round_trip():
     assert np.allclose(v.cos_coeffs, u.cos_coeffs, atol=0)
 
 
+@pytest.mark.parametrize("d,key", [
+    ({"T": TWO_PI, "b": [0.0, 0.0]}, "'a'"),
+    ({"a": [1.0], "b": [0.0, 0.0]}, "'T'"),
+    ({"T": TWO_PI, "a": [1.0], "b": ["x", 0.0]}, "'b'"),
+    ({"T": "8", "a": [1.0], "b": [0.0, {}]}, "'b'"),
+    ({"T": None, "a": [1.0], "b": [0.0, 0.0]}, "'T'"),
+    ({"T": [TWO_PI], "a": [1.0], "b": [0.0, 0.0]}, "'T'"),
+])
+def test_from_dict_names_a_missing_or_non_numeric_key(d, key):
+    with pytest.raises(ValueError, match=key):
+        PeriodicFunction.from_dict(d)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, [0.0, 0.0]), ([1.0], 0.0), ([[1.0]], [[0.0, 0.0]])])
+def test_coefficients_must_be_lists(a, b):
+    with pytest.raises(ValueError, match="length"):
+        PeriodicFunction.from_dict({"T": TWO_PI, "a": a, "b": b})
+
+
 # -- fractional Laplacian ----------------------------------------------------
 
 
@@ -255,6 +274,17 @@ def test_quartic_monotone_between_wells():
     right = np.linspace(0.01, 0.99, 100)
     assert np.all(np.diff(well.f(left)) >= 0.0)   # nondecreasing on (-1,0)
     assert np.all(np.diff(well.f(right)) <= 0.0)  # nonincreasing on (0,1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_double_well_rejects_non_finite_coefficients(bad):
+    # check_shape compares with NaN, and every such comparison is false
+    with pytest.raises(ValueError, match="quartic scale"):
+        DoubleWell.quartic(bad)
+    with pytest.raises(ValueError, match="poly coefficient c2 "):
+        DoubleWell.from_poly([0.25, 0.0, bad, 0.0, 0.25])
+    with pytest.raises(ValueError, match="poly coefficient c0 "):
+        DoubleWell.from_poly([bad])
 
 
 # -- numpy special functions against their scipy oracles --------------------
