@@ -10,15 +10,14 @@ Each subcommand is declared once, in the table ``_COMMANDS``: name -> (body,
 options), an option being ``(name, type, default, help)`` with the default
 ``REQUIRED`` for a required one.  Flags, config keys, the required check and
 ``--dry-run`` all read this table; its parser is built once per process.
-After ``--dry-run`` has had its chance to print the raw config, ``_inputs``
-builds the order, the potential and the function inputs in one place, and
-the body gets them as keyword arguments; ``_summary`` writes every stderr
-summary line.
+After ``--dry-run`` has printed the raw config, ``_inputs`` builds the
+fractional order, the potential and the function inputs in one place and
+hands them to the body as keyword arguments; ``_summary`` writes every
+stderr summary line.
 """
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -58,7 +57,7 @@ def _write_csv(path, header, rows):
 
 def _load_function(path):
     with open(path) as fh:
-        return PeriodicFunction.from_dict(json.load(fh))
+        return PeriodicFunction.from_json(fh.read())
 
 
 def _save_function(u, path):

@@ -205,7 +205,7 @@ def test_classify_higher_modes(m):
 
 @pytest.mark.parametrize("m", [0, -1, 0.5, math.nan])
 def test_classify_rejects_a_mode_below_one(m):
-    # sin(0 x) vanishes: m = 0 used to return a label computed from 0 / 0
+    # sin(0 x) vanishes, so m = 0 has no normal form
     with pytest.raises(ValueError, match="mode m"):
         classify_criticality(FracOrder(0.5), well(), m)
 
