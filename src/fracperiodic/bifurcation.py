@@ -185,9 +185,9 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
 def classify_criticality(frac: FracOrder, well: DoubleWell, m):
     """Local pitchfork direction at lambda_{m+1} = m^{2s} from the cubic
     normal-form coefficient; 'inconclusive' when F'''(0) != 0 (transcritical
-    branching is not excluded).  Raises ValueError for m < 1."""
-    if not m >= 1:
-        raise ValueError(f"mode m must be at least 1, got {m!r}")
+    branching is not excluded).  Raises ValueError unless m is an integer >= 1."""
+    if not (m >= 1 and float(m).is_integer()):
+        raise ValueError(f"mode m must be an integer at least 1, got {m!r}")
     if abs(float(well.f3(0.0))) > 1e-10:
         return "inconclusive"
     curvature = unstable_curvature(well)

@@ -144,6 +144,8 @@ def solve_coercive(op: GalerkinOperator, mu: float, g: PeriodicFunction) -> Coer
 
     u = V ((V^T g) / (w + mu)) on the operator's eigendecomposition; raises
     NotCoercive unless min w + mu > 0."""
+    if g.T != op.T:
+        raise ValueError(f"right-hand side g must have the operator's period {op.T!r}, got {g.T!r}")
     w, V = op._eigh
     if not w[0] + mu > 0.0:
         raise NotCoercive(f"L + mu is not positive definite (mu={mu:g}): lowest eigenvalue {w[0] + mu:.3e}")
@@ -164,6 +166,8 @@ def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction) -> FredholmSolve:
     vector; the minimal-norm solution is returned together with the kernel
     basis, and SolvabilityViolation is raised otherwise.
     """
+    if g.T != op.T:
+        raise ValueError(f"right-hand side g must have the operator's period {op.T!r}, got {g.T!r}")
     w, V = op._eigh   # symmetric: the singular values are |w|
     sv = np.abs(w)
     thresh = KERNEL_RTOL * (float(sv.max()) or 1.0)
@@ -195,6 +199,34 @@ def eigenvalue_set(op: GalerkinOperator, count: int):
     return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(w[:count], V.T)]
 
 
+def _lowest_eigh(A, count):
+    """(w, Q): the lowest `count` eigenpairs of the symmetric A, w ascending.
+
+    Tries leading blocks P = A[:d, :d] (modes <= p, d = 2p+1), with B = A[:d, d:]
+    and C = A[d:, d:], and keeps P's zero-padded Ritz pairs when (a) ||B^T Q|| <=
+    eps ||A||_inf and (b) at some cut c >= count, mu = (w[c-1] + w[c]) / 2 lies below
+    the Gershgorin bound g of C with ||B||_F^2 / (g - mu) < w[c] - mu: by inertia
+    additivity A then has exactly c eigenvalues below mu (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 10-11).  Otherwise the full eigh.
+    """
+    n = A.shape[0]
+    tol = np.finfo(float).eps * float(np.max(np.sum(np.abs(A), axis=1)))
+    p = max(8, count)
+    while 2 * p + 1 < n:
+        d = 2 * p + 1
+        w, Q = np.linalg.eigh(A[:d, :d])
+        B, C = A[:d, d:], A[d:, d:]
+        if np.linalg.norm(B.T @ Q[:, :count]) <= tol:
+            g = float(np.min(np.diag(C) + np.abs(np.diag(C)) - np.sum(np.abs(C), axis=1)))
+            cut = max(count, 1)   # the cuts c = cut, ..., d - 1
+            mu = 0.5 * (w[cut - 1 : -1] + w[cut:])
+            if np.any((mu < g) & (np.sum(B * B) < (w[cut:] - mu) * (g - mu))):
+                return w[:count], np.vstack([Q[:, :count], np.zeros((n - d, count))])
+        p *= 2
+    w, Q = np.linalg.eigh(A)
+    return w[:count], Q[:, :count]
+
+
 def schrodinger_fractional_spectrum(V: PeriodicFunction, frac: FracOrder, count: int, N=None):
     """Eigenpairs of [-d_xx + V]^s: same eigenvectors as A = -d_xx + V,
     eigenvalues lambda_m^s, realized through the matrix power A^s = Q L^s Q^T.
@@ -207,6 +239,6 @@ def schrodinger_fractional_spectrum(V: PeriodicFunction, frac: FracOrder, count:
     if np.any(V(grid) < 0.0):
         raise NegativePotential("potential must be nonnegative on the grid")
     A = _galerkin_matrix(V.T, N, (2.0 * math.pi / V.T * np.arange(1, N + 1)) ** 2, V)
-    evals, Q = np.linalg.eigh(A)
-    evals = np.clip(evals[:count], 0.0, None)  # round-off can push the zero mode negative
+    evals, Q = _lowest_eigh(A, count)
+    evals = np.clip(evals, 0.0, None)  # round-off can push the zero mode negative
     return [(float(lam**frac.s), coords_to_function(V.T, v)) for lam, v in zip(evals, Q.T)]

@@ -346,7 +346,7 @@ class PeriodicFunction:
 
     @classmethod
     def from_dict(cls, d):
-        """Raises ValueError naming the key of a missing or non-numeric entry."""
+        """Raises ValueError naming the key of a missing, non-numeric or non-boolean entry."""
         def entry(key, convert):
             try:
                 return convert(d[key])
@@ -355,7 +355,10 @@ class PeriodicFunction:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"function JSON entry {key!r} is not numeric: {exc}") from None
         a, b = (entry(key, lambda v: np.asarray(v, dtype=float)) for key in ("a", "b"))
-        return cls(T=entry("T", float), sin_coeffs=a, cos_coeffs=b, odd=bool(d.get("odd", False)))
+        odd = d.get("odd", False)
+        if not isinstance(odd, bool):
+            raise ValueError(f"function JSON entry 'odd' must be true or false, got {odd!r}")
+        return cls(T=entry("T", float), sin_coeffs=a, cos_coeffs=b, odd=odd)
 
     @classmethod
     def from_json(cls, text):
@@ -662,9 +665,13 @@ def _gauss_jacobi_01(n, beta):
     return r, w
 
 
+@lru_cache(maxsize=256)
 def _gauss_legendre_01(n):
+    """Nodes/weights for int_0^1 f(r) dr, cached per n as read-only arrays."""
     t, w = np.polynomial.legendre.leggauss(n)
-    return (t + 1.0) / 2.0, w / 2.0
+    r, w = (t + 1.0) / 2.0, w / 2.0
+    r.flags.writeable = w.flags.writeable = False
+    return r, w
 
 
 def _folded_rules(frac, T, n):

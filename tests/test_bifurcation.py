@@ -210,6 +210,18 @@ def test_classify_rejects_a_mode_below_one(m):
         classify_criticality(FracOrder(0.5), well(), m)
 
 
+@pytest.mark.parametrize("m", [1.5, 2.25, math.inf])
+def test_classify_rejects_a_non_integer_mode(m):
+    # sin(m x) is 2 pi-periodic only for an integer m, and int phi^4 = 3 / (4 pi) only there
+    with pytest.raises(ValueError, match="integer"):
+        classify_criticality(FracOrder(0.5), well(), m)
+
+
+def test_classify_accepts_integer_valued_modes():
+    assert classify_criticality(FracOrder(0.5), well(), np.int64(3)) == "supercritical"
+    assert classify_criticality(FracOrder(0.5), well(), 3.0) == "supercritical"
+
+
 # -- realized periods --------------------------------------------------------
 
 

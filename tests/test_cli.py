@@ -69,6 +69,21 @@ def test_solve_linear_fredholm_violation(tmp_path, capsys):
     assert "SolvabilityViolation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu", [None, "1"])
+def test_solve_linear_g_of_another_period_is_usage_error(tmp_path, capsys, mu):
+    # g's coefficients used to be read as if they had k's period: exit 0, wrong u
+    k = tmp_path / "k.json"
+    g = tmp_path / "g.json"
+    write_function(k, T=6.0, sin_coeffs=[0.1], cos_coeffs=[1.5, 0.2])
+    write_function(g, T=9.0, sin_coeffs=[1.0], cos_coeffs=[0.0, 0.3])
+    out = tmp_path / "u.json"
+    argv = ["solve-linear", "--s", "0.5", "--k", str(k), "--g", str(g), "--N", "16", "--out", str(out)]
+    assert run(argv + (["--mu", mu] if mu else [])) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "period" in err
+
+
 def test_missing_required_is_usage_error(capsys):
     assert run(["eig", "--s", "0.5"]) == 2
     assert "T" in capsys.readouterr().err
@@ -502,7 +517,8 @@ def test_function_json_without_a_key_is_usage_error(tmp_path, capsys, cmd):
     good = tmp_path / "good.json"
     write_function(good, T=TWO_PI, sin_coeffs=[1.0], cos_coeffs=[0.5, 0.0])
     for text, key in (('{"T": 6.283185307179586, "b": [0.0, 1.0]}', "'a'"),
-                      ('{"T": 6.283185307179586, "a": [1.0], "b": ["x", 1.0]}', "'b'")):
+                      ('{"T": 6.283185307179586, "a": [1.0], "b": ["x", 1.0]}', "'b'"),
+                      ('{"T": 6.283185307179586, "odd": "no", "a": [1.0], "b": [0.0, 1.0]}', "'odd'")):
         bad = tmp_path / "bad.json"
         bad.write_text(text + "\n")
         inputs = {"apply": ["--input", bad], "extend": ["--input", bad],

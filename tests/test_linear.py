@@ -11,6 +11,7 @@ from fracperiodic.errors import NegativePotential, NotCoercive, SolvabilityViola
 from fracperiodic.linear import (
     GalerkinOperator,
     _galerkin_matrix,
+    _lowest_eigh,
     eigenvalue_set,
     function_to_coords,
     schrodinger_fractional_spectrum,
@@ -367,3 +368,117 @@ def test_dense_kernels_match_scipy():
     want = cho_solve(cho_factor(op.matrix + mu * np.eye(op.matrix.shape[0])), gc)
     uc = function_to_coords(solve_coercive(op, mu, g).u, op.N)
     assert np.linalg.norm(uc - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_solves_reject_data_of_another_period():
+    # g's coefficients used to be read as if g had the operator's period
+    k = PeriodicFunction.from_modes(6.0, sin_coeffs=[0.1], cos_coeffs=[1.5, 0.2])
+    op = GalerkinOperator(frac=FracOrder(0.5), T=6.0, N=16, k=k)
+    g = PeriodicFunction.from_modes(9.0, sin_coeffs=[1.0], cos_coeffs=[0.0, 0.3])
+    with pytest.raises(ValueError, match="period"):
+        solve_coercive(op, 1.0, g)
+    with pytest.raises(ValueError, match="period"):
+        solve_fredholm(op, g)
+
+
+# -- certified leading-block eigensolve ----------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def schrodinger_matrix(V, N):
+    return _galerkin_matrix(V.T, N, (2.0 * math.pi / V.T * np.arange(1, N + 1)) ** 2, V)
+
+
+def low_mode_potential(rng, T, modes, scale, const):
+    return PeriodicFunction.from_modes(T, sin_coeffs=rng.uniform(-scale, scale, modes),
+                                       cos_coeffs=np.concatenate(([const], rng.uniform(-scale, scale, modes))))
+
+
+def block_rows(Q):
+    """Rows up to the last nonzero one: the dimension of the certified block."""
+    return 1 + int(np.flatnonzero(np.any(Q, axis=1))[-1])
+
+
+def is_full_eigh(A, count, w, Q):
+    wf, Qf = np.linalg.eigh(A)
+    return np.array_equal(w, wf[:count]) and np.array_equal(Q, Qf[:, :count])
+
+
+def test_lowest_eigh_matches_scipy_subset():
+    from scipy.linalg import eigh
+
+    rng = np.random.default_rng(5)
+    for N, count in ((64, 1), (64, 9), (256, 9), (256, 21)):   # no cos/sin pair is cut
+        A = schrodinger_matrix(low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5), N)
+        w, Q = _lowest_eigh(A, count)
+        assert block_rows(Q) < 2 * N + 1   # a leading block was certified
+        ref, R = eigh(A, subset_by_index=[0, count - 1])
+        assert np.max(np.abs(w - ref)) <= 1e-11 * max(1.0, float(np.max(np.abs(ref))))
+        # the spans agree, whatever the basis inside a near-degenerate pair
+        assert np.linalg.norm(Q - R @ (R.T @ Q), 2) <= 1e-8
+
+
+def test_lowest_eigh_cuts_below_a_near_degenerate_pair():
+    # V = 1.5 + two low modes of size 0.25 at N = 256: cos 4 and sin 4 are the
+    # 8th and 9th eigenvectors and split far below the certificate's margin,
+    # so only a cut at c = 9 or above certifies count = 8
+    rng = np.random.default_rng(0)
+    A = schrodinger_matrix(low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5), 256)
+    wf, Qf = np.linalg.eigh(A)
+    assert wf[8] - wf[7] < 1e-6
+    for count in (8, 9):
+        w, Q = _lowest_eigh(A, count)
+        assert block_rows(Q) == {8: 33, 9: 37}[count]   # p = 16 or 18: modes <= p suffice
+        assert np.max(np.abs(w - wf[:count])) <= 1e-11 * max(1.0, float(wf[count - 1]))
+        r = np.linalg.norm(A @ Q - Q * w, axis=0)
+        assert r.max() <= EPS * np.max(np.sum(np.abs(A), axis=1))
+    # the pair spans the plane of the full eigh's pair: the sine of the
+    # largest principal angle is at most 1e-8
+    pair, ref = Q[:, 7:9], Qf[:, 7:9]
+    assert np.linalg.norm(pair - ref @ (ref.T @ pair), 2) <= 1e-8
+
+
+def test_lowest_eigh_falls_back_to_the_full_eigh_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for N in (16, 64):
+        A = schrodinger_matrix(low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5), N)
+        assert is_full_eigh(A, 2 * N + 1, *_lowest_eigh(A, 2 * N + 1))
+        # a potential with modes up to N couples the lowest modes to every block
+        V = low_mode_potential(rng, TWO_PI, N, 0.3, 2.0 * N)
+        A = schrodinger_matrix(V, N)
+        assert is_full_eigh(A, 8, *_lowest_eigh(A, 8))
+
+
+def test_lowest_eigh_does_not_miss_an_eigenvalue_outside_the_block():
+    # B = 0 makes every Ritz residual zero, but the last diagonal entry is
+    # the second-lowest eigenvalue: the Gershgorin bound of C rules out every cut
+    A = np.diag(np.arange(1.0, 66.0))
+    A[-1, -1] = 1.5
+    w, Q = _lowest_eigh(A, 2)
+    assert np.array_equal(w, [1.0, 1.5])
+    assert is_full_eigh(A, 2, w, Q)
+
+
+def test_schrodinger_spectrum_sweep_against_the_full_eigh():
+    # random low-mode V >= 0: eigenvalues as from the full eigh, every block
+    # pair's residual in the full matrix at most eps ||A||_inf, and every
+    # fallback bit-identical to the full eigh
+    rng = np.random.default_rng(17)
+    for trial in range(9):
+        N = (16, 64, 256)[trial % 3]
+        T = float(rng.uniform(3.0, 12.0))
+        V = low_mode_potential(rng, T, int(rng.integers(1, 5)), 0.3, float(rng.uniform(1.3, 3.0)))
+        A = schrodinger_matrix(V, N)
+        assert np.min(V(np.linspace(0.0, T, 8 * (N + 1), endpoint=False))) >= 0.0
+        wf = np.linalg.eigvalsh(A)
+        tol = EPS * np.max(np.sum(np.abs(A), axis=1))
+        for count in (0, 1, 8, 2 * N + 1):
+            w, Q = _lowest_eigh(A, count)
+            assert w.shape == (count,) and Q.shape == (2 * N + 1, count)
+            assert np.all(np.abs(w - wf[:count]) <= 1e-11 * np.maximum(1.0, np.abs(wf[:count])))
+            if count and not is_full_eigh(A, count, w, Q):
+                assert np.linalg.norm(A @ Q - Q * w, axis=0).max() <= tol
+            s = float(rng.uniform(0.2, 0.8))
+            pairs = schrodinger_fractional_spectrum(V, FracOrder(s), count, N=N)
+            assert [lam for lam, _ in pairs] == [float(lam**s) for lam in np.clip(w, 0.0, None)]

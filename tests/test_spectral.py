@@ -11,6 +11,7 @@ from fracperiodic.spectral import (
     FracOrder,
     PeriodicFunction,
     _gauss_jacobi_01,
+    _gauss_legendre_01,
     _hurwitz_zeta,
     energy_functional,
     frac_laplacian,
@@ -102,10 +103,20 @@ def test_json_round_trip():
     ({"T": "8", "a": [1.0], "b": [0.0, {}]}, "'b'"),
     ({"T": None, "a": [1.0], "b": [0.0, 0.0]}, "'T'"),
     ({"T": [TWO_PI], "a": [1.0], "b": [0.0, 0.0]}, "'T'"),
+    # "odd" used to go through bool(), so "no" marked the function odd
+    *(({"T": TWO_PI, "odd": odd, "a": [1.0], "b": [0.0, 0.0]}, "'odd'")
+      for odd in ("no", "false", 1, 0, None, [True])),
 ])
 def test_from_dict_names_a_missing_or_non_numeric_key(d, key):
     with pytest.raises(ValueError, match=key):
         PeriodicFunction.from_dict(d)
+
+
+def test_from_dict_reads_odd_flag_and_its_default():
+    d = {"T": TWO_PI, "a": [1.0], "b": [0.0, 0.0]}
+    assert PeriodicFunction.from_dict({**d, "odd": True}).odd
+    assert not PeriodicFunction.from_dict({**d, "odd": False}).odd
+    assert not PeriodicFunction.from_dict(d).odd
 
 
 @pytest.mark.parametrize("a,b", [(1.0, [0.0, 0.0]), ([1.0], 0.0), ([[1.0]], [[0.0, 0.0]])])
@@ -324,6 +335,22 @@ def test_gauss_jacobi_rule_against_scipy_and_moments(n):
         if beta >= 0.0:
             tol = 1e-14 if n <= 96 else 2.5e-14
             assert np.max(np.abs(w - ws * 0.5 ** (beta + 1.0))) <= tol
+
+
+def test_gauss_legendre_rule_is_built_once_and_read_only():
+    from numpy.polynomial.legendre import leggauss
+
+    for n in (20, 30, 96):
+        r, w = _gauss_legendre_01(n)
+        t, wt = leggauss(n)
+        assert np.array_equal(r, (t + 1.0) / 2.0) and np.array_equal(w, wt / 2.0)
+        again = _gauss_legendre_01(n)
+        assert again[0] is r and again[1] is w
+        assert not (r.flags.writeable or w.flags.writeable)
+        with pytest.raises(ValueError, match="read-only"):
+            r[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            w *= 2.0
 
 
 def test_quartic_derivatives_exactly_odd_and_even():
