@@ -202,12 +202,12 @@ def eigenvalue_set(op: GalerkinOperator, count: int):
 def _lowest_eigh(A, count):
     """(w, Q): the lowest `count` eigenpairs of the symmetric A, w ascending.
 
-    Tries leading blocks P = A[:d, :d] (modes <= p, d = 2p+1), with B = A[:d, d:]
-    and C = A[d:, d:], and keeps P's zero-padded Ritz pairs when (a) ||B^T Q|| <=
-    eps ||A||_inf and (b) at some cut c >= count, mu = (w[c-1] + w[c]) / 2 lies below
-    the Gershgorin bound g of C with ||B||_F^2 / (g - mu) < w[c] - mu: by inertia
-    additivity A then has exactly c eigenvalues below mu (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 10-11).  Otherwise the full eigh.
+    From the leading block P = A[:d, :d] (modes <= p, d = 2p+1; B = A[:d, d:],
+    C = A[d:, d:]) when, at some cut c >= count with mu = (w[c-1] + w[c]) / 2 and
+    tol = eps ||A||_inf, ||B^T Q[:, :c]||_F <= tol and w[c-1] + tol < mu (A has c
+    eigenvalues within tol of w[:c]), and mu < g, the Gershgorin bound of C, with
+    ||B||_F^2 / (g - mu) < w[c] - mu (inertia additivity: exactly c below mu); see
+    Parlett, The Symmetric Eigenvalue Problem, ch. 10-11.  Otherwise the full eigh.
     """
     n = A.shape[0]
     tol = np.finfo(float).eps * float(np.max(np.sum(np.abs(A), axis=1)))
@@ -216,12 +216,13 @@ def _lowest_eigh(A, count):
         d = 2 * p + 1
         w, Q = np.linalg.eigh(A[:d, :d])
         B, C = A[:d, d:], A[d:, d:]
-        if np.linalg.norm(B.T @ Q[:, :count]) <= tol:
-            g = float(np.min(np.diag(C) + np.abs(np.diag(C)) - np.sum(np.abs(C), axis=1)))
-            cut = max(count, 1)   # the cuts c = cut, ..., d - 1
-            mu = 0.5 * (w[cut - 1 : -1] + w[cut:])
-            if np.any((mu < g) & (np.sum(B * B) < (w[cut:] - mu) * (g - mu))):
-                return w[:count], np.vstack([Q[:, :count], np.zeros((n - d, count))])
+        res = np.sqrt(np.cumsum(np.sum((B.T @ Q) ** 2, axis=0)))   # res[c-1]: of Q[:, :c]
+        g = float(np.min(np.diag(C) + np.abs(np.diag(C)) - np.sum(np.abs(C), axis=1)))
+        c = np.arange(max(count, 1), d)   # the cuts
+        mu = 0.5 * (w[c - 1] + w[c])
+        ok = (res[c - 1] <= tol) & (w[c - 1] + tol < mu) & (mu < g)
+        if np.any(ok & (np.sum(B * B) < (w[c] - mu) * (g - mu))):
+            return w[:count], np.vstack([Q[:, :count], np.zeros((n - d, count))])
         p *= 2
     w, Q = np.linalg.eigh(A)
     return w[:count], Q[:, :count]

@@ -195,7 +195,7 @@ def test_classify_agrees_with_branch_fit():
         assert label == br.direction
 
 
-@pytest.mark.parametrize("m", [2, 5, 100])
+@pytest.mark.parametrize("m", [2, 5, 100, np.int64(3), 3.0])
 def test_classify_higher_modes(m):
     # int phi^4 = 3 / (4 pi) at every m >= 1: the label follows the sign of F^(4)(0)
     soft = DoubleWell.from_poly([0.25, 0.0, -0.5, 0.0, -0.25])
@@ -203,23 +203,12 @@ def test_classify_higher_modes(m):
     assert classify_criticality(FracOrder(0.4), soft, m) == "subcritical"
 
 
-@pytest.mark.parametrize("m", [0, -1, 0.5, math.nan])
+@pytest.mark.parametrize("m", [0, -1, 0.5, math.nan, 1.5, 2.25, math.inf])
 def test_classify_rejects_a_mode_below_one(m):
-    # sin(0 x) vanishes, so m = 0 has no normal form
+    # sin(0 x) vanishes, so m = 0 has no normal form; sin(m x) is 2 pi-periodic
+    # only for an integer m, and int phi^4 = 3 / (4 pi) only there
     with pytest.raises(ValueError, match="mode m"):
         classify_criticality(FracOrder(0.5), well(), m)
-
-
-@pytest.mark.parametrize("m", [1.5, 2.25, math.inf])
-def test_classify_rejects_a_non_integer_mode(m):
-    # sin(m x) is 2 pi-periodic only for an integer m, and int phi^4 = 3 / (4 pi) only there
-    with pytest.raises(ValueError, match="integer"):
-        classify_criticality(FracOrder(0.5), well(), m)
-
-
-def test_classify_accepts_integer_valued_modes():
-    assert classify_criticality(FracOrder(0.5), well(), np.int64(3)) == "supercritical"
-    assert classify_criticality(FracOrder(0.5), well(), 3.0) == "supercritical"
 
 
 # -- realized periods --------------------------------------------------------

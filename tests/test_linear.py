@@ -460,6 +460,20 @@ def test_lowest_eigh_does_not_miss_an_eigenvalue_outside_the_block():
     assert is_full_eigh(A, 2, w, Q)
 
 
+def test_lowest_eigh_does_not_keep_a_ritz_value_above_a_coupled_eigenvalue():
+    # A[1, 17] = 5 couples the second mode of the p = 8 block to the first
+    # mode outside it: the first Ritz vector has zero residual, and a cut at
+    # c = 2 passes the inertia test, but A's lowest eigenvalue is near 0.748,
+    # below the Ritz value 1; the second Ritz vector's residual of 5 rules the cut out
+    A = np.diag(np.concatenate(([1.0, 1.0000001], np.arange(10.0, 25.0), np.arange(100.0, 123.0))))
+    A[1, 17] = A[17, 1] = 5.0
+    wf = np.linalg.eigvalsh(A)
+    assert wf[0] < 0.75
+    w, Q = _lowest_eigh(A, 1)
+    assert abs(w[0] - wf[0]) <= 1e-13
+    assert np.linalg.norm(A @ Q - Q * w) <= EPS * np.max(np.sum(np.abs(A), axis=1))
+
+
 def test_schrodinger_spectrum_sweep_against_the_full_eigh():
     # random low-mode V >= 0: eigenvalues as from the full eigh, every block
     # pair's residual in the full matrix at most eps ||A||_inf, and every
