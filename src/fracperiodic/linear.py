@@ -3,7 +3,8 @@ basis, with the coercive solve, Fredholm alternative and eigenvalue set.
 
 The matrix acts on coordinates in the orthonormal basis
 {1/sqrt(T), sqrt(2/T) cos(w m x), sqrt(2/T) sin(w m x)} so that the L^2
-inner product is the Euclidean dot product of coordinate vectors.
+inner product is the Euclidean dot product of coordinate vectors.  Solves and
+eigenpairs come from certified leading blocks unless a certificate fails.
 """
 
 import math
@@ -13,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NegativePotential, NotCoercive, SolvabilityViolation
-from .spectral import FracOrder, PeriodicFunction, gram
+from .spectral import FracOrder, PeriodicFunction, gram_blocks
 
 __all__ = [
     "GalerkinOperator",
@@ -26,31 +27,29 @@ __all__ = [
     "schrodinger_fractional_spectrum",
 ]
 
-KERNEL_RTOL = 1e-9        # singular values below this (relative) span the kernel
+KERNEL_RTOL = 1e-9        # eigenvalues below this times ||A||_inf in modulus span the kernel
 COERCIVITY_MARGIN = 0.1   # gamma = max(0, -min k) + margin
 ORTH_TOL = 1e-9           # Fredholm data may have a kernel component up to this (relative)
 
 
 def _galerkin_matrix(T, N, lam, k):
-    """diag(lam) on the cos/sin pairs plus multiplication by k, symmetrized.
+    """diag(lam) on the cos/sin pairs plus multiplication by k, symmetric.
 
     The k-multiplication is the full-class ``gram`` of k on a dealiased grid:
     a product of two basis modes has trig degree <= 2N, times deg(k) <= N,
-    so 4(N+1) nodes integrate it exactly.  Reordering [b_0..b_N, a_1..a_N]
-    to [b_0, b_1, a_1, ...] and scaling row i by sqrt(w_i)^-1 and column j
-    by sqrt(w_j) (w = 1 on the mean, 2 elsewhere) gives the orthonormal-basis
-    matrix.
+    so 4(N+1) nodes integrate it exactly.  Its blocks go straight into the
+    order [b_0, b_1, a_1, ...]; the mean row and column, scaled to the
+    orthonormal basis (weight 1 on the mean, 2 elsewhere), are averaged.
     """
-    order = np.zeros(2 * N + 1, dtype=int)
-    order[1::2] = np.arange(1, N + 1)
-    order[2::2] = np.arange(N + 1, 2 * N + 1)
-    A = gram("full", N, k.sample(4 * (N + 1)))[np.ix_(order, order)]
-    A[0, 1:] *= math.sqrt(2.0)
-    A[1:, 0] /= math.sqrt(2.0)
-    diag = A.reshape(-1)[:: 2 * N + 2]   # a view of the diagonal
-    diag[1::2] += lam
-    diag[2::2] += lam
-    return 0.5 * (A + A.T)
+    cc, sc, ss = gram_blocks(N, k.sample(4 * (N + 1)))
+    A = np.empty((2 * N + 1, 2 * N + 1))
+    A[1::2, 1::2], A[2::2, 2::2] = cc[1:, 1:], ss[1:, 1:]
+    A[2::2, 1::2], A[1::2, 2::2] = sc[1:, 1:], sc[1:, 1:].T
+    A[0, 0] = cc[0, 0] * 0.5
+    e = np.stack((cc[1:, 0], sc[1:, 0]), axis=1).ravel()   # gram's mean column; its row is e / 2
+    A[0, 1:] = A[1:, 0] = 0.5 * (e * 0.5 * math.sqrt(2.0) + e / math.sqrt(2.0))
+    A.reshape(-1)[2 * N + 2 :: 2 * N + 2] += np.repeat(lam, 2)   # the diagonal past the mean
+    return A
 
 
 def coords_to_function(T, c):
@@ -89,16 +88,22 @@ class GalerkinOperator:
     def __post_init__(self):
         if self.k.T != self.T:
             raise ValueError("coefficient k must have period T")
+        if self.N < 0:
+            raise ValueError(f"truncation N must be nonnegative, got {self.N!r}")
         lam = (2.0 * math.pi / self.T * np.arange(1, self.N + 1)) ** (2.0 * self.frac.s)
         A = _galerkin_matrix(self.T, self.N, lam, self.k)
         A.flags.writeable = False
         object.__setattr__(self, "matrix", A)
+        object.__setattr__(self, "_symbol", lam)   # lambda_m on the pair of mode m, m = 1..N
 
     @cached_property
-    def _eigh(self):
-        """(w, V): the full eigendecomposition of the matrix, w ascending;
-        computed once and shared by eigenvalue_set and both solves."""
-        return np.linalg.eigh(self.matrix)
+    def _low(self):
+        """(w, Q, t): the lowest eigenpairs, shared by both solves, with every w <= t =
+        KERNEL_RTOL ||A||_inf (Weyl: the i-th is >= D_i - kappa, D = (0, lambda_1, lambda_1,
+        ...), kappa = sum |coefficients of k| >= sup |k| >= ||k-block||_2)."""
+        t = KERNEL_RTOL * (float(np.max(np.sum(np.abs(self.matrix), axis=1))) or 1.0)
+        kappa = float(np.sum(np.abs(self.k.cos_coeffs)) + np.sum(np.abs(self.k.sin_coeffs)))
+        return (*_lowest_eigh(self.matrix, 1 + 2 * int(np.sum(self._symbol <= t + kappa))), t)
 
     @property
     def gamma(self):
@@ -142,15 +147,18 @@ class FredholmSolve:
 def solve_coercive(op: GalerkinOperator, mu: float, g: PeriodicFunction) -> CoerciveSolve:
     """Solve (L + mu) u = g; requires mu >= gamma so the shifted form is coercive.
 
-    u = V ((V^T g) / (w + mu)) on the operator's eigendecomposition; raises
-    NotCoercive unless min w + mu > 0."""
+    Raises NotCoercive unless the lowest eigenvalue w_0 of the matrix has
+    w_0 + mu > 0; then u comes from _leading_solve, with a normwise backward
+    error of at most eps when a leading block certifies it."""
+    if not math.isfinite(mu):
+        raise ValueError(f"shift mu must be finite, got {mu!r}")
     if g.T != op.T:
         raise ValueError(f"right-hand side g must have the operator's period {op.T!r}, got {g.T!r}")
-    w, V = op._eigh
-    if not w[0] + mu > 0.0:
-        raise NotCoercive(f"L + mu is not positive definite (mu={mu:g}): lowest eigenvalue {w[0] + mu:.3e}")
+    w0 = op._low[0][0]
+    if not w0 + mu > 0.0:
+        raise NotCoercive(f"L + mu is not positive definite (mu={mu:g}): lowest eigenvalue {w0 + mu:.3e}")
     gc = function_to_coords(g, op.N)
-    uc = V @ ((V.T @ gc) / (w + mu))
+    uc = _leading_solve(op.matrix, mu, gc)
     res = float(np.linalg.norm(op.matrix @ uc + mu * uc - gc))
     gn = float(np.linalg.norm(gc))
     u = coords_to_function(op.T, uc)
@@ -161,28 +169,26 @@ def solve_coercive(op: GalerkinOperator, mu: float, g: PeriodicFunction) -> Coer
 def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction) -> FredholmSolve:
     """Fredholm alternative for L u = g on the truncated basis.
 
-    With a trivial numerical kernel the unique solution is returned.  With a
-    nontrivial kernel the data must satisfy <g, v> = 0 for every kernel
-    vector; the minimal-norm solution is returned together with the kernel
-    basis, and SolvabilityViolation is raised otherwise.
+    The kernel Z holds the eigenvectors with |w| < KERNEL_RTOL ||A||_inf.  With
+    a trivial kernel the unique solution is returned.  Otherwise the data must
+    satisfy <g, v> = 0 for every kernel vector (SolvabilityViolation if not);
+    the minimal-norm solution, of (A + ||A||_inf Z Z^T) u = (I - Z Z^T) g, is
+    returned together with the kernel basis.
     """
     if g.T != op.T:
         raise ValueError(f"right-hand side g must have the operator's period {op.T!r}, got {g.T!r}")
-    w, V = op._eigh   # symmetric: the singular values are |w|
-    sv = np.abs(w)
-    thresh = KERNEL_RTOL * (float(sv.max()) or 1.0)
-    null_mask = sv < thresh
+    w, Q, thresh = op._low
+    Z = Q[:, np.abs(w) < thresh]
     gc = function_to_coords(g, op.N)
-    null = V[:, null_mask].T
-    kernel = KernelBasis(vectors=tuple(coords_to_function(op.T, v) for v in null), threshold=thresh)
+    kernel = KernelBasis(vectors=tuple(coords_to_function(op.T, v) for v in Z.T), threshold=thresh)
+    A = op.matrix
     if kernel.dim:
-        proj = null @ gc
+        proj = Z.T @ gc
         worst = float(proj[np.argmax(np.abs(proj))])
         if abs(worst) > ORTH_TOL * max(1.0, float(np.linalg.norm(gc))):
             raise SolvabilityViolation(worst)
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=~null_mask)
-    uc = V @ (inv * (V.T @ gc))
-    return FredholmSolve(solution=coords_to_function(op.T, uc), kernel=kernel)
+        A, gc = A + (thresh / KERNEL_RTOL) * (Z @ Z.T), gc - Z @ proj
+    return FredholmSolve(solution=coords_to_function(op.T, _leading_solve(A, 0.0, gc)), kernel=kernel)
 
 
 def _check_count(count, dim):
@@ -195,8 +201,8 @@ def _check_count(count, dim):
 def eigenvalue_set(op: GalerkinOperator, count: int):
     """Lowest `count` eigenpairs of the symmetric Galerkin matrix, nondecreasing."""
     _check_count(count, op.matrix.shape[0])
-    w, V = op._eigh
-    return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(w[:count], V.T)]
+    w, Q = _lowest_eigh(op.matrix, count)
+    return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(w, Q.T)]
 
 
 def _lowest_eigh(A, count):
@@ -226,6 +232,25 @@ def _lowest_eigh(A, count):
         p *= 2
     w, Q = np.linalg.eigh(A)
     return w[:count], Q[:, :count]
+
+
+def _leading_solve(A, shift, b):
+    """x with (A + shift) x = b, A symmetric: from the leading block (modes <= p, p doubling
+    from max(8, the highest mode of b)) when ||(A + shift) x - b||_2 <= eps (||A + shift||_inf
+    ||x||_2 + ||b||_2), a normwise backward error of at most eps (Rigal and Gaches 1967; Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 7.1); otherwise the full LU solve."""
+    n, diag = A.shape[0], A.diagonal()
+    scale = float(np.max(np.sum(np.abs(A), axis=1) - np.abs(diag) + np.abs(diag + shift)))
+    p = max(8, len(np.trim_zeros(b, "b")) // 2)
+    while 2 * p + 1 < n:
+        d = 2 * p + 1
+        x = np.zeros(n)
+        x[:d] = np.linalg.solve(A[:d, :d] + shift * np.eye(d), b[:d])
+        if np.linalg.norm(A[:, :d] @ x[:d] + shift * x - b) <= np.finfo(float).eps * (
+                scale * np.linalg.norm(x) + np.linalg.norm(b)):
+            return x
+        p *= 2
+    return np.linalg.solve(A + shift * np.eye(n), b)
 
 
 def schrodinger_fractional_spectrum(V: PeriodicFunction, frac: FracOrder, count: int, N=None):

@@ -141,6 +141,15 @@ def _hankel(c, n):
     return np.ndarray((n, n), buffer=v, strides=(v.itemsize, v.itemsize))
 
 
+def gram_blocks(N, g):
+    """gram's full class, mean row not yet halved, as blocks on modes 0..N:
+    cos-cos, sin-cos (rows sin_m; gs_0 = 0 keeps its diagonal zero), sin-sin."""
+    spec = np.fft.rfft(g) / g.shape[0]
+    gc, gs = spec.real, -spec.imag
+    dist, tot = _toeplitz(gc[: N + 1], gc[: N + 1]), _hankel(gc, N + 1)   # g_|m-n|, g_{m+n}
+    return dist + tot, _hankel(gs, N + 1) + _toeplitz(gs[: N + 1], -gs[: N + 1]), dist - tot
+
+
 def gram(symmetry, N, g):
     """Matrix of c -> (coefficients of g * u_c) for samples g on a grid of
     M >= 4N points, in a symmetry class: odd c = [a_1..a_N], even
@@ -152,18 +161,14 @@ def gram(symmetry, N, g):
     g_|m-n| + g_{m+n} and 2 mean(g sin_m cos_n) = h_{m+n} + h_{m-n};
     the indices reach 2N < M/2, so one rfft of g gives every entry.
     """
-    spec = np.fft.rfft(g) / g.shape[0]
-    gc, gs = spec.real, -spec.imag
-    if symmetry == "odd":   # modes 1..N: g_|m-n| - g_{m+n}
-        return _toeplitz(gc[:N], gc[:N]) - _hankel(gc[2:], N)
-    dist = _toeplitz(gc[: N + 1], gc[: N + 1])         # g_|m-n|, m, n = 0..N
-    tot = _hankel(gc, N + 1)                           # g_{m+n}
-    cc = dist + tot
     if symmetry == "full":
-        # rows sin_m, columns cos_n; gs_0 = 0 keeps the diagonal of sign(m-n) h_|m-n| zero
-        sc = _hankel(gs, N + 1) + _toeplitz(gs[: N + 1], -gs[: N + 1])
-        ss = dist - tot
+        cc, sc, ss = gram_blocks(N, g)
         cc = np.block([[cc, sc.T[:, 1:]], [sc[1:], ss[1:, 1:]]])
+    else:
+        gc = (np.fft.rfft(g) / g.shape[0]).real
+        if symmetry == "odd":   # modes 1..N: g_|m-n| - g_{m+n}
+            return _toeplitz(gc[:N], gc[:N]) - _hankel(gc[2:], N)
+        cc = _toeplitz(gc[: N + 1], gc[: N + 1]) + _hankel(gc, N + 1)
     cc[0] *= 0.5   # the mean carries weight 1, the other rows 2
     return cc
 

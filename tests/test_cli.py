@@ -528,3 +528,25 @@ def test_function_json_without_a_key_is_usage_error(tmp_path, capsys, cmd):
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("usage error: function JSON") and key in err
+
+
+def test_negative_truncation_and_non_finite_shift_are_usage_errors(tmp_path, capsys):
+    # --N -3 reached numpy's "negative dimensions are not allowed"; --mu inf
+    # exited 0 with residual=nan, and --mu nan was reported as not coercive
+    k = tmp_path / "k.json"
+    g = tmp_path / "g.json"
+    write_function(k, T=TWO_PI, sin_coeffs=[0.1], cos_coeffs=[1.5, 0.2])
+    write_function(g, T=TWO_PI, sin_coeffs=[1.0], cos_coeffs=[0.0, 0.3])
+    linear = ["solve-linear", "--s", "0.5", "--k", str(k), "--g", str(g)]
+    cases = [(["eig", "--s", "0.5", "--T", "8", "--N", "-3"], "out.csv", "N must be"),
+             (linear + ["--N", "-1"], "u.json", "N must be"),
+             (linear + ["--N", "-1", "--mu", "1"], "u.json", "N must be"),
+             (linear + ["--mu", "inf"], "u.json", "mu must be finite"),
+             (linear + ["--mu=-inf"], "u.json", "mu must be finite"),
+             (linear + ["--mu", "nan"], "u.json", "mu must be finite")]
+    for argv, name, msg in cases:
+        out = tmp_path / name
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and msg in err, argv

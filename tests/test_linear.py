@@ -9,8 +9,10 @@ import pytest
 
 from fracperiodic.errors import NegativePotential, NotCoercive, SolvabilityViolation
 from fracperiodic.linear import (
+    KERNEL_RTOL,
     GalerkinOperator,
     _galerkin_matrix,
+    _leading_solve,
     _lowest_eigh,
     eigenvalue_set,
     function_to_coords,
@@ -18,7 +20,7 @@ from fracperiodic.linear import (
     solve_coercive,
     solve_fredholm,
 )
-from fracperiodic.spectral import FracOrder, PeriodicFunction, frac_laplacian
+from fracperiodic.spectral import FracOrder, PeriodicFunction, frac_laplacian, gram
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,6 +83,33 @@ def test_matrix_matches_dense_quadrature(N):
     assert np.max(np.abs(op.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def reordered_gram(T, N, lam, k):
+    """The matrix as first assembled: gram's full class fancy-indexed into
+    [b_0, b_1, a_1, ...], rescaled to the orthonormal basis, symmetrized."""
+    order = np.zeros(2 * N + 1, dtype=int)
+    order[1::2] = np.arange(1, N + 1)
+    order[2::2] = np.arange(N + 1, 2 * N + 1)
+    A = gram("full", N, k.sample(4 * (N + 1)))[np.ix_(order, order)]
+    A[0, 1:] *= math.sqrt(2.0)
+    A[1:, 0] /= math.sqrt(2.0)
+    diag = A.reshape(-1)[:: 2 * N + 2]
+    diag[1::2] += lam
+    diag[2::2] += lam
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize("N", [0, 1, 16, 256])
+def test_matrix_is_bit_identical_to_the_reordered_gram(N):
+    rng = np.random.default_rng(N + 1)
+    T = 7.3
+    lam = (2.0 * math.pi / T * np.arange(1, N + 1)) ** 0.74
+    for modes in (0, 2, N + 3):
+        k = PeriodicFunction.from_modes(T, sin_coeffs=rng.standard_normal(modes),
+                                        cos_coeffs=rng.standard_normal(modes + 1))
+        A = _galerkin_matrix(T, N, lam, k)
+        assert A.flags.c_contiguous and np.array_equal(A, reordered_gram(T, N, lam, k))
+
+
 def test_matrix_symmetric():
     k = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[0.2], cos_coeffs=[0.1, 0.3])
     op = make_op(s=0.35, k=k)
@@ -140,6 +169,16 @@ def test_coercive_cholesky_matches_dense_solve():
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+def test_operator_and_coercive_solve_reject_bad_n_and_mu():
+    # N = -1 reached numpy's "negative dimensions are not allowed"; mu = inf
+    # returned a NaN residual and mu = nan was reported as not coercive
+    with pytest.raises(ValueError, match="N must be nonnegative"):
+        make_op(N=-1)
+    for mu in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            solve_coercive(make_op(), mu, zero_k())
+
+
 def test_not_coercive_at_the_threshold():
     # L + mu with mu just below -lambda_min is indefinite; just above it is not
     k = PeriodicFunction.constant(TWO_PI, -2.0)
@@ -179,13 +218,16 @@ def svd_fredholm(A, gc):
     return Vt[null].T @ Vt[null], Vt.T @ (inv * (U.T @ gc))
 
 
-@pytest.mark.parametrize("kernel_dim", [0, 1, 2])
-def test_fredholm_matches_svd_route(kernel_dim):
+@pytest.mark.parametrize("kernel_dim, k0, k1", [(0, 1.0, 0.0), (1, 0.0, 0.0), (2, -1.0, 0.0), (2, -3.0, 0.0),
+                                                (0, -50.0, 1.0)],
+                         ids=["0", "1", "2", "interior", "full_fallback"])
+def test_fredholm_matches_svd_route(kernel_dim, k0, k1):
     # k = 0: constants; k = -1 at s = 1/2: cos x, sin x (eigenvalue m - 1 = 0);
-    # k = 1: no kernel
+    # k = 1: no kernel; k = -lambda_3 = -3: cos 3x, sin 3x, with five negative
+    # eigenvalues below them; k = -50 + cos x: no kernel, but Weyl's count
+    # reaches 2N + 1, so the low eigenblock is the full eigh
     rng = np.random.default_rng(kernel_dim)
-    k = {0: 1.0, 1: 0.0, 2: -1.0}[kernel_dim]
-    op = make_op(k=PeriodicFunction.constant(TWO_PI, k))
+    op = make_op(k=PeriodicFunction.from_modes(TWO_PI, cos_coeffs=[k0, k1]))   # k = k0 + k1 cos x
     A = op.matrix
     P_ref, _ = svd_fredholm(A, np.zeros(A.shape[0]))
     # data orthogonal to the kernel
@@ -196,6 +238,7 @@ def test_fredholm_matches_svd_route(kernel_dim):
                                                                gc[1::2] / math.sqrt(math.pi))))
     res = solve_fredholm(op, g)
     assert res.kernel.dim == kernel_dim
+    assert res.kernel.threshold == KERNEL_RTOL * np.max(np.sum(np.abs(A), axis=1))
     P = sum((np.outer(c, c) for c in (function_to_coords(v, op.N) for v in res.kernel.vectors)),
             np.zeros_like(A))
     assert np.max(np.abs(P - P_ref)) < 1e-12
@@ -496,3 +539,69 @@ def test_schrodinger_spectrum_sweep_against_the_full_eigh():
             s = float(rng.uniform(0.2, 0.8))
             pairs = schrodinger_fractional_spectrum(V, FracOrder(s), count, N=N)
             assert [lam for lam, _ in pairs] == [float(lam**s) for lam in np.clip(w, 0.0, None)]
+
+
+# -- certified leading-block solve ---------------------------------------------
+
+
+def backward_error(M, x, b):
+    return np.linalg.norm(M @ x - b) / (np.max(np.sum(np.abs(M), axis=1)) * np.linalg.norm(x) + np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_leading_solve_matches_scipy(N):
+    from scipy.linalg import solve
+
+    rng = np.random.default_rng(N)
+    blocks = set()
+    for _ in range(4):
+        T = float(rng.uniform(3.0, 12.0))
+        op = make_op(s=float(rng.uniform(0.2, 0.8)), T=T, N=N,
+                     k=low_mode_potential(rng, T, 2, 0.3, float(rng.uniform(-0.5, 2.0))))
+        b = function_to_coords(low_mode_potential(rng, T, 3, 1.0, float(rng.uniform(-1.0, 1.0))), N)
+        for shift in (0.0, op.gamma + float(rng.uniform(0.0, 1.0))):
+            M = op.matrix + shift * np.eye(2 * N + 1)
+            x = _leading_solve(op.matrix, shift, b)
+            ref = solve(M, b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert backward_error(M, x, b) <= EPS
+            blocks.add(block_rows(x[:, None]))
+    if N > 16:   # at N = 16 the one block below 2N + 1, of modes <= 8, does not suffice for these k
+        assert min(blocks) < 2 * N + 1
+
+
+def test_leading_solve_falls_back_to_the_full_solve_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for N in (16, 64, 256):
+        op = make_op(s=0.45, N=N, k=low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5))
+        b = function_to_coords(low_mode_potential(rng, TWO_PI, 3, 1.0, 0.2), N)
+        b[-1] = 0.5   # a mode at N: no leading block holds b
+        for shift in (0.0, 0.7):
+            want = np.linalg.solve(op.matrix + shift * np.eye(2 * N + 1), b)
+            assert np.array_equal(_leading_solve(op.matrix, shift, b), want)
+
+
+def test_linear_solves_run_no_full_eigh_at_the_certify_config(monkeypatch):
+    # perfbench's certify workload: N = 256, k = 1.5 + two low modes of size
+    # 0.25, g with three low modes; only leading blocks of the Galerkin
+    # matrix are diagonalized or factored
+    shapes = []
+
+    def recording(f):
+        def call(a, *args, **kwargs):
+            shapes.append((f.__name__, np.shape(a)))
+            return f(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "solve", recording(np.linalg.solve))
+    rng = np.random.default_rng(0)
+    N = 256
+    for _ in range(3):
+        op = make_op(s=float(rng.uniform(0.3, 0.7)), N=N, k=low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5))
+        g = low_mode_potential(rng, TWO_PI, 3, 1.0, float(rng.uniform(-1.0, 1.0)))
+        assert len(eigenvalue_set(op, 8)) == 8
+        solve_coercive(op, float(rng.uniform(0.4, 0.6)), g)
+        assert solve_fredholm(op, g).unique
+    assert {name for name, _ in shapes} == {"eigh", "solve"}
+    assert all(shape[0] < 2 * N + 1 for _, shape in shapes)
