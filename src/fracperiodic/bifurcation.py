@@ -42,6 +42,11 @@ RESIDUAL_TOL = 1e-10
 DEFAULT_N = 24
 MAX_STEP_RETRIES = 10      # continuation step halvings before StepFailure
 PITCHFORK_FIT_POINTS = 10  # leading branch points of the pitchfork fit
+# admitted arclength steps, measured for the quartic at s from 0.1 to 0.95: at
+# 1e-14 a step no longer moves lambda (it falls under the spacing of doubles
+# near 1) and at 1e-20 the tangent divides 0 / 0; from 1.25 on the predictor
+# jumps off the branch.  The floor keeps a decade above the stall.
+DS_ARC_MIN, DS_ARC_MAX = 1e-12, 1.0
 
 
 @dataclass(frozen=True)
@@ -131,12 +136,12 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
                     N=None) -> Branch:
     """Pseudo-arclength continuation from the trivial branch through the
     pitchfork nearest lambda_start, in the odd 2 pi class.  Raises
-    ValueError unless lambda_start is finite, ds_arc is positive and finite,
-    steps >= 2 and the well is even."""
+    ValueError unless lambda_start is finite, DS_ARC_MIN <= ds_arc <=
+    DS_ARC_MAX, steps >= 2 and the well is even."""
     if not math.isfinite(lambda_start):
         raise ValueError(f"lambda_start must be finite, got {lambda_start!r}")
-    if not (ds_arc > 0 and math.isfinite(ds_arc)):
-        raise ValueError(f"ds_arc must be positive and finite, got {ds_arc!r}")
+    if not DS_ARC_MIN <= ds_arc <= DS_ARC_MAX:
+        raise ValueError(f"ds_arc must lie in [{DS_ARC_MIN:g}, {DS_ARC_MAX:g}], got {ds_arc!r}")
     if steps < 2:
         raise ValueError(f"steps must be at least 2 (the tangent needs two points), got {steps!r}")
     N = N or DEFAULT_N
@@ -219,13 +224,22 @@ class T0Report:
         return max(e.residual_rescaled for e in self.entries)
 
 
+def _period(lam, scale, frac):
+    """T(lambda) = 2 pi (lambda * scale)^{1/(2s)}, inf where the power overflows."""
+    try:
+        return 2.0 * math.pi * (lam * scale) ** (1.0 / (2.0 * frac.s))
+    except OverflowError:
+        return math.inf
+
+
 def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None) -> T0Report:
     """Continue past the first pitchfork and undo the rescaling
     x = (lambda / -F''(0))^{1/(2s)} xbar, realizing solutions of the
     original equation with period T(lambda) = 2 pi (lambda/-F''(0))^{1/(2s)};
     each rescaled solution is re-verified by newton_refine's Newton on period
-    T.  Raises ValueError unless the well is even and lambda_grid holds one
-    or more values, each finite and above 1 (the first pitchfork)."""
+    T.  Raises ValueError unless the well is even, lambda_grid holds one
+    or more values, each finite and above 1 (the first pitchfork), and every
+    T(lambda) is positive and finite (s too small overflows it)."""
     if lambda_grid is None:
         lambda_grid = np.concatenate([[1.001, 1.003, 1.01, 1.03], np.arange(1.1, 4.01, 0.1)])
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
@@ -235,6 +249,10 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     N = N or DEFAULT_N
     scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
     cls = _solve_class("odd", 2.0 * math.pi, N, frac, well)
+    periods = [_period(float(lam), scale, frac) for lam in lambda_grid]
+    if not all(0.0 < T < math.inf for T in periods):
+        raise ValueError(f"s = {frac.s!r} is too small: the period 2 pi (lambda / -F''(0))^(1/(2s)) "
+                         f"is not positive and finite on lambda_grid")
     bound = linearization_bound(frac, well)
 
     z = _first_point(cls, well, scale, 1.0, eps=1e-2)
@@ -252,7 +270,7 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
         return a_new
 
     entries = []
-    for lam_target in lambda_grid:
+    for lam_target, period in zip(lambda_grid, periods):
         n_sub = 1
         while True:
             try:
@@ -266,7 +284,6 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
                 if n_sub > 64:
                     raise
         a, lam = a_try, float(lam_target)
-        period = 2.0 * math.pi * (lam * scale) ** (1.0 / (2.0 * frac.s))
         # the same coefficients on period T, refined by Newton on that class
         T_cls, c, rnorm = _refine(cls.to_function(a), period, frac, well, 1e-9, MAX_NEWTON)
         entries.append(T0Entry(lam=lam, period=period, amplitude=float(np.max(np.abs(T_cls.values(c)))),

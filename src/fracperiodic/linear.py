@@ -8,6 +8,7 @@ eigenpairs come from certified leading blocks unless a certificate fails.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -88,8 +89,8 @@ class GalerkinOperator:
     def __post_init__(self):
         if self.k.T != self.T:
             raise ValueError("coefficient k must have period T")
-        if self.N < 0:
-            raise ValueError(f"truncation N must be nonnegative, got {self.N!r}")
+        if not isinstance(self.N, numbers.Integral) or self.N < 0:
+            raise ValueError(f"truncation N must be nonnegative and an integer, got {self.N!r}")
         lam = (2.0 * math.pi / self.T * np.arange(1, self.N + 1)) ** (2.0 * self.frac.s)
         A = _galerkin_matrix(self.T, self.N, lam, self.k)
         A.flags.writeable = False
@@ -97,13 +98,18 @@ class GalerkinOperator:
         object.__setattr__(self, "_symbol", lam)   # lambda_m on the pair of mode m, m = 1..N
 
     @cached_property
+    def _rows(self):
+        """Row sums of |A|: every norm and bound of the matrix reads them."""
+        return np.sum(np.abs(self.matrix), axis=1)
+
+    @cached_property
     def _low(self):
         """(w, Q, t): the lowest eigenpairs, shared by both solves, with every w <= t =
         KERNEL_RTOL ||A||_inf (Weyl: the i-th is >= D_i - kappa, D = (0, lambda_1, lambda_1,
         ...), kappa = sum |coefficients of k| >= sup |k| >= ||k-block||_2)."""
-        t = KERNEL_RTOL * (float(np.max(np.sum(np.abs(self.matrix), axis=1))) or 1.0)
+        t = KERNEL_RTOL * (float(np.max(self._rows)) or 1.0)
         kappa = float(np.sum(np.abs(self.k.cos_coeffs)) + np.sum(np.abs(self.k.sin_coeffs)))
-        return (*_lowest_eigh(self.matrix, 1 + 2 * int(np.sum(self._symbol <= t + kappa))), t)
+        return (*_lowest_eigh(self.matrix, 1 + 2 * int(np.sum(self._symbol <= t + kappa)), self._rows), t)
 
     @property
     def gamma(self):
@@ -158,7 +164,7 @@ def solve_coercive(op: GalerkinOperator, mu: float, g: PeriodicFunction) -> Coer
     if not w0 + mu > 0.0:
         raise NotCoercive(f"L + mu is not positive definite (mu={mu:g}): lowest eigenvalue {w0 + mu:.3e}")
     gc = function_to_coords(g, op.N)
-    uc = _leading_solve(op.matrix, mu, gc)
+    uc = _leading_solve(op.matrix, mu, gc, op._rows)
     res = float(np.linalg.norm(op.matrix @ uc + mu * uc - gc))
     gn = float(np.linalg.norm(gc))
     u = coords_to_function(op.T, uc)
@@ -181,14 +187,15 @@ def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction) -> FredholmSolve:
     Z = Q[:, np.abs(w) < thresh]
     gc = function_to_coords(g, op.N)
     kernel = KernelBasis(vectors=tuple(coords_to_function(op.T, v) for v in Z.T), threshold=thresh)
-    A = op.matrix
+    A, rows = op.matrix, op._rows
     if kernel.dim:
         proj = Z.T @ gc
         worst = float(proj[np.argmax(np.abs(proj))])
         if abs(worst) > ORTH_TOL * max(1.0, float(np.linalg.norm(gc))):
             raise SolvabilityViolation(worst)
         A, gc = A + (thresh / KERNEL_RTOL) * (Z @ Z.T), gc - Z @ proj
-    return FredholmSolve(solution=coords_to_function(op.T, _leading_solve(A, 0.0, gc)), kernel=kernel)
+        rows = None   # a new matrix: _leading_solve sums its rows
+    return FredholmSolve(solution=coords_to_function(op.T, _leading_solve(A, 0.0, gc, rows)), kernel=kernel)
 
 
 def _check_count(count, dim):
@@ -201,12 +208,13 @@ def _check_count(count, dim):
 def eigenvalue_set(op: GalerkinOperator, count: int):
     """Lowest `count` eigenpairs of the symmetric Galerkin matrix, nondecreasing."""
     _check_count(count, op.matrix.shape[0])
-    w, Q = _lowest_eigh(op.matrix, count)
+    w, Q = _lowest_eigh(op.matrix, count, op._rows)
     return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(w, Q.T)]
 
 
-def _lowest_eigh(A, count):
-    """(w, Q): the lowest `count` eigenpairs of the symmetric A, w ascending.
+def _lowest_eigh(A, count, rows=None):
+    """(w, Q): the lowest `count` eigenpairs of the symmetric A, w ascending;
+    rows holds the row sums of |A| when the caller has them.
 
     From the leading block P = A[:d, :d] (modes <= p, d = 2p+1; B = A[:d, d:],
     C = A[d:, d:]) when, at some cut c >= count with mu = (w[c-1] + w[c]) / 2 and
@@ -216,7 +224,8 @@ def _lowest_eigh(A, count):
     Parlett, The Symmetric Eigenvalue Problem, ch. 10-11.  Otherwise the full eigh.
     """
     n = A.shape[0]
-    tol = np.finfo(float).eps * float(np.max(np.sum(np.abs(A), axis=1)))
+    rows = np.sum(np.abs(A), axis=1) if rows is None else rows
+    tol = np.finfo(float).eps * float(np.max(rows))
     p = max(8, count)
     while 2 * p + 1 < n:
         d = 2 * p + 1
@@ -234,13 +243,15 @@ def _lowest_eigh(A, count):
     return w[:count], Q[:, :count]
 
 
-def _leading_solve(A, shift, b):
-    """x with (A + shift) x = b, A symmetric: from the leading block (modes <= p, p doubling
-    from max(8, the highest mode of b)) when ||(A + shift) x - b||_2 <= eps (||A + shift||_inf
-    ||x||_2 + ||b||_2), a normwise backward error of at most eps (Rigal and Gaches 1967; Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 7.1); otherwise the full LU solve."""
+def _leading_solve(A, shift, b, rows=None):
+    """x with (A + shift) x = b, A symmetric, rows the row sums of |A| (summed here when None):
+    from the leading block (modes <= p, p doubling from max(8, the highest mode of b)) when
+    ||(A + shift) x - b||_2 <= eps (||A + shift||_inf ||x||_2 + ||b||_2), a normwise backward
+    error of at most eps (Rigal and Gaches 1967; Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 7.1); otherwise the full LU solve."""
     n, diag = A.shape[0], A.diagonal()
-    scale = float(np.max(np.sum(np.abs(A), axis=1) - np.abs(diag) + np.abs(diag + shift)))
+    rows = np.sum(np.abs(A), axis=1) if rows is None else rows
+    scale = float(np.max(rows - np.abs(diag) + np.abs(diag + shift)))
     p = max(8, len(np.trim_zeros(b, "b")) // 2)
     while 2 * p + 1 < n:
         d = 2 * p + 1

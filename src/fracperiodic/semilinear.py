@@ -13,6 +13,13 @@ and whose Hessian is the residual Jacobian; the reported energy J uses the
 half-period convention of the energy functional in
 :mod:`fracperiodic.spectral`.
 
+Both classes are solved in their half-wave subspace u(x + T/2) = -u(x),
+spanned by the odd harmonics: ceil(N/2) unknowns, a_1, a_3, .. (odd) or
+b_1, b_3, .. (even).  The well is even, so the residual maps the subspace
+into itself and its Jacobian is the odd-harmonic block of the full one:
+the solutions are those of the whole class.  The even class then has no
+mean, so its descent cannot fall toward the constants u = +-1.
+
 From N = COARSE_MIN_N on, each start first descends in the same symmetry
 class at N // 4 (with the starts built there); the result is zero-padded
 to N, where descent and Newton finish, usually in one step each, because
@@ -148,23 +155,17 @@ def _solve_shifted(L, b):
 def _descent(cls: _SymmetryClass, c, well):
     """Modified-Newton descent on the full-period energy E.
 
-    dE/dc = W * residual with W = (T/2) cls.weight (T/2 on every mode and T
-    on the mean), and the Hessian of E is W J.  The step solves with the
-    symmetric Hhat = W^(1/2) J W^(-1/2), shifted positive definite, and
-    backtracks on E.  It stops at any critical point: the even-class
-    solution is a saddle of E, so no positive-definite Hessian is required
-    at exit.
+    In a half-wave class every coefficient carries the L^2 weight T/2, so
+    dE/dc = (T/2) residual and the Hessian of E is (T/2) J: the step solves
+    with J, shifted positive definite, and backtracks on E.  It stops at
+    any critical point, without asking for a positive-definite Hessian.
     """
-    sw = np.sqrt(cls.weight)   # relative sqrt(W); the scale of W cancels in the step
     energy = cls.energy_full(c, well)
     for _ in range(MAX_DESCENT):
         grad = cls.residual(c, well)
         if cls.l2_norm(grad) < DESCENT_GRAD_TOL:
             break
-        H = cls.jacobian(c, well)   # W differs from a multiple of I only on the mean
-        H[0] *= sw[0]
-        H[:, 0] /= sw[0]
-        p = -_solve_shifted(_shifted_cholesky(H), sw * grad) / sw
+        p = -_solve_shifted(_shifted_cholesky(cls.jacobian(c, well)), grad)
         step = 1.0
         while step > 1e-8:
             trial = c + step * p
@@ -198,7 +199,7 @@ def _starts(cls: _SymmetryClass, cfg: SolveConfig):
     for amp in amps:
         for sgn in (1.0, -1.0):
             c = np.zeros_like(cls.mult)
-            c[0 if cls.odd else 1] = sgn * amp   # a_1 or b_1
+            c[0] = sgn * amp   # a_1 or b_1
             out.append((c, sgn < 0))
     if cls.T > 4.0 * math.pi:
         g = cls.T / 4.0
@@ -220,7 +221,7 @@ def _package(cls: _SymmetryClass, c, rnorm, frac, well):
 
 def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell, cfg: SolveConfig):
     """Yield (c, residual norm) of each start that converges to a nonconstant u with |u| < 1."""
-    first = _SymmetryClass(cfg.symmetry, cls.T, cfg.N // 4, frac) if cfg.N >= COARSE_MIN_N else cls
+    first = _SymmetryClass(cfg.symmetry, cls.T, cfg.N // 4, frac, half_wave=True) if cfg.N >= COARSE_MIN_N else cls
     finished = []   # coarse endpoints whose fine stage succeeded
     for c0 in _starts(first, cfg):
         c = coarse = _descent(first, c0.copy(), well)
@@ -251,7 +252,7 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
     finite and the well is even.
     """
     cfg = cfg or SolveConfig()
-    cls = _solve_class(cfg.symmetry, T, cfg.N, frac, well)
+    cls = _solve_class(cfg.symmetry, T, cfg.N, frac, well, half_wave=True)
     best = None
     for c, rnorm in _nonconstant_starts(cls, frac, well, cfg):
         sol = _package(cls, _normalize_sign(cls, c), rnorm, frac, well)
@@ -305,7 +306,8 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
     cfg = cfg or SolveConfig(N=32)
 
     def nonconstant_at(T):
-        starts = _nonconstant_starts(_solve_class(cfg.symmetry, T, cfg.N, frac, well), frac, well, cfg)
+        starts = _nonconstant_starts(_solve_class(cfg.symmetry, T, cfg.N, frac, well, half_wave=True),
+                                     frac, well, cfg)
         return next(starts, None) is not None
 
     lo, hi = bound / 4.0, T_hi

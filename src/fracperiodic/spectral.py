@@ -150,27 +150,31 @@ def gram_blocks(N, g):
     return dist + tot, _hankel(gs, N + 1) + _toeplitz(gs[: N + 1], -gs[: N + 1]), dist - tot
 
 
-def gram(symmetry, N, g):
+def gram(symmetry, N, g, half_wave=False):
     """Matrix of c -> (coefficients of g * u_c) for samples g on a grid of
     M >= 4N points, in a symmetry class: odd c = [a_1..a_N], even
-    c = [b_0..b_N], full c = [b_0..b_N, a_1..a_N].  The coefficients are
-    those of grid_analysis, so the mean row carries weight 1 and the others 2.
+    c = [b_1..b_N], full c = [b_0..b_N, a_1..a_N]; half_wave keeps only
+    the odd harmonics 1, 3, .. of the odd and even classes.  The
+    coefficients are those of grid_analysis, so the mean row carries weight
+    1 and the others 2.
 
     With g_k = mean of g cos(2 pi k j / M) and h_k the same with sin,
     2 mean(g sin_m sin_n) = g_|m-n| - g_{m+n}, 2 mean(g cos_m cos_n) =
     g_|m-n| + g_{m+n} and 2 mean(g sin_m cos_n) = h_{m+n} + h_{m-n};
     the indices reach 2N < M/2, so one rfft of g gives every entry.
+    Between odd harmonics m - n and m + n are even, so the half-wave
+    blocks read every other g_k.
     """
     if symmetry == "full":
         cc, sc, ss = gram_blocks(N, g)
         cc = np.block([[cc, sc.T[:, 1:]], [sc[1:], ss[1:, 1:]]])
-    else:
-        gc = (np.fft.rfft(g) / g.shape[0]).real
-        if symmetry == "odd":   # modes 1..N: g_|m-n| - g_{m+n}
-            return _toeplitz(gc[:N], gc[:N]) - _hankel(gc[2:], N)
-        cc = _toeplitz(gc[: N + 1], gc[: N + 1]) + _hankel(gc, N + 1)
-    cc[0] *= 0.5   # the mean carries weight 1, the other rows 2
-    return cc
+        cc[0] *= 0.5   # the mean carries weight 1, the other rows 2
+        return cc
+    gc = (np.fft.rfft(g) / g.shape[0]).real
+    step = 2 if half_wave else 1
+    n = -(-N // step)   # modes 1, 1 + step, .. up to N
+    dist, tot = _toeplitz(gc[: step * n : step], gc[: step * n : step]), _hankel(gc[2::step], n)
+    return dist - tot if symmetry == "odd" else dist + tot
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +472,16 @@ class _SymmetryClass:
     class of T-periodic trig polynomials of degree N.
 
     A class is an index into the full layout [b_0..b_N, a_1..a_N]: odd
-    takes [a_1..a_N], even [b_0..b_N], full all of it.  Each coefficient
-    carries its multiplier (w m)^{2s} (0 on the mean) and its L^2 weight in
-    units of T/2 (2 on the mean, 1 on the trig modes).  The nonlinear term
-    is evaluated on a 4(N+1)-point grid, which integrates products up to
-    degree 4N exactly.
+    takes [a_1..a_N], even [b_1..b_N], full all of it.  The half-wave
+    classes, u(x + T/2) = -u(x), keep the odd harmonics of the odd or even
+    class: ceil(N/2) entries, a_1, a_3, .. or b_1, b_3, ..  For an even
+    well F' is odd and F'' even, so the residual maps a half-wave class
+    into itself and its Jacobian is the odd-harmonic block of the full one;
+    the even class is only solved there, so no class but full has a mean.
+    Each coefficient carries its multiplier (w m)^{2s} (0 on the mean) and
+    its L^2 weight in units of T/2 (2 on the mean, 1 on the trig modes).
+    The nonlinear term is evaluated on a 4(N+1)-point grid, which
+    integrates products up to degree 4N exactly.
 
     ``values`` (coefficients -> grid) and ``project`` (grid -> coefficients)
     use one dense basis table below N = FFT_MIN_N and grid_synthesis /
@@ -481,16 +490,17 @@ class _SymmetryClass:
     only through gram, at every N.
     """
 
-    def __init__(self, symmetry, T, N, frac: FracOrder):
+    def __init__(self, symmetry, T, N, frac: FracOrder, half_wave=False):
         self.symmetry = symmetry
+        self.half_wave = half_wave
         self.T = T
         self.N = N
         self.odd = symmetry == "odd"
         w = 2.0 * math.pi / T
         m = np.arange(1, N + 1)
         lam = (w * m) ** (2.0 * frac.s)
-        part = {"odd": slice(N + 1, None), "even": slice(N + 1), "full": slice(None)}[symmetry]
-        self.idx = np.arange(2 * N + 1)[part]
+        part = {"odd": slice(N + 1, None), "even": slice(1, N + 1), "full": slice(None)}[symmetry]
+        self.idx = np.arange(2 * N + 1)[part][:: 2 if half_wave else 1]
         self.mult = np.concatenate(([0.0], lam, lam))[self.idx]
         self.weight = np.concatenate(([2.0], np.ones(2 * N)))[self.idx]
         M = 4 * (N + 1)
@@ -530,7 +540,7 @@ class _SymmetryClass:
         return self.linear_part(c) + k * self.nonlinear(c, well)
 
     def jacobian(self, c, well: DoubleWell, k=1.0):
-        J = gram(self.symmetry, self.N, k * well.f2(self.values(c)))
+        J = gram(self.symmetry, self.N, k * well.f2(self.values(c)), self.half_wave)
         J.flat[:: J.shape[0] + 1] += self.mult   # the diagonal
         return J
 
@@ -556,14 +566,14 @@ def _check_period(T):
         raise ValueError(f"period must be positive and finite, got {T!r}")
 
 
-def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell):
+def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell, half_wave=False):
     """The class of a semilinear solve with this well.  Raises ValueError unless
     T is positive and finite and, in the odd and even classes, the well is even:
     the odd class drops the even part of F'(u), and both take -u for a solution."""
     _check_period(T)
     if symmetry != "full" and not well.even:
         raise ValueError(f"the {symmetry} class needs an even potential, got {well.label!r}")
-    return _SymmetryClass(symmetry, T, N, frac)
+    return _SymmetryClass(symmetry, T, N, frac, half_wave)
 
 
 def _newton(residual, jacobian, z, tol, max_iter, norm):

@@ -139,6 +139,21 @@ def test_continue_branch_rejects_bad_step():
             continue_branch(frac, well(), lambda_start=1.0, steps=steps, ds_arc=0.05)
 
 
+@pytest.mark.parametrize("ds", [1e-300, 1e-14, 1.25, 1e300])
+def test_continue_branch_rejects_a_step_outside_the_admitted_range(ds):
+    # 1e-300 divided 0 / 0 in the tangent and 1e300 overflowed F'; from 1.25
+    # the predictor jumps off the branch, below 1e-13 lambda stops advancing
+    with pytest.raises(ValueError, match=r"ds_arc must lie in \[1e-12, 1\]"):
+        continue_branch(FracOrder(0.5), well(), lambda_start=1.0, steps=5, ds_arc=ds)
+
+
+@pytest.mark.parametrize("ds", [bifurcation.DS_ARC_MIN, 0.045, 0.055, bifurcation.DS_ARC_MAX])
+def test_continue_branch_admits_the_range_ends(ds):
+    br = continue_branch(FracOrder(0.5), well(), lambda_start=1.0, steps=6, ds_arc=ds)
+    assert br.direction == "supercritical"
+    assert np.all(np.diff(br.lambdas()) > 0.0)   # every step advances lambda
+
+
 @pytest.mark.parametrize("N", [24, 64])
 def test_sigma_min_matches_svd(N):
     # G_u is symmetric, so its smallest |eigenvalue| is its smallest singular value
@@ -310,6 +325,17 @@ def test_branch_and_t0_bound_reject_a_non_even_well():
         continue_branch(FracOrder(0.5), SKEW, lambda_start=1.0, steps=5, ds_arc=0.05)
     with pytest.raises(ValueError, match="the odd class needs an even potential"):
         verify_T0_bound(FracOrder(0.5), SKEW, lambda_grid=[1.5])
+
+
+def test_t0_bound_rejects_an_order_whose_period_overflows(monkeypatch):
+    # 2 pi lambda^(1/(2s)) overflows at s = 1e-300; the check runs before
+    # any continuation work
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_T0_bound started the continuation")
+
+    monkeypatch.setattr(bifurcation, "_first_point", forbidden)
+    with pytest.raises(ValueError, match=r"s = 1e-300 is too small"):
+        verify_T0_bound(FracOrder(1e-300), well(), lambda_grid=[1.5])
 
 
 def test_t0_bound_rejects_an_empty_grid():

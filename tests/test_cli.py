@@ -163,6 +163,18 @@ def test_bad_tolerance_and_step_are_usage_errors(tmp_path):
         assert not out.exists()
 
 
+def test_overflowing_order_and_step_are_usage_errors(tmp_path, capsys):
+    # t0-bound --s 1e-300 let an OverflowError escape run; --ds 1e-300 and
+    # 1e300 broke the continuation step with NaN and overflow warnings
+    for argv, name in ((["t0-bound", "--s", "1e-300"], "s = 1e-300"),
+                       (["continue", "--s", "0.5", "--ds", "1e-300"], "ds_arc"),
+                       (["continue", "--s", "0.5", "--ds", "1e300"], "ds_arc")):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"usage error: {name}"), argv
+
+
 def test_non_double_well_potential_rejected(tmp_path):
     out = tmp_path / "sol.json"
     assert run(["solve", "--s", "0.5", "--T", "8", "--potential", "poly:1,0,1",

@@ -179,6 +179,33 @@ def test_operator_and_coercive_solve_reject_bad_n_and_mu():
             solve_coercive(make_op(), mu, zero_k())
 
 
+@pytest.mark.parametrize("N", [2.5, 8.0, "8"])
+def test_operator_rejects_a_non_integer_n(N):
+    # N = 2.5 failed inside PeriodicFunction.sample with numpy's TypeError
+    with pytest.raises(ValueError, match="N must be nonnegative and an integer"):
+        make_op(N=N)
+
+
+def test_matrix_row_sums_are_taken_once(monkeypatch):
+    # ||A||_inf, the eigensolve tolerance and the solve certificate all read
+    # the row sums of |A|: one pass over the matrix for every query of it
+    op = make_op(N=64, k=low_mode_potential(np.random.default_rng(2), TWO_PI, 2, 0.25, 1.5))
+    g = low_mode_potential(np.random.default_rng(3), TWO_PI, 3, 1.0, 0.5)
+    passes = []
+    absolute = np.abs
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == op.matrix.shape:
+            passes.append(None)
+        return absolute(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counted)
+    eigenvalue_set(op, 8)
+    solve_coercive(op, 0.5, g)
+    solve_fredholm(op, g)
+    assert len(passes) == 1
+
+
 def test_not_coercive_at_the_threshold():
     # L + mu with mu just below -lambda_min is indefinite; just above it is not
     k = PeriodicFunction.constant(TWO_PI, -2.0)

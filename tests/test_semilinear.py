@@ -109,6 +109,55 @@ def test_even_class_solution():
     assert sol.u(0.0) > 0.0 > sol.u(4.0)  # cone normalization at y = 0
 
 
+@pytest.mark.parametrize("T,N,s", [(6.6, 32, 0.25), (6.6, 32, 0.5), (6.6, 32, 0.7), (6.6, 32, 0.75),
+                                   (8.0, 48, 0.25)])
+def test_even_class_does_not_collapse_to_the_wells(T, N, s):
+    # the even class with a mean let every start descend to u = +-1, which
+    # the |u| < 1 filter rejects, so these were reported "trivial"; the
+    # half-wave even minimizer is the odd one translated by T / 4
+    frac = FracOrder(s)
+    even = minimize_energy(T, frac, well(), SolveConfig(symmetry="even", N=N))
+    odd = minimize_energy(T, frac, well(), SolveConfig(symmetry="odd", N=N))
+    assert even.classification == odd.classification == "nonconstant"
+    assert abs(even.energy - odd.energy) <= 1e-12 * abs(odd.energy)
+    assert even.u.cos_coeffs[0] == 0.0 and not np.any(even.u.sin_coeffs)
+
+
+def test_cli_even_class_below_the_old_collapse(tmp_path, capsys):
+    from fracperiodic.cli import run
+
+    out = tmp_path / "u.json"
+    assert run(["solve", "--s", "0.5", "--T", "6.6", "--symmetry", "even", "--N", "32", "--out", str(out)]) == 0
+    summary = dict(kv.split("=") for kv in capsys.readouterr().err.split())
+    assert summary["classification"] == "nonconstant"
+    odd = minimize_energy(6.6, FracOrder(0.5), well(), SolveConfig(N=32))
+    assert abs(float(summary["energy"]) - odd.energy) <= 1e-12 * odd.energy
+
+
+def test_even_class_descent_converges_quadratically(monkeypatch):
+    # the Hessian's direction toward the constants +-1 (eigenvalue -0.606)
+    # forced a shift that slowed each descent to 21-35 steps; the half-wave
+    # class has no such direction, so the modified Newton steps converge fast
+    calls, steps = [], []
+    residual, descent = semilinear._SymmetryClass.residual, semilinear._descent
+
+    def counted(self, *args):
+        calls.append(None)
+        return residual(self, *args)
+
+    def counted_descent(*args):
+        before = len(calls)
+        out = descent(*args)
+        steps.append(len(calls) - before - 1)   # one residual per step and one at the exit test
+        return out
+
+    monkeypatch.setattr(semilinear._SymmetryClass, "residual", counted)
+    monkeypatch.setattr(semilinear, "_descent", counted_descent)
+    sol = minimize_energy(8.0, FracOrder(0.5), well(), SolveConfig(symmetry="even", N=48))
+    assert sol.nonconstant
+    assert len(steps) == 3 and max(steps) <= 8
+
+
 def test_newton_refine_fixed_point():
     frac = FracOrder(0.5)
     sol = minimize_energy(8.0, frac, well(), SolveConfig(N=48))
@@ -214,7 +263,7 @@ def test_mirror_starts_dropped_exactly(monkeypatch, symmetry, T, multistarts):
     frac = FracOrder(0.5)
     cfg = SolveConfig(symmetry=symmetry, N=64 if T > 10 else 32, multistarts=multistarts)
     kept = semilinear._starts
-    assert len(kept(semilinear._SymmetryClass(symmetry, T, cfg.N, frac), cfg)) < multistarts
+    assert len(kept(semilinear._SymmetryClass(symmetry, T, cfg.N, frac, True), cfg)) < multistarts
     dropped = minimize_energy(T, frac, well(), cfg)
     monkeypatch.setattr(semilinear, "_starts", lambda c, k: [v for c0 in kept(c, k) for v in (c0, -c0)])
     both = minimize_energy(T, frac, well(), cfg)
@@ -302,14 +351,16 @@ def test_small_N_skips_the_coarse_stage(monkeypatch, symmetry, N, T):
 def test_fine_level_factorizations_per_start(monkeypatch):
     # after the N / 4 descent, each start needs about one descent step and
     # one Newton step at N = 512: at most 2 factorizations or dense solves
+    # of the half-wave class, which has ceil(N / 2) = 256 unknowns
     T, N = 201.4, 512
     frac, cfg = FracOrder(0.5), SolveConfig(N=N)
     calls = []
     cholesky, solve = np.linalg.cholesky, np.linalg.solve
+    K = (N + 1) // 2
 
     def counted(f):
         def wrapped(A, *args, **kwargs):
-            if np.shape(A) == (N, N):
+            if np.shape(A) == (K, K):
                 calls.append(f.__name__)
             return f(A, *args, **kwargs)
         return wrapped
@@ -317,7 +368,7 @@ def test_fine_level_factorizations_per_start(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted(cholesky))
     monkeypatch.setattr(np.linalg, "solve", counted(solve))
     sol = minimize_energy(T, frac, well(), cfg)
-    starts = semilinear._starts(semilinear._SymmetryClass("odd", T, N, frac), cfg)
+    starts = semilinear._starts(semilinear._SymmetryClass("odd", T, N, frac, True), cfg)
     assert sol.nonconstant and sol.residual <= cfg.newton_tol
     assert 0 < len(calls) <= 2 * len(starts)
 

@@ -25,15 +25,22 @@ def assert_rel(got, ref, rtol=RTOL):
     assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
 
 
-def dense_basis(symmetry, N, M):
+# test id -> (symmetry, half_wave) of _SymmetryClass
+CLASSES = {"odd": ("odd", False), "even": ("even", False), "full": ("full", False),
+           "odd-half": ("odd", True), "even-half": ("even", True)}
+
+
+def dense_basis(symmetry, N, M, half_wave=False):
     """Columns of the class basis on the M-point grid, and the projection
     weight of each row (1 for the mean, 2 for the trig modes)."""
     phase = 2.0 * math.pi * np.outer(np.arange(M), np.arange(1, N + 1)) / M
     S, C = np.sin(phase), np.cos(phase)
+    if half_wave:   # the odd harmonics 1, 3, ..
+        S, C = S[:, ::2], C[:, ::2]
     one = np.ones((M, 1))
-    B = {"odd": S, "even": np.hstack([one, C]), "full": np.hstack([one, C, S])}[symmetry]
+    B = {"odd": S, "even": C, "full": np.hstack([one, C, S])}[symmetry]
     weight = np.full(B.shape[1], 2.0)
-    if symmetry != "odd":
+    if symmetry == "full":
         weight[0] = 1.0
     return B, weight
 
@@ -42,20 +49,22 @@ def random_coeffs(rng, n):
     return rng.standard_normal(n) * 0.5 / (1.0 + np.arange(n))
 
 
-def dense_multipliers(symmetry, T, N, s):
+def dense_multipliers(symmetry, T, N, s, half_wave=False):
     lam = (2.0 * math.pi / T * np.arange(1, N + 1)) ** (2.0 * s)
-    return {"odd": lam, "even": np.concatenate(([0.0], lam)),
-            "full": np.concatenate(([0.0], lam, lam))}[symmetry]
+    if half_wave:
+        lam = lam[::2]
+    return {"odd": lam, "even": lam, "full": np.concatenate(([0.0], lam, lam))}[symmetry]
 
 
 @pytest.mark.parametrize("N", [32, 300])
-@pytest.mark.parametrize("symmetry", ["odd", "even", "full"])
-def test_symmetry_class_matches_dense(symmetry, N):
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_symmetry_class_matches_dense(name, N):
     T = 7.3
-    cls = _SymmetryClass(symmetry, T, N, FracOrder(0.4))
+    symmetry, half_wave = CLASSES[name]
+    cls = _SymmetryClass(symmetry, T, N, FracOrder(0.4), half_wave)
     assert cls.fft == (N >= FFT_MIN_N)
-    B, weight = dense_basis(symmetry, N, cls.M)
-    mult = dense_multipliers(symmetry, T, N, 0.4)
+    B, weight = dense_basis(symmetry, N, cls.M, half_wave)
+    mult = dense_multipliers(symmetry, T, N, 0.4, half_wave)
     rng = np.random.default_rng(N)
     c = random_coeffs(rng, B.shape[1])
     u = B @ c
@@ -76,6 +85,30 @@ def test_symmetry_class_matches_dense(symmetry, N):
     assert f.odd == (symmetry == "odd")
     assert_rel(f(cls.x), u)
     assert np.array_equal(cls.from_function(f), c)
+
+
+@pytest.mark.parametrize("N", [16, 17, 64, 300])
+@pytest.mark.parametrize("symmetry", ["odd", "even"])
+def test_half_wave_class_is_the_odd_harmonic_block(symmetry, N):
+    # F' is odd and F'' even for an even well, so the full-class residual of
+    # a half-wave u vanishes on the even harmonics and its Jacobian couples
+    # odd harmonics only to odd harmonics
+    T, frac, well = 7.3, FracOrder(0.4), DoubleWell.quartic()
+    half = _SymmetryClass(symmetry, T, N, frac, True)
+    full = _SymmetryClass("full", T, N, frac)
+    assert half.idx.size == math.ceil(N / 2) and half.fft == full.fft == (N >= FFT_MIN_N)
+    c = random_coeffs(np.random.default_rng(N), half.idx.size)
+    cf = np.zeros(2 * N + 1)
+    cf[half.idx] = c
+    rest = np.setdiff1d(full.idx, half.idx)
+    r, J = full.residual(cf, well), full.jacobian(cf, well)
+    assert_rel(half.residual(c, well), r[half.idx])
+    assert np.max(np.abs(r[rest])) <= RTOL * np.max(np.abs(r))
+    assert_rel(half.jacobian(c, well), J[np.ix_(half.idx, half.idx)])
+    assert np.max(np.abs(J[np.ix_(rest, half.idx)])) <= RTOL * np.max(np.abs(J))
+    e = full.energy_full(cf, well)
+    assert abs(half.energy_full(c, well) - e) <= RTOL * abs(e)
+    assert abs(half.l2_norm(c) - full.l2_norm(cf)) <= RTOL * full.l2_norm(cf)
 
 
 @pytest.mark.parametrize("N", [32, 300])
@@ -130,23 +163,26 @@ def scipy_gram(cls, g):
     spec = np.fft.rfft(g) / cls.M
     gc, gs = spec.real, -spec.imag
     N = cls.N
-    if cls.symmetry == "odd":
-        return toeplitz(gc[:N]) - hankel(gc[2 : N + 2], gc[N + 1 : 2 * N + 1])
+    if cls.symmetry != "full":   # modes 1, 1 + step, ..: g_|m-n| -+ g_{m+n}
+        step, n = (2 if cls.half_wave else 1), cls.idx.size
+        dist = toeplitz(gc[: step * n : step])
+        tot = hankel(gc[2 : 2 + step * n : step], gc[2 + step * (n - 1) : 2 + step * (2 * n - 1) : step])
+        return dist - tot if cls.symmetry == "odd" else dist + tot
     dist = toeplitz(gc[: N + 1])
     tot = hankel(gc[: N + 1], gc[N : 2 * N + 1])
-    cc = dist + tot
-    if cls.symmetry == "full":
-        sc = hankel(gs[: N + 1], gs[N : 2 * N + 1]) + toeplitz(gs[: N + 1], -gs[: N + 1])
-        cc = np.block([[cc, sc.T[:, 1:]], [sc[1:], (dist - tot)[1:, 1:]]])
+    sc = hankel(gs[: N + 1], gs[N : 2 * N + 1]) + toeplitz(gs[: N + 1], -gs[: N + 1])
+    cc = np.block([[dist + tot, sc.T[:, 1:]], [sc[1:], (dist - tot)[1:, 1:]]])
     cc[0] *= 0.5
     return cc
 
 
-@pytest.mark.parametrize("N", [32, 300, 512])
-@pytest.mark.parametrize("symmetry", ["odd", "even", "full"])
-def test_gram_strided_blocks_bit_identical(symmetry, N):
-    cls = _SymmetryClass(symmetry, 7.3, N, FracOrder(0.5))
+@pytest.mark.parametrize("N", [32, 300, 512, 17])
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_gram_strided_blocks_bit_identical(name, N):
+    symmetry, half_wave = CLASSES[name]
+    cls = _SymmetryClass(symmetry, 7.3, N, FracOrder(0.5), half_wave)
     g = np.random.default_rng(N).standard_normal(cls.M)
-    got = gram(symmetry, N, g)
+    got = gram(symmetry, N, g, half_wave)
+    assert got.shape == (cls.idx.size, cls.idx.size)
     assert np.array_equal(got, scipy_gram(cls, g))
     assert got.flags.writeable   # jacobian adds the multiplier in place
