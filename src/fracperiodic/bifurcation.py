@@ -137,7 +137,8 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
     """Pseudo-arclength continuation from the trivial branch through the
     pitchfork nearest lambda_start, in the odd 2 pi class.  Raises
     ValueError unless lambda_start is finite, DS_ARC_MIN <= ds_arc <=
-    DS_ARC_MAX, steps >= 2 and the well is even."""
+    DS_ARC_MAX, steps >= 2 and the well is even, and BranchLost when the
+    branch collapses to u = 0 or its amplitude reaches 1."""
     if not math.isfinite(lambda_start):
         raise ValueError(f"lambda_start must be finite, got {lambda_start!r}")
     if not DS_ARC_MIN <= ds_arc <= DS_ARC_MAX:
@@ -179,6 +180,8 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
         pt = make_point(z)
         if pt.amplitude < 1e-10:
             raise BranchLost("amplitude collapsed to the trivial branch")
+        if pt.amplitude >= 1.0:   # no solution of a double well with wells at +-1 reaches them
+            raise BranchLost(f"amplitude {pt.amplitude:.6g} >= 1 at lambda = {pt.lam:.6g} (N = {N})")
         points.append(pt)
         ds = min(ds * 1.3, ds_arc)
 

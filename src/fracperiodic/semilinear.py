@@ -110,14 +110,14 @@ def _shifted_cholesky(H):
     matrix with that lower triangle; its diagonal is overwritten.
     """
     beta = 1e-3
-    idx = np.diag_indices_from(H)
-    diag = H[idx].copy()
+    step = H.shape[0] + 1   # the diagonal is every step-th entry of H.flat
+    diag = H.flat[::step]   # a copy
     taus = [0.0 if diag.min() > 0.0 else beta - diag.min()]
 
     def factor(k):
         while len(taus) <= k:
             taus.append(max(2.0 * taus[-1], beta))
-        H[idx] = diag + taus[k]
+        H.flat[::step] = diag + taus[k]
         try:
             return np.linalg.cholesky(H)
         except np.linalg.LinAlgError:

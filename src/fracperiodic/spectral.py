@@ -151,8 +151,8 @@ def gram_blocks(N, g):
 
 
 def gram(symmetry, N, g, half_wave=False):
-    """Matrix of c -> (coefficients of g * u_c) for samples g on a grid of
-    M >= 4N points, in a symmetry class: odd c = [a_1..a_N], even
+    """Matrix of c -> (coefficients of g * u_c) for samples g on the class
+    grid of M = 4(N+1) points, in a symmetry class: odd c = [a_1..a_N], even
     c = [b_1..b_N], full c = [b_0..b_N, a_1..a_N]; half_wave keeps only
     the odd harmonics 1, 3, .. of the odd and even classes.  The
     coefficients are those of grid_analysis, so the mean row carries weight
@@ -161,19 +161,24 @@ def gram(symmetry, N, g, half_wave=False):
     With g_k = mean of g cos(2 pi k j / M) and h_k the same with sin,
     2 mean(g sin_m sin_n) = g_|m-n| - g_{m+n}, 2 mean(g cos_m cos_n) =
     g_|m-n| + g_{m+n} and 2 mean(g sin_m cos_n) = h_{m+n} + h_{m-n};
-    the indices reach 2N < M/2, so one rfft of g gives every entry.
-    Between odd harmonics m - n and m + n are even, so the half-wave
-    blocks read every other g_k.
+    the indices reach 2N < M/2, and between odd harmonics m -+ n are even,
+    so the half-wave blocks read every other g_k.  They come from one rfft
+    of g for the full class and from N = FFT_MIN_N on, else from the class's
+    moment rows (_tables), where the half-wave blocks read only the first M/2
+    samples: they assume a T/2-periodic g, as F''(u) of a half-wave u is.
     """
     if symmetry == "full":
         cc, sc, ss = gram_blocks(N, g)
         cc = np.block([[cc, sc.T[:, 1:]], [sc[1:], ss[1:, 1:]]])
         cc[0] *= 0.5   # the mean carries weight 1, the other rows 2
         return cc
-    gc = (np.fft.rfft(g) / g.shape[0]).real
     step = 2 if half_wave else 1
+    if N < FFT_MIN_N:   # g_0, g_step, .., g_2N
+        gk = _tables(symmetry, N, half_wave)[2] @ g[: g.shape[0] // step]
+    else:
+        gk = (np.fft.rfft(g) / g.shape[0]).real[::step]
     n = -(-N // step)   # modes 1, 1 + step, .. up to N
-    dist, tot = _toeplitz(gc[: step * n : step], gc[: step * n : step]), _hankel(gc[2::step], n)
+    dist, tot = _toeplitz(gk[:n], gk[:n]), _hankel(gk[2 // step :], n)
     return dist - tot if symmetry == "odd" else dist + tot
 
 
@@ -467,6 +472,26 @@ def linearization_bound(frac: FracOrder, well: DoubleWell, who=""):
 FFT_MIN_N = 256   # below this the dense basis products beat an FFT call
 
 
+@lru_cache(maxsize=2)   # the fine and the coarse class of one solve
+def _tables(symmetry, N, half_wave):
+    """The read-only dense tables of a class below FFT_MIN_N, shared by every
+    period: grid basis, projection weights and gram's moment rows
+    cos(2 pi k j / M) / M, k = 0..2N (none for the full class; the even k on
+    j < M/2, doubled, for a half-wave class), read at k j mod M from one
+    table of sin(2 pi k / M), reflected exactly from its first quarter."""
+    M, idx = 4 * (N + 1), _SymmetryClass._index(symmetry, N, half_wave)
+    q = np.sin((0.5 * math.pi / (N + 1)) * np.arange(N + 2))   # M / 4 = N + 1
+    sin = np.hstack((q, q[-2:0:-1], -q, -q[-2:0:-1]))
+    cos = np.roll(sin, -(N + 1))
+    j, step = np.arange(M)[:, None], 2 if half_wave else 1
+    basis = np.hstack((cos[j * idx[idx <= N] % M], sin[j * (idx[idx > N] - N) % M]))   # cos m, then sin m
+    k = np.arange(0, 2 * N + 1, step)[:, None] if symmetry != "full" else np.empty((0, 1), int)
+    out = basis, np.where(idx == 0, 1.0 / M, 2.0 / M), cos[k * j[: M // step, 0] % M] * (step / M)
+    for t in out:
+        t.flags.writeable = False
+    return out
+
+
 class _SymmetryClass:
     """Fourier-Galerkin system of (-d_xx)^s u + k F'(u) = 0 on a symmetry
     class of T-periodic trig polynomials of degree N.
@@ -484,10 +509,10 @@ class _SymmetryClass:
     integrates products up to degree 4N exactly.
 
     ``values`` (coefficients -> grid) and ``project`` (grid -> coefficients)
-    use one dense basis table below N = FFT_MIN_N and grid_synthesis /
-    grid_analysis from there on, where the table is never built; both give
-    the same numbers to round-off.  Products with a grid function enter
-    only through gram, at every N.
+    use the dense basis table of _tables, one per (N, class) for every T,
+    below N = FFT_MIN_N and grid_synthesis / grid_analysis from there on;
+    both give the same numbers to round-off.  Products with a grid function
+    enter only through gram, at every N.
     """
 
     def __init__(self, symmetry, T, N, frac: FracOrder, half_wave=False):
@@ -496,21 +521,21 @@ class _SymmetryClass:
         self.T = T
         self.N = N
         self.odd = symmetry == "odd"
-        w = 2.0 * math.pi / T
-        m = np.arange(1, N + 1)
-        lam = (w * m) ** (2.0 * frac.s)
-        part = {"odd": slice(N + 1, None), "even": slice(1, N + 1), "full": slice(None)}[symmetry]
-        self.idx = np.arange(2 * N + 1)[part][:: 2 if half_wave else 1]
+        lam = (2.0 * math.pi / T * np.arange(1, N + 1)) ** (2.0 * frac.s)
+        self.idx = self._index(symmetry, N, half_wave)
         self.mult = np.concatenate(([0.0], lam, lam))[self.idx]
         self.weight = np.concatenate(([2.0], np.ones(2 * N)))[self.idx]
         M = 4 * (N + 1)
         self.x = np.arange(M) * (T / M)
         self.M = M
         self.fft = N >= FFT_MIN_N
-        if not self.fft:   # basis columns: cos(w j x) for index j <= N, sin(w (j - N) x) above
-            cos_m, sin_m = self.idx[self.idx <= N], self.idx[self.idx > N] - N
-            self.basis = np.hstack((np.cos(np.outer(self.x, cos_m) * w), np.sin(np.outer(self.x, sin_m) * w)))
-            self.proj_scale = np.concatenate(([1.0 / M], np.full(2 * N, 2.0 / M)))[self.idx]
+        if not self.fft:
+            self.basis, self.proj_scale, _ = _tables(symmetry, N, half_wave)
+
+    @staticmethod
+    def _index(symmetry, N, half_wave):
+        part = {"odd": slice(N + 1, None), "even": slice(1, N + 1), "full": slice(None)}[symmetry]
+        return np.arange(2 * N + 1)[part][:: 2 if half_wave else 1]
 
     def _layout(self, c):
         """Class coefficients c in the full layout, as (b_0..b_N, a_1..a_N)."""

@@ -16,7 +16,7 @@ from fracperiodic.bifurcation import (
     detect_bifurcation_points,
     verify_T0_bound,
 )
-from fracperiodic.errors import NoConvergence
+from fracperiodic.errors import BranchLost, NoConvergence
 from fracperiodic.semilinear import newton_refine
 from fracperiodic.spectral import DoubleWell, FracOrder, _SymmetryClass, frac_laplacian, gram
 
@@ -277,6 +277,14 @@ def test_continue_branch_rejects_non_finite_lambda_start():
     for lam in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="lambda_start"):
             continue_branch(FracOrder(0.5), well(), lambda_start=lam, steps=5, ds_arc=0.05)
+
+
+def test_continue_branch_past_the_wells_is_branch_lost():
+    # at s = 0.3 and ds = 0.5 the branch used to reach amplitude 1.0142 at
+    # lambda = 24.74 with no error; no solution of a double well with wells
+    # at +-1 reaches them, so the first point with amplitude >= 1 ends it
+    with pytest.raises(BranchLost, match=r"amplitude 1\.\d+ >= 1 at lambda = 21\.\d+ \(N = 24\)"):
+        continue_branch(FracOrder(0.3), well(), lambda_start=1.0, steps=50, ds_arc=0.5)
 
 
 @pytest.mark.parametrize("grid", [[0.5, 1.1], [1.0], [1.1, math.nan], [math.inf]])

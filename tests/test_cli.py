@@ -323,6 +323,13 @@ def test_t0_bound_grid_off_the_branch_is_usage_error(tmp_path, capsys):
         assert "lambda_grid" in capsys.readouterr().err
 
 
+def test_continue_past_the_wells_exits_1(tmp_path, capsys):
+    out = tmp_path / "branch.csv"
+    assert run(["continue", "--s", "0.3", "--ds", "0.5", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("BranchLost: amplitude")
+
+
 def test_continue_non_finite_lambda_start_is_usage_error(tmp_path, capsys):
     out = tmp_path / "branch.csv"
     assert run(["continue", "--s", "0.5", "--lambda-start", "nan", "--out", str(out)]) == 2

@@ -4,16 +4,22 @@ norm, energy) on both sides of the dense/FFT switch and their Toeplitz +-
 Hankel Gram matrices, the bifurcation residual and Jacobian, and the
 uniform-grid evaluator of PeriodicFunction."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from fracperiodic import spectral
+from fracperiodic.bifurcation import verify_T0_bound
+from fracperiodic.semilinear import COARSE_MIN_N, SolveConfig, find_min_period
 from fracperiodic.spectral import FFT_MIN_N, _SymmetryClass
 from fracperiodic.spectral import (
     DoubleWell,
     FracOrder,
     PeriodicFunction,
+    grid_analysis,
+    grid_synthesis,
     gram,
     potential_energy_half,
 )
@@ -156,12 +162,24 @@ def test_potential_energy_half_matches_pointwise(n_grid):
     assert abs(potential_energy_half(u, well, n_grid) - ref) <= RTOL * abs(ref)
 
 
+def gram_moments(cls, g):
+    """g_k and h_k (k = 0..2N) as gram reads them: from one rfft of g for
+    the full class and from FFT_MIN_N on, else from the class's table of
+    cosine-moment rows, every step-th k (h_k is never read there)."""
+    if cls.symmetry == "full" or cls.fft:
+        spec = np.fft.rfft(g) / cls.M
+        return spec.real, -spec.imag
+    step = 2 if cls.half_wave else 1
+    gc = np.zeros(2 * cls.N + 1)
+    gc[::step] = spectral._tables(cls.symmetry, cls.N, cls.half_wave)[2] @ g[: cls.M // step]
+    return gc, None
+
+
 def scipy_gram(cls, g):
     """gram built with scipy.linalg.toeplitz/hankel, block by block."""
     from scipy.linalg import hankel, toeplitz
 
-    spec = np.fft.rfft(g) / cls.M
-    gc, gs = spec.real, -spec.imag
+    gc, gs = gram_moments(cls, g)
     N = cls.N
     if cls.symmetry != "full":   # modes 1, 1 + step, ..: g_|m-n| -+ g_{m+n}
         step, n = (2 if cls.half_wave else 1), cls.idx.size
@@ -179,6 +197,8 @@ def scipy_gram(cls, g):
 @pytest.mark.parametrize("N", [32, 300, 512, 17])
 @pytest.mark.parametrize("name", list(CLASSES))
 def test_gram_strided_blocks_bit_identical(name, N):
+    # the strided Toeplitz/Hankel views against scipy's, on the same moments:
+    # those of the rfft where gram takes one, else those of the class table
     symmetry, half_wave = CLASSES[name]
     cls = _SymmetryClass(symmetry, 7.3, N, FracOrder(0.5), half_wave)
     g = np.random.default_rng(N).standard_normal(cls.M)
@@ -186,3 +206,85 @@ def test_gram_strided_blocks_bit_identical(name, N):
     assert got.shape == (cls.idx.size, cls.idx.size)
     assert np.array_equal(got, scipy_gram(cls, g))
     assert got.flags.writeable   # jacobian adds the multiplier in place
+
+
+@pytest.mark.parametrize("N", [17, 32])
+@pytest.mark.parametrize("name", ["odd", "even", "odd-half", "even-half"])
+def test_gram_matches_closed_form(name, N):
+    # g = sum_k p_k cos(2 pi k j / M) + q_k sin(..) over k < M/2 has the
+    # moments g_0 = p_0 and g_k = p_k / 2, so gram is g_|m-n| -+ g_{m+n}
+    # (- odd, + even) over the class's modes m, n, with no rounded reference
+    symmetry, half_wave = CLASSES[name]
+    cls = _SymmetryClass(symmetry, 7.3, N, FracOrder(0.5), half_wave)
+    rng = np.random.default_rng(N)
+    K = 2 * N + 1   # one past gram's reach, below the aliasing of M / 2
+    p, q = rng.standard_normal(K + 1), rng.standard_normal(K + 1)
+    if half_wave:   # T/2-periodic: even k only
+        p[1::2] = q[1::2] = 0.0
+    phase = 2.0 * math.pi * (np.outer(np.arange(cls.M), np.arange(K + 1)) % cls.M) / cls.M
+    g = np.cos(phase) @ p + np.sin(phase) @ q
+    moment = np.concatenate(([p[0]], 0.5 * p[1:], np.zeros(cls.M)))
+    m = np.arange(1, N + 1)[:: 2 if half_wave else 1]
+    ref = moment[np.abs(m[:, None] - m)] + (-1.0 if symmetry == "odd" else 1.0) * moment[m[:, None] + m]
+    got = gram(symmetry, N, g, half_wave)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(g))
+
+
+def fft_side(cls):
+    """values and project of the FFT route, at any N."""
+    return (lambda c: grid_synthesis(cls.M, *cls._layout(c)),
+            lambda u: np.concatenate(grid_analysis(u, cls.N))[cls.idx])
+
+
+@pytest.mark.parametrize("N", [17, 32, 128, 194, 255])
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_dense_tables_agree_with_fft_to_roundoff(name, N):
+    symmetry, half_wave = CLASSES[name]
+    cls = _SymmetryClass(symmetry, 7.3, N, FracOrder(0.4), half_wave)
+    assert not cls.fft
+    values, project = fft_side(cls)
+    c = random_coeffs(np.random.default_rng(N), cls.idx.size)
+    assert_rel(cls.values(c), values(c), 2e-15)
+    f1 = DoubleWell.quartic().f1(values(c))   # what the solver projects
+    assert_rel(cls.project(f1), project(f1), 2e-15)
+
+
+@pytest.mark.parametrize("N", [32, 300])
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_transforms_do_not_depend_on_the_period(name, N):
+    symmetry, half_wave = CLASSES[name]
+    a, b = (_SymmetryClass(symmetry, T, N, FracOrder(0.4), half_wave) for T in (7.3, 31.0))
+    c = random_coeffs(np.random.default_rng(N), a.idx.size)
+    u = np.random.default_rng(N + 1).standard_normal(a.M)
+    assert np.array_equal(a.values(c), b.values(c))
+    assert np.array_equal(a.project(u), b.project(u))
+
+
+def counted_tables(monkeypatch):
+    """Replace the table cache by an empty one of the same size that counts
+    the builds per (symmetry, N, half_wave)."""
+    builds = {}
+    build = spectral._tables.__wrapped__
+
+    def counted(*key):
+        builds[key] = builds.get(key, 0) + 1
+        return build(*key)
+
+    maxsize = spectral._tables.cache_parameters()["maxsize"]
+    monkeypatch.setattr(spectral, "_tables", functools.lru_cache(maxsize=maxsize)(counted))
+    return builds
+
+
+@pytest.mark.parametrize("N", [24, 160])
+def test_verify_T0_bound_builds_each_table_once(monkeypatch, N):
+    builds = counted_tables(monkeypatch)
+    verify_T0_bound(FracOrder(0.5), DoubleWell.quartic(), [1.05, 1.5, 2.0], N=N)
+    assert builds == {("odd", N, False): 1}
+
+
+@pytest.mark.parametrize("N", [32, 128])
+def test_find_min_period_builds_each_table_once(monkeypatch, N):
+    builds = counted_tables(monkeypatch)
+    find_min_period(FracOrder(0.5), DoubleWell.quartic(), 10.0, tol=0.5, cfg=SolveConfig(N=N))
+    coarse = [("odd", N // 4, True)] if N >= COARSE_MIN_N else []
+    assert builds == dict.fromkeys([("odd", N, True)] + coarse, 1)
