@@ -75,13 +75,22 @@ def _kv_chebyshev(nu):
 
 def _scaled_kv(c, p, cheb, t):
     """c t^p K_nu(t) for t >= 2 from the Chebyshev coefficients ``cheb`` of
-    nu, by Clenshaw's recurrence; works in place on t (callers pass a fresh
-    copy)."""
-    xi = 4.0 / t - 1.0
-    b1, b2 = 0.0, 0.0
-    for ck in cheb[:0:-1]:
-        b1, b2 = 2.0 * xi * b1 - b2 + ck, b1
-    k = (xi * b1 - b2 + cheb[0]) * np.exp(-t)   # e^t sqrt(t) K_nu(t) times e^{-t}
+    nu, by Clenshaw's recurrence in xi = 4/t - 1 on three buffers of t's
+    shape, with 2 xi = 8/t - 2 exactly; works in place on t (callers pass a
+    fresh copy)."""
+    xi2 = 8.0 / t
+    xi2 -= 2.0
+    b1, b2, k = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+    for ck in cheb[:0:-1]:   # b1, b2 <- 2 xi b1 - b2 + ck, b1
+        np.multiply(xi2, b1, out=k)
+        k -= b2
+        k += ck
+        b1, b2, k = k, b1, b2
+    np.multiply(xi2, b1, out=k)
+    k *= 0.5
+    k -= b2
+    k += cheb[0]                              # e^t sqrt(t) K_nu(t)
+    k *= np.exp(np.negative(t, out=b1), out=b1)
     t **= p - 0.5
     k *= t
     k *= c

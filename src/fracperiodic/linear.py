@@ -96,11 +96,18 @@ class GalerkinOperator:
         A.flags.writeable = False
         object.__setattr__(self, "matrix", A)
         object.__setattr__(self, "_symbol", lam)   # lambda_m on the pair of mode m, m = 1..N
+        object.__setattr__(self, "_ladder", (lam[:0], A[:, :0]))   # (w, Q): every certified pair so far
 
     @cached_property
     def _rows(self):
         """Row sums of |A|: every norm and bound of the matrix reads them."""
         return np.sum(np.abs(self.matrix), axis=1)
+
+    def _pairs(self, count):
+        """The lowest `count` eigenpairs, from the last ladder's pairs, or a new ladder's."""
+        if len(self._ladder[0]) < count:
+            object.__setattr__(self, "_ladder", _certified_pairs(self.matrix, count, self._rows))
+        return self._ladder[0][:count], self._ladder[1][:, :count]
 
     @cached_property
     def _low(self):
@@ -109,7 +116,7 @@ class GalerkinOperator:
         ...), kappa = sum |coefficients of k| >= sup |k| >= ||k-block||_2)."""
         t = KERNEL_RTOL * (float(np.max(self._rows)) or 1.0)
         kappa = float(np.sum(np.abs(self.k.cos_coeffs)) + np.sum(np.abs(self.k.sin_coeffs)))
-        return (*_lowest_eigh(self.matrix, 1 + 2 * int(np.sum(self._symbol <= t + kappa)), self._rows), t)
+        return (*self._pairs(1 + 2 * int(np.sum(self._symbol <= t + kappa))), t)
 
     @property
     def gamma(self):
@@ -208,7 +215,7 @@ def _check_count(count, dim):
 def eigenvalue_set(op: GalerkinOperator, count: int):
     """Lowest `count` eigenpairs of the symmetric Galerkin matrix, nondecreasing."""
     _check_count(count, op.matrix.shape[0])
-    w, Q = _lowest_eigh(op.matrix, count, op._rows)
+    w, Q = op._pairs(count)
     return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(w, Q.T)]
 
 
@@ -222,7 +229,16 @@ def _lowest_eigh(A, count, rows=None):
     eigenvalues within tol of w[:c]), and mu < g, the Gershgorin bound of C, with
     ||B||_F^2 / (g - mu) < w[c] - mu (inertia additivity: exactly c below mu); see
     Parlett, The Symmetric Eigenvalue Problem, ch. 10-11.  Otherwise the full eigh.
+    The row sums of |C| are rows[d:] less the column sums of |B|: O(n d) per trial
+    block.  A GalerkinOperator keeps the pairs below its last ladder's highest
+    certified cut for its eigenvalue sets, coercivity test and Fredholm kernel.
     """
+    w, Q = _certified_pairs(A, count, rows)
+    return w[:count], Q[:, :count]
+
+
+def _certified_pairs(A, count, rows):
+    """The ladder of _lowest_eigh: every pair below the highest certified cut, or all of them."""
     n = A.shape[0]
     rows = np.sum(np.abs(A), axis=1) if rows is None else rows
     tol = np.finfo(float).eps * float(np.max(rows))
@@ -230,17 +246,16 @@ def _lowest_eigh(A, count, rows=None):
     while 2 * p + 1 < n:
         d = 2 * p + 1
         w, Q = np.linalg.eigh(A[:d, :d])
-        B, C = A[:d, d:], A[d:, d:]
+        B, diag = A[:d, d:], A.diagonal()[d:]
         res = np.sqrt(np.cumsum(np.sum((B.T @ Q) ** 2, axis=0)))   # res[c-1]: of Q[:, :c]
-        g = float(np.min(np.diag(C) + np.abs(np.diag(C)) - np.sum(np.abs(C), axis=1)))
+        g = float(np.min(diag + np.abs(diag) - (rows[d:] - np.sum(np.abs(B), axis=0))))
         c = np.arange(max(count, 1), d)   # the cuts
         mu = 0.5 * (w[c - 1] + w[c])
-        ok = (res[c - 1] <= tol) & (w[c - 1] + tol < mu) & (mu < g)
-        if np.any(ok & (np.sum(B * B) < (w[c] - mu) * (g - mu))):
-            return w[:count], np.vstack([Q[:, :count], np.zeros((n - d, count))])
+        c = c[(res[c - 1] <= tol) & (w[c - 1] + tol < mu) & (mu < g) & (np.sum(B * B) < (w[c] - mu) * (g - mu))]
+        if len(c):
+            return w[: c[-1]], np.vstack([Q[:, : c[-1]], np.zeros((n - d, c[-1]))])
         p *= 2
-    w, Q = np.linalg.eigh(A)
-    return w[:count], Q[:, :count]
+    return np.linalg.eigh(A)
 
 
 def _leading_solve(A, shift, b, rows=None):

@@ -586,16 +586,21 @@ class _SymmetryClass:
         return np.concatenate((v.cos_coeffs, v.sin_coeffs))[self.idx]
 
 
-def _check_period(T):
+def _check_period(T, N=0, s=0.0):
+    """Reject a period that is not positive and finite, or one at which the top
+    multiplier (2 pi N / T)^{2s} of a degree-N class exceeds 1e150: the class
+    norms square the multipliers, and they overflow from about 1e154 on."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"period must be positive and finite, got {T!r}")
+    if N and 2.0 * s * math.log(2.0 * math.pi * N / T) > math.log(1e150):
+        raise ValueError(f"period T={T!r} is too small at N={N}, s={s}: (2 pi N / T)^(2s) exceeds 1e150")
 
 
 def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell, half_wave=False):
     """The class of a semilinear solve with this well.  Raises ValueError unless
-    T is positive and finite and, in the odd and even classes, the well is even:
+    T passes _check_period and, in the odd and even classes, the well is even:
     the odd class drops the even part of F'(u), and both take -u for a solution."""
-    _check_period(T)
+    _check_period(T, N, frac.s)
     if symmetry != "full" and not well.even:
         raise ValueError(f"the {symmetry} class needs an even potential, got {well.label!r}")
     return _SymmetryClass(symmetry, T, N, frac, half_wave)

@@ -18,7 +18,7 @@ from fracperiodic.diagnostics import (
     modica_check,
     test_function_bound as competitor_bound,
 )
-from fracperiodic.errors import IdentityViolation, SolvabilityViolation
+from fracperiodic.errors import IdentityViolation, InequalityViolation, SolvabilityViolation
 from fracperiodic.extension import dirichlet_to_neumann, extend_bessel, extend_poisson
 from fracperiodic.linear import GalerkinOperator, solve_fredholm
 from fracperiodic.semilinear import SolveConfig, find_min_period, minimize_energy
@@ -190,6 +190,17 @@ def test_criterion_9_modica():
           and rep.c_hat >= rep.c_hat_lower - 1e-5)
     report(9, f"v_hat <= C_hat = {rep.c_hat:.6f} on 64x64 grid, argmax on y = 0, "
               f"C_hat >= lower bound {rep.c_hat_lower:.6f} - 1e-5", ok)
+
+
+def test_criterion_9_perturbed_control_trips_the_check():
+    # criterion 9's control, as criterion 8 has one: adding 0.3 cos(4 w x) to
+    # the even minimizer leaves a trace that solves nothing, and v_hat then
+    # exceeds C_hat inside the half-strip
+    frac = FracOrder(0.5)
+    sol = minimize_energy(8.0, frac, well(), SolveConfig(symmetry="even", N=48))
+    bump = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.0] * 4, cos_coeffs=[0.0] * 4 + [0.3])
+    with pytest.raises(InequalityViolation):
+        modica_check(sol.u + bump, frac, well(), nx=64, ny=64)
 
 
 def test_criterion_10_energy_scaling():

@@ -150,6 +150,22 @@ def test_bad_period_is_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("usage error: period must be positive and finite"), argv
 
 
+def test_tiny_period_is_usage_error(tmp_path, capsys):
+    # (2 pi N / T)^(2s) above 1e150 overflows the class norms, which square it:
+    # these exited 0 after an overflow RuntimeWarning (a traceback under -W error)
+    for argv in (*(["solve", "--s", "0.5", "--T", T] for T in ("1e-300", "1e-200", "1e-160")),
+                 ["solve", "--s", "0.9", "--T", "1e-150"],
+                 ["hamiltonian", "--s", "0.5", "--T", "1e-300"]):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"usage error: period T={argv[-1]} is too small"), argv
+    # just above the bound at s = 1/2, N = 64: (2 pi 64 / T) = 9.9e149
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--s", "0.5", "--T", "4.06e-148", "--out", str(out)]) == 0
+    assert "classification=trivial" in capsys.readouterr().err
+
+
 def test_bad_tolerance_and_step_are_usage_errors(tmp_path):
     # --tol 0 never ends the bisection, --tol nan skips it; --ds 0 divides 0/0
     # in the tangent, and one step leaves no second point for it

@@ -568,6 +568,21 @@ def test_kv_interpolant_matches_scipy():
         assert np.max(np.abs(got / kv(nu, t) - 1.0)) <= 1e-13
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_scaled_kv_is_bit_identical_to_the_plain_recurrence(s):
+    # the buffered recurrence runs on 2 xi = 8/t - 2, which is exactly twice
+    # xi = 4/t - 1, so it must reproduce the allocating recurrence bit for bit
+    t = np.concatenate((np.geomspace(2.0, 700.0, 3000), np.random.default_rng(1).uniform(2.0, 40.0, 3000)))
+    for nu, c, p in ((s, 1.3, s), (1.0 - s, -0.7, 1.0 - s)):
+        cheb = _kv_chebyshev(nu)
+        xi = 4.0 / t - 1.0
+        b1, b2 = 0.0, 0.0
+        for ck in cheb[:0:-1]:
+            b1, b2 = 2.0 * xi * b1 - b2 + ck, b1
+        ref = (xi * b1 - b2 + cheb[0]) * np.exp(-t) * t ** (p - 0.5) * c
+        assert np.array_equal(_scaled_kv(c, p, cheb, t.copy()), ref)
+
+
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
 def test_profile_value_clamped_beyond_forty(s):
     phi = _Profile(s)

@@ -632,3 +632,74 @@ def test_linear_solves_run_no_full_eigh_at_the_certify_config(monkeypatch):
         assert solve_fredholm(op, g).unique
     assert {name for name, _ in shapes} == {"eigh", "solve"}
     assert all(shape[0] < 2 * N + 1 for _, shape in shapes)
+
+
+def test_one_operator_climbs_the_block_ladder_once(monkeypatch):
+    # at the certify config, eigenvalue_set(op, 8), the coercivity test and
+    # the Fredholm kernel all read the pairs of one ladder: every block size
+    # is diagonalized once, in increasing order
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    rng = np.random.default_rng(0)
+    op = make_op(s=float(rng.uniform(0.3, 0.7)), N=256, k=low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5))
+    g = low_mode_potential(rng, TWO_PI, 3, 1.0, float(rng.uniform(-1.0, 1.0)))
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    assert len(eigenvalue_set(op, 8)) == 8
+    solve_coercive(op, float(rng.uniform(0.4, 0.6)), g)
+    assert solve_fredholm(op, g).unique
+    assert sizes and sizes == sorted(set(sizes)) and sizes[0] == 17
+
+
+def test_lowest_eigh_is_the_same_with_the_row_sums_supplied():
+    # off the band of V's two modes nearly every entry is nonzero round-off,
+    # which the trailing bound must read, from the row sums or from C itself
+    rng = np.random.default_rng(6)
+    for N, count in ((64, 3), (64, 9), (256, 8), (256, 21)):
+        A = schrodinger_matrix(low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5), N)
+        i, j = np.indices(A.shape)
+        assert np.count_nonzero(A[np.abs(i - j) > 8]) > 0.99 * np.count_nonzero(np.abs(i - j) > 8)
+        rows = np.sum(np.abs(A), axis=1)
+        w, Q = _lowest_eigh(A, count, rows)
+        assert block_rows(Q) < 2 * N + 1
+        w0, Q0 = _lowest_eigh(A, count)
+        assert np.array_equal(w, w0) and np.array_equal(Q, Q0)
+
+
+def test_lowest_eigh_does_not_miss_an_eigenvalue_outside_the_block_with_row_sums():
+    A = np.diag(np.arange(1.0, 66.0))
+    A[-1, -1] = 1.5
+    w, Q = _lowest_eigh(A, 2, np.sum(np.abs(A), axis=1))
+    assert np.array_equal(w, [1.0, 1.5])
+    assert is_full_eigh(A, 2, w, Q)
+
+
+def test_pairs_served_from_the_operator_agree_with_a_fresh_ladder_to_the_certificate():
+    # count 20 leaves the pairs of a block with p >= 20; count 3 is served
+    # from them (a fresh ladder starts at p = 8), and count 40 climbs again
+    rng = np.random.default_rng(9)
+    k = low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5)
+    op = make_op(s=0.45, N=256, k=k)
+    A = op.matrix
+    tol = EPS * np.max(np.sum(np.abs(A), axis=1))
+    for count in (20, 3, 40):
+        pairs = eigenvalue_set(op, count)
+        w = np.array([lam for lam, _ in pairs])
+        Q = np.stack([function_to_coords(v, op.N) for _, v in pairs], axis=1)
+        assert np.linalg.norm(A @ Q - Q * w, axis=0).max() <= tol
+        fresh = np.array([lam for lam, _ in eigenvalue_set(make_op(s=0.45, N=256, k=k), count)])
+        assert np.all(np.abs(w - fresh) <= 1e-13 * np.maximum(1.0, np.abs(fresh)))
+    # k = 0.3 cos x shifted by its sixth eigenvalue has a one-dimensional kernel
+    c = eigenvalue_set(make_op(N=64, k=PeriodicFunction.from_modes(TWO_PI, cos_coeffs=[0.0, 0.3])), 6)[5][0]
+    k = PeriodicFunction.from_modes(TWO_PI, cos_coeffs=[-c, 0.3])
+    zero = PeriodicFunction.from_modes(TWO_PI, cos_coeffs=[0.0])
+    op = make_op(N=64, k=k)
+    eigenvalue_set(op, 30)
+    served, fresh = solve_fredholm(op, zero).kernel, solve_fredholm(make_op(N=64, k=k), zero).kernel
+    assert served.dim == fresh.dim == 1
+    Z, Zf = (np.stack([function_to_coords(v, 64) for v in b.vectors], axis=1) for b in (served, fresh))
+    assert np.linalg.norm(Z - Zf @ (Zf.T @ Z), 2) <= 1e-8

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracperiodic import semilinear
-from fracperiodic.errors import NoConvergence
+from fracperiodic.errors import InconsistentBracket, NoConvergence
 from fracperiodic.semilinear import (
     SolveConfig,
     find_min_period,
@@ -226,6 +226,21 @@ def test_min_period_near_local_limit():
 def test_min_period_rejects_low_bracket():
     with pytest.raises(ValueError):
         find_min_period(FracOrder(0.5), well(), T_hi=3.0)
+
+
+def test_min_period_raises_when_a_solution_lies_below_the_bracket():
+    # F = (1 - u^2)^2 (1 + 1.8 u^2) / 4 has F''(0) = -0.1, so the linearization
+    # bound is 20 pi at s = 1/2, but interface solutions exist far below it
+    flat_top = DoubleWell.from_poly([0.25, 0.0, -0.05, 0.0, -0.65, 0.0, 0.45])
+    flat_top.check_shape()
+    with pytest.raises(InconsistentBracket, match="below the bound"):
+        find_min_period(FracOrder(0.5), flat_top, T_hi=70.0, cfg=SolveConfig(N=32))
+
+
+def test_min_period_raises_when_no_solution_is_found_at_t_hi():
+    # no Newton run meets a tolerance of 1e-300, so every start is dropped
+    with pytest.raises(InconsistentBracket, match="no nonconstant solution found at T_hi = 8"):
+        find_min_period(FracOrder(0.5), well(), T_hi=8.0, cfg=SolveConfig(N=32, newton_tol=1e-300))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
