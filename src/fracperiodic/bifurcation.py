@@ -82,7 +82,7 @@ class Branch:
         return c, r2
 
 
-def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max, N=None):
+def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max):
     """Values of lambda where the linearization at the trivial branch is
     singular in the odd 2 pi class, ascending, at most m_max of them.
 
@@ -90,8 +90,8 @@ def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max, N=None):
     B = gram(F''(0)) / -F''(0), so the singular lambda are the eigenvalues of
     the symmetric-definite pencil D v = lambda (-B) v (-B is positive definite
     because F''(0) < 0): lambda = 1 / mu for the eigenvalues mu of the scaled
-    D^{-1/2} (-B) D^{-1/2}."""
-    N = N or max(DEFAULT_N, m_max + 8)
+    D^{-1/2} (-B) D^{-1/2}, at truncation N = max(DEFAULT_N, m_max + 8)."""
+    N = max(DEFAULT_N, m_max + 8)
     scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
     cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
     B = scale * gram("odd", N, well.f2(cls.values(np.zeros(N))))

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentityViolation, InequalityViolation, QuadratureNonConvergence
-from .extension import ExtensionField, extend_bessel
+from .extension import ExtensionField, YQuadrature, extend_bessel
 from .semilinear import SemilinearSolution, SolveConfig, minimize_energy
-from .spectral import DoubleWell, FracOrder, _gauss_jacobi_01, _gauss_legendre_01, _hurwitz_zeta
+from .spectral import DoubleWell, FracOrder, _check_period, _gauss_jacobi_01, _gauss_legendre_01, _hurwitz_zeta
 
 __all__ = [
     "HamiltonianReport",
@@ -88,13 +88,16 @@ def hamiltonian_check(u, frac: FracOrder, well: DoubleWell, n_samples=64,
     Samples the conserved quantity at n_samples points over one period and
     compares against its mean; raises IdentityViolation with the worst
     sample when the deviation exceeds tol (an under-resolved quadrature or
-    a non-solution input both trip it).
+    a non-solution input both trip it).  Raises ValueError when the squared
+    top frequency (2 pi N / T)^2 of the trace exceeds 1e150, where U_x^2
+    overflows.
     """
     _check_certificate_args(tol, n_samples=n_samples)
     trace = _trace(u)
-    field = extend_bessel(trace, frac, n_quad=HAMILTONIAN_NODES)
+    _check_period(trace.T, trace.N, 1.0)
+    field = extend_bessel(trace, frac)
     x = np.arange(n_samples) * (trace.T / n_samples)
-    rule = field.quadrature
+    rule = YQuadrature(field.y_max, frac.a, HAMILTONIAN_NODES)
     # int_0^ymax [U_x^2 - U_y^2] y^a dy: U_y^2 y^a is (y^a U_y)^2 y^{-a}, finite at y = 0
     ux2, uy2 = _squared_fields(field, x, rule.nodes_plus, rule.nodes_minus)
     w = 0.5 * frac.d_s * (rule.weights_plus @ ux2 - rule.weights_minus @ uy2)
@@ -128,11 +131,11 @@ _MODICA_TOL = 1e-10
 _PANEL_RATIO = 1.25        # coarser height grids are split into geometric sub-panels
 
 
-def _modica_kinetic(field: ExtensionField, x, y_pos):
+def _modica_kinetic(field: ExtensionField, rule: YQuadrature, x, y_pos):
     """int_0^{y_j} [U_x^2 - U_y^2] tau^a dtau at every height: the running sum
     of the integrals over [0, y_1] and over each panel [y_{j-1}, y_j].
 
-    The first row uses the field's Jacobi rules rescaled to (0, y_1), which
+    The first row uses the Jacobi rules on (0, y_max) rescaled to (0, y_1), which
     absorb the weights tau^{+-a}.  Away from tau = 0 the integrand is smooth,
     so on the panels (each split into sub-panels of ratio <= _PANEL_RATIO)
     one Gauss-Legendre node set carries both weights, and the two orders of
@@ -143,7 +146,6 @@ def _modica_kinetic(field: ExtensionField, x, y_pos):
     if not y_pos.size:
         return np.zeros((0, np.size(x)))
     a = field.frac.a
-    rule = field.quadrature
     r = y_pos[0] / field.y_max   # rescaled Jacobi rule: weights pick up r^{1 +- a}
     ux2, uy2 = _squared_fields(field, x, r * rule.nodes_plus, r * rule.nodes_minus)
     first = r ** (1.0 + a) * (rule.weights_plus @ ux2) - r ** (1.0 - a) * (rule.weights_minus @ uy2)
@@ -169,23 +171,24 @@ def _modica_kinetic(field: ExtensionField, x, y_pos):
     return kinetic
 
 
-def modica_check(u, frac: FracOrder, well: DoubleWell, c_t=None, nx=64, ny=64,
-                 tol=1e-5) -> ModicaReport:
+def modica_check(u, frac: FracOrder, well: DoubleWell, nx=64, ny=64, tol=1e-5) -> ModicaReport:
     """Pointwise bound v_hat(x, y) <= C_hat on a grid of the half-strip.
 
     v_hat(x,y) = (d_s/2) int_0^y [U_x^2 - U_y^2] tau^a dtau - F(u(x)) - C_T
-    with C_hat = sup_x (-F(u(x)) - C_T) > 0; the grid maximum must sit on
-    the y = 0 row.  Raises InequalityViolation at the first offending point.
+    with C_hat = sup_x (-F(u(x)) - C_T) > 0 and C_T the constant of
+    hamiltonian_check on the same nx points; the grid maximum must sit on
+    the y = 0 row.  Raises InequalityViolation at the first offending point,
+    and ValueError at a period too small for hamiltonian_check.
     """
     _check_certificate_args(tol, nx=nx, ny=ny)
     trace = _trace(u)
-    if c_t is None:
-        c_t = hamiltonian_check(u, frac, well, n_samples=nx, tol=np.inf).c_t
-    field = extend_bessel(trace, frac, n_quad=MODICA_NODES)
+    c_t = hamiltonian_check(u, frac, well, n_samples=nx, tol=np.inf).c_t
+    field = extend_bessel(trace, frac)
+    rule = YQuadrature(field.y_max, frac.a, MODICA_NODES)
     x = np.arange(nx) * (trace.T / nx)
     y_pos = np.geomspace(0.02 / trace.omega, 12.0 / trace.omega, ny - 1)
     boundary = -well.f(trace(x)) - c_t
-    v_hat = np.vstack([boundary, 0.5 * frac.d_s * _modica_kinetic(field, x, y_pos) + boundary])
+    v_hat = np.vstack([boundary, 0.5 * frac.d_s * _modica_kinetic(field, rule, x, y_pos) + boundary])
     y = np.concatenate(([0.0], y_pos))
 
     c_hat = float(np.max(boundary))
@@ -196,7 +199,6 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, c_t=None, nx=64, ny=64,
         raise InequalityViolation((float(x[ix]), float(y[iy])), worst - c_hat)
     # C_hat >= (d_s/2) int U_y^2(T/2, tau) tau^a dtau, with equality for even
     # solutions (U_x vanishes on the reflection axis x = T/2)
-    rule = field.quadrature
     _, uy2 = _squared_fields(field, trace.T / 2.0, None, rule.nodes_minus)
     lower = 0.5 * frac.d_s * float(rule.weights_minus @ uy2)
     return ModicaReport(

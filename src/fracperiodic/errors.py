@@ -16,9 +16,9 @@ class NotCoercive(FracPeriodicError):
 class SolvabilityViolation(FracPeriodicError):
     """Right-hand side is not orthogonal to the kernel of the operator."""
 
-    def __init__(self, inner_product, message=None):
+    def __init__(self, inner_product):
         self.inner_product = inner_product
-        super().__init__(message or f"<g, v> = {inner_product:.3e} != 0 for a kernel vector v")
+        super().__init__(f"<g, v> = {inner_product:.3e} != 0 for a kernel vector v")
 
 
 class NegativePotential(FracPeriodicError):
@@ -60,16 +60,16 @@ class BranchLost(FracPeriodicError):
 class IdentityViolation(FracPeriodicError):
     """Hamiltonian identity deviation exceeds the tolerance."""
 
-    def __init__(self, x, deviation, message=None):
+    def __init__(self, x, deviation):
         self.x = x
         self.deviation = deviation
-        super().__init__(message or f"identity deviation {deviation:.3e} at x = {x:.6g}")
+        super().__init__(f"identity deviation {deviation:.3e} at x = {x:.6g}")
 
 
 class InequalityViolation(FracPeriodicError):
     """Modica-type inequality fails at a grid point."""
 
-    def __init__(self, point, excess, message=None):
+    def __init__(self, point, excess):
         self.point = point
         self.excess = excess
-        super().__init__(message or f"inequality violated by {excess:.3e} at {point}")
+        super().__init__(f"inequality violated by {excess:.3e} at {point}")

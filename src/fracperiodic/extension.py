@@ -324,7 +324,6 @@ class ExtensionField:
     frac: FracOrder
     method: str
     y_max: float
-    quadrature: YQuadrature | None = None   # Jacobi rules on (0, y_max); Bessel field only
 
     # -- evaluation --------------------------------------------------------
 
@@ -393,16 +392,15 @@ class ExtensionField:
         return u.cos_coeffs[0] * c[..., 0] + self._modal(x, c[..., 1:])
 
 
-def extend_bessel(u: PeriodicFunction, frac: FracOrder, y_max=None, n_quad=128) -> ExtensionField:
+def extend_bessel(u: PeriodicFunction, frac: FracOrder, y_max=None) -> ExtensionField:
     """Mode-by-mode extension U(x,y) = b_0 + sum J_m(y) [a_m sin + b_m cos].
 
-    Raises ValueError unless y_max, the top of the quadrature rules, is
-    positive and finite."""
+    Raises ValueError unless y_max, the top of the y-integrals, is positive
+    and finite."""
     y_max = 40.0 / u.omega if y_max is None else y_max
     if not 0.0 < y_max < math.inf:
         raise ValueError(f"y_max must be positive and finite, got {y_max!r}")
-    return ExtensionField(base=u, frac=frac, method="bessel-series", y_max=y_max,
-                          quadrature=YQuadrature(y_max=y_max, a=frac.a, n=n_quad))
+    return ExtensionField(base=u, frac=frac, method="bessel-series", y_max=y_max)
 
 
 def extend_poisson(u: PeriodicFunction, frac: FracOrder) -> ExtensionField:

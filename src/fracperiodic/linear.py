@@ -54,14 +54,16 @@ def _galerkin_matrix(T, N, lam, k):
 
 
 def coords_to_function(T, c):
-    """Coordinate vector in the orthonormal basis -> PeriodicFunction."""
+    """Coordinate vector in the orthonormal basis -> PeriodicFunction; odd
+    when every cosine coordinate is at most 1e-14 times the largest entry."""
     N = (c.shape[0] - 1) // 2
     b = np.empty(N + 1)
     a = np.empty(N)
     b[0] = c[0] / math.sqrt(T)
     b[1:] = c[1::2] * math.sqrt(2.0 / T)
     a[:] = c[2::2] * math.sqrt(2.0 / T)
-    odd = bool(np.all(np.abs(b) < 1e-14))
+    tiny = 1e-14 * np.max(np.abs(c))
+    odd = bool(abs(c[0]) <= tiny and np.all(np.abs(c[1::2]) <= tiny))
     if odd:
         b = np.zeros_like(b)
     return PeriodicFunction(T=T, sin_coeffs=a, cos_coeffs=b, odd=odd)

@@ -62,7 +62,6 @@ COARSE_MIN_N = 128             # from this N on, each start first descends at N 
 DISTINCT_L2 = math.sqrt(DESCENT_GRAD_TOL)   # coarse endpoints closer than this share a fine stage
 MAX_NEWTON = 60                # Newton iterations per start
 MAX_DESCENT = 4000             # modified-Newton descent steps per start and stage
-_SUBSTITUTION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -96,76 +95,38 @@ class SemilinearSolution:
         return self.classification == "nonconstant"
 
 
-def _shifted_cholesky(H):
-    """Cholesky factor of H + tau_k I for the first k that makes the
-    factorization succeed, where tau_0 = 0 (when min diag H > 0) or
-    beta - min diag H and tau_{k+1} = max(2 tau_k, beta = 1e-3) (Nocedal &
-    Wright, Alg. 3.3).
-
-    H + tau I stays positive definite as tau grows, so the first success is
-    found by probing k = 0, 1, 2, 4, 8, ... and bisecting the last gap:
-    about 2 log2 k factorizations instead of k + 1.
-
-    Only the lower triangle of H is read, so H is taken as the symmetric
-    matrix with that lower triangle; its diagonal is overwritten.
-    """
+def _shifted(H):
+    """H + tau_k I, in place, for the first k at which np.linalg.cholesky
+    succeeds: tau_0 = 0 (when min diag H > 0) or beta - min diag H, and
+    tau_{k+1} = max(2 tau_k, beta = 1e-3) (Nocedal & Wright, Alg. 3.3).
+    Cholesky reads only the lower triangle, so H must be symmetric."""
     beta = 1e-3
-    step = H.shape[0] + 1   # the diagonal is every step-th entry of H.flat
-    diag = H.flat[::step]   # a copy
-    taus = [0.0 if diag.min() > 0.0 else beta - diag.min()]
-
-    def factor(k):
-        while len(taus) <= k:
-            taus.append(max(2.0 * taus[-1], beta))
-        H.flat[::step] = diag + taus[k]
+    diag = np.diagonal(H).copy()
+    tau = 0.0 if diag.min() > 0.0 else beta - diag.min()
+    while True:
+        np.fill_diagonal(H, diag + tau)
         try:
-            return np.linalg.cholesky(H)
+            np.linalg.cholesky(H)
+            return H
         except np.linalg.LinAlgError:
-            return None
-
-    lo, hi = -1, 0   # tau_lo fails (or lo = -1), the first success is at most hi
-    while (chol := factor(hi)) is None:
-        lo, hi = hi, max(2 * hi, 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (trial := factor(mid)) is None:
-            lo = mid
-        else:
-            hi, chol = mid, trial
-    return chol
-
-
-def _solve_shifted(L, b):
-    """Solve with the shifted H that _shifted_cholesky factored into L L^T.
-
-    Blocked forward and back substitution on L (numpy has no triangular
-    solve): a small dense solve per diagonal block, the rest matrix-vector
-    products.  At n = 512 this is about ten times faster than one LU solve.
-    """
-    n = b.shape[0]
-    blocks = [(i, min(i + _SUBSTITUTION_BLOCK, n)) for i in range(0, n, _SUBSTITUTION_BLOCK)]
-    x = b.copy()
-    for i, j in blocks:   # L y = b
-        x[i:j] = np.linalg.solve(L[i:j, i:j], x[i:j] - L[i:j, :i] @ x[:i])
-    for i, j in reversed(blocks):   # L^T x = y
-        x[i:j] = np.linalg.solve(L[i:j, i:j].T, x[i:j] - L[j:, i:j].T @ x[j:])
-    return x
+            tau = max(2.0 * tau, beta)
 
 
 def _descent(cls: _SymmetryClass, c, well):
     """Modified-Newton descent on the full-period energy E.
 
     In a half-wave class every coefficient carries the L^2 weight T/2, so
-    dE/dc = (T/2) residual and the Hessian of E is (T/2) J: the step solves
-    with J, shifted positive definite, and backtracks on E.  It stops at
-    any critical point, without asking for a positive-definite Hessian.
+    dE/dc = (T/2) residual and the Hessian of E is (T/2) J: the step is one
+    LU solve with J (exactly symmetric) shifted positive definite by _shifted,
+    and backtracks on E.  It stops at any critical point, without asking
+    for a positive-definite Hessian.
     """
     energy = cls.energy_full(c, well)
     for _ in range(MAX_DESCENT):
         grad = cls.residual(c, well)
         if cls.l2_norm(grad) < DESCENT_GRAD_TOL:
             break
-        p = -_solve_shifted(_shifted_cholesky(cls.jacobian(c, well)), grad)
+        p = -np.linalg.solve(_shifted(cls.jacobian(c, well)), grad)
         step = 1.0
         while step > 1e-8:
             trial = c + step * p

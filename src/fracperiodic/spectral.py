@@ -659,6 +659,7 @@ def frac_laplacian(u: PeriodicFunction, frac: FracOrder) -> PeriodicFunction:
 # difference divided by r^2.
 
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)   # B_2..B_16
+ORACLE_TOL = 1e-10   # relative change between quadrature orders that ends singular_integral_oracle
 
 
 def _hurwitz_zeta(p, q):
@@ -748,24 +749,23 @@ def _oracle_fixed(u, frac, x, n):
     return frac.c_sing * sum(g(r) @ w for r, w in _folded_rules(frac, u.T, n))
 
 
-def singular_integral_oracle(u: PeriodicFunction, frac: FracOrder, x, quad_tol=1e-10):
+def singular_integral_oracle(u: PeriodicFunction, frac: FracOrder, x):
     """Evaluate C(s) PV int (u(x)-u(xbar)) |x-xbar|^{-1-2s} dxbar at x.
 
     Refines the quadrature order until successive values agree to
-    max(quad_tol, 1e-12); raises QuadratureNonConvergence if refinement
-    stalls.  Independent of the Fourier-multiplier route.
+    ORACLE_TOL relative to max(1, |value|); raises QuadratureNonConvergence
+    if refinement stalls.  Independent of the Fourier-multiplier route.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    tol = max(quad_tol, 1e-12)
     prev = _oracle_fixed(u, frac, x, 48)
     for n in (96, 192, 384, 768):
         cur = _oracle_fixed(u, frac, x, n)
         err = np.max(np.abs(cur - prev))
-        if err <= tol * max(1.0, np.max(np.abs(cur))):
+        if err <= ORACLE_TOL * max(1.0, np.max(np.abs(cur))):
             return float(cur[0]) if scalar else cur
         prev = cur
     raise QuadratureNonConvergence(
-        f"singular-integral quadrature stalled at error {err:.3e} (tol {tol:.1e})"
+        f"singular-integral quadrature stalled at error {err:.3e} (tol {ORACLE_TOL:.1e})"
     )
 
 
@@ -807,9 +807,10 @@ def gagliardo_energy(u: PeriodicFunction, frac: FracOrder):
     raise QuadratureNonConvergence("Gagliardo double integral did not converge")
 
 
-def potential_energy_half(u: PeriodicFunction, well: DoubleWell, n_grid=None):
-    """int_0^{T/2} F(u) dx by periodic-trapezoid quadrature."""
-    n = n_grid or max(8 * u.N + 64, 256)
+def potential_energy_half(u: PeriodicFunction, well: DoubleWell):
+    """int_0^{T/2} F(u) dx by periodic-trapezoid quadrature on
+    max(8 N + 64, 256) intervals."""
+    n = max(8 * u.N + 64, 256)
     x = np.linspace(0.0, u.T / 2.0, n + 1)
     vals = well.f(u.sample(2 * n)[: n + 1])
     return float(np.trapezoid(vals, x))

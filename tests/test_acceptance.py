@@ -70,7 +70,7 @@ def test_criterion_2_oracle_equivalence():
         frac = FracOrder(s)
         mult = frac_laplacian(u, frac)
         for x in rng.uniform(0.0, T, 16):
-            lhs = singular_integral_oracle(u, frac, float(x), quad_tol=1e-8)
+            lhs = singular_integral_oracle(u, frac, float(x))
             worst = max(worst, abs(lhs - mult(float(x))))
     report(2, f"singular-integral oracle vs multiplier, max err {worst:.2e} <= 1e-6",
            worst <= 1e-6)

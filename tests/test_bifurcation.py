@@ -16,7 +16,7 @@ from fracperiodic.bifurcation import (
     detect_bifurcation_points,
     verify_T0_bound,
 )
-from fracperiodic.errors import BranchLost, NoConvergence
+from fracperiodic.errors import BranchLost, NoConvergence, StepFailure
 from fracperiodic.semilinear import newton_refine
 from fracperiodic.spectral import DoubleWell, FracOrder, _SymmetryClass, frac_laplacian, gram
 
@@ -269,7 +269,7 @@ def test_detection_matches_scipy_generalized_eigh(s, potential):
     cls = _SymmetryClass("odd", TWO_PI, N, frac)
     B = gram("odd", N, potential.f2(cls.values(np.zeros(N)))) / -float(potential.f2(0.0))
     ref = eigh(np.diag(cls.mult), -B, eigvals_only=True)
-    got = detect_bifurcation_points(frac, potential, 10, N=N)
+    got = detect_bifurcation_points(frac, potential, 10)   # at N = DEFAULT_N = 24
     assert np.max(np.abs(np.array(got) / ref[:10] - 1.0)) <= 1e-12
 
 
@@ -349,3 +349,69 @@ def test_t0_bound_rejects_an_order_whose_period_overflows(monkeypatch):
 def test_t0_bound_rejects_an_empty_grid():
     with pytest.raises(ValueError, match="lambda_grid must hold one or more"):
         verify_T0_bound(FracOrder(0.5), well(), lambda_grid=[])
+
+
+# -- the exported failures ---------------------------------------------------
+
+
+def _corrector_after_two(monkeypatch, then):
+    """Run the real corrector for the two starting points of continue_branch,
+    and then(args) for every later call; returns the call list."""
+    calls = []
+
+    def patched(*args):
+        calls.append(None)
+        return _corrector(*args) if len(calls) <= 2 else then(args)
+
+    monkeypatch.setattr(bifurcation, "_corrector", patched)
+    return calls
+
+
+def test_continue_branch_step_failure(monkeypatch):
+    # no input found makes every corrector attempt fail, so the corrector is
+    # patched: after MAX_STEP_RETRIES halvings of ds the step is given up
+    def fail(args):
+        raise NoConvergence("forced")
+
+    calls = _corrector_after_two(monkeypatch, fail)
+    ds = 0.05 * 0.5 ** bifurcation.MAX_STEP_RETRIES
+    with pytest.raises(StepFailure, match=f"continuation step failed below ds = {ds:.2e}"):
+        continue_branch(FracOrder(0.5), well(), lambda_start=1.0, steps=5, ds_arc=0.05)
+    assert len(calls) == 2 + bifurcation.MAX_STEP_RETRIES
+
+
+def test_continue_branch_collapse_is_branch_lost(monkeypatch):
+    # the trivial branch u = 0 solves the equation at every lambda; a
+    # corrector that lands on it (patched: no input found does) ends the branch
+    def trivial(args):
+        z = _corrector(*args)
+        z[:-1] = 0.0
+        return z
+
+    _corrector_after_two(monkeypatch, trivial)
+    with pytest.raises(BranchLost, match="amplitude collapsed to the trivial branch"):
+        continue_branch(FracOrder(0.5), well(), lambda_start=1.0, steps=5, ds_arc=0.05)
+
+
+def test_t0_bound_subdivides_a_step_that_collapses(monkeypatch):
+    # one step from the first point (lambda near 1) to 20 lands near the
+    # trivial branch; the step is split in 2, 4, .. until every sub-step holds.
+    # The error class is replaced by a recording subclass, nothing else.
+    lost = []
+
+    class Recorded(BranchLost):
+        def __init__(self, message):
+            lost.append(message)
+            super().__init__(message)
+
+    monkeypatch.setattr(bifurcation, "BranchLost", Recorded)
+    rep = verify_T0_bound(FracOrder(0.5), well(), lambda_grid=[20.0])
+    assert lost and set(lost) == {"collapsed toward the trivial branch"}
+    assert rep.max_residual <= 1e-9 and 0.9 < rep.entries[0].amplitude < 1.0
+
+
+@pytest.mark.parametrize("s", [0.5, 0.8])
+def test_t0_bound_collapse_is_branch_lost(s):
+    # even 64 sub-steps from lambda near 1 to 1000 fall onto the trivial branch
+    with pytest.raises(BranchLost, match="collapsed toward the trivial branch"):
+        verify_T0_bound(FracOrder(s), well(), lambda_grid=[1000.0])

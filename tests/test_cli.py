@@ -166,6 +166,20 @@ def test_tiny_period_is_usage_error(tmp_path, capsys):
     assert "classification=trivial" in capsys.readouterr().err
 
 
+def test_tiny_period_in_a_certificate_is_usage_error(tmp_path, capsys):
+    # at s = 0.1 the solve passes the multiplier bound, (2 pi N / T)^(2s) is
+    # about 1e60, but U_x grows like 2 pi N / T: the first two exited 0 with
+    # C_T = nan and C_hat = nan after an overflow RuntimeWarning, the third
+    # exited 1 with an IdentityViolation at a deviation of 1.4e18
+    for argv in (["hamiltonian", "--s", "0.1", "--T", "1e-300"],
+                 ["modica", "--s", "0.1", "--T", "1e-300"],
+                 ["hamiltonian", "--s", "0.1", "--T", "1e-100"]):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"usage error: period T={argv[-1]} is too small"), argv
+
+
 def test_bad_tolerance_and_step_are_usage_errors(tmp_path):
     # --tol 0 never ends the bisection, --tol nan skips it; --ds 0 divides 0/0
     # in the tangent, and one step leaves no second point for it

@@ -98,8 +98,8 @@ def test_modica_lower_bound_is_per_node_sum(s):
     frac = FracOrder(s)
     sol = solved(s=s, symmetry="even")
     rep = modica_check(sol, frac, well())
-    field = extend_bessel(sol.u, frac, n_quad=96)
-    rule = field.quadrature
+    field = extend_bessel(sol.u, frac)
+    rule = YQuadrature(field.y_max, frac.a, 96)
     ref = 0.5 * frac.d_s * sum(
         wq * float(field.weighted_dy(sol.u.T / 2.0, yq)) ** 2
         for yq, wq in zip(rule.nodes_minus, rule.weights_minus)
@@ -132,7 +132,7 @@ def test_modica_panels_match_refined_nested_rule(s, symmetry):
     frac = FracOrder(s)
     sol = solved(s=s, symmetry=symmetry)
     c_t = hamiltonian_check(sol, frac, well(), tol=np.inf).c_t
-    rep = modica_check(sol, frac, well(), c_t=c_t)
+    rep = modica_check(sol, frac, well())
     assert np.max(np.abs(rep.v_hat - nested_v_hat(sol, frac, c_t, 384))) <= 1e-9
 
 
@@ -142,13 +142,13 @@ def test_modica_report_agrees_with_nested_96_node_rule(s, T):
     frac = FracOrder(s)
     sol = solved(T=T, s=s, symmetry="even")
     c_t = hamiltonian_check(sol, frac, well(), tol=np.inf).c_t
-    rep = modica_check(sol, frac, well(), c_t=c_t)
+    rep = modica_check(sol, frac, well())
     ref = nested_v_hat(sol, frac, c_t, 96)
     iy, ix = np.unravel_index(int(np.argmax(ref)), ref.shape)
     assert rep.argmax == (float(rep.x[ix]), float(rep.y[iy]))
     assert abs(rep.c_hat - float(np.max(ref[0]))) <= 1e-12
-    field = extend_bessel(sol.u, frac, n_quad=96)
-    rule = field.quadrature
+    field = extend_bessel(sol.u, frac)
+    rule = YQuadrature(field.y_max, frac.a, 96)
     lower = 0.5 * frac.d_s * float(rule.weights_minus @ field.weighted_dy(T / 2.0, rule.nodes_minus) ** 2)
     assert abs(rep.c_hat_lower - lower) <= 1e-12
     assert abs(rep.top_row_max - float(np.max(np.abs(ref[-1])))) <= 1e-8
@@ -166,7 +166,7 @@ def test_modica_coarse_height_grids(ny):
     frac = FracOrder(0.3)
     sol = solved(s=0.3, N=32)
     c_t = hamiltonian_check(sol, frac, well(), n_samples=8, tol=np.inf).c_t
-    rep = modica_check(sol, frac, well(), c_t=c_t, nx=8, ny=ny)
+    rep = modica_check(sol, frac, well(), nx=8, ny=ny)
     assert rep.v_hat.shape == (ny, 8)
     ref = nested_v_hat(sol, frac, c_t, 384, nx=8, ny=ny)
     assert np.max(np.abs(rep.v_hat - ref)) <= 1e-9

@@ -321,7 +321,6 @@ def test_poisson_field_builds_no_jacobi_rule(monkeypatch):
     monkeypatch.setattr(extension, "_gauss_jacobi_01", forbidden)
     u = random_function(np.random.default_rng(9), N=5)
     field = extend_poisson(u, FracOrder(0.6))
-    assert field.quadrature is None
     assert np.isfinite(field.value(np.array([0.0, 1.0]), 0.3)).all()
 
 

@@ -148,6 +148,20 @@ def test_coercive_constant_equation():
     assert np.allclose(res.u(x), 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-14, 1e-20])
+def test_coercive_solve_keeps_small_cosine_solutions(scale):
+    # (L + 1 + 1/2) u = g with L = 1 on mode 1: b_1 = 0.4 g_1 at every scale;
+    # a solution is odd only when its cosine part is round-off of its largest entry
+    op = make_op(s=0.5, N=8, k=PeriodicFunction.constant(TWO_PI, 1.0))
+    g = PeriodicFunction.from_modes(TWO_PI, cos_coeffs=[0.0, scale])
+    res = solve_coercive(op, 0.5, g)
+    assert not res.u.odd
+    assert abs(res.u.cos_coeffs[1] - 0.4 * scale) <= 1e-12 * 0.4 * scale
+    assert abs(res.stability_constant - 0.4) <= 1e-12
+    odd = solve_coercive(op, 0.5, PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[0.0, scale])).u
+    assert odd.odd and not np.any(odd.cos_coeffs)
+
+
 def test_not_coercive_raises():
     k = PeriodicFunction.constant(TWO_PI, -2.0)
     with pytest.raises(NotCoercive):

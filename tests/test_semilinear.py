@@ -1,6 +1,7 @@
 """Semilinear solver tests: energy minimization in symmetry classes,
 Newton refinement, and the minimal-period bisection."""
 
+import itertools
 import math
 
 import numpy as np
@@ -98,7 +99,7 @@ def test_residual_certified_by_oracle():
     sol = minimize_energy(8.0, frac, well(), SolveConfig(N=48))
     rhs = frac_laplacian(sol.u, frac)
     for x in rng.uniform(0.0, 8.0, 8):
-        lhs = singular_integral_oracle(sol.u, frac, float(x), quad_tol=1e-8)
+        lhs = singular_integral_oracle(sol.u, frac, float(x))
         assert abs(lhs + well().f1(sol.u(float(x)))) < 1e-5
         assert abs(lhs - rhs(float(x))) < 1e-6
 
@@ -301,41 +302,6 @@ def test_bad_period_rejected(T):
             find_min_period(frac, well(), T_hi=T)
 
 
-def test_shifted_cholesky_bisection_keeps_the_shift(monkeypatch):
-    # the doubling-then-bisection search must accept the same tau as the plain
-    # search tau_0, tau_1, ... (Nocedal & Wright, Alg. 3.3), with fewer
-    # factorizations
-    calls = []
-    cholesky = np.linalg.cholesky
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return cholesky(*args, **kwargs)
-
-    def plain(H):
-        beta = 1e-3
-        idx = np.diag_indices_from(H)
-        diag = H[idx].copy()
-        tau = 0.0 if diag.min() > 0.0 else beta - diag.min()
-        while True:
-            H[idx] = diag + tau
-            try:
-                return np.linalg.cholesky(H)
-            except np.linalg.LinAlgError:
-                tau = max(2.0 * tau, beta)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
-    frac, cfg = FracOrder(0.5), SolveConfig(N=512)
-    fast = minimize_energy(201.4, frac, well(), cfg)
-    n_fast = len(calls)
-    calls.clear()
-    monkeypatch.setattr(semilinear, "_shifted_cholesky", plain)
-    ref = minimize_energy(201.4, frac, well(), cfg)
-    assert np.array_equal(fast.u.sin_coeffs, ref.u.sin_coeffs)
-    assert fast.energy == ref.energy
-    assert n_fast < len(calls)
-
-
 @pytest.mark.parametrize("symmetry", ["odd", "even"])
 @pytest.mark.parametrize("N,T", [(128, 40.0), (256, 100.0)])
 def test_coarse_stage_keeps_the_minimizer(monkeypatch, symmetry, N, T):
@@ -396,21 +362,78 @@ def test_numpy_cholesky_reads_only_the_lower_triangle():
     assert np.array_equal(np.linalg.cholesky(H), np.linalg.cholesky(S))
 
 
-@pytest.mark.parametrize("n", [64, 300])   # one block, several blocks
-def test_shifted_solve_uses_the_lower_triangle(n):
-    rng = np.random.default_rng(n)
-    A = rng.standard_normal((n, n))
-    H = A @ A.T - 0.5 * n * np.eye(n)   # indefinite: the search must shift it
-    H[0, 1:] *= 2.0                     # an upper triangle that must be ignored
-    sym = np.tril(H) + np.tril(H, -1).T
-    b = rng.standard_normal(n)
-    L = semilinear._shifted_cholesky(H)
-    x = semilinear._solve_shifted(L, b)
-    shifted = L @ L.T
-    tau = np.diag(shifted - sym)   # one accepted shift on the whole diagonal
-    assert tau.min() > 0.0 and np.ptp(tau) <= 1e-10 * n
-    assert np.allclose(shifted - np.diag(tau), sym, rtol=0.0, atol=1e-10 * n)
-    assert np.linalg.norm(shifted @ x - b) <= 1e-10 * np.linalg.norm(b)
+def nw_shifts(H):
+    """tau_0, tau_1, .. of Nocedal & Wright, Alg. 3.3, with beta = 1e-3."""
+    beta, low = 1e-3, float(np.min(np.diag(H)))
+    tau = 0.0 if low > 0.0 else beta - low
+    while True:
+        yield tau
+        tau = max(2.0 * tau, beta)
+
+
+def _equicorrelated(n, diag, off):
+    """diag on the diagonal, off elsewhere: eigenvalues diag + (n - 1) off
+    (once) and diag - off."""
+    return np.full((n, n), off) + (diag - off) * np.eye(n)
+
+
+def _spd(n):
+    A = np.random.default_rng(n).standard_normal((n, n))
+    return A @ A.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("H, first", [
+    (_spd(20), 0),
+    (_equicorrelated(10, -1.0, 0.06), 1),   # eigenvalues -0.46, -1.06; tau_0 = 1.001
+    (_equicorrelated(12, 1.0, 2.0), 11),    # eigenvalue -1 with a positive diagonal
+])
+def test_shift_is_the_first_positive_definite_one(H, first):
+    lowest = np.linalg.eigvalsh(H)[0]
+    taus = list(itertools.islice(nw_shifts(H), 64))
+    k = next(k for k, tau in enumerate(taus) if lowest + tau > 0.0)
+    assert k == first
+    assert lowest + taus[k] >= 1e-2 and (k == 0 or lowest + taus[k - 1] <= -1e-2)   # a clear margin
+    shifted = semilinear._shifted(H.copy())
+    assert np.array_equal(shifted, H + taus[k] * np.eye(H.shape[0]))
+
+
+@pytest.mark.parametrize("symmetry", ["odd", "even"])
+@pytest.mark.parametrize("N", [32, 512])   # the dense and the FFT side of FFT_MIN_N
+def test_half_wave_jacobians_are_exactly_symmetric(symmetry, N):
+    # the shift test reads the lower triangle and the LU solve both, so the
+    # descent needs J == J^T bit for bit
+    cls = semilinear._solve_class(symmetry, 1.5 * N, N, FracOrder(0.4), well(), half_wave=True)
+    c = np.random.default_rng(N).standard_normal(cls.mult.size) * 0.3 / np.arange(1, cls.mult.size + 1)
+    J = cls.jacobian(c, well())
+    assert np.array_equal(J, J.T)
+
+
+@pytest.mark.parametrize("symmetry", ["odd", "even"])
+def test_descent_step_solves_the_shifted_system(monkeypatch, symmetry):
+    frac, T, N = FracOrder(0.5), 20.0, 64
+    cls = semilinear._solve_class(symmetry, T, N, frac, well(), half_wave=True)
+    c0 = np.zeros(cls.mult.size)
+    c0[0] = 0.2   # the smallest multistart, near the unstable u = 0
+    solves = []
+    solve = np.linalg.solve
+
+    def recorded(A, b):
+        x = solve(A, b)
+        solves.append((A.copy(), b, x))
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    monkeypatch.setattr(semilinear, "MAX_DESCENT", 1)
+    semilinear._descent(cls, c0.copy(), well())
+    [(A, b, x)] = solves
+    J = cls.jacobian(c0, well())
+    assert np.linalg.eigvalsh(J)[0] < 0.0   # the start is a saddle: the step must shift
+    eye = np.eye(J.shape[0])
+    assert any(np.array_equal(A, J + tau * eye) for tau in itertools.islice(nw_shifts(J), 1, 64))
+    assert np.array_equal(b, cls.residual(c0, well()))
+    assert np.linalg.eigvalsh(A)[0] > 0.0
+    backward = np.linalg.norm(A @ x - b) / (np.linalg.norm(A, np.inf) * np.linalg.norm(x) + np.linalg.norm(b))
+    assert backward <= 1e-13
 
 
 def test_fine_stage_once_per_distinct_coarse_minimizer(monkeypatch):

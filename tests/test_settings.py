@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 import fracperiodic
-from fracperiodic.bifurcation import Branch, classify_criticality, continue_branch
+from fracperiodic.bifurcation import Branch, classify_criticality, continue_branch, detect_bifurcation_points
 from fracperiodic.diagnostics import hamiltonian_check, modica_check, modica_pde_residual
+from fracperiodic.errors import IdentityViolation, InequalityViolation, SolvabilityViolation
 from fracperiodic.extension import (
+    ExtensionField,
     dirichlet_to_neumann,
     extend_bessel,
     extend_poisson,
@@ -26,29 +28,29 @@ from fracperiodic.extension import (
 )
 from fracperiodic.linear import GalerkinOperator, coords_to_function, solve_fredholm
 from fracperiodic.semilinear import SolveConfig
-from fracperiodic.spectral import DoubleWell, FracOrder, PeriodicFunction, gagliardo_energy
+from fracperiodic.spectral import (
+    DoubleWell,
+    FracOrder,
+    PeriodicFunction,
+    gagliardo_energy,
+    potential_energy_half,
+    singular_integral_oracle,
+)
 
 TWO_PI = 2.0 * math.pi
 
 PINNED = {
     "bifurcation.continue_branch:N",
-    "bifurcation.detect_bifurcation_points:N",
     "bifurcation.verify_T0_bound:N",
     "bifurcation.verify_T0_bound:lambda_grid",
     "cli.run:argv",
     "diagnostics.hamiltonian_check:n_samples",
     "diagnostics.hamiltonian_check:tol",
-    "diagnostics.modica_check:c_t",
     "diagnostics.modica_check:nx",
     "diagnostics.modica_check:ny",
     "diagnostics.modica_check:tol",
-    "errors.IdentityViolation.__init__:message",
-    "errors.InequalityViolation.__init__:message",
-    "errors.SolvabilityViolation.__init__:message",
     "extension.ExtensionField.profile_table:kind",
-    "extension.ExtensionField:quadrature",
     "extension.YQuadrature:n",
-    "extension.extend_bessel:n_quad",
     "extension.extend_bessel:y_max",
     "linear.schrodinger_fractional_spectrum:N",
     "semilinear.SolveConfig:N",
@@ -67,8 +69,6 @@ PINNED = {
     "spectral.PeriodicFunction.from_modes:sin_coeffs",
     "spectral.PeriodicFunction.from_samples:odd",
     "spectral.PeriodicFunction:odd",
-    "spectral.potential_energy_half:n_grid",
-    "spectral.singular_integral_oracle:quad_tol",
 }
 
 
@@ -142,6 +142,15 @@ REMOVED = {
     "DoubleWell.from_poly(even)": lambda: DoubleWell.from_poly([0.25, 0.0, -0.5, 0.0, 0.25], even=True),
     "PeriodicFunction.from_modes(odd)": lambda: PeriodicFunction.from_modes(TWO_PI, [1.0], odd=True),
     "PeriodicFunction.constant(N)": lambda: PeriodicFunction.constant(TWO_PI, 1.0, N=0),
+    "modica_check(c_t)": lambda: modica_check(_U, _FRAC, _WELL, tol=math.inf, c_t=None),
+    "extend_bessel(n_quad)": lambda: extend_bessel(_U, _FRAC, n_quad=128),
+    "ExtensionField(quadrature)": lambda: ExtensionField(_U, _FRAC, "bessel-series", 1.0, quadrature=None),
+    "potential_energy_half(n_grid)": lambda: potential_energy_half(_U, _WELL, n_grid=None),
+    "singular_integral_oracle(quad_tol)": lambda: singular_integral_oracle(_U, _FRAC, 0.0, quad_tol=1e-10),
+    "detect_bifurcation_points(N)": lambda: detect_bifurcation_points(_FRAC, _WELL, 1, N=None),
+    "IdentityViolation(message)": lambda: IdentityViolation(0.0, 1.0, message=None),
+    "InequalityViolation(message)": lambda: InequalityViolation((0.0, 0.0), 1.0, message=None),
+    "SolvabilityViolation(message)": lambda: SolvabilityViolation(1.0, message=None),
 }
 
 

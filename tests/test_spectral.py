@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracperiodic.errors import SingularJacobian
 from fracperiodic.spectral import (
     DoubleWell,
     FracOrder,
@@ -13,6 +14,7 @@ from fracperiodic.spectral import (
     _gauss_jacobi_01,
     _gauss_legendre_01,
     _hurwitz_zeta,
+    _newton,
     energy_functional,
     frac_laplacian,
     gagliardo_energy,
@@ -207,7 +209,7 @@ def test_oracle_multiplier_equivalence_random():
         xs = rng.uniform(0.0, u.T, 4)
         for x in xs:
             # roundoff in the second difference plateaus near 1e-9 for s -> 1
-            assert abs(singular_integral_oracle(u, frac, x, quad_tol=1e-8) - v(x)) < 1e-6
+            assert abs(singular_integral_oracle(u, frac, x) - v(x)) < 1e-6
 
 
 # -- energies ----------------------------------------------------------------
@@ -359,3 +361,19 @@ def test_quartic_derivatives_exactly_odd_and_even():
     u = np.random.default_rng(3).uniform(-1.5, 1.5, 4096)
     assert np.array_equal(well.f1(-u), -well.f1(u))
     assert np.array_equal(well.f2(-u), well.f2(u))
+
+
+# -- the Newton loop's failures ----------------------------------------------
+
+
+def test_newton_singular_jacobian():
+    # numpy's LU meets an exact zero pivot
+    J = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(SingularJacobian, match="Singular matrix"):
+        _newton(lambda z: J @ z - 1.0, lambda z: J, np.zeros(2), 1e-10, 5, np.linalg.norm)
+
+
+def test_newton_step_that_is_not_finite():
+    # a nonzero but tiny pivot: the step 1 / 1e-310 overflows to inf
+    with pytest.raises(SingularJacobian, match="Newton step is not finite"):
+        _newton(lambda z: z - 1.0, lambda z: np.array([[1e-310]]), np.zeros(1), 1e-10, 5, np.linalg.norm)

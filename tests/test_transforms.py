@@ -152,14 +152,13 @@ def test_grid_values_match_pointwise():
     assert_rel(u.grid_values(), u(u.grid()))
 
 
-@pytest.mark.parametrize("n_grid", [None, 10, 64])
-def test_potential_energy_half_matches_pointwise(n_grid):
+def test_potential_energy_half_matches_pointwise():
     u = random_function()
     well = DoubleWell.quartic()
-    n = n_grid or max(8 * u.N + 64, 256)
+    n = max(8 * u.N + 64, 256)
     x = np.linspace(0.0, u.T / 2.0, n + 1)
     ref = float(np.trapezoid(well.f(u(x)), x))
-    assert abs(potential_energy_half(u, well, n_grid) - ref) <= RTOL * abs(ref)
+    assert abs(potential_energy_half(u, well) - ref) <= RTOL * abs(ref)
 
 
 def gram_moments(cls, g):
