@@ -242,7 +242,8 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     each rescaled solution is re-verified by newton_refine's Newton on period
     T.  Raises ValueError unless the well is even, lambda_grid holds one
     or more values, each finite and above 1 (the first pitchfork), and every
-    T(lambda) is positive and finite (s too small overflows it)."""
+    T(lambda) is positive and finite (s too small overflows it), and
+    BranchLost when the branch collapses or a refined amplitude reaches 1."""
     if lambda_grid is None:
         lambda_grid = np.concatenate([[1.001, 1.003, 1.01, 1.03], np.arange(1.1, 4.01, 0.1)])
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
@@ -289,6 +290,8 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
         a, lam = a_try, float(lam_target)
         # the same coefficients on period T, refined by Newton on that class
         T_cls, c, rnorm = _refine(cls.to_function(a), period, frac, well, 1e-9, MAX_NEWTON)
-        entries.append(T0Entry(lam=lam, period=period, amplitude=float(np.max(np.abs(T_cls.values(c)))),
-                               residual_rescaled=rnorm))
+        amplitude = float(np.max(np.abs(T_cls.values(c))))
+        if amplitude >= 1.0:   # as in continue_branch: no solution reaches the wells
+            raise BranchLost(f"amplitude {amplitude:.6g} >= 1 at lambda = {lam:.6g} (N = {N})")
+        entries.append(T0Entry(lam=lam, period=period, amplitude=amplitude, residual_rescaled=rnorm))
     return T0Report(bound=bound, entries=tuple(entries))

@@ -119,20 +119,24 @@ def _descent(cls: _SymmetryClass, c, well):
     dE/dc = (T/2) residual and the Hessian of E is (T/2) J: the step is one
     LU solve with J (exactly symmetric) shifted positive definite by _shifted,
     and backtracks on E.  It stops at any critical point, without asking
-    for a positive-definite Hessian.
+    for a positive-definite Hessian.  Each iterate is evaluated on the grid
+    once: at entry, and for every line-search trial, whose values the
+    accepted trial hands on to its residual, Jacobian and energy.
     """
-    energy = cls.energy_full(c, well)
+    u = cls.values(c)
+    energy = cls.energy_full(c, well, u)
     for _ in range(MAX_DESCENT):
-        grad = cls.residual(c, well)
+        grad = cls.residual(c, well, 1.0, u)
         if cls.l2_norm(grad) < DESCENT_GRAD_TOL:
             break
-        p = -np.linalg.solve(_shifted(cls.jacobian(c, well)), grad)
+        p = -np.linalg.solve(_shifted(cls.jacobian(c, well, 1.0, u)), grad)
         step = 1.0
         while step > 1e-8:
             trial = c + step * p
-            e_new = cls.energy_full(trial, well)
+            u_trial = cls.values(trial)
+            e_new = cls.energy_full(trial, well, u_trial)
             if e_new < energy:
-                c, energy = trial, e_new
+                c, u, energy = trial, u_trial, e_new
                 break
             step *= 0.5
         else:

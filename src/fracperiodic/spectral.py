@@ -472,13 +472,18 @@ def linearization_bound(frac: FracOrder, well: DoubleWell, who=""):
 FFT_MIN_N = 256   # below this the dense basis products beat an FFT call
 
 
-@lru_cache(maxsize=2)   # the fine and the coarse class of one solve
+@lru_cache(maxsize=8)   # a large_period pass uses 5 sets, a cli_suite pass 7
 def _tables(symmetry, N, half_wave):
     """The read-only dense tables of a class below FFT_MIN_N, shared by every
     period: grid basis, projection weights and gram's moment rows
     cos(2 pi k j / M) / M, k = 0..2N (none for the full class; the even k on
     j < M/2, doubled, for a half-wave class), read at k j mod M from one
-    table of sin(2 pi k / M), reflected exactly from its first quarter."""
+    table of sin(2 pi k / M), reflected exactly from its first quarter.
+
+    The eight most recently used sets are kept.  A set holds the M x n basis
+    and, outside the full class, the moment rows; the largest is an odd or
+    even class just below FFT_MIN_N (N = 255: 6.0 MiB), so the cache holds
+    at most about 48 MiB."""
     M, idx = 4 * (N + 1), _SymmetryClass._index(symmetry, N, half_wave)
     q = np.sin((0.5 * math.pi / (N + 1)) * np.arange(N + 2))   # M / 4 = N + 1
     sin = np.hstack((q, q[-2:0:-1], -q, -q[-2:0:-1]))
@@ -561,11 +566,14 @@ class _SymmetryClass:
         """Class coefficients of F'(u_c)."""
         return self.project(well.f1(self.values(c)))
 
-    def residual(self, c, well: DoubleWell, k=1.0):
-        return self.linear_part(c) + k * self.nonlinear(c, well)
+    def residual(self, c, well: DoubleWell, k=1.0, u=None):
+        """u, when given, is values(c), computed once by the caller."""
+        u = self.values(c) if u is None else u
+        return self.linear_part(c) + k * self.project(well.f1(u))
 
-    def jacobian(self, c, well: DoubleWell, k=1.0):
-        J = gram(self.symmetry, self.N, k * well.f2(self.values(c)), self.half_wave)
+    def jacobian(self, c, well: DoubleWell, k=1.0, u=None):
+        u = self.values(c) if u is None else u
+        J = gram(self.symmetry, self.N, k * well.f2(u), self.half_wave)
         J.flat[:: J.shape[0] + 1] += self.mult   # the diagonal
         return J
 
@@ -573,8 +581,9 @@ class _SymmetryClass:
         """L^2 norm of the function with class coefficients c."""
         return math.sqrt(self.T / 2.0 * float(c @ (self.weight * c)))
 
-    def energy_full(self, c, well: DoubleWell):
-        pot = float(np.sum(well.f(self.values(c)))) * (self.T / self.M)
+    def energy_full(self, c, well: DoubleWell, u=None):
+        u = self.values(c) if u is None else u
+        pot = float(np.sum(well.f(u))) * (self.T / self.M)
         return 0.5 * (self.T / 2.0) * float(self.mult @ (c**2)) + pot
 
     def to_function(self, c):

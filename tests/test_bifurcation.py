@@ -287,6 +287,35 @@ def test_continue_branch_past_the_wells_is_branch_lost():
         continue_branch(FracOrder(0.3), well(), lambda_start=1.0, steps=50, ds_arc=0.5)
 
 
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_t0_bound_past_the_wells_is_branch_lost(s):
+    # at lambda = 100 the period is 628 at s = 1/2 while N stays 24, and the
+    # refined solution reached amplitude 1.0741, 1.0442 and 1.0049 with no error
+    with pytest.raises(BranchLost, match=r"amplitude 1\.\d+ >= 1 at lambda = 100 \(N = 24\)"):
+        verify_T0_bound(FracOrder(s), well(), lambda_grid=[100.0])
+
+
+@pytest.mark.parametrize("s,N", [(0.5, None), (0.7, None), (0.3, 96)])
+def test_t0_entry_amplitude_is_the_maximum_of_the_solution(monkeypatch, s, N):
+    # the period-T class grid of 4(N + 1) points holds the peak x = T/4 of
+    # each refined solution, so the amplitude is the maximum of |u| on the
+    # 200 001-point grid j T / 200000.  At s = 0.3 and N = 24 the solutions
+    # from lambda = 2.5 on are under-resolved and peak beside T/4, up to
+    # 1.2e-4 above the entry; at N = 96 they peak at T/4 again.
+    refined = []
+    refine = bifurcation._refine
+
+    def spy(*args):
+        refined.append(refine(*args))
+        return refined[-1]
+
+    monkeypatch.setattr(bifurcation, "_refine", spy)
+    rep = verify_T0_bound(FracOrder(s), well(), N=N)
+    assert len(refined) == len(rep.entries)
+    for e, (cls, c, _) in zip(rep.entries, refined):
+        assert abs(e.amplitude - np.max(np.abs(cls.to_function(c).sample(200_000)))) <= 1e-15
+
+
 @pytest.mark.parametrize("grid", [[0.5, 1.1], [1.0], [1.1, math.nan], [math.inf]])
 def test_t0_bound_rejects_grid_off_the_branch(grid):
     with pytest.raises(ValueError, match="lambda_grid"):

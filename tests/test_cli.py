@@ -360,6 +360,13 @@ def test_continue_past_the_wells_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("BranchLost: amplitude")
 
 
+def test_t0_bound_past_the_wells_exits_1(tmp_path, capsys):
+    out = tmp_path / "t0.csv"
+    assert run(["t0-bound", "--s", "0.5", "--lambda-grid", "100", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("BranchLost: amplitude 1.04419 >= 1 at lambda = 100")
+
+
 def test_continue_non_finite_lambda_start_is_usage_error(tmp_path, capsys):
     out = tmp_path / "branch.csv"
     assert run(["continue", "--s", "0.5", "--lambda-start", "nan", "--out", str(out)]) == 2

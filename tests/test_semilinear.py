@@ -159,6 +159,45 @@ def test_even_class_descent_converges_quadratically(monkeypatch):
     assert len(steps) == 3 and max(steps) <= 8
 
 
+def test_descent_evaluates_each_iterate_once_on_the_grid(monkeypatch):
+    # one grid evaluation at entry and one per line-search trial; the accepted
+    # trial's values serve its residual, Jacobian and energy
+    values, energies = [], []
+    cls_values, cls_energy = semilinear._SymmetryClass.values, semilinear._SymmetryClass.energy_full
+
+    def counted_values(self, *args):
+        values.append(None)
+        return cls_values(self, *args)
+
+    def counted_energy(self, *args):   # once at entry and once per trial
+        energies.append(None)
+        return cls_energy(self, *args)
+
+    monkeypatch.setattr(semilinear._SymmetryClass, "values", counted_values)
+    monkeypatch.setattr(semilinear._SymmetryClass, "energy_full", counted_energy)
+    for symmetry in ("odd", "even"):
+        cls = semilinear._SymmetryClass(symmetry, 40.0, 64, FracOrder(0.5), half_wave=True)
+        for c0 in semilinear._starts(cls, SolveConfig(symmetry=symmetry, N=64)):
+            values.clear()
+            energies.clear()
+            semilinear._descent(cls, c0, well())
+            assert len(energies) >= 3 and len(values) == len(energies)
+
+
+@pytest.mark.parametrize("symmetry", ["odd", "even"])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("T,N", [(8.0, 48), (40.0, 64), (201.4, 512)])
+def test_amplitude_is_the_maximum_of_the_solution(symmetry, s, T, N):
+    # the class grid of M = 4(N + 1) points holds the peaks of a half-wave
+    # solution, x = T/4 (odd) and x = 0 (even), so the amplitude is the
+    # maximum of |u| on the 200 001-point grid j T / 200000, j = 0..200000
+    # (the last point repeats the first); PeriodicFunction.amplitude, on
+    # 2N + 2 points, misses the odd class's peak
+    sol = minimize_energy(T, FracOrder(s), well(), SolveConfig(symmetry=symmetry, N=N))
+    assert sol.nonconstant
+    assert abs(sol.amplitude - np.max(np.abs(sol.u.sample(200_000)))) <= 1e-15
+
+
 def test_newton_refine_fixed_point():
     frac = FracOrder(0.5)
     sol = minimize_energy(8.0, frac, well(), SolveConfig(N=48))

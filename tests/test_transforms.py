@@ -12,7 +12,8 @@ import pytest
 
 from fracperiodic import spectral
 from fracperiodic.bifurcation import verify_T0_bound
-from fracperiodic.semilinear import COARSE_MIN_N, SolveConfig, find_min_period
+from fracperiodic.diagnostics import energy_scan
+from fracperiodic.semilinear import COARSE_MIN_N, SolveConfig, find_min_period, minimize_energy
 from fracperiodic.spectral import FFT_MIN_N, _SymmetryClass
 from fracperiodic.spectral import (
     DoubleWell,
@@ -287,3 +288,31 @@ def test_find_min_period_builds_each_table_once(monkeypatch, N):
     find_min_period(FracOrder(0.5), DoubleWell.quartic(), 10.0, tol=0.5, cfg=SolveConfig(N=N))
     coarse = [("odd", N // 4, True)] if N >= COARSE_MIN_N else []
     assert builds == dict.fromkeys([("odd", N, True)] + coarse, 1)
+
+
+def test_a_repeated_large_period_round_builds_no_table():
+    # the minimizer at N = 512 (coarse stage at N = 128) and the energy scan
+    # (N = max(64, 1.5 T), coarse stage at N // 4 from N = 128 on) use five
+    # odd half-wave table sets, all of which the cache keeps for the next round
+    def one_round():
+        minimize_energy(201.4, FracOrder(0.5), DoubleWell.quartic(), SolveConfig(N=512))
+        energy_scan(FracOrder(0.25), DoubleWell.quartic(), [16.0, 32.0, 64.0, 128.0])
+
+    one_round()
+    misses = spectral._tables.cache_info().misses
+    one_round()
+    assert spectral._tables.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("symmetry,T,N", [("odd", 201.4, 512), ("even", 40.0, 128), ("odd", 8.0, 48)])
+def test_minimizer_is_identical_with_cold_and_warm_tables(symmetry, T, N):
+    # the tables are shared read-only: a solve on tables that earlier solves
+    # used gives the same bytes as one on freshly built tables
+    def solve():
+        sol = minimize_energy(T, FracOrder(0.5), DoubleWell.quartic(), SolveConfig(symmetry=symmetry, N=N))
+        return (sol.u.sin_coeffs.tobytes(), sol.u.cos_coeffs.tobytes(), sol.residual, sol.energy,
+                sol.amplitude, sol.classification)
+
+    spectral._tables.cache_clear()
+    cold = solve()
+    assert solve() == cold
