@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+REFINE_TOL = 1e-9          # Newton tolerance of the realized-period refine of verify_T0_bound
 DEFAULT_N = 24
 MAX_STEP_RETRIES = 10      # continuation step halvings before StepFailure
 PITCHFORK_FIT_POINTS = 10  # leading branch points of the pitchfork fit
@@ -104,14 +105,21 @@ def _corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max_iter=
     """Newton on the bordered system [G(a, lambda); tangent . (z - target)]
     for z = (a, lambda), where G is the odd-class residual with coupling
     lambda * scale.  Converged when |G| <= tol and the arclength row is
-    below 1e-12."""
+    below 1e-12.  Each iterate is evaluated on the grid, and F'(u) projected,
+    once: the Jacobian of the residual's last z reuses both."""
+    last = [None, None, None]   # z, values(a) and the coefficients of F'(u) of the last residual
+
     def residual(z):
-        return np.append(cls.residual(z[:-1], well, z[-1] * scale), tangent @ (z - target))
+        u = cls.values(z[:-1])
+        last[:] = z, u, cls.project(well.f1(u))
+        return np.append(cls.linear_part(z[:-1]) + z[-1] * scale * last[2], tangent @ (z - target))
 
     def jacobian(z):   # [[G_u, G_lambda]; tangent]
+        if z is not last[0]:
+            residual(z)
         J = np.empty((cls.N + 1, cls.N + 1))
-        J[:-1, :-1] = cls.jacobian(z[:-1], well, z[-1] * scale)
-        J[:-1, -1] = scale * cls.nonlinear(z[:-1], well)
+        J[:-1, :-1] = cls.jacobian(z[:-1], well, z[-1] * scale, last[1])
+        J[:-1, -1] = scale * last[2]
         J[-1] = tangent
         return J
 
@@ -147,17 +155,17 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
         raise ValueError(f"steps must be at least 2 (the tangent needs two points), got {steps!r}")
     N = N or DEFAULT_N
     scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
-    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well)
+    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well, tol=RESIDUAL_TOL)
     lam_b = float(cls.mult[np.argmin(np.abs(cls.mult - lambda_start))])   # nearest m^{2s}
 
     def make_point(z):
         a, lam = z[:-1], float(z[-1])
         if a[np.argmax(np.abs(a))] < 0:
             a = -a  # odd-class sign normalization <u, sin m x> >= 0
-        u = cls.to_function(a)
-        G_u = cls.jacobian(a, well, lam * scale)   # symmetric: sigma_min is its smallest |eigenvalue|
+        u, vals = cls.to_function(a), cls.values(a)
+        G_u = cls.jacobian(a, well, lam * scale, vals)   # symmetric: sigma_min is its smallest |eigenvalue|
         return BranchPoint(lam=lam, u=u, amplitude=u.amplitude(),
-                           residual=cls.l2_norm(cls.residual(a, well, lam * scale)),
+                           residual=cls.l2_norm(cls.residual(a, well, lam * scale, vals)),
                            sigma_min=float(np.min(np.abs(np.linalg.eigvalsh(G_u)))))
 
     # the second point lies along growing amplitude and defines the first tangent
@@ -252,7 +260,7 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
                          f"got {lambda_grid.tolist()}")
     N = N or DEFAULT_N
     scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
-    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well)
+    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well, tol=RESIDUAL_TOL)
     periods = [_period(float(lam), scale, frac) for lam in lambda_grid]
     if not all(0.0 < T < math.inf for T in periods):
         raise ValueError(f"s = {frac.s!r} is too small: the period 2 pi (lambda / -F''(0))^(1/(2s)) "
@@ -266,9 +274,7 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
         # predictor follows the pitchfork scaling amp ~ sqrt(lambda - 1) so
         # Newton at fixed lambda does not fall back onto the trivial branch
         a_pred = a * math.sqrt(max(lam_new - 1.0, 0.0) / (lam - 1.0))
-        k = lam_new * scale
-        a_new, _ = _newton(lambda a: cls.residual(a, well, k), lambda a: cls.jacobian(a, well, k),
-                           a_pred, RESIDUAL_TOL, 30, cls.l2_norm)
+        a_new, _ = _newton(*cls.newton_pair(well, lam_new * scale), a_pred, RESIDUAL_TOL, 30, cls.l2_norm)
         if np.max(np.abs(a_new)) < 0.5 * np.max(np.abs(a_pred)):
             raise BranchLost("collapsed toward the trivial branch")
         return a_new
@@ -288,8 +294,10 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
                 if n_sub > 64:
                     raise
         a, lam = a_try, float(lam_target)
-        # the same coefficients on period T, refined by Newton on that class
-        T_cls, c, rnorm = _refine(cls.to_function(a), period, frac, well, 1e-9, MAX_NEWTON)
+        # the same coefficients on period T, refined by newton_refine's Newton on
+        # that class at truncation max(N, 8)
+        T_cls = _solve_class("odd", period, max(N, 8), frac, well, tol=REFINE_TOL)
+        _, c, rnorm = _refine(T_cls, np.concatenate((a, np.zeros(T_cls.N - N))), well, REFINE_TOL, MAX_NEWTON)
         amplitude = float(np.max(np.abs(T_cls.values(c))))
         if amplitude >= 1.0:   # as in continue_branch: no solution reaches the wells
             raise BranchLost(f"amplitude {amplitude:.6g} >= 1 at lambda = {lam:.6g} (N = {N})")

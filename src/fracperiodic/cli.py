@@ -18,6 +18,7 @@ stderr summary line.
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 
@@ -174,8 +175,11 @@ def _cmd_modica(frac, T, well, nx, ny, tol, out):
     rep = diagnostics.modica_check(sol, frac, well, nx=nx, ny=ny, tol=tol)
     _summary(C_hat=rep.c_hat, lower_bound=rep.c_hat_lower,
              argmax=f"({_fmt(rep.argmax[0])},{_fmt(rep.argmax[1])})")
-    rows = np.column_stack((np.tile(rep.x, rep.y.size), np.repeat(rep.y, rep.x.size), rep.v_hat.ravel()))
-    _write_csv(out, ["x", "y", "v_hat"], rows.tolist())
+    # _write_csv's text of the rows (x, y, v_hat[y, x]), y outer, with each x and y formatted once
+    x, y = (["%.17g" % t for t in a.tolist()] for a in (rep.x, rep.y))
+    v_hat = ("%.17g\n" * rep.v_hat.size % tuple(rep.v_hat.ravel().tolist())).splitlines(True)
+    rows = zip(itertools.product(y, x), v_hat)
+    _emit(out, "x,y,v_hat\n" + "".join(f"{xi},{yi},{vi}" for (yi, xi), vi in rows))
 
 
 def _cmd_energy_scan(frac, well, T_list, out):

@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import InconsistentBracket, NoConvergence, SingularJacobian
 from .spectral import (
+    NONCONSTANT_AMPLITUDE,
     DoubleWell,
     FracOrder,
     PeriodicFunction,
@@ -56,7 +57,6 @@ __all__ = [
     "find_min_period",
 ]
 
-NONCONSTANT_AMPLITUDE = 1e-6   # deviation-from-mean threshold for classification
 DESCENT_GRAD_TOL = 1e-4        # descent hands over to Newton below this
 COARSE_MIN_N = 128             # from this N on, each start first descends at N // 4
 DISTINCT_L2 = math.sqrt(DESCENT_GRAD_TOL)   # coarse endpoints closer than this share a fine stage
@@ -104,7 +104,8 @@ def _shifted(H):
     diag = np.diagonal(H).copy()
     tau = 0.0 if diag.min() > 0.0 else beta - diag.min()
     while True:
-        np.fill_diagonal(H, diag + tau)
+        if tau > 0.0:
+            np.fill_diagonal(H, diag + tau)
         try:
             np.linalg.cholesky(H)
             return H
@@ -195,8 +196,7 @@ def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell, 
                 continue
             c = _descent(cls, cls.from_function(first.to_function(c)), well)
         try:
-            c, rnorm = _newton(lambda c: cls.residual(c, well), lambda c: cls.jacobian(c, well),
-                               c, cfg.newton_tol, MAX_NEWTON, cls.l2_norm)
+            c, rnorm = _newton(*cls.newton_pair(well), c, cfg.newton_tol, MAX_NEWTON, cls.l2_norm)
         except (NoConvergence, SingularJacobian):
             continue
         vals = cls.values(c)
@@ -214,10 +214,11 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
     on the residual; returns the lowest-energy nonconstant candidate, or the
     trivial critical point with classification "trivial" when every start
     collapses to a constant.  Raises ValueError unless T is positive and
-    finite and the well is even.
+    finite and resolved by cfg.newton_tol (see _solve_class) and the well
+    is even.
     """
     cfg = cfg or SolveConfig()
-    cls = _solve_class(cfg.symmetry, T, cfg.N, frac, well, half_wave=True)
+    cls = _solve_class(cfg.symmetry, T, cfg.N, frac, well, half_wave=True, tol=cfg.newton_tol)
     best = None
     for c, rnorm in _nonconstant_starts(cls, frac, well, cfg):
         sol = _package(cls, _normalize_sign(cls, c), rnorm, frac, well)
@@ -231,12 +232,9 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
     return _package(cls, c0, cls.l2_norm(cls.residual(c0, well)), frac, well)
 
 
-def _refine(u0: PeriodicFunction, T, frac, well, tol, max_iter):
-    """Newton on the period-T class of u0's coefficients (odd when u0 is odd,
-    else full) at truncation max(u0.N, 8); returns (class, c, residual norm)."""
-    cls = _solve_class("odd" if u0.odd else "full", T, max(u0.N, 8), frac, well)
-    c, rnorm = _newton(lambda c: cls.residual(c, well), lambda c: cls.jacobian(c, well),
-                       cls.from_function(u0), tol, max_iter, cls.l2_norm)
+def _refine(cls: _SymmetryClass, c0, well, tol, max_iter):
+    """Newton on cls from its class coefficients c0; returns (cls, c, residual norm)."""
+    c, rnorm = _newton(*cls.newton_pair(well), c0, tol, max_iter, cls.l2_norm)
     return cls, c, rnorm
 
 
@@ -244,9 +242,12 @@ def newton_refine(u0: PeriodicFunction, T, frac: FracOrder, well: DoubleWell, to
                   max_iter=MAX_NEWTON) -> SemilinearSolution:
     """Newton refinement of an approximate solution (odd inputs stay odd).
 
-    Raises ValueError unless T is positive and finite, and for an odd u0
-    unless the well is even."""
-    cls, c, rnorm = _refine(u0, T, frac, well, tol, max_iter)
+    Newton runs on the period-T class of u0 (odd when u0 is odd, else
+    full) at truncation max(u0.N, 8).  Raises ValueError unless T is
+    positive and finite and resolved by tol (see _solve_class), and for an
+    odd u0 unless the well is even."""
+    cls = _solve_class("odd" if u0.odd else "full", T, max(u0.N, 8), frac, well, tol=tol)
+    _, c, rnorm = _refine(cls, cls.from_function(u0), well, tol, max_iter)
     return _package(cls, c, rnorm, frac, well)
 
 
@@ -259,8 +260,9 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
     2 pi (-F''(0))^{-1/(2s)} up to tol, or up to one double when lo and hi
     become adjacent before tol is met.  The predicate is
     minimize_energy(T, ...).nonconstant, stopped at the first nonconstant
-    start.  Raises ValueError unless T_hi and tol are positive and finite
-    and the well is even.
+    start.  Raises ValueError unless T_hi and tol are positive and finite,
+    cfg.newton_tol resolves every period tried (see _solve_class) and the
+    well is even.
     """
     _check_period(T_hi)
     if not (tol > 0 and math.isfinite(tol)):
@@ -271,8 +273,8 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
     cfg = cfg or SolveConfig(N=32)
 
     def nonconstant_at(T):
-        starts = _nonconstant_starts(_solve_class(cfg.symmetry, T, cfg.N, frac, well, half_wave=True),
-                                     frac, well, cfg)
+        starts = _nonconstant_starts(_solve_class(cfg.symmetry, T, cfg.N, frac, well, half_wave=True,
+                                                  tol=cfg.newton_tol), frac, well, cfg)
         return next(starts, None) is not None
 
     lo, hi = bound / 4.0, T_hi

@@ -470,6 +470,7 @@ def linearization_bound(frac: FracOrder, well: DoubleWell, who=""):
 # symmetry classes: the discretized semilinear system
 
 FFT_MIN_N = 256   # below this the dense basis products beat an FFT call
+NONCONSTANT_AMPLITUDE = 1e-6   # deviation-from-mean threshold for classification
 
 
 @lru_cache(maxsize=8)   # a large_period pass uses 5 sets, a cli_suite pass 7
@@ -562,10 +563,6 @@ class _SymmetryClass:
     def linear_part(self, c):
         return self.mult * c
 
-    def nonlinear(self, c, well: DoubleWell):
-        """Class coefficients of F'(u_c)."""
-        return self.project(well.f1(self.values(c)))
-
     def residual(self, c, well: DoubleWell, k=1.0, u=None):
         """u, when given, is values(c), computed once by the caller."""
         u = self.values(c) if u is None else u
@@ -576,6 +573,22 @@ class _SymmetryClass:
         J = gram(self.symmetry, self.N, k * well.f2(u), self.half_wave)
         J.flat[:: J.shape[0] + 1] += self.mult   # the diagonal
         return J
+
+    def newton_pair(self, well: DoubleWell, k=1.0):
+        """(residual, jacobian) of _newton at coupling k, evaluating each
+        iterate on the grid once: jacobian(c) reuses the values of the last
+        residual call when handed that same array, and evaluates afresh on
+        any other."""
+        last = [None, None]   # the last residual's argument and its grid values
+
+        def residual(c):
+            last[:] = c, self.values(c)
+            return self.residual(c, well, k, last[1])
+
+        def jacobian(c):
+            return self.jacobian(c, well, k, last[1] if c is last[0] else None)
+
+        return residual, jacobian
 
     def l2_norm(self, c):
         """L^2 norm of the function with class coefficients c."""
@@ -605,13 +618,23 @@ def _check_period(T, N=0, s=0.0):
         raise ValueError(f"period T={T!r} is too small at N={N}, s={s}: (2 pi N / T)^(2s) exceeds 1e150")
 
 
-def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell, half_wave=False):
-    """The class of a semilinear solve with this well.  Raises ValueError unless
-    T passes _check_period and, in the odd and even classes, the well is even:
-    the odd class drops the even part of F'(u), and both take -u for a solution."""
+def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell, half_wave=False, tol=0.0):
+    """The class of a semilinear solve with this well and Newton tolerance tol.
+    Raises ValueError unless T passes _check_period and, in the odd and even
+    classes, the well is even: the odd class drops the even part of F'(u), and
+    both take -u for a solution.  It also rejects a period at which tol cannot
+    tell a nonconstant u from u = 0.  The class norm carries sqrt(T/2), so near
+    u = 0 a first harmonic of amplitude NONCONSTANT_AMPLITUDE has a residual of
+    norm at most sqrt(T/2) ((2 pi / T)^{2s} + |F''(0)|) NONCONSTANT_AMPLITUDE;
+    where that is <= tol, Newton accepts it, and any start near it, unmoved.
+    tol = 0, for a class that no Newton solve uses, checks nothing."""
     _check_period(T, N, frac.s)
     if symmetry != "full" and not well.even:
         raise ValueError(f"the {symmetry} class needs an even potential, got {well.label!r}")
+    first = (2.0 * math.pi / T) ** (2.0 * frac.s) + abs(float(well.f2(0.0)))
+    if math.sqrt(T / 2.0) * first * NONCONSTANT_AMPLITUDE <= tol:
+        raise ValueError(f"period T={T!r} is too small at s={frac.s} for the Newton tolerance {tol:g}: "
+                         f"it accepts a first harmonic of amplitude {NONCONSTANT_AMPLITUDE:g} as a solution")
     return _SymmetryClass(symmetry, T, N, frac, half_wave)
 
 
@@ -619,7 +642,9 @@ def _newton(residual, jacobian, z, tol, max_iter, norm):
     """Newton iteration z <- z - jacobian(z)^{-1} residual(z) until
     norm(residual(z)) <= tol; returns (z, that norm).  The one Newton loop
     of the package: the semilinear solves pass a class residual, and the
-    continuation corrector its bordered system."""
+    continuation corrector its bordered system.  Callers may rely on the
+    order of the calls: each jacobian(z) takes the very array of the latest
+    residual(z), and no z is modified in place."""
     res = residual(z)
     rnorm = norm(res)
     for _ in range(max_iter):

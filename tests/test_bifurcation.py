@@ -18,7 +18,7 @@ from fracperiodic.bifurcation import (
 )
 from fracperiodic.errors import BranchLost, NoConvergence, StepFailure
 from fracperiodic.semilinear import newton_refine
-from fracperiodic.spectral import DoubleWell, FracOrder, _SymmetryClass, frac_laplacian, gram
+from fracperiodic.spectral import DoubleWell, FracOrder, PeriodicFunction, _SymmetryClass, frac_laplacian, gram
 
 TWO_PI = 2.0 * math.pi
 
@@ -444,3 +444,145 @@ def test_t0_bound_collapse_is_branch_lost(s):
     # even 64 sub-steps from lambda near 1 to 1000 fall onto the trivial branch
     with pytest.raises(BranchLost, match="collapsed toward the trivial branch"):
         verify_T0_bound(FracOrder(s), well(), lambda_grid=[1000.0])
+
+
+# -- one grid evaluation per Newton iterate ----------------------------------
+
+
+def _count_grid_evaluations(monkeypatch):
+    """Spy on _newton in bifurcation and semilinear: for every call, record
+    (residual calls, _SymmetryClass.values calls) made inside it."""
+    values, runs = [], []
+    cls_values = _SymmetryClass.values
+
+    def counted_values(self, *args):
+        values.append(None)
+        return cls_values(self, *args)
+
+    def spied(newton):
+        def spy(residual, jacobian, z, tol, max_iter, norm):
+            calls, before = [], len(values)
+
+            def counted_residual(z):
+                calls.append(None)
+                return residual(z)
+
+            try:
+                return newton(counted_residual, jacobian, z, tol, max_iter, norm)
+            finally:
+                runs.append((len(calls), len(values) - before))
+        return spy
+
+    monkeypatch.setattr(_SymmetryClass, "values", counted_values)
+    for module in (bifurcation, semilinear):
+        monkeypatch.setattr(module, "_newton", spied(module._newton))
+    return runs
+
+
+def test_newton_iterates_are_evaluated_on_the_grid_once(monkeypatch):
+    # the corrector evaluated each iterate three times (residual, Jacobian and
+    # the G_lambda column), the fixed-lambda and refine steps twice
+    runs = _count_grid_evaluations(monkeypatch)
+    frac = FracOrder(0.5)
+    continue_branch(frac, well(), lambda_start=1.0, steps=8, ds_arc=0.05)
+    verify_T0_bound(frac, well(), lambda_grid=[1.01, 1.5], N=6)
+    u = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.8, 0.0, 0.1])
+    newton_refine(u, 8.0, frac, well())
+    newton_refine(u + PeriodicFunction.constant(8.0, 0.01), 8.0, frac, well())   # full class
+    semilinear.minimize_energy(8.0, frac, well(), semilinear.SolveConfig(N=32))
+    assert len(runs) >= 12 and sum(r for r, _ in runs) > len(runs)   # most runs take Newton steps
+    assert all(values == residuals for residuals, values in runs), runs
+
+
+def _plain_corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max_iter=30):
+    """The corrector with closures that share nothing: each call evaluates its
+    iterate afresh."""
+    def residual(z):
+        return np.append(cls.residual(z[:-1], well, z[-1] * scale), tangent @ (z - target))
+
+    def jacobian(z):
+        J = np.empty((cls.N + 1, cls.N + 1))
+        J[:-1, :-1] = cls.jacobian(z[:-1], well, z[-1] * scale)
+        J[:-1, -1] = scale * cls.project(well.f1(cls.values(z[:-1])))
+        J[-1] = tangent
+        return J
+
+    def norm(r):
+        return cls.l2_norm(r[:-1]) if abs(r[-1]) <= 1e-12 else math.inf
+
+    return semilinear._newton(residual, jacobian, z, tol, max_iter, norm)[0]
+
+
+def _plain_pair(self, well, k=1.0):
+    return (lambda c: self.residual(c, well, k)), (lambda c: self.jacobian(c, well, k))
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def _outputs(frac, wl):
+    br = continue_branch(frac, wl, lambda_start=1.0, steps=12, ds_arc=0.1)
+    out = _bits(*[v for p in br.points for v in (p.lam, p.amplitude, p.residual, p.sigma_min, p.u.sin_coeffs)])
+    if wl.label == "quartic":   # the subcritical branch turns back below lambda = 1
+        rep = verify_T0_bound(frac, wl, lambda_grid=[1.01, 1.2, 1.6], N=6)
+        out += _bits(*[v for e in rep.entries for v in (e.amplitude, e.residual_rescaled)])
+    for sym in ("odd", "even"):
+        sol = semilinear.minimize_energy(8.0, frac, wl, semilinear.SolveConfig(symmetry=sym, N=32))
+        ref = newton_refine(sol.u + PeriodicFunction.from_modes(8.0, [0.0, 0.0, 0.01]), 8.0, frac, wl)
+        out += _bits(sol.u.cos_coeffs, sol.u.sin_coeffs, sol.residual, ref.u.sin_coeffs, ref.residual)
+    return out
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_shared_newton_closures_match_plain_ones_bit_for_bit(monkeypatch, s):
+    subcritical = DoubleWell.from_poly([0.5, 0.0, -0.5, 0.0, -0.5, 0.0, 0.5])
+    shared = [_outputs(FracOrder(s), wl) for wl in (well(), subcritical)]
+    monkeypatch.setattr(bifurcation, "_corrector", _plain_corrector)
+    monkeypatch.setattr(_SymmetryClass, "newton_pair", _plain_pair)
+    assert shared == [_outputs(FracOrder(s), wl) for wl in (well(), subcritical)]
+
+
+def test_newton_closures_on_another_array_are_not_stale(monkeypatch):
+    # _newton hands jacobian the array of the latest residual call; handed
+    # any other array, the closures evaluate it afresh
+    frac, k = FracOrder(0.5), 0.7
+    cls = _SymmetryClass("odd", TWO_PI, 12, frac)
+    z1, z2 = (np.random.default_rng(seed).uniform(-0.3, 0.3, cls.N + 1) for seed in (1, 2))
+    z1[-1] = z2[-1] = 1.2
+    residual, jacobian = cls.newton_pair(well(), k)
+    residual(z1[:-1])
+    assert np.array_equal(jacobian(z2[:-1]), cls.jacobian(z2[:-1], well(), k))
+    assert np.array_equal(jacobian(z1[:-1].copy()), cls.jacobian(z1[:-1], well(), k))
+
+    pairs = []
+    newton = bifurcation._newton
+
+    def spy(residual, jacobian, z, tol, max_iter, norm):
+        pairs.append((residual, jacobian))
+        return newton(residual, jacobian, z, tol, max_iter, norm)
+
+    monkeypatch.setattr(bifurcation, "_newton", spy)
+    tangent = np.zeros(cls.N + 1)
+    tangent[0] = 1.0
+    _corrector(cls, well(), k, z1, tangent, z1)
+    residual, jacobian = pairs[0]   # the corrector's bordered system, scale k
+    residual(z1)
+    J = jacobian(z2)
+    assert np.array_equal(J[:-1, :-1], cls.jacobian(z2[:-1], well(), z2[-1] * k))
+    assert np.array_equal(J[:-1, -1], k * cls.project(well().f1(cls.values(z2[:-1]))))
+
+
+@pytest.mark.parametrize("N", [6, 7])
+def test_t0_refine_runs_at_truncation_8_below_it(monkeypatch, N):
+    refined = []
+    refine = bifurcation._refine
+
+    def spy(*args):
+        refined.append(refine(*args))
+        return refined[-1]
+
+    monkeypatch.setattr(bifurcation, "_refine", spy)
+    rep = verify_T0_bound(FracOrder(0.5), well(), lambda_grid=[1.01, 1.5], N=N)
+    assert len(refined) == len(rep.entries) == 2
+    assert all(cls.N == 8 and c.size == 8 for cls, c, _ in refined)

@@ -606,3 +606,38 @@ def test_negative_truncation_and_non_finite_shift_are_usage_errors(tmp_path, cap
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and msg in err, argv
+
+
+@pytest.mark.parametrize("extra", [[], ["--nx", "5", "--ny", "7"]])
+def test_modica_csv_is_the_write_csv_text_of_its_rows(tmp_path, monkeypatch, extra):
+    # each x and y is formatted once; the text is what _write_csv makes of the
+    # rows (x, y, v_hat) with y outer, byte for byte
+    from fracperiodic import cli, diagnostics
+
+    reports = []
+    check = diagnostics.modica_check
+
+    def spy(*args, **kwargs):
+        reports.append(check(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(diagnostics, "modica_check", spy)
+    out, ref = tmp_path / "modica.csv", tmp_path / "ref.csv"
+    assert run(["modica", "--s", "0.5", "--T", "8.05", *extra, "--out", str(out)]) == 0
+    rep = reports[0]
+    rows = np.column_stack((np.tile(rep.x, rep.y.size), np.repeat(rep.y, rep.x.size), rep.v_hat.ravel()))
+    cli._write_csv(str(ref), ["x", "y", "v_hat"], rows.tolist())
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_period_below_the_newton_resolution_is_usage_error(tmp_path, capsys):
+    # at s = 0.2 the class norm of a first harmonic shrinks like T^0.1: at
+    # T = 1e-100 this exited 0 with classification=nonconstant and the first
+    # start, amplitude 0.2, unmoved at residual 2.9e-11
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--s", "0.2", "--T", "1e-100", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("usage error: period T=1e-100 is too small at s=0.2 "
+                                              "for the Newton tolerance 1e-10")
+    assert run(["solve", "--s", "0.2", "--T", "1e-30", "--out", str(out)]) == 0
+    assert "classification=trivial" in capsys.readouterr().err

@@ -624,3 +624,23 @@ def test_newton_refine_rejects_a_non_even_well_only_on_odd_input():
     # the full class holds the solutions of any well
     full = PeriodicFunction(T=8.0, sin_coeffs=odd.sin_coeffs, cos_coeffs=odd.cos_coeffs)
     assert newton_refine(full, 8.0, frac, SKEW).residual <= 1e-10
+
+
+def test_period_below_the_newton_resolution_is_rejected():
+    # the class norm carries sqrt(T/2): where a first harmonic of the smallest
+    # nonconstant amplitude has a residual below the Newton tolerance, no
+    # route solves, and just inside the bound the tolerance still sees it
+    frac, amp = FracOrder(0.2), semilinear.NONCONSTANT_AMPLITUDE
+    match = r"period T=1e-100 is too small at s=0.2 for the Newton tolerance 1e-10"
+    with pytest.raises(ValueError, match=match):
+        minimize_energy(1e-100, frac, well())
+    with pytest.raises(ValueError, match=match):
+        newton_refine(PeriodicFunction.from_modes(1e-100, [0.2]), 1e-100, frac, well())
+    with pytest.raises(ValueError, match="for the Newton tolerance 0.001"):
+        find_min_period(FracOrder(0.5), well(), 8.0, cfg=SolveConfig(N=32, newton_tol=1e-3))
+    for T, accepted in ((1e-100, True), (1e-42, True), (1e-30, False)):
+        cls = semilinear._SymmetryClass("odd", T, 64, frac, half_wave=True)
+        c = np.zeros_like(cls.mult)
+        c[0] = amp
+        assert (cls.l2_norm(cls.residual(c, well())) <= 1e-10) == accepted, T
+    assert not minimize_energy(1e-30, frac, well()).nonconstant
