@@ -251,7 +251,11 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     T.  Raises ValueError unless the well is even, lambda_grid holds one
     or more values, each finite and above 1 (the first pitchfork), and every
     T(lambda) is positive and finite (s too small overflows it), and
-    BranchLost when the branch collapses or a refined amplitude reaches 1."""
+    BranchLost when the branch collapses or a refined amplitude reaches 1.
+    Only a supercritical branch, one that leaves lambda = 1 toward
+    lambda > 1, is followed: a subcritical one (its first point lies at
+    lambda <= 1, as for the well poly:0.5,0,-0.5,0,-0.5,0,0.5) is a
+    ValueError."""
     if lambda_grid is None:
         lambda_grid = np.concatenate([[1.001, 1.003, 1.01, 1.03], np.arange(1.1, 4.01, 0.1)])
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
@@ -269,6 +273,9 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
 
     z = _first_point(cls, well, scale, 1.0, eps=1e-2)
     a, lam = z[:-1], float(z[-1])
+    if not lam > 1.0:
+        raise ValueError(f"the branch leaves lambda = 1 toward lambda < 1 (subcritical: its first point "
+                         f"is at lambda = {lam:.6g}); verify_T0_bound follows supercritical branches only")
 
     def advance(a, lam, lam_new):
         # predictor follows the pitchfork scaling amp ~ sqrt(lambda - 1) so

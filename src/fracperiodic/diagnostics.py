@@ -74,11 +74,12 @@ def _squared_fields(field: ExtensionField, x, y_plus, y_minus):
 
     U_x = sum_m J_m(y) omega_m [a_m cos - b_m sin] and y^a U_y = sum_m
     psi_m(y) [a_m sin + b_m cos] with psi_m = y^a J_m', so a whole node batch
-    takes one profile table and one matmul per factor.
+    takes one profile table and one matmul per factor; both run over the
+    field's support, the modes with a nonzero coefficient.
     """
-    sin, cos, (a, b), (a_x, b_x) = field.base._modes(x)
-    ux2 = None if y_plus is None else (field.profile_table(y_plus) @ (sin * a_x + cos * b_x).T) ** 2
-    return ux2, (field.profile_table(y_minus, "weighted_deriv") @ (sin * a + cos * b).T) ** 2
+    sin, cos, (a, b), (a_x, b_x) = field._modes(x)
+    ux2 = None if y_plus is None else (field._table(y_plus) @ (sin * a_x + cos * b_x).T) ** 2
+    return ux2, (field._table(y_minus, "weighted_deriv") @ (sin * a + cos * b).T) ** 2
 
 
 def hamiltonian_check(u, frac: FracOrder, well: DoubleWell, n_samples=64,

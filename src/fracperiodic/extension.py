@@ -18,7 +18,7 @@ additionally exposes analytic x/y derivatives for the diagnostics module.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,9 +53,11 @@ def _horner(c, x):
     return out
 
 
+@lru_cache(maxsize=256)
 def _kv_chebyshev(nu):
     """Chebyshev coefficients of e^t sqrt(t) K_nu(t) in xi = 4/t - 1, which
-    maps t in [2, inf) onto (-1, 1] (Trefethen, ATAP ch. 3 and 19).
+    maps t in [2, inf) onto (-1, 1] (Trefethen, ATAP ch. 3 and 19), cached
+    per order as a read-only array.
 
     The data at the Chebyshev points come from e^t K_nu(t) =
     int_0^U exp(-2 t sinh^2(u/2)) cosh(nu u) du, U = acosh(1 + 40/t): the
@@ -70,6 +72,7 @@ def _kv_chebyshev(nu):
     vals = np.trapezoid(f, u, axis=1) * np.sqrt(t)
     c = (2.0 / n) * (np.cos(np.outer(np.arange(n), theta)) @ vals)
     c[0] *= 0.5
+    c.flags.writeable = False
     return c
 
 
@@ -328,8 +331,14 @@ class ExtensionField:
     # -- evaluation --------------------------------------------------------
 
     @cached_property
+    def _support(self):
+        """The modes m with a_m != 0 or b_m != 0, the only ones the modal sums read."""
+        u = self.base
+        return np.flatnonzero((u.sin_coeffs != 0.0) | (u.cos_coeffs[1:] != 0.0)) + 1
+
+    @cached_property
     def _profile(self):
-        return BesselProfile(omega=self.base.omega * np.arange(1, self.base.N + 1), frac=self.frac)
+        return BesselProfile(omega=self.base.omega * self._support, frac=self.frac)
 
     def profile_table(self, y, kind="value"):
         """(..., N) table of J_m(y), J_m'(y) or y^a J_m'(y) for m = 1..N: the
@@ -337,13 +346,22 @@ class ExtensionField:
         BesselProfile over all omega_m."""
         if kind not in ("value", "deriv", "weighted_deriv"):
             raise ValueError(f"unknown profile kind {kind!r}")
+        every_mode = BesselProfile(omega=self.base.omega * np.arange(1, self.base.N + 1), frac=self.frac)
+        return getattr(every_mode, kind)(y)
+
+    def _table(self, y, kind="value"):
+        """The columns of profile_table(y, kind) at the support's modes."""
         return getattr(self._profile, kind)(y)
 
+    def _modes(self, x):
+        """base._modes(x) at the support's modes."""
+        return self.base._modes(x, self._support)
+
     def _modal(self, x, damp, dx=False):
-        """sum_m damp_m [a_m sin + b_m cos](omega m x) for a (..., N) table of
-        per-mode damping factors (J_m(y), a derivative, or c_m(y)), or its
-        x-derivative."""
-        sin, cos, weights, weights_dx = self.base._modes(x)
+        """sum_m damp_m [a_m sin + b_m cos](omega m x) over the support for a
+        (..., len(support)) table of per-mode damping factors (J_m(y), a
+        derivative, or c_m(y)), or its x-derivative."""
+        sin, cos, weights, weights_dx = self._modes(x)
         a, b = weights_dx if dx else weights
         return (sin * damp) @ a + (cos * damp) @ b
 
@@ -351,28 +369,28 @@ class ExtensionField:
         x, y = _points(x, y)
         if self.method == "poisson-convolution":
             return self._poisson_value(x, y)
-        return self.base.cos_coeffs[0] + self._modal(x, self.profile_table(y))
+        return self.base.cos_coeffs[0] + self._modal(x, self._table(y))
 
     def dx(self, x, y):
         x, y = self._derivative_points(x, y)
-        return self._modal(x, self.profile_table(y), dx=True)
+        return self._modal(x, self._table(y), dx=True)
 
     def dy(self, x, y):
         x, y = self._derivative_points(x, y)
         zero = y == 0
         if self.frac.s >= 0.5 or not np.any(zero):
-            return self._modal(x, self.profile_table(y, "deriv"))
+            return self._modal(x, self._table(y, "deriv"))
         # s < 1/2: U_y = y^{-a} (y^a U_y) is infinite at y = 0 with the sign of
         # y^a U_y, and 0 where that limit vanishes
         w = self.weighted_dy(x, y)
         edge = np.where(w == 0, 0.0, np.copysign(np.inf, w))
-        inner = self._modal(x, self.profile_table(np.where(zero, 1.0, y), "deriv"))
+        inner = self._modal(x, self._table(np.where(zero, 1.0, y), "deriv"))
         return np.where(zero, edge, inner)[()]
 
     def weighted_dy(self, x, y):
         """y^a dU/dy, evaluated without cancellation down to y = 0."""
         x, y = self._derivative_points(x, y)
-        return self._modal(x, self.profile_table(y, "weighted_deriv"))
+        return self._modal(x, self._table(y, "weighted_deriv"))
 
     def _derivative_points(self, x, y):
         if self.method != "bessel-series":
@@ -389,7 +407,7 @@ class ExtensionField:
         levels, inverse = np.unique(y, return_inverse=True)
         c = np.array([_poisson_cosine_coeffs(self.frac, u.T, u.N, yk) if yk else np.ones(u.N + 1)
                       for yk in levels])[inverse.reshape(y.shape)]
-        return u.cos_coeffs[0] * c[..., 0] + self._modal(x, c[..., 1:])
+        return u.cos_coeffs[0] * c[..., 0] + self._modal(x, c[..., self._support])
 
 
 def extend_bessel(u: PeriodicFunction, frac: FracOrder, y_max=None) -> ExtensionField:
@@ -464,8 +482,8 @@ def extension_energy(field: ExtensionField):
 
     Mode orthogonality in x reduces the integral to the universal profile
     integral int_0^{t_m} [t^a phi^2 + t^{-a} psi^2] dt (psi = t^a phi') per
-    mode, t_m = min(omega_m y_max, 40); one pair of Jacobi rules on (0, 1)
-    serves every mode.  Equals (1/d_s) <u, (-d_xx)^s u> up to
+    mode of nonzero power, t_m = min(omega_m y_max, 40); one pair of Jacobi
+    rules on (0, 1) serves every mode.  Equals (1/d_s) <u, (-d_xx)^s u> up to
     quadrature error.  Raises TailNotConverged unless omega_1 * y_max >= 15,
     where the exponential tail beyond the field's y_max is negligible.
     """
@@ -476,7 +494,8 @@ def extension_energy(field: ExtensionField):
     if om1 * y_max < 15.0:
         raise TailNotConverged(f"omega_1 * y_max = {om1 * y_max:.2f} < 15: y_max cuts the tail too early")
     power = u.sin_coeffs**2 + u.cos_coeffs[1:] ** 2
-    om = u.omega * np.arange(1, u.N + 1)
+    m = np.flatnonzero(power) + 1   # a mode of zero power adds nothing
+    power, om = power[m - 1], u.omega * m
     t_max = np.minimum(om * y_max, 40.0)
     unit = YQuadrature(y_max=1.0, a=frac.a, n=_ENERGY_NODES)   # rescaled per mode
     phi = BesselProfile(omega=1.0, frac=frac)

@@ -270,13 +270,18 @@ class PeriodicFunction:
         """Values at the M equispaced points x_j = j T / M, j = 0..M-1."""
         return grid_synthesis(M, self.cos_coeffs, self.sin_coeffs)
 
-    def _modes(self, x):
-        """sin and cos of omega m x at m = 1..N, of shape x.shape + (N,), and
-        the weights on them of u - b_0 and of u': u = b_0 + sin @ a + cos @ b
-        and u' = sin @ (-omega m b) + cos @ (omega m a)."""
-        m = np.arange(1, self.N + 1)
+    def _modes(self, x, m=None):
+        """sin and cos of omega m x at m = 1..N (or at the modes of the int
+        array m), of shape x.shape + (len(m),), and the weights on them of
+        u - b_0 and of u': u = b_0 + sin @ a + cos @ b and
+        u' = sin @ (-omega m b) + cos @ (omega m a) when m covers every
+        nonzero mode."""
+        if m is None:
+            m, a, b = np.arange(1, self.N + 1), self.sin_coeffs, self.cos_coeffs[1:]
+        else:
+            a, b = self.sin_coeffs[m - 1], self.cos_coeffs[m]
         phase = np.multiply.outer(np.asarray(x, dtype=float), m) * self.omega
-        a, b, om = self.sin_coeffs, self.cos_coeffs[1:], self.omega * m
+        om = self.omega * m
         return np.sin(phase), np.cos(phase), (a, b), (-om * b, om * a)
 
     def __call__(self, x):
@@ -720,8 +725,14 @@ def _gauss_jacobi_01(n, beta):
     eigenvalues of the Jacobi matrix, polished by one Newton step on the
     three-term recurrence of the orthonormal polynomials p_k, and the
     weights are the Christoffel numbers 1 / sum_{k<n} p_k^2 at the polished
-    nodes (Hale & Townsend, SISC 2013).
+    nodes (Hale & Townsend, SISC 2013).  Raises ValueError unless
+    2 + beta > 1 in floating point, where the first off-diagonal entry
+    would divide by sqrt(c^2 - 1) = 0; the extension's y^-a rule, with
+    beta = 2s - 1, gets there for s up to about 6e-17.
     """
+    if not 2.0 + beta > 1.0:
+        raise ValueError(f"Gauss-Jacobi weight r^beta needs 2 + beta > 1 in floating point, got "
+                         f"beta = {beta!r} (the y^-a rule of the extension has beta = 2s - 1: s is too small)")
     k = np.arange(1.0, n + 1.0)
     c = 2.0 * k + beta
     diag = np.concatenate(([beta / (beta + 2.0)], beta * beta / (c[:-1] * (c[:-1] + 2.0))))

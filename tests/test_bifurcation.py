@@ -586,3 +586,15 @@ def test_t0_refine_runs_at_truncation_8_below_it(monkeypatch, N):
     rep = verify_T0_bound(FracOrder(0.5), well(), lambda_grid=[1.01, 1.5], N=N)
     assert len(refined) == len(rep.entries) == 2
     assert all(cls.N == 8 and c.size == 8 for cls, c, _ in refined)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_t0_bound_on_a_subcritical_well_is_a_value_error(s):
+    # the branch leaves lambda = 1 toward lambda < 1: the pitchfork predictor
+    # took math.sqrt of a negative ratio and failed with "math domain error"
+    subcritical = DoubleWell.from_poly([0.5, 0.0, -0.5, 0.0, -0.5, 0.0, 0.5])
+    assert classify_criticality(FracOrder(s), subcritical, 1) == "subcritical"
+    with pytest.raises(ValueError, match=r"^the branch leaves lambda = 1 toward lambda < 1 \(subcritical: "
+                                         r"its first point is at lambda = 0\.99\d+\); verify_T0_bound follows "
+                                         r"supercritical branches only$"):
+        verify_T0_bound(FracOrder(s), subcritical)

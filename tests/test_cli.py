@@ -641,3 +641,24 @@ def test_period_below_the_newton_resolution_is_usage_error(tmp_path, capsys):
                                               "for the Newton tolerance 1e-10")
     assert run(["solve", "--s", "0.2", "--T", "1e-30", "--out", str(out)]) == 0
     assert "classification=trivial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["hamiltonian", "modica"])
+@pytest.mark.parametrize("s", ["1e-300", "6e-17"])
+def test_certificate_at_a_vanishing_order_is_usage_error(tmp_path, capsys, cmd, s):
+    # beta = 2s - 1 of the y^-a rule rounds to 2 + beta = 1: this failed as
+    # "usage error: Eigenvalues did not converge" after a RuntimeWarning at
+    # 1e-300, and exited 0 with nan in the output at 6e-17
+    out = tmp_path / "out.csv"
+    assert run([cmd, "--s", s, "--T", "8", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("usage error: Gauss-Jacobi weight r^beta needs 2 + beta > 1")
+
+
+def test_t0_bound_on_a_subcritical_well_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "t0.csv"
+    argv = ["t0-bound", "--s", "0.5", "--potential", "poly:0.5,0,-0.5,0,-0.5,0,0.5", "--out", str(out)]
+    assert run(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("usage error: the branch leaves lambda = 1 toward lambda < 1 "
+                                              "(subcritical")

@@ -15,7 +15,7 @@ from fracperiodic.diagnostics import (
     test_function_bound as competitor_bound,
 )
 from fracperiodic.errors import IdentityViolation, QuadratureNonConvergence
-from fracperiodic.extension import YQuadrature, extend_bessel
+from fracperiodic.extension import YQuadrature, extend_bessel, extension_energy
 from fracperiodic.semilinear import SolveConfig, minimize_energy
 from fracperiodic.spectral import DoubleWell, FracOrder, PeriodicFunction
 
@@ -272,3 +272,41 @@ def test_bound_rejects_a_layer_below_the_grid(s):
     for d in (8.0 / 129, 1e-200, 0.0, math.nan):
         with pytest.raises(ValueError, match="layer width d must lie in"):
             competitor_bound(FracOrder(s), 8.0, d, well())
+
+
+@pytest.mark.parametrize("symmetry", ["odd", "even"])
+def test_certificates_tabulate_only_the_modes_of_the_trace(monkeypatch, symmetry):
+    # a half-wave solution carries the odd harmonics only: the Bessel tables
+    # of the certificates and of the energy have N/2 mode columns, not N
+    from fracperiodic import extension
+
+    sol = solved(symmetry=symmetry, N=48)
+    u = sol.u
+    assert np.count_nonzero(u.sin_coeffs) + np.count_nonzero(u.cos_coeffs[1:]) == 24
+    shapes = []
+    for name in ("value", "weighted_deriv"):
+        original = getattr(extension._Profile, name)
+
+        def spy(self, t, original=original):
+            shapes.append(np.shape(t))
+            return original(self, t)
+
+        monkeypatch.setattr(extension._Profile, name, spy)
+    frac = FracOrder(0.5)
+    hamiltonian_check(sol, frac, well())
+    modica_check(sol, frac, well(), nx=16, ny=8)
+    assert shapes and all(shape[-1] == 24 for shape in shapes)
+    shapes.clear()
+    extension_energy(extend_bessel(u, frac))
+    assert shapes and all(shape[0] == 24 for shape in shapes)   # (mode, node) tables
+
+
+@pytest.mark.parametrize("s", [1e-300, 6e-17])
+def test_certificates_at_a_vanishing_order_raise(s):
+    # beta = 2s - 1 of the y^-a rule rounds to 2 + beta = 1: the Jacobi matrix
+    # divided by zero and the eigensolve failed after a RuntimeWarning
+    u = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.6], cos_coeffs=None)
+    for check in (hamiltonian_check, modica_check):
+        with pytest.raises(ValueError, match=r"2 \+ beta > 1 .* got beta = -(1\.0|0\.9999999999999999) "):
+            check(u, FracOrder(s), well(), tol=np.inf)
+    assert np.isfinite(hamiltonian_check(u, FracOrder(1e-16), well(), tol=np.inf).c_t)

@@ -620,3 +620,83 @@ def test_extend_bessel_rejects_bad_y_max(y_max):
     u = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[1.0])
     with pytest.raises(ValueError, match="y_max must be positive and finite"):
         extend_bessel(u, FracOrder(0.4), y_max=y_max)
+
+
+# -- support of the trace ----------------------------------------------------
+
+
+def every_third_mode_zero():
+    u = random_function(np.random.default_rng(17), T=7.3, N=24)
+    a, b = u.sin_coeffs.copy(), u.cos_coeffs.copy()
+    a[2::3] = b[3::3] = 0.0   # modes 3, 6, .., 24
+    return PeriodicFunction(T=u.T, sin_coeffs=a, cos_coeffs=b)
+
+
+def half_wave_solution():
+    from fracperiodic.semilinear import SolveConfig, minimize_energy
+    from fracperiodic.spectral import DoubleWell
+
+    return minimize_energy(8.0, FracOrder(0.5), DoubleWell.quartic(), SolveConfig(symmetry="even", N=48)).u
+
+
+def per_mode_energy(field):
+    """extension_energy summed over the one-mode traces of the field."""
+    u, total = field.base, 0.0
+    for m in range(1, u.N + 1):
+        a, b = np.zeros(u.N), np.zeros(u.N + 1)
+        a[m - 1], b[m] = u.sin_coeffs[m - 1], u.cos_coeffs[m]
+        mode = PeriodicFunction(T=u.T, sin_coeffs=a, cos_coeffs=b)
+        total += extension_energy(extend_bessel(mode, field.frac, y_max=field.y_max))
+    return total
+
+
+@pytest.mark.parametrize("trace", [every_third_mode_zero, half_wave_solution])
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_fields_on_the_support_match_per_mode_sums(trace, s):
+    u = trace()
+    field = extend_bessel(u, FracOrder(s))
+    assert field._support.size < u.N
+    x = np.linspace(0.0, u.T, 11)[:, None]
+    y = np.array([0.0, 1e-4, 0.05, 0.4, 1.0, 3.0, 30.0])
+    for name in ("value", "dx", "dy", "weighted_dy"):
+        ys = y[1:] if name == "dy" else y   # the reference's zero-mode terms are 0 * inf at y = 0
+        got = getattr(field, name)(x, ys[None, :])
+        ref = per_mode_field(field, name, x, ys[None, :])
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+    ref = per_mode_energy(field)
+    assert abs(extension_energy(field) - ref) <= 1e-13 * ref
+    # the public table keeps a column for every mode, zero-coefficient ones included
+    for kind in ("value", "deriv", "weighted_deriv"):
+        table = field.profile_table(y, kind)
+        assert table.shape == (y.size, u.N)
+        for m in range(1, u.N + 1):
+            ref = getattr(BesselProfile(omega=u.omega * m, frac=field.frac), kind)(y)
+            np.testing.assert_allclose(table[:, m - 1], ref, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_trace_without_modes_extends_to_its_mean(s):
+    u = PeriodicFunction(T=5.0, sin_coeffs=np.zeros(6), cos_coeffs=np.concatenate(([0.7], np.zeros(6))))
+    field = extend_bessel(u, FracOrder(s))
+    x, y = np.linspace(0.0, 5.0, 4)[:, None], np.array([0.0, 0.3, 2.0])[None, :]
+    assert np.array_equal(field.value(x, y), np.full((4, 3), 0.7))
+    for name in ("dx", "dy", "weighted_dy"):
+        got = getattr(field, name)(x, y)
+        assert got.shape == (4, 3) and np.all(got == 0.0)
+    assert field.value(1.0, 0.5) == 0.7 and field.dy(1.0, 0.0) == 0.0
+    assert extension_energy(field) == 0.0
+
+
+def test_kv_tables_are_built_once_per_order():
+    extension._kv_chebyshev.cache_clear()
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        field = extend_bessel(random_function(rng, N=8), FracOrder(0.35))
+        field.value(0.4, 3.0), field.weighted_dy(0.4, 3.0)
+        extension_energy(field)
+    assert extension._kv_chebyshev.cache_info().misses == 2   # K_s and K_{1-s}
+    for nu in (0.35, 0.65):
+        cheb = extension._kv_chebyshev(nu)
+        assert not cheb.flags.writeable
+        with pytest.raises(ValueError):
+            cheb[0] = 0.0

@@ -377,3 +377,17 @@ def test_newton_step_that_is_not_finite():
     # a nonzero but tiny pivot: the step 1 / 1e-310 overflows to inf
     with pytest.raises(SingularJacobian, match="Newton step is not finite"):
         _newton(lambda z: z - 1.0, lambda z: np.array([[1e-310]]), np.zeros(1), 1e-10, 5, np.linalg.norm)
+
+
+@pytest.mark.parametrize("beta", [-1.0, 2.0 * 6e-17 - 1.0, -1.5, math.nan])
+def test_gauss_jacobi_rule_rejects_a_weight_not_integrable_in_floating_point(beta):
+    # 2 + beta rounds to 1 (or below; 2 * 1e-300 - 1 is -1.0 exactly): the
+    # first off-diagonal entry of the Jacobi matrix divides by sqrt(c^2 - 1) = 0
+    with pytest.raises(ValueError, match=f"got beta = {beta!r}"):
+        _gauss_jacobi_01(16, beta)
+
+
+def test_gauss_jacobi_rule_just_above_the_limit():
+    beta = 2.0 * 1e-16 - 1.0   # 2 + beta = 1 + eps
+    r, w = _gauss_jacobi_01(16, beta)
+    assert np.all(np.isfinite(r)) and np.all(np.isfinite(w)) and np.all(w > 0.0)
