@@ -1,0 +1,41 @@
+#!/usr/bin/env bash
+# The CLI contract that both CI jobs check: every demo under -W error,
+# --help, the exit codes of the hostile inputs and the README's examples.
+# Run from the repository root with the fracperiodic console script on PATH
+# (RUNNER_TEMP names a scratch directory, as on GitHub Actions).
+set -eo pipefail
+
+for demo in demos/*.py; do
+  echo "== $demo"
+  python -W error "$demo"
+done
+fracperiodic --help
+# a period whose top multiplier (2 pi N / T)^(2s) overflows the class norms is a usage error
+code=0; PYTHONWARNINGS=error fracperiodic solve --s 0.5 --T 1e-300 || code=$?
+test "$code" -eq 2
+# so is a certificate whose squared top frequency (2 pi N / T)^2 overflows U_x^2
+for cmd in hamiltonian modica; do
+  code=0; PYTHONWARNINGS=error fracperiodic "$cmd" --s 0.1 --T 1e-300 || code=$?
+  test "$code" -eq 2
+done
+# a refined t0-bound amplitude that reaches the wells loses the branch
+code=0; PYTHONWARNINGS=error fracperiodic t0-bound --s 0.5 --lambda-grid 100 || code=$?
+test "$code" -eq 1
+# a period at which the Newton tolerance accepts a nonconstant start unmoved is a usage error
+code=0; PYTHONWARNINGS=error fracperiodic solve --s 0.2 --T 1e-100 || code=$?
+test "$code" -eq 2
+# an order so small that the extension's y^-a Jacobi rule has 2 + beta = 1 is a usage error
+for cmd in hamiltonian modica; do
+  code=0; PYTHONWARNINGS=error fracperiodic "$cmd" --s 1e-300 --T 8 || code=$?
+  test "$code" -eq 2
+done
+# so is one at which p = 1 + 2s of the image kernel's zeta(p, q) rounds to 1
+code=0; PYTHONWARNINGS=error fracperiodic test-bound --s 1e-300 --T 8 || code=$?
+test "$code" -eq 2
+# so is a t0-bound whose branch is subcritical
+code=0; PYTHONWARNINGS=error fracperiodic t0-bound --s 0.5 --potential poly:0.5,0,-0.5,0,-0.5,0,0.5 || code=$?
+test "$code" -eq 2
+# the README's examples, through the console script, in a scratch directory
+grep '^fracperiodic ' README.md > "$RUNNER_TEMP/readme_examples.sh"
+cd "$(mktemp -d)"
+PYTHONWARNINGS=error bash -ex "$RUNNER_TEMP/readme_examples.sh"

@@ -22,8 +22,6 @@ from .spectral import (
     PeriodicFunction,
     _newton,
     _solve_class,
-    _SymmetryClass,
-    gram,
     linearization_bound,
     unstable_curvature,
 )
@@ -87,38 +85,32 @@ def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max):
     """Values of lambda where the linearization at the trivial branch is
     singular in the odd 2 pi class, ascending, at most m_max of them.
 
-    G_u(lambda, 0) = D + lambda B with D = diag(lambda_m) > 0 and
-    B = gram(F''(0)) / -F''(0), so the singular lambda are the eigenvalues of
-    the symmetric-definite pencil D v = lambda (-B) v (-B is positive definite
-    because F''(0) < 0): lambda = 1 / mu for the eigenvalues mu of the scaled
-    D^{-1/2} (-B) D^{-1/2}, at truncation N = max(DEFAULT_N, m_max + 8)."""
-    N = max(DEFAULT_N, m_max + 8)
-    scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
-    cls = _SymmetryClass("odd", 2.0 * math.pi, N, frac)
-    B = scale * gram("odd", N, well.f2(cls.values(np.zeros(N))))
-    d = 1.0 / np.sqrt(cls.mult)
-    mu = np.linalg.eigvalsh(-B * np.outer(d, d))   # positive and ascending, so lambda = 1 / mu descends
-    return [float(1.0 / v) for v in mu[::-1][:m_max]]
+    G_u(lambda, 0) = D + lambda (F''(0) / -F''(0)) I = D - lambda I with
+    D = diag(m^{2s}), since gram of the constant F''(0) is F''(0) I: the
+    singular lambda are m^{2s}, m = 1..m_max.  Raises ValueError unless
+    F''(0) < 0."""
+    unstable_curvature(well, "bifurcation analysis")
+    return [float(m) ** (2.0 * frac.s) for m in range(1, m_max + 1)]
 
 
-def _corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max_iter=30):
+def _corrector(cls, well, scale, z, tangent, target, max_iter=30):
     """Newton on the bordered system [G(a, lambda); tangent . (z - target)]
     for z = (a, lambda), where G is the odd-class residual with coupling
-    lambda * scale.  Converged when |G| <= tol and the arclength row is
-    below 1e-12.  Each iterate is evaluated on the grid, and F'(u) projected,
-    once: the Jacobian of the residual's last z reuses both."""
-    last = [None, None, None]   # z, values(a) and the coefficients of F'(u) of the last residual
+    lambda * scale.  Converged when |G| <= RESIDUAL_TOL and the arclength
+    row is below 1e-12.  The Jacobian of the residual's last z reuses the
+    view a = z[:-1] that the class evaluated and the projection of F'(u)."""
+    last = [None, None, None]   # z, its view a and the coefficients of F'(u) of the last residual
 
     def residual(z):
-        u = cls.values(z[:-1])
-        last[:] = z, u, cls.project(well.f1(u))
-        return np.append(cls.linear_part(z[:-1]) + z[-1] * scale * last[2], tangent @ (z - target))
+        a = z[:-1]
+        last[:] = z, a, cls.project(well.f1(cls.values(a)))
+        return np.append(cls.linear_part(a) + z[-1] * scale * last[2], tangent @ (z - target))
 
     def jacobian(z):   # [[G_u, G_lambda]; tangent]
         if z is not last[0]:
             residual(z)
         J = np.empty((cls.N + 1, cls.N + 1))
-        J[:-1, :-1] = cls.jacobian(z[:-1], well, z[-1] * scale, last[1])
+        J[:-1, :-1] = cls.jacobian(last[1], well, z[-1] * scale)
         J[:-1, -1] = scale * last[2]
         J[-1] = tangent
         return J
@@ -126,7 +118,7 @@ def _corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max_iter=
     def norm(r):
         return cls.l2_norm(r[:-1]) if abs(r[-1]) <= 1e-12 else math.inf
 
-    return _newton(residual, jacobian, z, tol, max_iter, norm)[0]
+    return _newton(residual, jacobian, z, RESIDUAL_TOL, max_iter, norm)[0]
 
 
 def _first_point(cls, well, scale, lam_b, eps=1e-3):
@@ -162,10 +154,10 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
         a, lam = z[:-1], float(z[-1])
         if a[np.argmax(np.abs(a))] < 0:
             a = -a  # odd-class sign normalization <u, sin m x> >= 0
-        u, vals = cls.to_function(a), cls.values(a)
-        G_u = cls.jacobian(a, well, lam * scale, vals)   # symmetric: sigma_min is its smallest |eigenvalue|
+        u = cls.to_function(a)
+        G_u = cls.jacobian(a, well, lam * scale)   # symmetric: sigma_min is its smallest |eigenvalue|
         return BranchPoint(lam=lam, u=u, amplitude=u.amplitude(),
-                           residual=cls.l2_norm(cls.residual(a, well, lam * scale, vals)),
+                           residual=cls.l2_norm(cls.residual(a, well, lam * scale)),
                            sigma_min=float(np.min(np.abs(np.linalg.eigvalsh(G_u)))))
 
     # the second point lies along growing amplitude and defines the first tangent

@@ -121,23 +121,21 @@ def _descent(cls: _SymmetryClass, c, well):
     LU solve with J (exactly symmetric) shifted positive definite by _shifted,
     and backtracks on E.  It stops at any critical point, without asking
     for a positive-definite Hessian.  Each iterate is evaluated on the grid
-    once: at entry, and for every line-search trial, whose values the
-    accepted trial hands on to its residual, Jacobian and energy.
+    once, by its energy: the accepted trial is the class's last evaluated
+    array, so its residual and Jacobian reuse those values.
     """
-    u = cls.values(c)
-    energy = cls.energy_full(c, well, u)
+    energy = cls.energy_full(c, well)
     for _ in range(MAX_DESCENT):
-        grad = cls.residual(c, well, 1.0, u)
+        grad = cls.residual(c, well)
         if cls.l2_norm(grad) < DESCENT_GRAD_TOL:
             break
-        p = -np.linalg.solve(_shifted(cls.jacobian(c, well, 1.0, u)), grad)
+        p = -np.linalg.solve(_shifted(cls.jacobian(c, well)), grad)
         step = 1.0
         while step > 1e-8:
             trial = c + step * p
-            u_trial = cls.values(trial)
-            e_new = cls.energy_full(trial, well, u_trial)
+            e_new = cls.energy_full(trial, well)
             if e_new < energy:
-                c, u, energy = trial, u_trial, e_new
+                c, energy = trial, e_new
                 break
             step *= 0.5
         else:

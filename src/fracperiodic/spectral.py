@@ -94,23 +94,19 @@ class FracOrder:
 # every T.
 
 
-def grid_synthesis(M, cos_coeffs=None, sin_coeffs=None):
+def grid_synthesis(M, cos_coeffs, sin_coeffs):
     """Values at x_j = j T / M (j = 0..M-1) of
     b_0 + sum_m [a_m sin(w m x) + b_m cos(w m x)], from b = cos_coeffs
-    (b_0..b_N) and a = sin_coeffs (a_1..a_N); either may be None for zero.
+    (b_0..b_N) and a = sin_coeffs (a_1..a_N).
 
     One inverse real FFT of length M.  Mode m contributes the complex
     amplitude b_m - i a_m at frequency m mod M; modes at or above M/2 are
     folded onto their aliases first, so the values are exact for every M.
     """
-    n_cos = 0 if cos_coeffs is None else len(cos_coeffs)
-    n_sin = 0 if sin_coeffs is None else len(sin_coeffs)
-    n = max(n_cos, n_sin + 1)
-    z = np.zeros(-(-n // M) * M, dtype=complex)
-    if n_cos:
-        z[:n_cos] = cos_coeffs
-    if n_sin:
-        z[1 : n_sin + 1] -= 1j * np.asarray(sin_coeffs)
+    n_cos, n_sin = len(cos_coeffs), len(sin_coeffs)
+    z = np.zeros(-(-max(n_cos, n_sin + 1) // M) * M, dtype=complex)
+    z[:n_cos] = cos_coeffs
+    z[1 : n_sin + 1] -= 1j * np.asarray(sin_coeffs)
     z = z.reshape(-1, M).sum(axis=0)   # z[r]: total amplitude at frequency r mod M
     r = np.arange(M // 2 + 1)
     half = (0.5 * M) * (z[r] + np.conj(z[-r % M]))
@@ -542,6 +538,7 @@ class _SymmetryClass:
         self.fft = N >= FFT_MIN_N
         if not self.fft:
             self.basis, self.proj_scale, _ = _tables(symmetry, N, half_wave)
+        self._last = None, None   # the last array values evaluated, and its grid values
 
     @staticmethod
     def _index(symmetry, N, half_wave):
@@ -555,9 +552,13 @@ class _SymmetryClass:
         return full[: self.N + 1], full[self.N + 1 :]
 
     def values(self, c):
-        if self.fft:
-            return grid_synthesis(self.M, *self._layout(c))
-        return self.basis @ c
+        """Grid values of the class coefficients c.  Those of the last array
+        evaluated are kept and handed back for that very array (``is``); any
+        other, a copy included, is evaluated afresh.  So neither a coefficient
+        array once evaluated (as in _newton) nor its values are modified in place."""
+        if c is not self._last[0]:
+            self._last = c, grid_synthesis(self.M, *self._layout(c)) if self.fft else self.basis @ c
+        return self._last[1]
 
     def project(self, samples):
         """Grid samples of a trig polynomial -> class coefficient vector."""
@@ -568,40 +569,24 @@ class _SymmetryClass:
     def linear_part(self, c):
         return self.mult * c
 
-    def residual(self, c, well: DoubleWell, k=1.0, u=None):
-        """u, when given, is values(c), computed once by the caller."""
-        u = self.values(c) if u is None else u
-        return self.linear_part(c) + k * self.project(well.f1(u))
+    def residual(self, c, well: DoubleWell, k=1.0):
+        return self.linear_part(c) + k * self.project(well.f1(self.values(c)))
 
-    def jacobian(self, c, well: DoubleWell, k=1.0, u=None):
-        u = self.values(c) if u is None else u
-        J = gram(self.symmetry, self.N, k * well.f2(u), self.half_wave)
+    def jacobian(self, c, well: DoubleWell, k=1.0):
+        J = gram(self.symmetry, self.N, k * well.f2(self.values(c)), self.half_wave)
         J.flat[:: J.shape[0] + 1] += self.mult   # the diagonal
         return J
 
     def newton_pair(self, well: DoubleWell, k=1.0):
-        """(residual, jacobian) of _newton at coupling k, evaluating each
-        iterate on the grid once: jacobian(c) reuses the values of the last
-        residual call when handed that same array, and evaluates afresh on
-        any other."""
-        last = [None, None]   # the last residual's argument and its grid values
-
-        def residual(c):
-            last[:] = c, self.values(c)
-            return self.residual(c, well, k, last[1])
-
-        def jacobian(c):
-            return self.jacobian(c, well, k, last[1] if c is last[0] else None)
-
-        return residual, jacobian
+        """(residual, jacobian) of _newton at coupling k."""
+        return (lambda c: self.residual(c, well, k)), (lambda c: self.jacobian(c, well, k))
 
     def l2_norm(self, c):
         """L^2 norm of the function with class coefficients c."""
         return math.sqrt(self.T / 2.0 * float(c @ (self.weight * c)))
 
-    def energy_full(self, c, well: DoubleWell, u=None):
-        u = self.values(c) if u is None else u
-        pot = float(np.sum(well.f(u))) * (self.T / self.M)
+    def energy_full(self, c, well: DoubleWell):
+        pot = float(np.sum(well.f(self.values(c)))) * (self.T / self.M)
         return 0.5 * (self.T / 2.0) * float(self.mult @ (c**2)) + pot
 
     def to_function(self, c):
@@ -705,7 +690,11 @@ def _hurwitz_zeta(p, q):
     """Hurwitz zeta sum_{k>=0} (k + q)^{-p} for p > 1 and an array q > 0:
     ten terms directly, then Euler-Maclaurin at a = q + 10 with the
     Bernoulli numbers B_2..B_16, whose remainder is below 1e-15 relative for
-    p <= 3, q >= 1/2 and smaller still for larger q."""
+    p <= 3, q >= 1/2 and smaller still for larger q.  Raises ValueError
+    unless p > 1 in floating point, where the sum diverges: the callers'
+    p = 1 + 2s rounds to 1 for s below about 1.1e-16."""
+    if not p > 1.0:
+        raise ValueError(f"Hurwitz zeta(p, q) needs p > 1, got p = 1 + 2s = {p!r} (s is too small)")
     q = np.asarray(q, dtype=float)
     a = q + 10.0
     out = sum((q + k) ** -p for k in range(10)) + a ** (1.0 - p) / (p - 1.0) + 0.5 * a**-p

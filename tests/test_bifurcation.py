@@ -450,18 +450,27 @@ def test_t0_bound_collapse_is_branch_lost(s):
 
 
 def _count_grid_evaluations(monkeypatch):
-    """Spy on _newton in bifurcation and semilinear: for every call, record
-    (residual calls, _SymmetryClass.values calls) made inside it."""
-    values, runs = [], []
+    """Spy on _SymmetryClass.values and on _newton in bifurcation and
+    semilinear.  Returns (evaluations, runs): evaluations gets an entry for
+    every grid evaluation, a values call that returns a new array rather than
+    the one its class kept, and runs, for every _newton call, (residual calls,
+    evaluations inside it, whether it starts from the array its class
+    evaluated last, evaluations up to its return)."""
+    evaluations, runs = [], []
+    kept = {}   # class -> (the array it evaluated last, its values)
     cls_values = _SymmetryClass.values
 
-    def counted_values(self, *args):
-        values.append(None)
-        return cls_values(self, *args)
+    def counted_values(self, c):
+        out = cls_values(self, c)
+        if out is not kept.get(self, (None, None))[1]:
+            evaluations.append(None)
+            kept[self] = c, out
+        return out
 
     def spied(newton):
         def spy(residual, jacobian, z, tol, max_iter, norm):
-            calls, before = [], len(values)
+            calls, before = [], len(evaluations)
+            warm = any(z is c for c, _ in kept.values())
 
             def counted_residual(z):
                 calls.append(None)
@@ -470,19 +479,20 @@ def _count_grid_evaluations(monkeypatch):
             try:
                 return newton(counted_residual, jacobian, z, tol, max_iter, norm)
             finally:
-                runs.append((len(calls), len(values) - before))
+                runs.append((len(calls), len(evaluations) - before, warm, len(evaluations)))
         return spy
 
     monkeypatch.setattr(_SymmetryClass, "values", counted_values)
     for module in (bifurcation, semilinear):
         monkeypatch.setattr(module, "_newton", spied(module._newton))
-    return runs
+    return evaluations, runs
 
 
 def test_newton_iterates_are_evaluated_on_the_grid_once(monkeypatch):
     # the corrector evaluated each iterate three times (residual, Jacobian and
-    # the G_lambda column), the fixed-lambda and refine steps twice
-    runs = _count_grid_evaluations(monkeypatch)
+    # the G_lambda column), the fixed-lambda and refine steps twice; a Newton
+    # run that starts from the descent's last iterate evaluates it no more
+    _, runs = _count_grid_evaluations(monkeypatch)
     frac = FracOrder(0.5)
     continue_branch(frac, well(), lambda_start=1.0, steps=8, ds_arc=0.05)
     verify_T0_bound(frac, well(), lambda_grid=[1.01, 1.5], N=6)
@@ -490,8 +500,23 @@ def test_newton_iterates_are_evaluated_on_the_grid_once(monkeypatch):
     newton_refine(u, 8.0, frac, well())
     newton_refine(u + PeriodicFunction.constant(8.0, 0.01), 8.0, frac, well())   # full class
     semilinear.minimize_energy(8.0, frac, well(), semilinear.SolveConfig(N=32))
-    assert len(runs) >= 12 and sum(r for r, _ in runs) > len(runs)   # most runs take Newton steps
-    assert all(values == residuals for residuals, values in runs), runs
+    assert len(runs) >= 12 and sum(r for r, *_ in runs) > len(runs)   # most runs take Newton steps
+    assert all(values == residuals - warm for residuals, values, warm, _ in runs), runs
+    assert any(warm for _, _, warm, _ in runs)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda frac: semilinear.minimize_energy(8.0, frac, well(), semilinear.SolveConfig(N=32)),
+    lambda frac: semilinear.minimize_energy(8.0, frac, well(), semilinear.SolveConfig(symmetry="even", N=32)),
+    lambda frac: newton_refine(PeriodicFunction.from_modes(8.0, [0.8, 0.0, 0.1]), 8.0, frac, well()),
+    lambda frac: verify_T0_bound(frac, well(), lambda_grid=[1.01, 1.5], N=6),
+], ids=["minimize-odd", "minimize-even", "newton-refine", "t0-bound"])
+def test_nothing_is_evaluated_on_the_grid_after_the_last_newton_run(monkeypatch, solve):
+    # the amplitude, the nonconstant test and the sign of the solution read
+    # the grid values of Newton's last iterate, which its class kept
+    evaluations, runs = _count_grid_evaluations(monkeypatch)
+    solve(FracOrder(0.5))
+    assert runs and len(evaluations) == runs[-1][3], runs
 
 
 def _plain_corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max_iter=30):
@@ -514,7 +539,9 @@ def _plain_corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max
 
 
 def _plain_pair(self, well, k=1.0):
-    return (lambda c: self.residual(c, well, k)), (lambda c: self.jacobian(c, well, k))
+    """newton_pair with closures that evaluate a copy of each iterate, so the
+    class's kept values serve neither."""
+    return (lambda c: self.residual(c.copy(), well, k)), (lambda c: self.jacobian(c.copy(), well, k))
 
 
 def _bits(*arrays):

@@ -655,6 +655,16 @@ def test_certificate_at_a_vanishing_order_is_usage_error(tmp_path, capsys, cmd, 
     assert capsys.readouterr().err.startswith("usage error: Gauss-Jacobi weight r^beta needs 2 + beta > 1")
 
 
+@pytest.mark.parametrize("s", ["1e-300", "1e-17"])
+def test_test_bound_at_a_vanishing_order_is_usage_error(tmp_path, capsys, s):
+    # p = 1 + 2s of zeta(p, q) rounds to 1: this exited 0 with nan in
+    # gagliardo_total, total and j_bound, and with a traceback under -W error
+    out = tmp_path / "bound.csv"
+    assert run(["test-bound", "--s", s, "--T", "8", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("usage error: Hurwitz zeta(p, q) needs p > 1, got p = 1 + 2s = 1.0")
+
+
 def test_t0_bound_on_a_subcritical_well_is_usage_error(tmp_path, capsys):
     out = tmp_path / "t0.csv"
     argv = ["t0-bound", "--s", "0.5", "--potential", "poly:0.5,0,-0.5,0,-0.5,0,0.5", "--out", str(out)]

@@ -15,9 +15,9 @@ from fracperiodic.diagnostics import (
     test_function_bound as competitor_bound,
 )
 from fracperiodic.errors import IdentityViolation, QuadratureNonConvergence
-from fracperiodic.extension import YQuadrature, extend_bessel, extension_energy
+from fracperiodic.extension import YQuadrature, extend_bessel, extension_energy, poisson_kernel_periodized
 from fracperiodic.semilinear import SolveConfig, minimize_energy
-from fracperiodic.spectral import DoubleWell, FracOrder, PeriodicFunction
+from fracperiodic.spectral import DoubleWell, FracOrder, PeriodicFunction, singular_integral_oracle
 
 
 def well():
@@ -299,6 +299,21 @@ def test_certificates_tabulate_only_the_modes_of_the_trace(monkeypatch, symmetry
     shapes.clear()
     extension_energy(extend_bessel(u, frac))
     assert shapes and all(shape[0] == 24 for shape in shapes)   # (mode, node) tables
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-17])
+def test_zeta_routes_at_a_vanishing_order_raise(s):
+    # p = 1 + 2s of zeta(p, q) rounds to 1: its Euler-Maclaurin tail divided
+    # by p - 1 = 0, and the competitor's totals came out nan
+    frac, u = FracOrder(s), PeriodicFunction.from_modes(8.0, sin_coeffs=[0.6])
+    routes = (lambda: competitor_bound(frac, 8.0, 1.0, well()),
+              lambda: singular_integral_oracle(u, frac, 1.0),
+              lambda: poisson_kernel_periodized(np.array([1.0]), 0.5, frac, 8.0))
+    for route in routes:
+        with pytest.raises(ValueError, match=r"needs p > 1, got p = 1 \+ 2s = 1\.0 \(s is too small\)"):
+            route()
+    rep = competitor_bound(FracOrder(1e-16), 8.0, 1.0, well())   # 1 + 2e-16 > 1
+    assert np.isfinite([rep.gagliardo_total, rep.total, rep.j_bound]).all()
 
 
 @pytest.mark.parametrize("s", [1e-300, 6e-17])

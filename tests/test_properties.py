@@ -4,6 +4,7 @@ hypothesis, checked through two independent routes each."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,3 +98,40 @@ def test_hamiltonian_constant_along_a_minimizer(s, T, symmetry):
     sol = minimize_energy(T, frac, well, SolveConfig(symmetry=symmetry, N=max(48, int(1.5 * T))))
     assert sol.nonconstant
     hamiltonian_check(sol, frac, well)
+
+
+# -- exact symmetries of the semilinear equation -----------------------------
+#
+# For an even well each symmetry maps one computed minimizer onto another,
+# so they check the nonlinear solver with no reference solution.  Each has a
+# perturbed control that must fail.
+
+SYMMETRY_TOL = 1e-10
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("T", [8.0, 40.0])
+def test_even_minimizer_is_the_odd_one_shifted_by_a_quarter_period(s, T):
+    # u(x + T/4) sends sin((2j+1) w x) to (-1)^j cos((2j+1) w x)
+    frac, well = FracOrder(s), DoubleWell.quartic()
+    odd, even = (minimize_energy(T, frac, well, SolveConfig(symmetry=sym, N=64)) for sym in ("odd", "even"))
+    assert odd.nonconstant and even.nonconstant
+    x = np.linspace(0.0, T, 1001)
+    assert np.max(np.abs(even.u(x) - odd.u(x + T / 4.0))) <= SYMMETRY_TOL
+    assert abs(even.energy - odd.energy) <= SYMMETRY_TOL * abs(odd.energy)
+    assert np.max(np.abs(even.u(x) - odd.u(x + T / 8.0))) > 0.1   # control
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("T", [8.0, 40.0])
+def test_scaled_well_is_solved_by_the_rescaled_minimizer(s, T):
+    # v(x) = u(x kappa^{1/(2s)}) solves the equation of kappa F at period
+    # T kappa^{-1/(2s)}, and both terms of J scale by kappa^{1 - 1/(2s)}
+    frac, kappa, cfg = FracOrder(s), 3.0, SolveConfig(N=64)
+    base = minimize_energy(T, frac, DoubleWell.quartic(), cfg)
+    scaled = minimize_energy(T * kappa ** (-1.0 / (2.0 * s)), frac, DoubleWell.quartic(kappa), cfg)
+    assert base.nonconstant and scaled.nonconstant
+    assert abs(scaled.amplitude - base.amplitude) <= SYMMETRY_TOL
+    ratio = scaled.energy / base.energy
+    assert abs(ratio / kappa ** (1.0 - 1.0 / (2.0 * s)) - 1.0) <= SYMMETRY_TOL
+    assert abs(ratio / kappa ** (1.0 - 1.0 / s) - 1.0) > 0.1   # control

@@ -260,6 +260,24 @@ def test_transforms_do_not_depend_on_the_period(name, N):
     assert np.array_equal(a.project(u), b.project(u))
 
 
+@pytest.mark.parametrize("N", [32, 300])   # the dense and the FFT route
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_values_are_kept_for_the_very_array_evaluated_last(name, N):
+    symmetry, half_wave = CLASSES[name]
+    cls = _SymmetryClass(symmetry, 7.3, N, FracOrder(0.4), half_wave)
+    values, _ = fft_side(cls)
+    rng = np.random.default_rng(N)
+    c, other = (random_coeffs(rng, cls.idx.size) for _ in range(2))
+    u = cls.values(c)
+    assert cls.values(c) is u
+    copy = cls.values(c.copy())   # equal contents, another array: evaluated afresh
+    assert copy is not u and np.array_equal(copy, u)
+    v = cls.values(other)
+    assert v is not copy and np.array_equal(v, cls.values(other.copy()))
+    assert_rel(v, values(other), 2e-15)
+    assert np.max(np.abs(v - u)) > 0.1
+
+
 def counted_tables(monkeypatch):
     """Replace the table cache by an empty one of the same size that counts
     the builds per (symmetry, N, half_wave)."""
