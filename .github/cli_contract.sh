@@ -35,6 +35,8 @@ test "$code" -eq 2
 # so is a t0-bound whose branch is subcritical
 code=0; PYTHONWARNINGS=error fracperiodic t0-bound --s 0.5 --potential poly:0.5,0,-0.5,0,-0.5,0,0.5 || code=$?
 test "$code" -eq 2
+# an even-mode branch runs in the whole odd class, not the half-wave one
+PYTHONWARNINGS=error fracperiodic continue --s 0.5 --lambda-start 2 --steps 8
 # the README's examples, through the console script, in a scratch directory
 grep '^fracperiodic ' README.md > "$RUNNER_TEMP/readme_examples.sh"
 cd "$(mktemp -d)"

@@ -22,6 +22,7 @@ from .spectral import (
     PeriodicFunction,
     _newton,
     _solve_class,
+    gram,
     linearization_bound,
     unstable_curvature,
 )
@@ -88,28 +89,41 @@ def detect_bifurcation_points(frac: FracOrder, well: DoubleWell, m_max):
     G_u(lambda, 0) = D + lambda (F''(0) / -F''(0)) I = D - lambda I with
     D = diag(m^{2s}), since gram of the constant F''(0) is F''(0) I: the
     singular lambda are m^{2s}, m = 1..m_max.  Raises ValueError unless
-    F''(0) < 0."""
+    F''(0) < 0 and m_max is an integer >= 1."""
+    m_max = _count(m_max, "m_max")
     unstable_curvature(well, "bifurcation analysis")
     return [float(m) ** (2.0 * frac.s) for m in range(1, m_max + 1)]
 
 
+def _count(value, name):
+    """value as an int; raises ValueError unless it is an integer >= 1."""
+    if not (value >= 1 and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer at least 1, got {value!r}")
+    return int(value)
+
+
 def _corrector(cls, well, scale, z, tangent, target, max_iter=30):
     """Newton on the bordered system [G(a, lambda); tangent . (z - target)]
-    for z = (a, lambda), where G is the odd-class residual with coupling
-    lambda * scale.  Converged when |G| <= RESIDUAL_TOL and the arclength
-    row is below 1e-12.  The Jacobian of the residual's last z reuses the
-    view a = z[:-1] that the class evaluated and the projection of F'(u)."""
+    for z = (a, lambda), where G is the residual of the odd class or its
+    half-wave part cls with coupling lambda * scale.  Converged when |G| <=
+    RESIDUAL_TOL and the arclength row is below 1e-12.  The Jacobian of the
+    residual's last z reuses the view a = z[:-1] that the class evaluated
+    and the projection of F'(u).  Returns (z, a, |G|); cls keeps a's values."""
     last = [None, None, None]   # z, its view a and the coefficients of F'(u) of the last residual
+    n = cls.idx.size + 1
+    r = np.empty(n)   # every residual, written in place: _newton reads each before the next call
 
     def residual(z):
         a = z[:-1]
         last[:] = z, a, cls.project(well.f1(cls.values(a)))
-        return np.append(cls.linear_part(a) + z[-1] * scale * last[2], tangent @ (z - target))
+        np.add(cls.linear_part(a), z[-1] * scale * last[2], out=r[:-1])
+        r[-1] = tangent @ (z - target)
+        return r
 
     def jacobian(z):   # [[G_u, G_lambda]; tangent]
         if z is not last[0]:
             residual(z)
-        J = np.empty((cls.N + 1, cls.N + 1))
+        J = np.empty((n, n))
         J[:-1, :-1] = cls.jacobian(last[1], well, z[-1] * scale)
         J[:-1, -1] = scale * last[2]
         J[-1] = tangent
@@ -118,16 +132,18 @@ def _corrector(cls, well, scale, z, tangent, target, max_iter=30):
     def norm(r):
         return cls.l2_norm(r[:-1]) if abs(r[-1]) <= 1e-12 else math.inf
 
-    return _newton(residual, jacobian, z, RESIDUAL_TOL, max_iter, norm)[0]
+    z, rnorm = _newton(residual, jacobian, z, RESIDUAL_TOL, max_iter, norm)
+    return z, last[1], rnorm
 
 
 def _first_point(cls, well, scale, lam_b, eps=1e-3):
     """Leave the trivial branch with predictor eps * sin(m x) and a pinned
-    amplitude; solves for z = (a, lambda) with <a, e_m> fixed."""
+    amplitude; solves for z = (a, lambda) with <a, e_m> fixed.  Returns the
+    corrector's (z, a, |G|)."""
     m_idx = int(np.argmin(np.abs(cls.mult - lam_b)))
-    z = np.zeros(cls.N + 1)
+    z = np.zeros(cls.idx.size + 1)
     z[m_idx], z[-1] = eps, lam_b + 1e-4
-    tangent = np.zeros(cls.N + 1)
+    tangent = np.zeros(cls.idx.size + 1)
     tangent[m_idx] = 1.0
     return _corrector(cls, well, scale, z, tangent, z)
 
@@ -135,49 +151,55 @@ def _first_point(cls, well, scale, lam_b, eps=1e-3):
 def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_arc,
                     N=None) -> Branch:
     """Pseudo-arclength continuation from the trivial branch through the
-    pitchfork nearest lambda_start, in the odd 2 pi class.  Raises
-    ValueError unless lambda_start is finite, DS_ARC_MIN <= ds_arc <=
-    DS_ARC_MAX, steps >= 2 and the well is even, and BranchLost when the
-    branch collapses to u = 0 or its amplitude reaches 1."""
+    pitchfork nearest lambda_start, lambda = m^{2s}, in the odd 2 pi class
+    at truncation N (DEFAULT_N for None); the branch of an odd m carries odd
+    harmonics only and runs in its half-wave class.  Raises ValueError
+    unless lambda_start is finite, DS_ARC_MIN <= ds_arc <= DS_ARC_MAX,
+    steps >= 2, N is None or an integer >= 1 and the well is even, and
+    BranchLost when the branch collapses to u = 0 or its amplitude reaches 1."""
     if not math.isfinite(lambda_start):
         raise ValueError(f"lambda_start must be finite, got {lambda_start!r}")
     if not DS_ARC_MIN <= ds_arc <= DS_ARC_MAX:
         raise ValueError(f"ds_arc must lie in [{DS_ARC_MIN:g}, {DS_ARC_MAX:g}], got {ds_arc!r}")
     if steps < 2:
         raise ValueError(f"steps must be at least 2 (the tangent needs two points), got {steps!r}")
-    N = N or DEFAULT_N
+    N = DEFAULT_N if N is None else _count(N, "truncation N")
     scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
-    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well, tol=RESIDUAL_TOL)
-    lam_b = float(cls.mult[np.argmin(np.abs(cls.mult - lambda_start))])   # nearest m^{2s}
+    full = _solve_class("odd", 2.0 * math.pi, N, frac, well, tol=RESIDUAL_TOL)
+    m_idx = int(np.argmin(np.abs(full.mult - lambda_start)))
+    lam_b = float(full.mult[m_idx])   # the nearest m^{2s}, m = m_idx + 1
+    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well, half_wave=m_idx % 2 == 0, tol=RESIDUAL_TOL)
 
-    def make_point(z):
-        a, lam = z[:-1], float(z[-1])
+    def make_point(z, a, rnorm):
+        # from the corrector's last evaluation, whose values cls keeps: every other
+        # grid point is one of the 2N + 2 of u.amplitude(), and G_u spans the odd class
+        lam, vals = float(z[-1]), cls.values(a)
+        G_u = gram("odd", N, lam * scale * well.f2(vals))   # F'' is even: the same for -a
+        G_u.flat[:: N + 1] += full.mult   # symmetric: sigma_min is its smallest |eigenvalue|
         if a[np.argmax(np.abs(a))] < 0:
             a = -a  # odd-class sign normalization <u, sin m x> >= 0
-        u = cls.to_function(a)
-        G_u = cls.jacobian(a, well, lam * scale)   # symmetric: sigma_min is its smallest |eigenvalue|
-        return BranchPoint(lam=lam, u=u, amplitude=u.amplitude(),
-                           residual=cls.l2_norm(cls.residual(a, well, lam * scale)),
-                           sigma_min=float(np.min(np.abs(np.linalg.eigvalsh(G_u)))))
+        return BranchPoint(lam=lam, u=cls.to_function(a), amplitude=float(np.max(np.abs(vals[::2]))),
+                           residual=rnorm, sigma_min=float(np.min(np.abs(np.linalg.eigvalsh(G_u)))))
 
     # the second point lies along growing amplitude and defines the first tangent
-    z_prev = _first_point(cls, well, scale, lam_b)
-    z = _first_point(cls, well, scale, lam_b, eps=2e-3)
-    points = [make_point(z_prev), make_point(z)]
+    z_prev, *first = _first_point(cls, well, scale, lam_b)
+    points = [make_point(z_prev, *first)]
+    z, *second = _first_point(cls, well, scale, lam_b, eps=2e-3)
+    points.append(make_point(z, *second))
     ds = ds_arc
     while len(points) < steps:
         tangent = (z - z_prev) / np.linalg.norm(z - z_prev)
         for _ in range(MAX_STEP_RETRIES):
             pred = z + ds * tangent
             try:
-                z_new = _corrector(cls, well, scale, pred, tangent, pred)
+                z_new, *last = _corrector(cls, well, scale, pred, tangent, pred)
                 break
             except (NoConvergence, SingularJacobian):
                 ds *= 0.5
         else:
             raise StepFailure(f"continuation step failed below ds = {ds:.2e}")
         z_prev, z = z, z_new
-        pt = make_point(z)
+        pt = make_point(z, *last)
         if pt.amplitude < 1e-10:
             raise BranchLost("amplitude collapsed to the trivial branch")
         if pt.amplitude >= 1.0:   # no solution of a double well with wells at +-1 reaches them
@@ -194,8 +216,7 @@ def classify_criticality(frac: FracOrder, well: DoubleWell, m):
     """Local pitchfork direction at lambda_{m+1} = m^{2s} from the cubic
     normal-form coefficient; 'inconclusive' when F'''(0) != 0 (transcritical
     branching is not excluded).  Raises ValueError unless m is an integer >= 1."""
-    if not (m >= 1 and float(m).is_integer()):
-        raise ValueError(f"mode m must be an integer at least 1, got {m!r}")
+    _count(m, "mode m")
     if abs(float(well.f3(0.0))) > 1e-10:
         return "inconclusive"
     curvature = unstable_curvature(well)
@@ -240,7 +261,10 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     x = (lambda / -F''(0))^{1/(2s)} xbar, realizing solutions of the
     original equation with period T(lambda) = 2 pi (lambda/-F''(0))^{1/(2s)};
     each rescaled solution is re-verified by newton_refine's Newton on period
-    T.  Raises ValueError unless the well is even, lambda_grid holds one
+    T.  The branch of lambda = 1 carries odd harmonics only: it is followed
+    in the odd half-wave class at truncation N (DEFAULT_N for None), and
+    refined in the whole odd class at max(N, 8).  Raises ValueError unless
+    the well is even, N is None or an integer >= 1, lambda_grid holds one
     or more values, each finite and above 1 (the first pitchfork), and every
     T(lambda) is positive and finite (s too small overflows it), and
     BranchLost when the branch collapses or a refined amplitude reaches 1.
@@ -254,17 +278,17 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
     if not (lambda_grid.size and np.all(np.isfinite(lambda_grid) & (lambda_grid > 1.0))):
         raise ValueError(f"lambda_grid must hold one or more finite values above 1, "
                          f"got {lambda_grid.tolist()}")
-    N = N or DEFAULT_N
+    N = DEFAULT_N if N is None else _count(N, "truncation N")
     scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
-    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well, tol=RESIDUAL_TOL)
+    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well, half_wave=True, tol=RESIDUAL_TOL)
     periods = [_period(float(lam), scale, frac) for lam in lambda_grid]
     if not all(0.0 < T < math.inf for T in periods):
         raise ValueError(f"s = {frac.s!r} is too small: the period 2 pi (lambda / -F''(0))^(1/(2s)) "
                          f"is not positive and finite on lambda_grid")
     bound = linearization_bound(frac, well)
 
-    z = _first_point(cls, well, scale, 1.0, eps=1e-2)
-    a, lam = z[:-1], float(z[-1])
+    z, a, _ = _first_point(cls, well, scale, 1.0, eps=1e-2)
+    lam = float(z[-1])
     if not lam > 1.0:
         raise ValueError(f"the branch leaves lambda = 1 toward lambda < 1 (subcritical: its first point "
                          f"is at lambda = {lam:.6g}); verify_T0_bound follows supercritical branches only")
@@ -294,9 +318,11 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
                     raise
         a, lam = a_try, float(lam_target)
         # the same coefficients on period T, refined by newton_refine's Newton on
-        # that class at truncation max(N, 8)
+        # the whole odd class at truncation max(N, 8)
         T_cls = _solve_class("odd", period, max(N, 8), frac, well, tol=REFINE_TOL)
-        _, c, rnorm = _refine(T_cls, np.concatenate((a, np.zeros(T_cls.N - N))), well, REFINE_TOL, MAX_NEWTON)
+        c0 = np.zeros(T_cls.N)
+        c0[:N:2] = a   # the odd harmonics 1, 3, ..
+        _, c, rnorm = _refine(T_cls, c0, well, REFINE_TOL, MAX_NEWTON)
         amplitude = float(np.max(np.abs(T_cls.values(c))))
         if amplitude >= 1.0:   # as in continue_branch: no solution reaches the wells
             raise BranchLost(f"amplitude {amplitude:.6g} >= 1 at lambda = {lam:.6g} (N = {N})")

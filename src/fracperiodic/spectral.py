@@ -474,7 +474,7 @@ FFT_MIN_N = 256   # below this the dense basis products beat an FFT call
 NONCONSTANT_AMPLITUDE = 1e-6   # deviation-from-mean threshold for classification
 
 
-@lru_cache(maxsize=8)   # a large_period pass uses 5 sets, a cli_suite pass 7
+@lru_cache(maxsize=8)   # a large_period pass uses 5 sets, a cli_suite pass 8, as many as it keeps
 def _tables(symmetry, N, half_wave):
     """The read-only dense tables of a class below FFT_MIN_N, shared by every
     period: grid basis, projection weights and gram's moment rows

@@ -50,6 +50,13 @@ def test_detection_requires_negative_curvature():
         detect_bifurcation_points(FracOrder(0.5), bad, 2)
 
 
+@pytest.mark.parametrize("m_max", [-1, 0, 2.5])
+def test_detection_rejects_m_max_below_one_or_not_an_integer(m_max):
+    # m_max <= 0 returned [] without complaint, and 2.5 was accepted
+    with pytest.raises(ValueError, match=r"^m_max must be an integer at least 1, got "):
+        detect_bifurcation_points(FracOrder(0.5), well(), m_max)
+
+
 def sign_scan_points(frac, well, m_max, N):
     """Bifurcation points by the determinant sign scan plus brentq: the
     reference for the pencil-eigenvalue detector."""
@@ -154,10 +161,12 @@ def test_continue_branch_admits_the_range_ends(ds):
     assert np.all(np.diff(br.lambdas()) > 0.0)   # every step advances lambda
 
 
-@pytest.mark.parametrize("N", [24, 64])
-def test_sigma_min_matches_svd(N):
-    # G_u is symmetric, so its smallest |eigenvalue| is its smallest singular value
-    br = continue_branch(FracOrder(0.5), well(), lambda_start=1.0, steps=8, ds_arc=0.05, N=N)
+@pytest.mark.parametrize("N,m", [pytest.param(24, 1, id="24"), pytest.param(64, 1, id="64"),
+                                 pytest.param(24, 2, id="24-m2"), pytest.param(24, 3, id="24-m3")])
+def test_sigma_min_matches_svd(N, m):
+    # G_u is symmetric, so its smallest |eigenvalue| is its smallest singular value;
+    # it spans the whole odd class also where the branch (odd m) runs in the half-wave class
+    br = continue_branch(FracOrder(0.5), well(), lambda_start=float(m), steps=8, ds_arc=0.05, N=N)
     cls = _SymmetryClass("odd", TWO_PI, N, FracOrder(0.5))
     for p in br.points:   # -F''(0) = 1: the coupling is lambda
         G_u = cls.jacobian(cls.from_function(p.u), well(), p.lam)
@@ -165,22 +174,70 @@ def test_sigma_min_matches_svd(N):
         assert abs(p.sigma_min - svd) <= 1e-12
 
 
+SUBCRITICAL = DoubleWell.from_poly([0.5, 0.0, -0.5, 0.0, -0.5, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("potential", [DoubleWell.quartic(), SUBCRITICAL], ids=["quartic", "subcritical"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_half_wave_branch_matches_the_whole_odd_class(monkeypatch, s, m, potential):
+    # the branch of an odd m runs in the half-wave class, an even m's in the
+    # whole odd class; the reference runs every m through the plain corrector
+    # in the whole odd class and takes the amplitude from u
+    frac = FracOrder(s)
+    got = continue_branch(frac, potential, lambda_start=m ** (2 * s), steps=12, ds_arc=0.05)
+    solve_class = bifurcation._solve_class
+    monkeypatch.setattr(bifurcation, "_solve_class",
+                        lambda *args, half_wave=False, tol=0.0: solve_class(*args, tol=tol))
+    monkeypatch.setattr(bifurcation, "_corrector", _plain_corrector)
+    ref = continue_branch(frac, potential, lambda_start=m ** (2 * s), steps=12, ds_arc=0.05)
+    assert len(got.points) == len(ref.points) == 12 and got.direction == ref.direction
+    for p, q in zip(got.points, ref.points):
+        assert abs(p.lam - q.lam) <= 1e-13
+        assert abs(p.amplitude - q.u.amplitude()) <= 1e-13
+        assert np.max(np.abs(p.u.sin_coeffs - q.u.sin_coeffs)) <= 1e-13
+        assert abs(p.sigma_min - q.sigma_min) <= 1e-12
+        assert p.residual <= RESIDUAL_TOL
+        # max |u| on the same 2N + 2 points, synthesized by another route
+        assert abs(p.amplitude - p.u.amplitude()) <= 4 * np.spacing(1.0) * p.amplitude
+        if m % 2:   # the half-wave class holds the odd harmonics only
+            assert not np.any(p.u.sin_coeffs[1::2])
+
+
 def test_corrector_lands_on_branch_and_arclength_row():
     cls, N = _SymmetryClass("odd", TWO_PI, 24, FracOrder(0.5)), 24
-    z_prev = _first_point(cls, well(), 1.0, 1.0)
-    z = _first_point(cls, well(), 1.0, 1.0, eps=2e-3)
+    z_prev = _first_point(cls, well(), 1.0, 1.0)[0]
+    z = _first_point(cls, well(), 1.0, 1.0, eps=2e-3)[0]
     tangent = (z - z_prev) / np.linalg.norm(z - z_prev)
     target = z + 0.05 * tangent
     start = target + 1e-3 * np.random.default_rng(5).standard_normal(N + 1) / np.arange(1, N + 2)
-    got = _corrector(cls, well(), 1.0, start, tangent, target)
-    assert cls.l2_norm(cls.residual(got[:-1], well(), got[-1])) <= RESIDUAL_TOL
+    got, a, rnorm = _corrector(cls, well(), 1.0, start, tangent, target)
+    # the corrector returns the view it evaluated last, whose grid values its class keeps
+    assert a.base is got and np.array_equal(a, got[:-1]) and cls._last[0] is a
+    assert rnorm == cls.l2_norm(cls.residual(got[:-1], well(), got[-1])) <= RESIDUAL_TOL
     assert abs(tangent @ (got - target)) <= 1e-12
     assert got[-1] > 1.0 and got[0] > 0.04   # past the pitchfork, amplitude grown
     # z already solves G = 0, so only the arclength row can move it onto the target plane
-    moved = _corrector(cls, well(), 1.0, z, tangent, target)
+    moved = _corrector(cls, well(), 1.0, z, tangent, target)[0]
     assert abs(tangent @ (moved - target)) <= 1e-12
     with pytest.raises(NoConvergence):
         _corrector(cls, well(), 1.0, start, tangent, target, max_iter=1)
+
+
+@pytest.mark.parametrize("N", [-1, 0, 2.5, math.nan])
+def test_branch_and_t0_bound_reject_a_truncation_that_is_not_an_integer_from_one(N):
+    # -1 failed with "math domain error", 0 ran at DEFAULT_N and 2.5 raised a bare TypeError
+    with pytest.raises(ValueError, match=r"^truncation N must be an integer at least 1, got "):
+        continue_branch(FracOrder(0.5), well(), lambda_start=1.0, steps=5, ds_arc=0.05, N=N)
+    with pytest.raises(ValueError, match=r"^truncation N must be an integer at least 1, got "):
+        verify_T0_bound(FracOrder(0.5), well(), lambda_grid=[1.5], N=N)
+
+
+@pytest.mark.parametrize("N,n", [(None, bifurcation.DEFAULT_N), (1, 1), (3.0, 3)])
+def test_branch_and_t0_bound_truncation(N, n):
+    br = continue_branch(FracOrder(0.5), well(), lambda_start=1.0, steps=5, ds_arc=0.05, N=N)
+    assert {p.u.N for p in br.points} == {n} and br.direction == "supercritical"
+    assert verify_T0_bound(FracOrder(0.5), well(), lambda_grid=[1.5], N=N).max_residual <= 1e-9
 
 
 # -- criticality -------------------------------------------------------------
@@ -413,9 +470,9 @@ def test_continue_branch_collapse_is_branch_lost(monkeypatch):
     # the trivial branch u = 0 solves the equation at every lambda; a
     # corrector that lands on it (patched: no input found does) ends the branch
     def trivial(args):
-        z = _corrector(*args)
-        z[:-1] = 0.0
-        return z
+        z, _, rnorm = _corrector(*args)
+        z = np.concatenate((np.zeros(z.size - 1), z[-1:]))   # fresh: an evaluated array is never modified
+        return z, z[:-1], rnorm
 
     _corrector_after_two(monkeypatch, trivial)
     with pytest.raises(BranchLost, match="amplitude collapsed to the trivial branch"):
@@ -519,14 +576,25 @@ def test_nothing_is_evaluated_on_the_grid_after_the_last_newton_run(monkeypatch,
     assert runs and len(evaluations) == runs[-1][3], runs
 
 
+def test_branch_points_are_read_from_the_corrector_s_last_evaluation(monkeypatch):
+    # make_point evaluated every branch point on the grid once more; it now
+    # reads the values the corrector's last residual left in its class, so
+    # every evaluation happens inside a Newton run
+    evaluations, runs = _count_grid_evaluations(monkeypatch)
+    for lam in (1.0, 2.0):   # mode 1 in the half-wave class, mode 2 in the whole odd class
+        continue_branch(FracOrder(0.5), well(), lambda_start=lam, steps=8, ds_arc=0.05)
+    assert len(runs) == 16 and sum(inside for _, inside, _, _ in runs) == len(evaluations), runs
+
+
 def _plain_corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max_iter=30):
     """The corrector with closures that share nothing: each call evaluates its
-    iterate afresh."""
+    iterate afresh, and so does the branch point built from its return."""
     def residual(z):
         return np.append(cls.residual(z[:-1], well, z[-1] * scale), tangent @ (z - target))
 
     def jacobian(z):
-        J = np.empty((cls.N + 1, cls.N + 1))
+        n = cls.idx.size + 1
+        J = np.empty((n, n))
         J[:-1, :-1] = cls.jacobian(z[:-1], well, z[-1] * scale)
         J[:-1, -1] = scale * cls.project(well.f1(cls.values(z[:-1])))
         J[-1] = tangent
@@ -535,7 +603,8 @@ def _plain_corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max
     def norm(r):
         return cls.l2_norm(r[:-1]) if abs(r[-1]) <= 1e-12 else math.inf
 
-    return semilinear._newton(residual, jacobian, z, tol, max_iter, norm)[0]
+    z, rnorm = semilinear._newton(residual, jacobian, z, tol, max_iter, norm)
+    return z, z[:-1], rnorm
 
 
 def _plain_pair(self, well, k=1.0):

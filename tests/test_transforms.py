@@ -297,7 +297,7 @@ def counted_tables(monkeypatch):
 def test_verify_T0_bound_builds_each_table_once(monkeypatch, N):
     builds = counted_tables(monkeypatch)
     verify_T0_bound(FracOrder(0.5), DoubleWell.quartic(), [1.05, 1.5, 2.0], N=N)
-    assert builds == {("odd", N, False): 1}
+    assert builds == {("odd", N, True): 1, ("odd", N, False): 1}   # the branch, the realized-period refine
 
 
 @pytest.mark.parametrize("N", [32, 128])
