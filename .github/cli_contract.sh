@@ -37,6 +37,10 @@ code=0; PYTHONWARNINGS=error fracperiodic t0-bound --s 0.5 --potential poly:0.5,
 test "$code" -eq 2
 # an even-mode branch runs in the whole odd class, not the half-wave one
 PYTHONWARNINGS=error fracperiodic continue --s 0.5 --lambda-start 2 --steps 8
+# an even solve is the odd one shifted by a quarter period
+PYTHONWARNINGS=error fracperiodic solve --s 0.5 --T 8 --symmetry even
+# a continuation step whose corrector lands on u = 0 is retried at half the step
+PYTHONWARNINGS=error fracperiodic continue --s 0.5 --potential poly:0.5,0,-0.5,0,-0.5,0,0.5 --lambda-start 3 --steps 12 --ds 0.1
 # the README's examples, through the console script, in a scratch directory
 grep '^fracperiodic ' README.md > "$RUNNER_TEMP/readme_examples.sh"
 cd "$(mktemp -d)"

@@ -156,7 +156,7 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
     harmonics only and runs in its half-wave class.  Raises ValueError
     unless lambda_start is finite, DS_ARC_MIN <= ds_arc <= DS_ARC_MAX,
     steps >= 2, N is None or an integer >= 1 and the well is even, and
-    BranchLost when the branch collapses to u = 0 or its amplitude reaches 1."""
+    BranchLost when its amplitude reaches 1 or every retry of a step lands on u = 0."""
     if not math.isfinite(lambda_start):
         raise ValueError(f"lambda_start must be finite, got {lambda_start!r}")
     if not DS_ARC_MIN <= ds_arc <= DS_ARC_MAX:
@@ -189,19 +189,23 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
     ds = ds_arc
     while len(points) < steps:
         tangent = (z - z_prev) / np.linalg.norm(z - z_prev)
+        collapsed = 0   # retries that landed on u = 0, which solves at every lambda
         for _ in range(MAX_STEP_RETRIES):
             pred = z + ds * tangent
             try:
                 z_new, *last = _corrector(cls, well, scale, pred, tangent, pred)
-                break
+                pt = make_point(z_new, *last)
+                if pt.amplitude >= 1e-10:
+                    break
+                collapsed += 1
             except (NoConvergence, SingularJacobian):
-                ds *= 0.5
+                pass
+            ds *= 0.5
         else:
+            if collapsed == MAX_STEP_RETRIES:
+                raise BranchLost(f"amplitude collapsed to the trivial branch at every step down to ds = {ds:.2e}")
             raise StepFailure(f"continuation step failed below ds = {ds:.2e}")
         z_prev, z = z, z_new
-        pt = make_point(z, *last)
-        if pt.amplitude < 1e-10:
-            raise BranchLost("amplitude collapsed to the trivial branch")
         if pt.amplitude >= 1.0:   # no solution of a double well with wells at +-1 reaches them
             raise BranchLost(f"amplitude {pt.amplitude:.6g} >= 1 at lambda = {pt.lam:.6g} (N = {N})")
         points.append(pt)

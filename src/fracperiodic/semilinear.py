@@ -13,12 +13,12 @@ and whose Hessian is the residual Jacobian; the reported energy J uses the
 half-period convention of the energy functional in
 :mod:`fracperiodic.spectral`.
 
-Both classes are solved in their half-wave subspace u(x + T/2) = -u(x),
-spanned by the odd harmonics: ceil(N/2) unknowns, a_1, a_3, .. (odd) or
-b_1, b_3, .. (even).  The well is even, so the residual maps the subspace
-into itself and its Jacobian is the odd-harmonic block of the full one:
-the solutions are those of the whole class.  The even class then has no
-mean, so its descent cannot fall toward the constants u = +-1.
+Both symmetries are solved in the odd half-wave subspace u(x + T/2) = -u(x),
+spanned by the odd harmonics: ceil(N/2) unknowns, a_1, a_3, ..  The well is
+even, so the residual maps the subspace into itself and its Jacobian is the
+odd-harmonic block of the full one: the solutions are those of the whole
+class.  The even half-wave solutions are these shifted by a quarter period,
+so an even request returns u(x + T/4) of the odd solution.
 
 From N = COARSE_MIN_N on, each start first descends in the same symmetry
 class at N // 4 (with the starts built there); the result is zero-padded
@@ -31,7 +31,7 @@ COARSE_MIN_N every start descends at N only.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,13 +143,6 @@ def _descent(cls: _SymmetryClass, c, well):
     return c
 
 
-def _normalize_sign(cls, c):
-    """Pin the translation/sign quotient: odd -> <u, sin w x> >= 0,
-    even -> u(0) >= 0."""
-    lead = c[0] if cls.odd else cls.values(c)[0]
-    return -c if lead < 0 else c
-
-
 def _starts(cls: _SymmetryClass, cfg: SolveConfig):
     """Multistart initial data: c * (first harmonic) with sign flips, plus a
     sharpened interface template for long periods.
@@ -163,12 +156,10 @@ def _starts(cls: _SymmetryClass, cfg: SolveConfig):
     for amp in amps:
         for sgn in (1.0, -1.0):
             c = np.zeros_like(cls.mult)
-            c[0] = sgn * amp   # a_1 or b_1
+            c[0] = sgn * amp   # a_1
             out.append((c, sgn < 0))
     if cls.T > 4.0 * math.pi:
-        g = cls.T / 4.0
-        base = (np.sin if cls.odd else np.cos)(2.0 * math.pi * cls.x / cls.T)
-        out.insert(0, (cls.project(np.tanh(g * base)), False))
+        out.insert(0, (cls.project(np.tanh(cls.T / 4.0 * np.sin(2.0 * math.pi * cls.x / cls.T))), False))
     return [c for c, mirror in out[: cfg.multistarts] if not mirror]
 
 
@@ -185,7 +176,7 @@ def _package(cls: _SymmetryClass, c, rnorm, frac, well):
 
 def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell, cfg: SolveConfig):
     """Yield (c, residual norm) of each start that converges to a nonconstant u with |u| < 1."""
-    first = _SymmetryClass(cfg.symmetry, cls.T, cfg.N // 4, frac, half_wave=True) if cfg.N >= COARSE_MIN_N else cls
+    first = _SymmetryClass("odd", cls.T, cfg.N // 4, frac, half_wave=True) if cfg.N >= COARSE_MIN_N else cls
     finished = []   # coarse endpoints whose fine stage succeeded
     for c0 in _starts(first, cfg):
         c = coarse = _descent(first, c0.copy(), well)
@@ -205,29 +196,38 @@ def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell, 
             yield c, rnorm
 
 
+def _quarter_shift(u: PeriodicFunction):
+    """u(x + T/4) of an odd half-wave u: b_{2j+1} = (-1)^j a_{2j+1}, negated
+    where u(0) = sum b < 0 (the even sign rule); + 0.0 turns -0.0 into 0.0."""
+    b = np.zeros(u.N + 1)
+    b[1::4], b[3::4] = u.sin_coeffs[::4], -u.sin_coeffs[2::4]
+    return PeriodicFunction(T=u.T, sin_coeffs=np.zeros(u.N), cos_coeffs=(-b if b.sum() < 0.0 else b) + 0.0)
+
+
 def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = None) -> SemilinearSolution:
     """Local energy minimizer in the requested symmetry class.
 
     Runs multistart modified-Newton descent on the energy followed by Newton
-    on the residual; returns the lowest-energy nonconstant candidate, or the
-    trivial critical point with classification "trivial" when every start
-    collapses to a constant.  Raises ValueError unless T is positive and
-    finite and resolved by cfg.newton_tol (see _solve_class) and the well
-    is even.
+    on the residual in the odd half-wave class; returns the lowest-energy
+    nonconstant candidate, or the trivial critical point with classification
+    "trivial" when every start collapses to a constant.  An even request
+    gets that solution shifted by T/4, which keeps the other fields.  Raises
+    ValueError unless T is positive and finite and resolved by
+    cfg.newton_tol (see _solve_class) and the well is even.
     """
     cfg = cfg or SolveConfig()
     cls = _solve_class(cfg.symmetry, T, cfg.N, frac, well, half_wave=True, tol=cfg.newton_tol)
     best = None
     for c, rnorm in _nonconstant_starts(cls, frac, well, cfg):
-        sol = _package(cls, _normalize_sign(cls, c), rnorm, frac, well)
+        sol = _package(cls, -c if c[0] < 0 else c, rnorm, frac, well)   # <u, sin w x> >= 0
         if best is None or sol.energy < best.energy:
             best = sol
-    if best is not None:
-        return best
-    # all multistarts collapsed: report the trivial critical point u = 0
-    # (F'(0) = 0 under the double-well monotonicity condition)
-    c0 = np.zeros_like(cls.mult)
-    return _package(cls, c0, cls.l2_norm(cls.residual(c0, well)), frac, well)
+    if best is None:
+        # all multistarts collapsed: report the trivial critical point u = 0
+        # (F'(0) = 0 under the double-well monotonicity condition)
+        c0 = np.zeros_like(cls.mult)
+        best = _package(cls, c0, cls.l2_norm(cls.residual(c0, well)), frac, well)
+    return best if cfg.symmetry == "odd" else replace(best, u=_quarter_shift(best.u))
 
 
 def _refine(cls: _SymmetryClass, c0, well, tol, max_iter):

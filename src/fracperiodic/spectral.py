@@ -148,20 +148,19 @@ def gram_blocks(N, g):
 
 def gram(symmetry, N, g, half_wave=False):
     """Matrix of c -> (coefficients of g * u_c) for samples g on the class
-    grid of M = 4(N+1) points, in a symmetry class: odd c = [a_1..a_N], even
-    c = [b_1..b_N], full c = [b_0..b_N, a_1..a_N]; half_wave keeps only
-    the odd harmonics 1, 3, .. of the odd and even classes.  The
-    coefficients are those of grid_analysis, so the mean row carries weight
-    1 and the others 2.
+    grid of M = 4(N+1) points, in a symmetry class: odd c = [a_1..a_N],
+    full c = [b_0..b_N, a_1..a_N]; half_wave keeps only the odd harmonics
+    1, 3, .. of the odd class.  The coefficients are those of grid_analysis,
+    so the mean row carries weight 1 and the others 2.
 
     With g_k = mean of g cos(2 pi k j / M) and h_k the same with sin,
     2 mean(g sin_m sin_n) = g_|m-n| - g_{m+n}, 2 mean(g cos_m cos_n) =
     g_|m-n| + g_{m+n} and 2 mean(g sin_m cos_n) = h_{m+n} + h_{m-n};
     the indices reach 2N < M/2, and between odd harmonics m -+ n are even,
-    so the half-wave blocks read every other g_k.  They come from one rfft
+    so the half-wave block reads every other g_k.  They come from one rfft
     of g for the full class and from N = FFT_MIN_N on, else from the class's
-    moment rows (_tables), where the half-wave blocks read only the first M/2
-    samples: they assume a T/2-periodic g, as F''(u) of a half-wave u is.
+    moment rows (_tables), where the half-wave block reads only the first M/2
+    samples: it assumes a T/2-periodic g, as F''(u) of a half-wave u is.
     """
     if symmetry == "full":
         cc, sc, ss = gram_blocks(N, g)
@@ -174,8 +173,7 @@ def gram(symmetry, N, g, half_wave=False):
     else:
         gk = (np.fft.rfft(g) / g.shape[0]).real[::step]
     n = -(-N // step)   # modes 1, 1 + step, .. up to N
-    dist, tot = _toeplitz(gk[:n], gk[:n]), _hankel(gk[2 // step :], n)
-    return dist - tot if symmetry == "odd" else dist + tot
+    return _toeplitz(gk[:n], gk[:n]) - _hankel(gk[2 // step :], n)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +472,7 @@ FFT_MIN_N = 256   # below this the dense basis products beat an FFT call
 NONCONSTANT_AMPLITUDE = 1e-6   # deviation-from-mean threshold for classification
 
 
-@lru_cache(maxsize=8)   # a large_period pass uses 5 sets, a cli_suite pass 8, as many as it keeps
+@lru_cache(maxsize=8)   # a large_period pass uses 5 sets, a cli_suite pass 7
 def _tables(symmetry, N, half_wave):
     """The read-only dense tables of a class below FFT_MIN_N, shared by every
     period: grid basis, projection weights and gram's moment rows
@@ -483,9 +481,9 @@ def _tables(symmetry, N, half_wave):
     table of sin(2 pi k / M), reflected exactly from its first quarter.
 
     The eight most recently used sets are kept.  A set holds the M x n basis
-    and, outside the full class, the moment rows; the largest is an odd or
-    even class just below FFT_MIN_N (N = 255: 6.0 MiB), so the cache holds
-    at most about 48 MiB."""
+    and, outside the full class, the moment rows; the largest is an odd
+    class just below FFT_MIN_N (N = 255: 6.0 MiB), so the cache holds at
+    most about 48 MiB."""
     M, idx = 4 * (N + 1), _SymmetryClass._index(symmetry, N, half_wave)
     q = np.sin((0.5 * math.pi / (N + 1)) * np.arange(N + 2))   # M / 4 = N + 1
     sin = np.hstack((q, q[-2:0:-1], -q, -q[-2:0:-1]))
@@ -504,14 +502,13 @@ class _SymmetryClass:
     class of T-periodic trig polynomials of degree N.
 
     A class is an index into the full layout [b_0..b_N, a_1..a_N]: odd
-    takes [a_1..a_N], even [b_1..b_N], full all of it.  The half-wave
-    classes, u(x + T/2) = -u(x), keep the odd harmonics of the odd or even
-    class: ceil(N/2) entries, a_1, a_3, .. or b_1, b_3, ..  For an even
-    well F' is odd and F'' even, so the residual maps a half-wave class
-    into itself and its Jacobian is the odd-harmonic block of the full one;
-    the even class is only solved there, so no class but full has a mean.
-    Each coefficient carries its multiplier (w m)^{2s} (0 on the mean) and
-    its L^2 weight in units of T/2 (2 on the mean, 1 on the trig modes).
+    takes [a_1..a_N], full all of it.  The half-wave class, u(x + T/2) =
+    -u(x), keeps the odd harmonics of the odd class: ceil(N/2) entries,
+    a_1, a_3, ..  For an even well F' is odd and F'' even, so the residual
+    maps it into itself and its Jacobian is the odd-harmonic block of the
+    full one; an even solution is a half-wave one shifted by T/4.  Each
+    coefficient carries its multiplier (w m)^{2s} (0 on the mean) and its
+    L^2 weight in units of T/2 (2 on the mean, 1 on the trig modes).
     The nonlinear term is evaluated on a 4(N+1)-point grid, which
     integrates products up to degree 4N exactly.
 
@@ -527,7 +524,6 @@ class _SymmetryClass:
         self.half_wave = half_wave
         self.T = T
         self.N = N
-        self.odd = symmetry == "odd"
         lam = (2.0 * math.pi / T * np.arange(1, N + 1)) ** (2.0 * frac.s)
         self.idx = self._index(symmetry, N, half_wave)
         self.mult = np.concatenate(([0.0], lam, lam))[self.idx]
@@ -542,7 +538,7 @@ class _SymmetryClass:
 
     @staticmethod
     def _index(symmetry, N, half_wave):
-        part = {"odd": slice(N + 1, None), "even": slice(1, N + 1), "full": slice(None)}[symmetry]
+        part = {"odd": slice(N + 1, None), "full": slice(None)}[symmetry]
         return np.arange(2 * N + 1)[part][:: 2 if half_wave else 1]
 
     def _layout(self, c):
@@ -591,7 +587,7 @@ class _SymmetryClass:
 
     def to_function(self, c):
         b, a = self._layout(c)
-        return PeriodicFunction(T=self.T, sin_coeffs=a, cos_coeffs=b, odd=self.odd)
+        return PeriodicFunction(T=self.T, sin_coeffs=a, cos_coeffs=b, odd=self.symmetry == "odd")
 
     def from_function(self, u: PeriodicFunction):
         v = u.truncate(self.N)
@@ -609,15 +605,17 @@ def _check_period(T, N=0, s=0.0):
 
 
 def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell, half_wave=False, tol=0.0):
-    """The class of a semilinear solve with this well and Newton tolerance tol.
-    Raises ValueError unless T passes _check_period and, in the odd and even
-    classes, the well is even: the odd class drops the even part of F'(u), and
-    both take -u for a solution.  It also rejects a period at which tol cannot
-    tell a nonconstant u from u = 0.  The class norm carries sqrt(T/2), so near
-    u = 0 a first harmonic of amplitude NONCONSTANT_AMPLITUDE has a residual of
-    norm at most sqrt(T/2) ((2 pi / T)^{2s} + |F''(0)|) NONCONSTANT_AMPLITUDE;
-    where that is <= tol, Newton accepts it, and any start near it, unmoved.
-    tol = 0, for a class that no Newton solve uses, checks nothing."""
+    """The class of a semilinear solve with this well and Newton tolerance tol;
+    an even request gets the odd class, whose half-wave solutions shifted by
+    T/4 are the even ones.  Raises ValueError unless T passes _check_period
+    and, for an odd or even request, the well is even: the odd class drops the
+    even part of F'(u), and both take -u for a solution.  It also rejects a
+    period at which tol cannot tell a nonconstant u from u = 0.  The class
+    norm carries sqrt(T/2), so near u = 0 a first harmonic of amplitude
+    NONCONSTANT_AMPLITUDE has a residual of norm at most sqrt(T/2)
+    ((2 pi / T)^{2s} + |F''(0)|) NONCONSTANT_AMPLITUDE; where that is <= tol,
+    Newton accepts it, and any start near it, unmoved.  tol = 0, for a class
+    that no Newton solve uses, checks nothing."""
     _check_period(T, N, frac.s)
     if symmetry != "full" and not well.even:
         raise ValueError(f"the {symmetry} class needs an even potential, got {well.label!r}")
@@ -625,7 +623,7 @@ def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell, half_wave=Fa
     if math.sqrt(T / 2.0) * first * NONCONSTANT_AMPLITUDE <= tol:
         raise ValueError(f"period T={T!r} is too small at s={frac.s} for the Newton tolerance {tol:g}: "
                          f"it accepts a first harmonic of amplitude {NONCONSTANT_AMPLITUDE:g} as a solution")
-    return _SymmetryClass(symmetry, T, N, frac, half_wave)
+    return _SymmetryClass("full" if symmetry == "full" else "odd", T, N, frac, half_wave)
 
 
 def _newton(residual, jacobian, z, tol, max_iter, norm):

@@ -479,6 +479,18 @@ def test_continue_branch_collapse_is_branch_lost(monkeypatch):
         continue_branch(FracOrder(0.5), well(), lambda_start=1.0, steps=5, ds_arc=0.05)
 
 
+@pytest.mark.parametrize("ds", [0.05, 0.1, 0.2, 0.5])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_a_step_that_lands_on_the_trivial_branch_is_retried_smaller(s, ds):
+    # u = 0 solves at every lambda, and on the subcritical mode-3 branch some
+    # arclength planes meet it: Newton lands there (at s = 0.5, ds = 0.1 the
+    # plane after lambda = 2.3166 meets it at lambda = 1.2204), and half the
+    # step keeps the branch
+    branch = continue_branch(FracOrder(s), SUBCRITICAL, 3.0 ** (2 * s), 12, ds)
+    assert len(branch.points) == 12
+    assert all(p.amplitude > 1e-10 and p.residual <= RESIDUAL_TOL for p in branch.points)
+
+
 def test_t0_bound_subdivides_a_step_that_collapses(monkeypatch):
     # one step from the first point (lambda near 1) to 20 lands near the
     # trivial branch; the step is split in 2, 4, .. until every sub-step holds.
@@ -694,3 +706,22 @@ def test_t0_bound_on_a_subcritical_well_is_a_value_error(s):
                                          r"its first point is at lambda = 0\.99\d+\); verify_T0_bound follows "
                                          r"supercritical branches only$"):
         verify_T0_bound(FracOrder(s), subcritical)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_mode_m_branch_is_the_mode_1_branch_compressed(s, m):
+    # (-d_xx)^s of u(x) = v(m x) is m^{2s} ((-d_xx)^s v)(m x), so the branch
+    # from lambda = m^{2s} is v(m x) with v on the mode-1 branch at coupling
+    # lambda / m^{2s}: only the multiples of m carry a coefficient, and
+    # v_k = a_{m k} solves the mode-1 equation in the odd class at N / m.
+    # Control: at the branch's end the coupling lambda / m^s solves nothing
+    frac, N = FracOrder(s), 24 * m
+    branch = continue_branch(frac, well(), float(m) ** (2 * s), 30, 0.05, N=N)
+    cls = _SymmetryClass("odd", TWO_PI, N // m, frac)
+    for p in branch.points:
+        a = p.u.sin_coeffs
+        assert np.max(np.abs(np.delete(a, np.s_[m - 1 :: m]))) <= 1e-12
+        assert cls.l2_norm(cls.residual(a[m - 1 :: m], well(), p.lam / m ** (2 * s))) <= 1e-9
+    end = branch.points[-1]
+    assert cls.l2_norm(cls.residual(end.u.sin_coeffs[m - 1 :: m], well(), end.lam / m**s)) > 0.1

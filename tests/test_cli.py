@@ -284,6 +284,13 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "period" in capsys.readouterr().err
 
 
+def test_config_line_without_equals_sign_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\nT = 8\ncount 3\n")
+    assert run(["eig", "--s", "0.5", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"usage error: {cfg}:4: expected key=value, got 'count 3'\n"
+
+
 def test_t0_bound_csv(tmp_path, capsys):
     out = tmp_path / "t0.csv"
     code = run(["t0-bound", "--s", "0.5", "--lambda-grid", "1.5",
@@ -420,6 +427,14 @@ def test_csv_bytes_pinned(tmp_path):
     table = np.array([[v, -v] for v in values[3:12]], dtype=float)
     _write_csv(str(out), ["a", "b"], table.tolist())   # rows of plain floats: the same digits
     assert out.read_text().splitlines()[1:] == [ln.rsplit(",", 1)[0] for ln in lines[4:13]]
+
+
+def test_extend_with_an_unknown_method_is_usage_error(tmp_path, capsys):
+    inp, out = tmp_path / "u.json", tmp_path / "field.csv"
+    write_function(inp, T=TWO_PI, sin_coeffs=[1.0], cos_coeffs=None)
+    assert run(["extend", "--s", "0.5", "--input", str(inp), "--method", "foo", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: method must be bessel or poisson\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["bessel", "poisson"])

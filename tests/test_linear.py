@@ -33,6 +33,11 @@ def make_op(s=0.5, T=TWO_PI, N=16, k=None):
     return GalerkinOperator(frac=FracOrder(s), T=T, N=N, k=k or zero_k(T))
 
 
+def test_coefficient_of_another_period_is_rejected():
+    with pytest.raises(ValueError, match="coefficient k must have period T"):
+        GalerkinOperator(frac=FracOrder(0.5), T=TWO_PI, N=8, k=zero_k(8.0))
+
+
 def test_apply_is_the_fractional_laplacian_at_k_zero():
     rng = np.random.default_rng(3)
     T, N = 5.0, 12

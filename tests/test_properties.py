@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fracperiodic.diagnostics import hamiltonian_check
 from fracperiodic.extension import extend_bessel, extend_poisson
-from fracperiodic.semilinear import SolveConfig, minimize_energy
+from fracperiodic.semilinear import SolveConfig, minimize_energy, newton_refine
 from fracperiodic.spectral import (
     DoubleWell,
     FracOrder,
@@ -71,17 +71,15 @@ def test_oracle_matches_multiplier(u, s, x):
 
 
 @PROPERTY
-@given(symmetry=st.sampled_from(["odd", "even"]), Nc=st.sampled_from([3, 8, 16, 64]),
-       T=st.floats(2.0 * math.pi, 40.0), s=orders, data=st.data())
-def test_prolongation_by_zero_padding_is_exact(symmetry, Nc, T, s, data):
+@given(Nc=st.sampled_from([3, 8, 16, 64]), T=st.floats(2.0 * math.pi, 40.0), s=orders, data=st.data())
+def test_prolongation_by_zero_padding_is_exact(Nc, T, s, data):
     # both grids integrate the degree-4 Nc quartic energy density, and the
     # products of the cubic F' with the coarse modes, exactly
     frac, well = FracOrder(s), DoubleWell.quartic()
-    coarse = _SymmetryClass(symmetry, T, Nc, frac)
-    fine = _SymmetryClass(symmetry, T, 4 * Nc, frac)
+    coarse = _SymmetryClass("odd", T, Nc, frac)
+    fine = _SymmetryClass("odd", T, 4 * Nc, frac)
     raw = data.draw(st.lists(coefficient, min_size=coarse.idx.size, max_size=coarse.idx.size))
-    m = np.where(coarse.idx > Nc, coarse.idx - Nc, np.maximum(coarse.idx, 1))   # mode numbers
-    c = np.array(raw) / m**2.0
+    c = np.array(raw) / np.arange(1, Nc + 1) ** 2.0
     p = fine.from_function(coarse.to_function(c))
     e_coarse, e_fine = coarse.energy_full(c, well), fine.energy_full(p, well)
     assert abs(e_fine - e_coarse) <= 1e-12 * abs(e_coarse)
@@ -112,14 +110,26 @@ SYMMETRY_TOL = 1e-10
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("T", [8.0, 40.0])
 def test_even_minimizer_is_the_odd_one_shifted_by_a_quarter_period(s, T):
-    # u(x + T/4) sends sin((2j+1) w x) to (-1)^j cos((2j+1) w x)
+    # u(x + T/4) sends sin((2j+1) w x) to (-1)^j cos((2j+1) w x).  An even
+    # request is the odd solve, shifted, so the outputs the shift keeps are
+    # the same bits; the independent check is Newton in the full class (all
+    # modes, another layout), which must find the even minimizer solved
     frac, well = FracOrder(s), DoubleWell.quartic()
     odd, even = (minimize_energy(T, frac, well, SolveConfig(symmetry=sym, N=64)) for sym in ("odd", "even"))
-    assert odd.nonconstant and even.nonconstant
+    assert odd.nonconstant and not even.u.odd
+    kept = ("energy", "amplitude", "residual", "classification")
+    assert [getattr(even, k) for k in kept] == [getattr(odd, k) for k in kept]
     x = np.linspace(0.0, T, 1001)
     assert np.max(np.abs(even.u(x) - odd.u(x + T / 4.0))) <= SYMMETRY_TOL
-    assert abs(even.energy - odd.energy) <= SYMMETRY_TOL * abs(odd.energy)
     assert np.max(np.abs(even.u(x) - odd.u(x + T / 8.0))) > 0.1   # control
+    refined = newton_refine(even.u, T, frac, well, tol=1e-10)
+    assert refined.residual <= 1e-10
+    for got, ref in ((refined.u.sin_coeffs, even.u.sin_coeffs), (refined.u.cos_coeffs, even.u.cos_coeffs)):
+        assert np.max(np.abs(got - ref)) <= 1e-12
+    # control: cosines without the signs (-1)^j solve nothing
+    unsigned = PeriodicFunction(T=T, sin_coeffs=np.zeros(64), cos_coeffs=np.concatenate(([0.0], odd.u.sin_coeffs)))
+    full = _SymmetryClass("full", T, 64, frac)
+    assert full.l2_norm(full.residual(full.from_function(unsigned), well)) > 1e-2
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])

@@ -73,6 +73,37 @@ def test_odd_flag_zeroes_cosines():
     assert np.all(u.cos_coeffs == 0.0)
 
 
+def test_odd_function_with_a_cosine_is_rejected():
+    with pytest.raises(ValueError, match="odd function must have zero cosine coefficients"):
+        PeriodicFunction(T=TWO_PI, sin_coeffs=[1.0, 0.5], cos_coeffs=[0.0, 0.0, 1e-300], odd=True)
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 3, 5])
+def test_from_samples_needs_an_even_count_of_at_least_four(M):
+    with pytest.raises(ValueError, match=r"need an even number \(>=4\) of equispaced samples"):
+        PeriodicFunction.from_samples(TWO_PI, np.ones(M))
+
+
+def test_sum_and_difference_of_functions_of_different_periods_are_rejected():
+    u, v = (PeriodicFunction.from_modes(T, sin_coeffs=[1.0]) for T in (TWO_PI, 8.0))
+    with pytest.raises(ValueError, match="period mismatch"):
+        u + v
+    with pytest.raises(ValueError, match="period mismatch"):
+        u - v
+
+
+def test_difference_pads_the_shorter_function_and_keeps_oddness_only_when_both_are_odd():
+    u = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[1.0, 0.5], cos_coeffs=[0.25, -1.0])
+    v = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[0.5])   # odd, N = 1
+    d = u - v
+    assert d.N == 2 and not d.odd
+    assert np.array_equal(d.sin_coeffs, [0.5, 0.5]) and np.array_equal(d.cos_coeffs, [0.25, -1.0, 0.0])
+    x = np.linspace(0.0, TWO_PI, 17)
+    assert np.max(np.abs(d(x) - (u(x) - v(x)))) <= 1e-15
+    w = v - 2.0 * v
+    assert w.odd and np.array_equal(w.sin_coeffs, [-0.5])
+
+
 @pytest.mark.parametrize("T", [0.0, -2.0, math.nan, math.inf])
 def test_periodic_function_rejects_bad_period(T):
     with pytest.raises(ValueError):
@@ -287,6 +318,16 @@ def test_quartic_monotone_between_wells():
     right = np.linspace(0.01, 0.99, 100)
     assert np.all(np.diff(well.f(left)) >= 0.0)   # nondecreasing on (-1,0)
     assert np.all(np.diff(well.f(right)) <= 0.0)  # nonincreasing on (0,1)
+
+
+@pytest.mark.parametrize("coeffs,match", [
+    pytest.param([0.5, 0.0, -0.5, 0.0, 0.25], r"F\(\+-1\) must vanish", id="F(+-1)=1/4"),
+    pytest.param([0.25, -0.5, 0.25], r"F\(\+-1\) must vanish", id="F(-1)=1"),
+    pytest.param([0.5, 0.0, -0.5], r"F'\(\+-1\) must vanish", id="F'(+-1)=-+1"),
+])
+def test_check_shape_needs_the_wells_at_plus_minus_one(coeffs, match):
+    with pytest.raises(ValueError, match=match):
+        DoubleWell.from_poly(coeffs).check_shape()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
