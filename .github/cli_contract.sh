@@ -41,6 +41,9 @@ PYTHONWARNINGS=error fracperiodic continue --s 0.5 --lambda-start 2 --steps 8
 PYTHONWARNINGS=error fracperiodic solve --s 0.5 --T 8 --symmetry even
 # a continuation step whose corrector lands on u = 0 is retried at half the step
 PYTHONWARNINGS=error fracperiodic continue --s 0.5 --potential poly:0.5,0,-0.5,0,-0.5,0,0.5 --lambda-start 3 --steps 12 --ds 0.1
+# the Poisson route at a height 1e5 periods up: its kernel's binomial tails run about 20 terms
+python -c 'from fracperiodic import PeriodicFunction; print(PeriodicFunction.from_modes(1.0, sin_coeffs=[0.5, 0, -0.2]).to_json())' > "$RUNNER_TEMP/trace.json"
+PYTHONWARNINGS=error fracperiodic extend --s 0.5 --input "$RUNNER_TEMP/trace.json" --method poisson --points "0.25,1e5;0.5,30"
 # the README's examples, through the console script, in a scratch directory
 grep '^fracperiodic ' README.md > "$RUNNER_TEMP/readme_examples.sh"
 cd "$(mktemp -d)"

@@ -219,13 +219,45 @@ _MAX_BINOMIAL_TERMS = 60
 _BLOCK = 1 << 18   # array elements per block of kernel images or cosine terms
 
 
+def _binomial_tails(zr, y, p, T, jc, stop):
+    """sum_{j > jc} + sum_{j < -jc} of ((zr + jT)^2 + y^2)^{-p}, expanded binomially
+    in (y / |zr + jT|)^2: term i is coeff_i y^{2i} T^{-q_i} [zeta(q_i, jc + 1 +- zr/T)]
+    with q_i = 2p + 2i, added one at a time until one is below ``stop``.
+
+    The zeta values of a batch of terms, both sides, come from one call.  A
+    term's zeta part shrinks by at least rho = (y / ((jc + 1/2) T))^2 < 1/9
+    per term, so a batch holds the terms up to the first with rho^i below
+    1e-18: one batch nearly always ends the sum, and little zeta work is
+    spent past the stop.  The factors y^{2i} T^{-q_i} are formed term by
+    term, never past the stop, where they could overflow.
+    """
+    sides = np.stack([jc + 1.0 + zr / T, jc + 1.0 - zr / T])
+    rho = (y / ((jc + 0.5) * T)) ** 2
+    size = 1 + (math.ceil(math.log(1e-18) / math.log(rho)) if rho else 0)
+    size = min(size, max(1, _BLOCK // sides.size))
+    tail = np.zeros_like(zr)
+    coeff = 1.0
+    ypow = 1.0
+    for lo in range(0, _MAX_BINOMIAL_TERMS, size):
+        q = [2.0 * p + 2.0 * i for i in range(lo, min(lo + size, _MAX_BINOMIAL_TERMS))]
+        zeta = _hurwitz_zeta(np.reshape(q, (-1,) + (1,) * sides.ndim), sides)
+        for i, qi, (left, right) in zip(range(lo, _MAX_BINOMIAL_TERMS), q, zeta):
+            term = coeff * ypow * T ** (-qi) * (left + right)
+            tail += term
+            if np.max(np.abs(term)) < stop:
+                return tail
+            coeff *= -(p + i) / (i + 1.0)
+            ypow *= y * y
+    return tail
+
+
 def poisson_kernel_periodized(z, y, frac: FracOrder, T):
     """sum_j p_s(z + jT, y): the s-Poisson kernel folded over all images.
 
     Near images are summed directly, in blocks of at most _BLOCK array
     elements; the two one-sided tails are expanded binomially in
     (y/|z+jT|)^2 and summed in closed form with Hurwitz zeta, which is exact
-    to machine precision.
+    to machine precision, until a term falls below 1e-18 of the direct sum.
     """
     s = frac.s
     p = (1.0 + 2.0 * s) / 2.0
@@ -235,21 +267,7 @@ def poisson_kernel_periodized(z, y, frac: FracOrder, T):
     step = max(1, _BLOCK // zr.size)   # images per block: memory stays flat as y grows
     direct = sum(np.sum(((zr[..., None] + np.arange(lo, min(lo + step, jc + 1)) * T) ** 2
                          + y * y) ** (-p), axis=-1) for lo in range(-jc, jc + 1, step))
-
-    # tails j > jc and j < -jc
-    tail = np.zeros_like(zr)
-    coeff = 1.0
-    ypow = 1.0
-    for i in range(_MAX_BINOMIAL_TERMS):
-        q = 2.0 * p + 2.0 * i
-        term = coeff * ypow * T ** (-q) * (
-            _hurwitz_zeta(q, jc + 1.0 + zr / T) + _hurwitz_zeta(q, jc + 1.0 - zr / T)
-        )
-        tail += term
-        if np.max(np.abs(term)) < 1e-18 * max(np.max(direct), 1e-300):
-            break
-        coeff *= -(p + i) / (i + 1.0)
-        ypow *= y * y
+    tail = _binomial_tails(zr, y, p, T, jc, 1e-18 * max(np.max(direct), 1e-300))
     return frac.c_poisson * abs(y) ** (2.0 * s) * (direct + tail)
 
 

@@ -685,14 +685,16 @@ ORACLE_TOL = 1e-10   # relative change between quadrature orders that ends singu
 
 
 def _hurwitz_zeta(p, q):
-    """Hurwitz zeta sum_{k>=0} (k + q)^{-p} for p > 1 and an array q > 0:
-    ten terms directly, then Euler-Maclaurin at a = q + 10 with the
-    Bernoulli numbers B_2..B_16, whose remainder is below 1e-15 relative for
-    p <= 3, q >= 1/2 and smaller still for larger q.  Raises ValueError
-    unless p > 1 in floating point, where the sum diverges: the callers'
-    p = 1 + 2s rounds to 1 for s below about 1.1e-16."""
-    if not p > 1.0:
-        raise ValueError(f"Hurwitz zeta(p, q) needs p > 1, got p = 1 + 2s = {p!r} (s is too small)")
+    """Hurwitz zeta sum_{k>=0} (k + q)^{-p} for orders p > 1 and q > 0, a
+    scalar or an array each, broadcast against each other: ten terms
+    directly, then Euler-Maclaurin at a = q + 10 with the Bernoulli numbers
+    B_2..B_16, whose remainder is below 1e-15 relative for p <= 3, q >= 1/2
+    and smaller still for larger q.  Raises ValueError unless every p > 1 in
+    floating point, where the sum diverges: the callers' p = 1 + 2s rounds
+    to 1 for s below about 1.1e-16."""
+    if not np.all(p > 1.0):
+        raise ValueError(f"Hurwitz zeta(p, q) needs p > 1, got p = 1 + 2s = {float(np.min(p))!r} "
+                         f"(s is too small)")
     q = np.asarray(q, dtype=float)
     a = q + 10.0
     out = sum((q + k) ** -p for k in range(10)) + a ** (1.0 - p) / (p - 1.0) + 0.5 * a**-p
@@ -708,37 +710,47 @@ def _gauss_jacobi_01(n, beta):
     """Nodes/weights for int_0^1 r^beta f(r) dr, cached per (n, beta) as
     read-only arrays.
 
-    Golub-Welsch for the weight (1 + t)^beta on (-1, 1): the nodes are the
-    eigenvalues of the Jacobi matrix, polished by one Newton step on the
-    three-term recurrence of the orthonormal polynomials p_k, and the
-    weights are the Christoffel numbers 1 / sum_{k<n} p_k^2 at the polished
-    nodes (Hale & Townsend, SISC 2013).  Raises ValueError unless
-    2 + beta > 1 in floating point, where the first off-diagonal entry
-    would divide by sqrt(c^2 - 1) = 0; the extension's y^-a rule, with
-    beta = 2s - 1, gets there for s up to about 6e-17.
+    Golub-Welsch for the weight r^beta on (0, 1), the Jacobi matrix of
+    (1 + t)^beta on (-1, 1) under t = 2r - 1: the nodes are the eigenvalues
+    of the Jacobi matrix, polished by one Newton step on the three-term
+    recurrence of the orthonormal polynomials p_k, and the weights are the
+    Christoffel numbers 1 / sum_{k<n} p_k^2 at the polished nodes (Hale &
+    Townsend, SISC 2013).  The recurrence runs in r and in np.longdouble:
+    near r = 0 it amplifies rounding, and in double the rounding of its
+    coefficients alone moves the weight of the node nearest 0 by 3e-12 at
+    beta = -0.98, n = 384 (np.longdouble has a 64-bit mantissa on x86; where
+    it is plain double, weights near 0 are good to about 1e-12).  Raises
+    ValueError unless 2 + beta > 1 in floating point, where the first
+    off-diagonal entry would divide by sqrt(c^2 - 1) = 0; the extension's
+    y^-a rule, with beta = 2s - 1, gets there for s up to about 6e-17.
     """
     if not 2.0 + beta > 1.0:
         raise ValueError(f"Gauss-Jacobi weight r^beta needs 2 + beta > 1 in floating point, got "
                          f"beta = {beta!r} (the y^-a rule of the extension has beta = 2s - 1: s is too small)")
-    k = np.arange(1.0, n + 1.0)
-    c = 2.0 * k + beta
-    diag = np.concatenate(([beta / (beta + 2.0)], beta * beta / (c[:-1] * (c[:-1] + 2.0))))
-    b = np.concatenate(([0.0], 2.0 * k * (k + beta) / (c * np.sqrt(c * c - 1.0))))   # b_0 = 0, b_1..b_n
-    p0 = math.sqrt((beta + 1.0) / 2.0 ** (beta + 1.0))   # p_0^2 = 1 / the total mass
+    beta = np.longdouble(beta)
+    k = np.arange(1, n + 1, dtype=np.longdouble)
+    c = 2 * k + beta
+    # (1 + the t-diagonal) / 2, with 1 + beta / (beta + 2) = 2 (beta + 1) / (beta + 2) free of cancellation
+    diag = np.concatenate(([(beta + 1) / (beta + 2)], 0.5 + 0.5 * beta * beta / (c[:-1] * (c[:-1] + 2))))
+    b = np.concatenate(([0], k * (k + beta) / (c * np.sqrt(c * c - 1))))   # b_0 = 0, b_1..b_n
+    p0 = np.sqrt(beta + 1)   # p_0^2 = 1 / the total mass
 
-    def recurrence(t):
-        """p_n(t), p_n'(t) and sum_{k<n} p_k(t)^2."""
-        p_prev, p, dp_prev, dp, total = 0.0, np.full_like(t, p0), 0.0, 0.0, 0.0
+    def recurrence(r):
+        """p_{n-1}(r), p_n(r) and sum_{k<n} p_k(r)^2."""
+        p_prev, p, total = 0, np.full_like(r, p0), 0
         for j in range(n):
             total = total + p * p
-            p_prev, p, dp_prev, dp = (p, ((t - diag[j]) * p - b[j] * p_prev) / b[j + 1],
-                                      dp, (p + (t - diag[j]) * dp - b[j] * dp_prev) / b[j + 1])
-        return p, dp, total
+            p_prev, p = p, ((r - diag[j]) * p - b[j] * p_prev) / b[j + 1]
+        return p_prev, p, total
 
-    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(b[1:-1], 1) + np.diag(b[1:-1], -1))
-    p, dp, _ = recurrence(t)
-    t = t - p / dp
-    r, w = (t + 1.0) / 2.0, 0.5 ** (beta + 1.0) / recurrence(t)[2]
+    d, e = diag.astype(float), b[1:-1].astype(float)
+    r = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).astype(np.longdouble)
+    # Newton with p_n' = sum_{k<n} p_k^2 / (b_n p_{n-1}), the Christoffel-Darboux
+    # identity at a root: off the root by delta it errs by O(delta), so the step
+    # still squares the error
+    p_prev, p, total = recurrence(r)
+    r = r - b[n] * p_prev * p / total
+    r, w = r.astype(float), (1 / recurrence(r)[2]).astype(float)
     r.flags.writeable = w.flags.writeable = False
     return r, w
 
@@ -813,15 +825,20 @@ def spectral_dirichlet(u: PeriodicFunction, frac: FracOrder):
 
 
 def _gagliardo_fixed(u, frac, n_r, n_x):
+    # u(x +- r) - u(x) = sum_m [-u_m(x) 2 sin^2(omega m r / 2) +- v_m(x) sin(omega m r)]
+    # with u_m = a_m sin + b_m cos and v_m = a_m cos - b_m sin at x, so the two
+    # squares add up to 2 [(U c)^2 + (V s)^2]: two matrix products, no cancellation
     T = u.T
-    x = np.arange(n_x) * (T / n_x)
-    ux = u(x)[:, None]
+    sin, cos, (a, b), _ = u._modes(np.arange(n_x) * (T / n_x))
+    U, V = sin * a + cos * b, cos * a - sin * b
+    m = np.arange(1, u.N + 1)
 
     def inner(r, w):
-        return ((ux - u(x[:, None] + r)) ** 2 + (ux - u(x[:, None] - r)) ** 2) @ w
+        phase = np.multiply.outer(m, r) * u.omega
+        return ((U @ (2.0 * np.sin(0.5 * phase) ** 2)) ** 2 + (V @ np.sin(phase)) ** 2) @ w
 
     total = sum(float(np.sum(inner(r, w))) for r, w in _folded_rules(frac, T, n_r))
-    return (frac.c_sing / 2.0) * total * (T / n_x)
+    return frac.c_sing * total * (T / n_x)
 
 
 def gagliardo_energy(u: PeriodicFunction, frac: FracOrder):

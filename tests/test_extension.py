@@ -27,6 +27,7 @@ from fracperiodic.extension import (
 from fracperiodic.spectral import (
     FracOrder,
     PeriodicFunction,
+    _hurwitz_zeta,
     frac_laplacian,
     spectral_dirichlet,
 )
@@ -366,6 +367,46 @@ def test_poisson_kernel_keeps_precision_at_the_peak():
     for j in (-2, 1, 3):
         shifted = poisson_kernel_periodized(z + j * TWO_PI, 0.1, frac, TWO_PI)
         assert np.max(np.abs(shifted / base - 1.0)) < 1e-12
+
+
+def _kernel_term_by_term(z, y, frac, T):
+    """The periodized kernel with one zeta call per tail term and side."""
+    p = 0.5 + frac.s
+    zr = np.asarray(z, dtype=float)
+    zr = zr - T * np.rint(zr / T)
+    jc = 8 + math.ceil(3.0 * y / T)
+    direct = np.sum(((zr[..., None] + np.arange(-jc, jc + 1) * T) ** 2 + y * y) ** (-p), axis=-1)
+    tail, coeff, ypow = np.zeros_like(zr), 1.0, 1.0
+    for i in range(60):
+        q = 2.0 * p + 2.0 * i
+        zeta = _hurwitz_zeta(q, jc + 1.0 + zr / T) + _hurwitz_zeta(q, jc + 1.0 - zr / T)
+        term = coeff * ypow * T ** (-q) * zeta
+        tail += term
+        if np.max(np.abs(term)) < 1e-18 * max(np.max(direct), 1e-300):
+            break
+        coeff *= -(p + i) / (i + 1.0)
+        ypow *= y * y
+    return frac.c_poisson * y ** (2.0 * frac.s) * (direct + tail)
+
+
+@pytest.mark.parametrize("T", [1.0, TWO_PI])
+@pytest.mark.parametrize("y", [1e-3, 0.3, 10.0, 1e5])
+def test_poisson_kernel_batched_tails_match_the_term_by_term_sum(y, T, monkeypatch):
+    # warnings are errors here: factors y^{2i} T^{-q_i} formed for all 60
+    # possible terms overflow at y = 1e5, T = 1; a 0-d z must keep its shape
+    orders = []
+    monkeypatch.setattr(extension, "_hurwitz_zeta", lambda p, q: orders.append(p.size) or _hurwitz_zeta(p, q))
+    z = np.array([-0.37, 0.0, 0.21, 0.5]) * T
+    for s in (0.25, 0.5, 0.75):
+        frac = FracOrder(s)
+        for zs in (z, z[2], np.asarray(z[0])):
+            orders.clear()
+            got = poisson_kernel_periodized(zs, y, frac, T)
+            ref = _kernel_term_by_term(zs, y, frac, T)
+            assert np.shape(got) == np.shape(zs)
+            assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
+            # one batch, sized from the decay (y / ((jc + 1/2) T))^2 < 1/9 per term
+            assert len(orders) == 1 and orders[0] <= 20
 
 
 def test_half_order_closed_form_field():

@@ -11,6 +11,8 @@ from fracperiodic.spectral import (
     DoubleWell,
     FracOrder,
     PeriodicFunction,
+    _folded_rules,
+    _gagliardo_fixed,
     _gauss_jacobi_01,
     _gauss_legendre_01,
     _hurwitz_zeta,
@@ -270,6 +272,28 @@ def test_parseval_identity():
         assert abs(gagliardo_energy(u, frac) - spectral) < 1e-9 * max(1.0, spectral)
 
 
+def test_gagliardo_product_form_matches_the_pointwise_differences():
+    # the fixed-order sum built from the modes' 2 sin^2(omega m r / 2) and
+    # sin(omega m r) is the brute-force sum of (u(x) - u(x +- r))^2 on one rule
+    rng = np.random.default_rng(29)
+    for s in (0.25, 0.5, 0.75):
+        frac, u = FracOrder(s), random_function(rng, T=5.0, N=6)
+        n_r, n_x = 12, 40
+        x = np.arange(n_x) * (u.T / n_x)
+        ux = u(x)[:, None]
+        brute = sum(float(np.sum(((ux - u(x[:, None] + r)) ** 2 + (ux - u(x[:, None] - r)) ** 2) @ w))
+                    for r, w in _folded_rules(frac, u.T, n_r))
+        brute *= (frac.c_sing / 2.0) * (u.T / n_x)
+        assert abs(_gagliardo_fixed(u, frac, n_r, n_x) / brute - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_gagliardo_energy_matches_parseval_at_N_32(s):
+    u, frac = random_function(np.random.default_rng(32), N=32), FracOrder(s)
+    spectral = spectral_dirichlet(u, frac)
+    assert abs(gagliardo_energy(u, frac) / spectral - 1.0) <= 1e-12
+
+
 def test_energy_functional_trivial():
     well = DoubleWell.quartic()
     T = 8.0
@@ -356,6 +380,22 @@ def test_hurwitz_zeta_matches_scipy():
     q = np.linspace(8.5, 60.0, 201)
     for p in np.linspace(1.02, 121.0, 60):
         assert np.max(np.abs(_hurwitz_zeta(p, q) / zeta(p, q) - 1.0)) <= 1e-14
+    # an array of orders broadcast against q, as the Poisson kernel's batched
+    # tails call it: the same values as one call per order
+    p = np.linspace(1.02, 121.0, 60)
+    for orders, qs in ((p[:, None], q), (p[:, None, None], np.stack([q, 1.0 + q / 20.0]))):
+        batch = _hurwitz_zeta(orders, qs)
+        assert batch.shape == np.broadcast_shapes(orders.shape, qs.shape)
+        assert np.max(np.abs(batch / zeta(orders, qs) - 1.0)) <= 1e-14
+        for pk, values in zip(p, batch):
+            assert np.array_equal(values, _hurwitz_zeta(pk, qs))
+
+
+def test_hurwitz_zeta_rejects_an_array_with_an_order_at_one():
+    # the message names the smallest order, as the scalar call does
+    message = r"^Hurwitz zeta\(p, q\) needs p > 1, got p = 1 \+ 2s = 1\.0 \(s is too small\)$"
+    with pytest.raises(ValueError, match=message):
+        _hurwitz_zeta(np.array([3.0, 1.0, 5.0]), np.array([2.0, 9.0]))
 
 
 @pytest.mark.parametrize("n", [8, 48, 64, 96, 128, 192, 384])
@@ -378,6 +418,26 @@ def test_gauss_jacobi_rule_against_scipy_and_moments(n):
         if beta >= 0.0:
             tol = 1e-14 if n <= 96 else 2.5e-14
             assert np.max(np.abs(w - ws * 0.5 ** (beta + 1.0))) <= tol
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="the rule reaches this accuracy through an extended np.longdouble")
+@pytest.mark.parametrize("n, beta", [(384, -0.98), (384, -0.5), (96, -0.9), (384, 0.0), (384, 0.98)])
+def test_gauss_jacobi_node_nearest_zero_against_mpmath(n, beta):
+    mp = pytest.importorskip("mpmath")
+    r, w = _gauss_jacobi_01(n, beta)
+    with mp.workdps(40):
+        b = mp.mpf(beta)
+        # P_n^(0,beta)(2r - 1) = (-1)^n binom(n + beta, n) 2F1(-n, n + beta + 1; beta + 1; r), and the
+        # weight of r^beta on (0, 1) at its root r_0 is 1 / (r_0 (1 - r_0) (d/dr P_n^(0,beta)(2r - 1))^2)
+        f = lambda x: mp.hyp2f1(-n, n + b + 1, b + 1, x)
+        df = lambda x: -n * (n + b + 1) / (b + 1) * mp.hyp2f1(1 - n, n + b + 2, b + 2, x)
+        x = mp.mpf(r[0])
+        for _ in range(4):
+            x -= f(x) / df(x)
+        weight = 1 / (x * (1 - x) * (mp.binomial(n + b, n) * df(x)) ** 2)
+        assert abs(mp.mpf(r[0]) / x - 1) <= 1e-13
+        assert abs(mp.mpf(w[0]) / weight - 1) <= 1e-14
 
 
 def test_gauss_legendre_rule_is_built_once_and_read_only():
