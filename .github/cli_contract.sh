@@ -44,6 +44,14 @@ PYTHONWARNINGS=error fracperiodic continue --s 0.5 --potential poly:0.5,0,-0.5,0
 # the Poisson route at a height 1e5 periods up: its kernel's binomial tails run about 20 terms
 python -c 'from fracperiodic import PeriodicFunction; print(PeriodicFunction.from_modes(1.0, sin_coeffs=[0.5, 0, -0.2]).to_json())' > "$RUNNER_TEMP/trace.json"
 PYTHONWARNINGS=error fracperiodic extend --s 0.5 --input "$RUNNER_TEMP/trace.json" --method poisson --points "0.25,1e5;0.5,30"
+# an output file is written in place: a shorter second write leaves exactly its own bytes
+rm -f "$RUNNER_TEMP/branch.csv" "$RUNNER_TEMP/fresh.csv"
+PYTHONWARNINGS=error fracperiodic continue --s 0.5 --steps 12 --out "$RUNNER_TEMP/branch.csv"
+PYTHONWARNINGS=error fracperiodic continue --s 0.5 --steps 4 --out "$RUNNER_TEMP/branch.csv"
+PYTHONWARNINGS=error fracperiodic continue --s 0.5 --steps 4 --out "$RUNNER_TEMP/fresh.csv"
+cmp "$RUNNER_TEMP/branch.csv" "$RUNNER_TEMP/fresh.csv"
+# and a device that cannot be truncated takes the output
+PYTHONWARNINGS=error fracperiodic continue --s 0.5 --steps 4 --out /dev/null
 # the README's examples, through the console script, in a scratch directory
 grep '^fracperiodic ' README.md > "$RUNNER_TEMP/readme_examples.sh"
 cd "$(mktemp -d)"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BranchLost, NoConvergence, SingularJacobian, StepFailure
-from .semilinear import MAX_NEWTON, _refine
+from .semilinear import MAX_NEWTON
 from .spectral import (
     DoubleWell,
     FracOrder,
@@ -37,8 +37,6 @@ __all__ = [
     "verify_T0_bound",
 ]
 
-RESIDUAL_TOL = 1e-10
-REFINE_TOL = 1e-9          # Newton tolerance of the realized-period refine of verify_T0_bound
 DEFAULT_N = 24
 MAX_STEP_RETRIES = 10      # continuation step halvings before StepFailure
 PITCHFORK_FIT_POINTS = 10  # leading branch points of the pitchfork fit
@@ -106,7 +104,7 @@ def _corrector(cls, well, scale, z, tangent, target, max_iter=30):
     """Newton on the bordered system [G(a, lambda); tangent . (z - target)]
     for z = (a, lambda), where G is the residual of the odd class or its
     half-wave part cls with coupling lambda * scale.  Converged when |G| <=
-    RESIDUAL_TOL and the arclength row is below 1e-12.  The Jacobian of the
+    NEWTON_TOL and the arclength row is below 1e-12.  The Jacobian of the
     residual's last z reuses the view a = z[:-1] that the class evaluated
     and the projection of F'(u).  Returns (z, a, |G|); cls keeps a's values."""
     last = [None, None, None]   # z, its view a and the coefficients of F'(u) of the last residual
@@ -132,7 +130,7 @@ def _corrector(cls, well, scale, z, tangent, target, max_iter=30):
     def norm(r):
         return cls.l2_norm(r[:-1]) if abs(r[-1]) <= 1e-12 else math.inf
 
-    z, rnorm = _newton(residual, jacobian, z, RESIDUAL_TOL, max_iter, norm)
+    z, rnorm = _newton(residual, jacobian, z, max_iter, norm)
     return z, last[1], rnorm
 
 
@@ -165,10 +163,10 @@ def continue_branch(frac: FracOrder, well: DoubleWell, lambda_start, steps, ds_a
         raise ValueError(f"steps must be at least 2 (the tangent needs two points), got {steps!r}")
     N = DEFAULT_N if N is None else _count(N, "truncation N")
     scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
-    full = _solve_class("odd", 2.0 * math.pi, N, frac, well, tol=RESIDUAL_TOL)
+    full = _solve_class("odd", 2.0 * math.pi, N, frac, well)
     m_idx = int(np.argmin(np.abs(full.mult - lambda_start)))
     lam_b = float(full.mult[m_idx])   # the nearest m^{2s}, m = m_idx + 1
-    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well, half_wave=m_idx % 2 == 0, tol=RESIDUAL_TOL)
+    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well, half_wave=m_idx % 2 == 0)
 
     def make_point(z, a, rnorm):
         # from the corrector's last evaluation, whose values cls keeps: every other
@@ -284,7 +282,7 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
                          f"got {lambda_grid.tolist()}")
     N = DEFAULT_N if N is None else _count(N, "truncation N")
     scale = 1.0 / unstable_curvature(well, "bifurcation analysis")
-    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well, half_wave=True, tol=RESIDUAL_TOL)
+    cls = _solve_class("odd", 2.0 * math.pi, N, frac, well, half_wave=True)
     periods = [_period(float(lam), scale, frac) for lam in lambda_grid]
     if not all(0.0 < T < math.inf for T in periods):
         raise ValueError(f"s = {frac.s!r} is too small: the period 2 pi (lambda / -F''(0))^(1/(2s)) "
@@ -301,7 +299,7 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
         # predictor follows the pitchfork scaling amp ~ sqrt(lambda - 1) so
         # Newton at fixed lambda does not fall back onto the trivial branch
         a_pred = a * math.sqrt(max(lam_new - 1.0, 0.0) / (lam - 1.0))
-        a_new, _ = _newton(*cls.newton_pair(well, lam_new * scale), a_pred, RESIDUAL_TOL, 30, cls.l2_norm)
+        a_new, _ = _newton(*cls.newton_pair(well, lam_new * scale), a_pred, 30, cls.l2_norm)
         if np.max(np.abs(a_new)) < 0.5 * np.max(np.abs(a_pred)):
             raise BranchLost("collapsed toward the trivial branch")
         return a_new
@@ -321,12 +319,12 @@ def verify_T0_bound(frac: FracOrder, well: DoubleWell, lambda_grid=None, N=None)
                 if n_sub > 64:
                     raise
         a, lam = a_try, float(lam_target)
-        # the same coefficients on period T, refined by newton_refine's Newton on
+        # the same coefficients on period T, refined as newton_refine(u, T) does:
         # the whole odd class at truncation max(N, 8)
-        T_cls = _solve_class("odd", period, max(N, 8), frac, well, tol=REFINE_TOL)
+        T_cls = _solve_class("odd", period, max(N, 8), frac, well)
         c0 = np.zeros(T_cls.N)
         c0[:N:2] = a   # the odd harmonics 1, 3, ..
-        _, c, rnorm = _refine(T_cls, c0, well, REFINE_TOL, MAX_NEWTON)
+        c, rnorm = _newton(*T_cls.newton_pair(well), c0, MAX_NEWTON, T_cls.l2_norm)
         amplitude = float(np.max(np.abs(T_cls.values(c))))
         if amplitude >= 1.0:   # as in continue_branch: no solution reaches the wells
             raise BranchLost(f"amplitude {amplitude:.6g} >= 1 at lambda = {lam:.6g} (N = {N})")

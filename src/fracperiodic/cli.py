@@ -36,12 +36,19 @@ def _fmt(x):
 
 
 def _emit(path, text):
-    """Write text to stdout when path is None or "-", else to the file."""
+    """Write text to stdout when path is None or "-", else to the file.
+
+    An existing file is written in place and cut only where it was longer:
+    truncating it to zero first can force a writeback when it is closed
+    (ext4's auto_da_alloc), and a device such as /dev/null cannot be cut."""
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        data = text.encode()
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            if os.fstat(fh.fileno()).st_size > len(data):
+                fh.truncate()
 
 
 def _write_csv(path, header, rows):

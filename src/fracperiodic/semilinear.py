@@ -60,26 +60,22 @@ __all__ = [
 DESCENT_GRAD_TOL = 1e-4        # descent hands over to Newton below this
 COARSE_MIN_N = 128             # from this N on, each start first descends at N // 4
 DISTINCT_L2 = math.sqrt(DESCENT_GRAD_TOL)   # coarse endpoints closer than this share a fine stage
-MAX_NEWTON = 60                # Newton iterations per start
+MAX_NEWTON = 60                # Newton iterations per start and per refine
 MAX_DESCENT = 4000             # modified-Newton descent steps per start and stage
+MIN_PERIOD_N = 32              # truncation of find_min_period's odd half-wave class
+MULTISTARTS = 6                # multistart initial data per solve, mirrors included
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     symmetry: str = "odd"          # "odd" | "even"
     N: int = 64
-    newton_tol: float = 1e-10
-    multistarts: int = 6
 
     def __post_init__(self):
         if self.symmetry not in ("odd", "even"):
             raise ValueError("symmetry must be 'odd' or 'even'")
         if self.N < 8:
             raise ValueError("truncation N must be at least 8")
-        if not 0.0 < self.newton_tol < math.inf:
-            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
-        if self.multistarts < 1:
-            raise ValueError(f"multistarts must be at least 1, got {self.multistarts}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,7 @@ def _descent(cls: _SymmetryClass, c, well):
     return c
 
 
-def _starts(cls: _SymmetryClass, cfg: SolveConfig):
+def _starts(cls: _SymmetryClass):
     """Multistart initial data: c * (first harmonic) with sign flips, plus a
     sharpened interface template for long periods.
 
@@ -160,7 +156,7 @@ def _starts(cls: _SymmetryClass, cfg: SolveConfig):
             out.append((c, sgn < 0))
     if cls.T > 4.0 * math.pi:
         out.insert(0, (cls.project(np.tanh(cls.T / 4.0 * np.sin(2.0 * math.pi * cls.x / cls.T))), False))
-    return [c for c, mirror in out[: cfg.multistarts] if not mirror]
+    return [c for c, mirror in out[:MULTISTARTS] if not mirror]
 
 
 def _nonconstant(vals):   # the one nonconstant test, on grid values
@@ -174,18 +170,18 @@ def _package(cls: _SymmetryClass, c, rnorm, frac, well):
                               classification="nonconstant" if _nonconstant(vals) else "trivial")
 
 
-def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell, cfg: SolveConfig):
+def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell):
     """Yield (c, residual norm) of each start that converges to a nonconstant u with |u| < 1."""
-    first = _SymmetryClass("odd", cls.T, cfg.N // 4, frac, half_wave=True) if cfg.N >= COARSE_MIN_N else cls
+    first = _SymmetryClass("odd", cls.T, cls.N // 4, frac, half_wave=True) if cls.N >= COARSE_MIN_N else cls
     finished = []   # coarse endpoints whose fine stage succeeded
-    for c0 in _starts(first, cfg):
+    for c0 in _starts(first):
         c = coarse = _descent(first, c0.copy(), well)
         if first is not cls:   # prolong by zero padding and finish at N, once per distinct endpoint
             if any(first.l2_norm(coarse - d) < DISTINCT_L2 for d in finished):
                 continue
             c = _descent(cls, cls.from_function(first.to_function(c)), well)
         try:
-            c, rnorm = _newton(*cls.newton_pair(well), c, cfg.newton_tol, MAX_NEWTON, cls.l2_norm)
+            c, rnorm = _newton(*cls.newton_pair(well), c, MAX_NEWTON, cls.l2_norm)
         except (NoConvergence, SingularJacobian):
             continue
         vals = cls.values(c)
@@ -212,13 +208,13 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
     nonconstant candidate, or the trivial critical point with classification
     "trivial" when every start collapses to a constant.  An even request
     gets that solution shifted by T/4, which keeps the other fields.  Raises
-    ValueError unless T is positive and finite and resolved by
-    cfg.newton_tol (see _solve_class) and the well is even.
+    ValueError unless T is positive and finite and resolved by the Newton
+    tolerance (see _solve_class) and the well is even.
     """
     cfg = cfg or SolveConfig()
-    cls = _solve_class(cfg.symmetry, T, cfg.N, frac, well, half_wave=True, tol=cfg.newton_tol)
+    cls = _solve_class(cfg.symmetry, T, cfg.N, frac, well, half_wave=True)
     best = None
-    for c, rnorm in _nonconstant_starts(cls, frac, well, cfg):
+    for c, rnorm in _nonconstant_starts(cls, frac, well):
         sol = _package(cls, -c if c[0] < 0 else c, rnorm, frac, well)   # <u, sin w x> >= 0
         if best is None or sol.energy < best.energy:
             best = sol
@@ -230,27 +226,20 @@ def minimize_energy(T, frac: FracOrder, well: DoubleWell, cfg: SolveConfig = Non
     return best if cfg.symmetry == "odd" else replace(best, u=_quarter_shift(best.u))
 
 
-def _refine(cls: _SymmetryClass, c0, well, tol, max_iter):
-    """Newton on cls from its class coefficients c0; returns (cls, c, residual norm)."""
-    c, rnorm = _newton(*cls.newton_pair(well), c0, tol, max_iter, cls.l2_norm)
-    return cls, c, rnorm
-
-
-def newton_refine(u0: PeriodicFunction, T, frac: FracOrder, well: DoubleWell, tol=1e-10,
-                  max_iter=MAX_NEWTON) -> SemilinearSolution:
+def newton_refine(u0: PeriodicFunction, T, frac: FracOrder, well: DoubleWell) -> SemilinearSolution:
     """Newton refinement of an approximate solution (odd inputs stay odd).
 
     Newton runs on the period-T class of u0 (odd when u0 is odd, else
-    full) at truncation max(u0.N, 8).  Raises ValueError unless T is
-    positive and finite and resolved by tol (see _solve_class), and for an
-    odd u0 unless the well is even."""
-    cls = _solve_class("odd" if u0.odd else "full", T, max(u0.N, 8), frac, well, tol=tol)
-    _, c, rnorm = _refine(cls, cls.from_function(u0), well, tol, max_iter)
+    full) at truncation max(u0.N, 8), for at most MAX_NEWTON iterations.
+    Raises ValueError unless T is positive and finite and resolved by the
+    Newton tolerance (see _solve_class), and for an odd u0 unless the well
+    is even."""
+    cls = _solve_class("odd" if u0.odd else "full", T, max(u0.N, 8), frac, well)
+    c, rnorm = _newton(*cls.newton_pair(well), cls.from_function(u0), MAX_NEWTON, cls.l2_norm)
     return _package(cls, c, rnorm, frac, well)
 
 
-def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
-                    cfg: SolveConfig = None) -> float:
+def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05) -> float:
     """Bisection estimate of the smallest period with a nonconstant solution.
 
     Brackets between "only trivial minimizers" and "nonconstant minimizer
@@ -258,9 +247,10 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
     2 pi (-F''(0))^{-1/(2s)} up to tol, or up to one double when lo and hi
     become adjacent before tol is met.  The predicate is
     minimize_energy(T, ...).nonconstant, stopped at the first nonconstant
-    start.  Raises ValueError unless T_hi and tol are positive and finite,
-    cfg.newton_tol resolves every period tried (see _solve_class) and the
-    well is even.
+    start, in the odd half-wave class at truncation MIN_PERIOD_N.  Raises
+    ValueError unless T_hi and tol are positive and finite, the Newton
+    tolerance resolves every period tried (see _solve_class) and the well
+    is even.
     """
     _check_period(T_hi)
     if not (tol > 0 and math.isfinite(tol)):
@@ -268,11 +258,9 @@ def find_min_period(frac: FracOrder, well: DoubleWell, T_hi, tol=0.05,
     bound = linearization_bound(frac, well, "find_min_period")
     if T_hi <= bound:
         raise ValueError(f"T_hi must exceed the bifurcation bound {bound:g}")
-    cfg = cfg or SolveConfig(N=32)
 
     def nonconstant_at(T):
-        starts = _nonconstant_starts(_solve_class(cfg.symmetry, T, cfg.N, frac, well, half_wave=True,
-                                                  tol=cfg.newton_tol), frac, well, cfg)
+        starts = _nonconstant_starts(_solve_class("odd", T, MIN_PERIOD_N, frac, well, half_wave=True), frac, well)
         return next(starts, None) is not None
 
     lo, hi = bound / 4.0, T_hi

@@ -470,6 +470,7 @@ def linearization_bound(frac: FracOrder, well: DoubleWell, who=""):
 
 FFT_MIN_N = 256   # below this the dense basis products beat an FFT call
 NONCONSTANT_AMPLITUDE = 1e-6   # deviation-from-mean threshold for classification
+NEWTON_TOL = 1e-10   # residual norm at which every Newton run of _newton stops
 
 
 @lru_cache(maxsize=8)   # a large_period pass uses 5 sets, a cli_suite pass 7
@@ -604,31 +605,30 @@ def _check_period(T, N=0, s=0.0):
         raise ValueError(f"period T={T!r} is too small at N={N}, s={s}: (2 pi N / T)^(2s) exceeds 1e150")
 
 
-def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell, half_wave=False, tol=0.0):
-    """The class of a semilinear solve with this well and Newton tolerance tol;
-    an even request gets the odd class, whose half-wave solutions shifted by
-    T/4 are the even ones.  Raises ValueError unless T passes _check_period
-    and, for an odd or even request, the well is even: the odd class drops the
-    even part of F'(u), and both take -u for a solution.  It also rejects a
-    period at which tol cannot tell a nonconstant u from u = 0.  The class
+def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell, half_wave=False):
+    """The class of a semilinear solve with this well; an even request gets
+    the odd class, whose half-wave solutions shifted by T/4 are the even
+    ones.  Raises ValueError unless T passes _check_period and, for an odd
+    or even request, the well is even: the odd class drops the even part of
+    F'(u), and both take -u for a solution.  It also rejects a period at
+    which NEWTON_TOL cannot tell a nonconstant u from u = 0.  The class
     norm carries sqrt(T/2), so near u = 0 a first harmonic of amplitude
     NONCONSTANT_AMPLITUDE has a residual of norm at most sqrt(T/2)
-    ((2 pi / T)^{2s} + |F''(0)|) NONCONSTANT_AMPLITUDE; where that is <= tol,
-    Newton accepts it, and any start near it, unmoved.  tol = 0, for a class
-    that no Newton solve uses, checks nothing."""
+    ((2 pi / T)^{2s} + |F''(0)|) NONCONSTANT_AMPLITUDE; where that is <=
+    NEWTON_TOL, Newton accepts it, and any start near it, unmoved."""
     _check_period(T, N, frac.s)
     if symmetry != "full" and not well.even:
         raise ValueError(f"the {symmetry} class needs an even potential, got {well.label!r}")
     first = (2.0 * math.pi / T) ** (2.0 * frac.s) + abs(float(well.f2(0.0)))
-    if math.sqrt(T / 2.0) * first * NONCONSTANT_AMPLITUDE <= tol:
-        raise ValueError(f"period T={T!r} is too small at s={frac.s} for the Newton tolerance {tol:g}: "
+    if math.sqrt(T / 2.0) * first * NONCONSTANT_AMPLITUDE <= NEWTON_TOL:
+        raise ValueError(f"period T={T!r} is too small at s={frac.s} for the Newton tolerance {NEWTON_TOL:g}: "
                          f"it accepts a first harmonic of amplitude {NONCONSTANT_AMPLITUDE:g} as a solution")
     return _SymmetryClass("full" if symmetry == "full" else "odd", T, N, frac, half_wave)
 
 
-def _newton(residual, jacobian, z, tol, max_iter, norm):
+def _newton(residual, jacobian, z, max_iter, norm):
     """Newton iteration z <- z - jacobian(z)^{-1} residual(z) until
-    norm(residual(z)) <= tol; returns (z, that norm).  The one Newton loop
+    norm(residual(z)) <= NEWTON_TOL; returns (z, that norm).  The one Newton loop
     of the package: the semilinear solves pass a class residual, and the
     continuation corrector its bordered system.  Callers may rely on the
     order of the calls: each jacobian(z) takes the very array of the latest
@@ -636,7 +636,7 @@ def _newton(residual, jacobian, z, tol, max_iter, norm):
     res = residual(z)
     rnorm = norm(res)
     for _ in range(max_iter):
-        if rnorm <= tol:
+        if rnorm <= NEWTON_TOL:
             return z, rnorm
         J = jacobian(z)
         try:
@@ -648,9 +648,9 @@ def _newton(residual, jacobian, z, tol, max_iter, norm):
         z = z - delta
         res = residual(z)
         rnorm = norm(res)
-    if rnorm <= tol:
+    if rnorm <= NEWTON_TOL:
         return z, rnorm
-    raise NoConvergence(f"Newton stalled at residual {rnorm:.3e} (tol {tol:.1e})")
+    raise NoConvergence(f"Newton stalled at residual {rnorm:.3e} (tol {NEWTON_TOL:.1e})")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 from fracperiodic import bifurcation, semilinear
 from fracperiodic.bifurcation import (
-    RESIDUAL_TOL,
     _corrector,
     _first_point,
     classify_criticality,
@@ -18,7 +17,15 @@ from fracperiodic.bifurcation import (
 )
 from fracperiodic.errors import BranchLost, NoConvergence, StepFailure
 from fracperiodic.semilinear import newton_refine
-from fracperiodic.spectral import DoubleWell, FracOrder, PeriodicFunction, _SymmetryClass, frac_laplacian, gram
+from fracperiodic.spectral import (
+    NEWTON_TOL,
+    DoubleWell,
+    FracOrder,
+    PeriodicFunction,
+    _SymmetryClass,
+    frac_laplacian,
+    gram,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -188,7 +195,7 @@ def test_half_wave_branch_matches_the_whole_odd_class(monkeypatch, s, m, potenti
     got = continue_branch(frac, potential, lambda_start=m ** (2 * s), steps=12, ds_arc=0.05)
     solve_class = bifurcation._solve_class
     monkeypatch.setattr(bifurcation, "_solve_class",
-                        lambda *args, half_wave=False, tol=0.0: solve_class(*args, tol=tol))
+                        lambda *args, half_wave=False: solve_class(*args))
     monkeypatch.setattr(bifurcation, "_corrector", _plain_corrector)
     ref = continue_branch(frac, potential, lambda_start=m ** (2 * s), steps=12, ds_arc=0.05)
     assert len(got.points) == len(ref.points) == 12 and got.direction == ref.direction
@@ -197,7 +204,7 @@ def test_half_wave_branch_matches_the_whole_odd_class(monkeypatch, s, m, potenti
         assert abs(p.amplitude - q.u.amplitude()) <= 1e-13
         assert np.max(np.abs(p.u.sin_coeffs - q.u.sin_coeffs)) <= 1e-13
         assert abs(p.sigma_min - q.sigma_min) <= 1e-12
-        assert p.residual <= RESIDUAL_TOL
+        assert p.residual <= NEWTON_TOL
         # max |u| on the same 2N + 2 points, synthesized by another route
         assert abs(p.amplitude - p.u.amplitude()) <= 4 * np.spacing(1.0) * p.amplitude
         if m % 2:   # the half-wave class holds the odd harmonics only
@@ -214,7 +221,7 @@ def test_corrector_lands_on_branch_and_arclength_row():
     got, a, rnorm = _corrector(cls, well(), 1.0, start, tangent, target)
     # the corrector returns the view it evaluated last, whose grid values its class keeps
     assert a.base is got and np.array_equal(a, got[:-1]) and cls._last[0] is a
-    assert rnorm == cls.l2_norm(cls.residual(got[:-1], well(), got[-1])) <= RESIDUAL_TOL
+    assert rnorm == cls.l2_norm(cls.residual(got[:-1], well(), got[-1])) <= NEWTON_TOL
     assert abs(tangent @ (got - target)) <= 1e-12
     assert got[-1] > 1.0 and got[0] > 0.04   # past the pitchfork, amplitude grown
     # z already solves G = 0, so only the arclength row can move it onto the target plane
@@ -352,6 +359,24 @@ def test_t0_bound_past_the_wells_is_branch_lost(s):
         verify_T0_bound(FracOrder(s), well(), lambda_grid=[100.0])
 
 
+def _spy_on_refines(monkeypatch):
+    """Record (class, start, coefficients, residual norm) of each
+    realized-period refine of verify_T0_bound: the Newton runs of MAX_NEWTON
+    iterations, where those of the branch take 30."""
+    refined = []
+    newton = bifurcation._newton
+
+    def spy(residual, jacobian, z, max_iter, norm):
+        start = z.copy()
+        out = newton(residual, jacobian, z, max_iter, norm)
+        if max_iter == bifurcation.MAX_NEWTON:
+            refined.append((norm.__self__, start, *out))
+        return out
+
+    monkeypatch.setattr(bifurcation, "_newton", spy)
+    return refined
+
+
 @pytest.mark.parametrize("s,N", [(0.5, None), (0.7, None), (0.3, 96)])
 def test_t0_entry_amplitude_is_the_maximum_of_the_solution(monkeypatch, s, N):
     # the period-T class grid of 4(N + 1) points holds the peak x = T/4 of
@@ -359,17 +384,10 @@ def test_t0_entry_amplitude_is_the_maximum_of_the_solution(monkeypatch, s, N):
     # 200 001-point grid j T / 200000.  At s = 0.3 and N = 24 the solutions
     # from lambda = 2.5 on are under-resolved and peak beside T/4, up to
     # 1.2e-4 above the entry; at N = 96 they peak at T/4 again.
-    refined = []
-    refine = bifurcation._refine
-
-    def spy(*args):
-        refined.append(refine(*args))
-        return refined[-1]
-
-    monkeypatch.setattr(bifurcation, "_refine", spy)
+    refined = _spy_on_refines(monkeypatch)
     rep = verify_T0_bound(FracOrder(s), well(), N=N)
     assert len(refined) == len(rep.entries)
-    for e, (cls, c, _) in zip(rep.entries, refined):
+    for e, (cls, _, c, _) in zip(rep.entries, refined):
         assert abs(e.amplitude - np.max(np.abs(cls.to_function(c).sample(200_000)))) <= 1e-15
 
 
@@ -381,25 +399,17 @@ def test_t0_bound_rejects_grid_off_the_branch(grid):
 
 @pytest.mark.parametrize("N", [None, 6, 16])   # N = 6 is padded to 8 on period T
 def test_t0_entries_match_newton_refine(monkeypatch, N):
-    # each entry is newton_refine(u, T, tol=1e-9) of the rescaled continuation
+    # each entry is newton_refine(u, T) of the rescaled continuation
     # solution u, bit for bit; the spy records the starts of those solves
-    starts = []
-    newton = semilinear._newton
-
-    def spy(residual, jacobian, z, tol, max_iter, norm):
-        if tol == 1e-9:
-            starts.append(z.copy())
-        return newton(residual, jacobian, z, tol, max_iter, norm)
-
-    monkeypatch.setattr(semilinear, "_newton", spy)
+    refined = _spy_on_refines(monkeypatch)
     frac = FracOrder(0.5)
     rep = verify_T0_bound(frac, well(), N=N)
     n = N or bifurcation.DEFAULT_N
-    assert len(starts) == len(rep.entries)
-    for e, z in zip(rep.entries, starts):
+    assert len(refined) == len(rep.entries)
+    for e, (_, z, _, _) in zip(rep.entries, refined):
         assert z.size == max(n, 8) and not np.any(z[n:])
         u = _SymmetryClass("odd", TWO_PI, n, frac).to_function(z[:n]).rescaled(e.period)
-        ref = newton_refine(u, e.period, frac, well(), tol=1e-9)
+        ref = newton_refine(u, e.period, frac, well())
         assert (e.amplitude, e.residual_rescaled) == (ref.amplitude, ref.residual)
 
 
@@ -488,7 +498,7 @@ def test_a_step_that_lands_on_the_trivial_branch_is_retried_smaller(s, ds):
     # step keeps the branch
     branch = continue_branch(FracOrder(s), SUBCRITICAL, 3.0 ** (2 * s), 12, ds)
     assert len(branch.points) == 12
-    assert all(p.amplitude > 1e-10 and p.residual <= RESIDUAL_TOL for p in branch.points)
+    assert all(p.amplitude > 1e-10 and p.residual <= NEWTON_TOL for p in branch.points)
 
 
 def test_t0_bound_subdivides_a_step_that_collapses(monkeypatch):
@@ -537,7 +547,7 @@ def _count_grid_evaluations(monkeypatch):
         return out
 
     def spied(newton):
-        def spy(residual, jacobian, z, tol, max_iter, norm):
+        def spy(residual, jacobian, z, max_iter, norm):
             calls, before = [], len(evaluations)
             warm = any(z is c for c, _ in kept.values())
 
@@ -546,7 +556,7 @@ def _count_grid_evaluations(monkeypatch):
                 return residual(z)
 
             try:
-                return newton(counted_residual, jacobian, z, tol, max_iter, norm)
+                return newton(counted_residual, jacobian, z, max_iter, norm)
             finally:
                 runs.append((len(calls), len(evaluations) - before, warm, len(evaluations)))
         return spy
@@ -598,7 +608,7 @@ def test_branch_points_are_read_from_the_corrector_s_last_evaluation(monkeypatch
     assert len(runs) == 16 and sum(inside for _, inside, _, _ in runs) == len(evaluations), runs
 
 
-def _plain_corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max_iter=30):
+def _plain_corrector(cls, well, scale, z, tangent, target, max_iter=30):
     """The corrector with closures that share nothing: each call evaluates its
     iterate afresh, and so does the branch point built from its return."""
     def residual(z):
@@ -615,7 +625,7 @@ def _plain_corrector(cls, well, scale, z, tangent, target, tol=RESIDUAL_TOL, max
     def norm(r):
         return cls.l2_norm(r[:-1]) if abs(r[-1]) <= 1e-12 else math.inf
 
-    z, rnorm = semilinear._newton(residual, jacobian, z, tol, max_iter, norm)
+    z, rnorm = semilinear._newton(residual, jacobian, z, max_iter, norm)
     return z, z[:-1], rnorm
 
 
@@ -666,9 +676,9 @@ def test_newton_closures_on_another_array_are_not_stale(monkeypatch):
     pairs = []
     newton = bifurcation._newton
 
-    def spy(residual, jacobian, z, tol, max_iter, norm):
+    def spy(residual, jacobian, z, max_iter, norm):
         pairs.append((residual, jacobian))
-        return newton(residual, jacobian, z, tol, max_iter, norm)
+        return newton(residual, jacobian, z, max_iter, norm)
 
     monkeypatch.setattr(bifurcation, "_newton", spy)
     tangent = np.zeros(cls.N + 1)
@@ -683,17 +693,10 @@ def test_newton_closures_on_another_array_are_not_stale(monkeypatch):
 
 @pytest.mark.parametrize("N", [6, 7])
 def test_t0_refine_runs_at_truncation_8_below_it(monkeypatch, N):
-    refined = []
-    refine = bifurcation._refine
-
-    def spy(*args):
-        refined.append(refine(*args))
-        return refined[-1]
-
-    monkeypatch.setattr(bifurcation, "_refine", spy)
+    refined = _spy_on_refines(monkeypatch)
     rep = verify_T0_bound(FracOrder(0.5), well(), lambda_grid=[1.01, 1.5], N=N)
     assert len(refined) == len(rep.entries) == 2
-    assert all(cls.N == 8 and c.size == 8 for cls, c, _ in refined)
+    assert all(cls.N == 8 and c.size == 8 for cls, _, c, _ in refined)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])

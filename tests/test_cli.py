@@ -3,6 +3,7 @@ merging, --dry-run, and run-to-run determinism."""
 
 import json
 import math
+import os
 import shlex
 from pathlib import Path
 
@@ -57,6 +58,26 @@ def test_solve_deterministic(tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]  # byte-identical across runs
+
+
+def test_overwritten_output_holds_exactly_the_new_bytes(tmp_path):
+    # the file is written in place and cut only where the old text was longer
+    out, fresh = tmp_path / "branch.csv", tmp_path / "fresh.csv"
+    longer, shorter = (["continue", "--s", "0.5", "--steps", n, "--out"] for n in ("12", "4"))
+    assert run(longer + [str(out)]) == 0
+    assert run(shorter + [str(out)]) == 0 and run(shorter + [str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert run(longer + [str(fresh)]) == 0 and run(longer + [str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_output_to_dev_null_exits_0(tmp_path, capsys):
+    # a character device cannot be truncated: ftruncate raises EINVAL there
+    argv = ["continue", "--s", "0.5", "--steps", "4", "--out"]
+    assert run(argv + [os.devnull]) == 0
+    summary = capsys.readouterr()
+    assert run(argv + [str(tmp_path / "branch.csv")]) == 0
+    assert capsys.readouterr() == summary
 
 
 def test_solve_linear_fredholm_violation(tmp_path, capsys):

@@ -122,7 +122,7 @@ def test_even_minimizer_is_the_odd_one_shifted_by_a_quarter_period(s, T):
     x = np.linspace(0.0, T, 1001)
     assert np.max(np.abs(even.u(x) - odd.u(x + T / 4.0))) <= SYMMETRY_TOL
     assert np.max(np.abs(even.u(x) - odd.u(x + T / 8.0))) > 0.1   # control
-    refined = newton_refine(even.u, T, frac, well, tol=1e-10)
+    refined = newton_refine(even.u, T, frac, well)
     assert refined.residual <= 1e-10
     for got, ref in ((refined.u.sin_coeffs, even.u.sin_coeffs), (refined.u.cos_coeffs, even.u.cos_coeffs)):
         assert np.max(np.abs(got - ref)) <= 1e-12

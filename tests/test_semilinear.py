@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fracperiodic import semilinear
+from fracperiodic import semilinear, spectral
 from fracperiodic.errors import InconsistentBracket, NoConvergence
 from fracperiodic.semilinear import (
     SolveConfig,
@@ -36,17 +36,6 @@ def test_solve_config_validation():
         SolveConfig(symmetry="diagonal")
     with pytest.raises(ValueError):
         SolveConfig(N=4)
-    for multistarts in (0, -3):   # no silent clamp to one start
-        with pytest.raises(ValueError, match="multistarts"):
-            SolveConfig(multistarts=multistarts)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-def test_solve_config_rejects_bad_newton_tol(tol):
-    # a NaN tolerance was accepted and made minimize_energy call the
-    # nonconstant minimizer at T = 8 "trivial"
-    with pytest.raises(ValueError, match="newton_tol"):
-        SolveConfig(newton_tol=tol)
 
 
 def test_odd_solution_above_threshold():
@@ -73,12 +62,14 @@ def test_solution_inside_wells():
         assert np.max(np.abs(sol.u(x))) < 1.0
 
 
-def test_translation_quotient_unique():
+def test_translation_quotient_unique(monkeypatch):
     # the sign-normalized odd minimizer does not depend on how many starts reach it
     for s in (0.3, 0.5, 0.7):
         ref = minimize_energy(8.0, FracOrder(s), well(), SolveConfig(N=48))
         for starts in (1, 3):
-            b = minimize_energy(8.0, FracOrder(s), well(), SolveConfig(N=48, multistarts=starts))
+            with monkeypatch.context() as m:
+                m.setattr(semilinear, "MULTISTARTS", starts)
+                b = minimize_energy(8.0, FracOrder(s), well(), SolveConfig(N=48))
             assert np.max(np.abs(ref.u.sin_coeffs - b.u.sin_coeffs)) < 1e-6
 
 
@@ -181,7 +172,7 @@ def test_descent_evaluates_each_iterate_once_on_the_grid(monkeypatch):
     monkeypatch.setattr(semilinear._SymmetryClass, "values", counted_values)
     monkeypatch.setattr(semilinear._SymmetryClass, "energy_full", counted_energy)
     cls = semilinear._SymmetryClass("odd", 40.0, 64, FracOrder(0.5), half_wave=True)
-    for c0 in semilinear._starts(cls, SolveConfig(N=64)):
+    for c0 in semilinear._starts(cls):
         values.clear()
         energies.clear()
         semilinear._descent(cls, c0, well())
@@ -205,15 +196,16 @@ def test_amplitude_is_the_maximum_of_the_solution(symmetry, s, T, N):
 def test_newton_refine_fixed_point():
     frac = FracOrder(0.5)
     sol = minimize_energy(8.0, frac, well(), SolveConfig(N=48))
-    again = newton_refine(sol.u, 8.0, frac, well(), tol=1e-10)
+    again = newton_refine(sol.u, 8.0, frac, well())
     assert np.max(np.abs(again.u.sin_coeffs - sol.u.sin_coeffs)) < 1e-12
 
 
-def test_newton_refine_perturbed():
+def test_newton_refine_perturbed(monkeypatch):
     frac = FracOrder(0.5)
     sol = minimize_energy(8.0, frac, well(), SolveConfig(N=48))
     bump = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.0, 1e-3], cos_coeffs=None)
-    refined = newton_refine(sol.u + bump, 8.0, frac, well(), tol=1e-10, max_iter=5)
+    monkeypatch.setattr(semilinear, "MAX_NEWTON", 5)
+    refined = newton_refine(sol.u + bump, 8.0, frac, well())
     assert refined.residual <= 1e-10
     assert np.max(np.abs(refined.u.sin_coeffs - sol.u.sin_coeffs)) < 1e-9
 
@@ -278,13 +270,14 @@ def test_min_period_raises_when_a_solution_lies_below_the_bracket():
     flat_top = DoubleWell.from_poly([0.25, 0.0, -0.05, 0.0, -0.65, 0.0, 0.45])
     flat_top.check_shape()
     with pytest.raises(InconsistentBracket, match="below the bound"):
-        find_min_period(FracOrder(0.5), flat_top, T_hi=70.0, cfg=SolveConfig(N=32))
+        find_min_period(FracOrder(0.5), flat_top, T_hi=70.0)
 
 
-def test_min_period_raises_when_no_solution_is_found_at_t_hi():
+def test_min_period_raises_when_no_solution_is_found_at_t_hi(monkeypatch):
     # no Newton run meets a tolerance of 1e-300, so every start is dropped
+    monkeypatch.setattr(spectral, "NEWTON_TOL", 1e-300)
     with pytest.raises(InconsistentBracket, match="no nonconstant solution found at T_hi = 8"):
-        find_min_period(FracOrder(0.5), well(), T_hi=8.0, cfg=SolveConfig(N=32, newton_tol=1e-300))
+        find_min_period(FracOrder(0.5), well(), T_hi=8.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -319,11 +312,12 @@ def test_mirror_starts_dropped_exactly(monkeypatch, symmetry, T, multistarts):
     # the well is even, so the mirror -c of a start has the negated iterates:
     # putting every mirror back next to its start changes no bit of the minimizer
     frac = FracOrder(0.5)
-    cfg = SolveConfig(symmetry=symmetry, N=64 if T > 10 else 32, multistarts=multistarts)
+    cfg = SolveConfig(symmetry=symmetry, N=64 if T > 10 else 32)
+    monkeypatch.setattr(semilinear, "MULTISTARTS", multistarts)
     kept = semilinear._starts
-    assert len(kept(semilinear._SymmetryClass(symmetry, T, cfg.N, frac, True), cfg)) < multistarts
+    assert len(kept(semilinear._SymmetryClass(symmetry, T, cfg.N, frac, True))) < multistarts
     dropped = minimize_energy(T, frac, well(), cfg)
-    monkeypatch.setattr(semilinear, "_starts", lambda c, k: [v for c0 in kept(c, k) for v in (c0, -c0)])
+    monkeypatch.setattr(semilinear, "_starts", lambda c: [v for c0 in kept(c) for v in (c0, -c0)])
     both = minimize_energy(T, frac, well(), cfg)
     assert dropped.classification == both.classification == "nonconstant"
     assert np.max(np.abs(dropped.u.sin_coeffs - both.u.sin_coeffs)) <= 1e-12
@@ -356,7 +350,7 @@ def test_coarse_stage_keeps_the_minimizer(monkeypatch, symmetry, N, T):
         assert staged.classification == single.classification == "nonconstant"
         assert abs(staged.energy - single.energy) <= 1e-9 * abs(single.energy)
         assert abs(staged.amplitude - single.amplitude) <= 1e-9 * single.amplitude
-        assert staged.residual <= cfg.newton_tol
+        assert staged.residual <= spectral.NEWTON_TOL
 
 
 @pytest.mark.parametrize("symmetry", ["odd", "even"])
@@ -391,8 +385,8 @@ def test_fine_level_factorizations_per_start(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted(cholesky))
     monkeypatch.setattr(np.linalg, "solve", counted(solve))
     sol = minimize_energy(T, frac, well(), cfg)
-    starts = semilinear._starts(semilinear._SymmetryClass("odd", T, N, frac, True), cfg)
-    assert sol.nonconstant and sol.residual <= cfg.newton_tol
+    starts = semilinear._starts(semilinear._SymmetryClass("odd", T, N, frac, True))
+    assert sol.nonconstant and sol.residual <= spectral.NEWTON_TOL
     assert 0 < len(calls) <= 2 * len(starts)
 
 
@@ -559,12 +553,13 @@ def bisect_with_minimize_energy(frac, potential, T_hi, tol, cfg):
     (0.3, 1.0, "odd", 128), (0.3, 4.0, "even", 32), (0.5, 1.0, "even", 128),
     (0.5, 4.0, "odd", 32), (0.7, 1.0, "odd", 32), (0.7, 4.0, "even", 128),
 ])
-def test_min_period_predicate_is_minimize_energy(s, scale, symmetry, N):
-    # stopping at the first nonconstant start answers the same question
-    # (N = 128 runs the coarse stage)
+def test_min_period_predicate_is_minimize_energy(monkeypatch, s, scale, symmetry, N):
+    # stopping at the first nonconstant start answers the same question, in
+    # either symmetry (N = 128 runs the coarse stage)
     frac, potential = FracOrder(s), DoubleWell.quartic(scale)
     T_hi, cfg = 1.3 * linearization_bound(frac, potential), SolveConfig(symmetry=symmetry, N=N)
-    est = find_min_period(frac, potential, T_hi, tol=0.05, cfg=cfg)
+    monkeypatch.setattr(semilinear, "MIN_PERIOD_N", N)
+    est = find_min_period(frac, potential, T_hi, tol=0.05)
     assert est == bisect_with_minimize_energy(frac, potential, T_hi, 0.05, cfg)
 
 
@@ -615,8 +610,8 @@ def test_symmetric_classes_reject_a_non_even_well(symmetry):
     SKEW.check_shape()
     with pytest.raises(ValueError, match=f"the {symmetry} class needs an even potential"):
         minimize_energy(20.0, FracOrder(0.5), SKEW, SolveConfig(symmetry=symmetry, N=32))
-    with pytest.raises(ValueError, match=f"the {symmetry} class needs an even potential"):
-        find_min_period(FracOrder(0.5), SKEW, T_hi=8.0, cfg=SolveConfig(symmetry=symmetry, N=32))
+    with pytest.raises(ValueError, match="the odd class needs an even potential"):   # its class is odd
+        find_min_period(FracOrder(0.5), SKEW, T_hi=8.0)
 
 
 def test_newton_refine_rejects_a_non_even_well_only_on_odd_input():
@@ -629,7 +624,7 @@ def test_newton_refine_rejects_a_non_even_well_only_on_odd_input():
     assert newton_refine(full, 8.0, frac, SKEW).residual <= 1e-10
 
 
-def test_period_below_the_newton_resolution_is_rejected():
+def test_period_below_the_newton_resolution_is_rejected(monkeypatch):
     # the class norm carries sqrt(T/2): where a first harmonic of the smallest
     # nonconstant amplitude has a residual below the Newton tolerance, no
     # route solves, and just inside the bound the tolerance still sees it
@@ -639,8 +634,10 @@ def test_period_below_the_newton_resolution_is_rejected():
         minimize_energy(1e-100, frac, well())
     with pytest.raises(ValueError, match=match):
         newton_refine(PeriodicFunction.from_modes(1e-100, [0.2]), 1e-100, frac, well())
-    with pytest.raises(ValueError, match="for the Newton tolerance 0.001"):
-        find_min_period(FracOrder(0.5), well(), 8.0, cfg=SolveConfig(N=32, newton_tol=1e-3))
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "NEWTON_TOL", 1e-3)
+        with pytest.raises(ValueError, match="for the Newton tolerance 0.001"):
+            find_min_period(FracOrder(0.5), well(), 8.0)
     for T, accepted in ((1e-100, True), (1e-42, True), (1e-30, False)):
         cls = semilinear._SymmetryClass("odd", T, 64, frac, half_wave=True)
         c = np.zeros_like(cls.mult)

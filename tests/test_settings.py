@@ -27,7 +27,7 @@ from fracperiodic.extension import (
     extension_energy,
 )
 from fracperiodic.linear import GalerkinOperator, coords_to_function, solve_fredholm
-from fracperiodic.semilinear import SolveConfig
+from fracperiodic.semilinear import SolveConfig, find_min_period, newton_refine
 from fracperiodic.spectral import (
     DoubleWell,
     FracOrder,
@@ -54,14 +54,9 @@ PINNED = {
     "extension.extend_bessel:y_max",
     "linear.schrodinger_fractional_spectrum:N",
     "semilinear.SolveConfig:N",
-    "semilinear.SolveConfig:multistarts",
-    "semilinear.SolveConfig:newton_tol",
     "semilinear.SolveConfig:symmetry",
-    "semilinear.find_min_period:cfg",
     "semilinear.find_min_period:tol",
     "semilinear.minimize_energy:cfg",
-    "semilinear.newton_refine:max_iter",
-    "semilinear.newton_refine:tol",
     "spectral.DoubleWell.quartic:scale",
     "spectral.DoubleWell:even",
     "spectral.DoubleWell:label",
@@ -126,6 +121,11 @@ _OP = GalerkinOperator(frac=_FRAC, T=TWO_PI, N=8, k=PeriodicFunction.constant(TW
 REMOVED = {
     "SolveConfig.max_newton": lambda: SolveConfig(max_newton=60),
     "SolveConfig.max_descent": lambda: SolveConfig(max_descent=4000),
+    "SolveConfig.newton_tol": lambda: SolveConfig(newton_tol=1e-10),
+    "SolveConfig.multistarts": lambda: SolveConfig(multistarts=6),
+    "find_min_period(cfg)": lambda: find_min_period(_FRAC, _WELL, 8.0, cfg=SolveConfig(N=32)),
+    "newton_refine(tol)": lambda: newton_refine(_U, TWO_PI, _FRAC, _WELL, tol=1e-10),
+    "newton_refine(max_iter)": lambda: newton_refine(_U, TWO_PI, _FRAC, _WELL, max_iter=60),
     "continue_branch(max_retries)": lambda: continue_branch(_FRAC, _WELL, 1.0, 3, 0.05, max_retries=10),
     "Branch.pitchfork_fit(n_points)": lambda: Branch((), 1.0, "").pitchfork_fit(n_points=10),
     "classify_criticality(n_quad)": lambda: classify_criticality(_FRAC, _WELL, 1, n_quad=4096),

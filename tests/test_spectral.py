@@ -471,13 +471,13 @@ def test_newton_singular_jacobian():
     # numpy's LU meets an exact zero pivot
     J = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularJacobian, match="Singular matrix"):
-        _newton(lambda z: J @ z - 1.0, lambda z: J, np.zeros(2), 1e-10, 5, np.linalg.norm)
+        _newton(lambda z: J @ z - 1.0, lambda z: J, np.zeros(2), 5, np.linalg.norm)
 
 
 def test_newton_step_that_is_not_finite():
     # a nonzero but tiny pivot: the step 1 / 1e-310 overflows to inf
     with pytest.raises(SingularJacobian, match="Newton step is not finite"):
-        _newton(lambda z: z - 1.0, lambda z: np.array([[1e-310]]), np.zeros(1), 1e-10, 5, np.linalg.norm)
+        _newton(lambda z: z - 1.0, lambda z: np.array([[1e-310]]), np.zeros(1), 5, np.linalg.norm)
 
 
 @pytest.mark.parametrize("beta", [-1.0, 2.0 * 6e-17 - 1.0, -1.5, math.nan])

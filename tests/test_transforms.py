@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fracperiodic import spectral
+from fracperiodic import semilinear, spectral
 from fracperiodic.bifurcation import verify_T0_bound
 from fracperiodic.diagnostics import energy_scan
 from fracperiodic.semilinear import COARSE_MIN_N, SolveConfig, find_min_period, minimize_energy
@@ -302,7 +302,8 @@ def test_verify_T0_bound_builds_each_table_once(monkeypatch, N):
 @pytest.mark.parametrize("N", [32, 128])
 def test_find_min_period_builds_each_table_once(monkeypatch, N):
     builds = counted_tables(monkeypatch)
-    find_min_period(FracOrder(0.5), DoubleWell.quartic(), 10.0, tol=0.5, cfg=SolveConfig(N=N))
+    monkeypatch.setattr(semilinear, "MIN_PERIOD_N", N)
+    find_min_period(FracOrder(0.5), DoubleWell.quartic(), 10.0, tol=0.5)
     coarse = [("odd", N // 4, True)] if N >= COARSE_MIN_N else []
     assert builds == dict.fromkeys([("odd", N, True)] + coarse, 1)
 
