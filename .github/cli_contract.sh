@@ -39,6 +39,10 @@ test "$code" -eq 2
 PYTHONWARNINGS=error fracperiodic continue --s 0.5 --lambda-start 2 --steps 8
 # an even solve is the odd one shifted by a quarter period
 PYTHONWARNINGS=error fracperiodic solve --s 0.5 --T 8 --symmetry even
+# both sides of the bifurcation at 2 pi: trivial endpoints absorb no start,
+# so the small nonconstant minimizer just above it is still found
+PYTHONWARNINGS=error fracperiodic solve --s 0.5 --T 6.29 --N 32 2>&1 >/dev/null | grep '^classification=nonconstant '
+PYTHONWARNINGS=error fracperiodic solve --s 0.5 --T 6.27 --N 32 2>&1 >/dev/null | grep '^classification=trivial '
 # a continuation step whose corrector lands on u = 0 is retried at half the step
 PYTHONWARNINGS=error fracperiodic continue --s 0.5 --potential poly:0.5,0,-0.5,0,-0.5,0,0.5 --lambda-start 3 --steps 12 --ds 0.1
 # the Poisson route at a height 1e5 periods up: its kernel's binomial tails run about 20 terms

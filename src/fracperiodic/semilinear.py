@@ -24,13 +24,15 @@ From N = COARSE_MIN_N on, each start first descends in the same symmetry
 class at N // 4 (with the starts built there); the result is zero-padded
 to N, where descent and Newton finish, usually in one step each, because
 the coarse minimizer already agrees with the fine one to truncation error.
-The fine stage runs once per distinct coarse minimizer: an endpoint within
-class-L^2 distance DISTINCT_L2 of one whose fine stage succeeded is
-skipped, since the starts mostly descend onto the same minimizer.  Below
-COARSE_MIN_N every start descends at N only.
-"""
+Below COARSE_MIN_N every start descends at N only.  At every N a start is
+finished once per distinct minimizer: its (first) descent stops as soon as
+an iterate lies within class-L^2 distance DISTINCT_L2 of the endpoint of a
+start that gave a nonconstant u with |u| < 1, and skips the rest, since the
+starts mostly descend onto the same minimizer.  Trivial endpoints absorb no
+start, so a nonconstant minimizer next to u = 0 is still found."""
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,7 +61,7 @@ __all__ = [
 
 DESCENT_GRAD_TOL = 1e-4        # descent hands over to Newton below this
 COARSE_MIN_N = 128             # from this N on, each start first descends at N // 4
-DISTINCT_L2 = math.sqrt(DESCENT_GRAD_TOL)   # coarse endpoints closer than this share a fine stage
+DISTINCT_L2 = math.sqrt(DESCENT_GRAD_TOL)   # a descent this close to a nonconstant endpoint merges onto it
 MAX_NEWTON = 60                # Newton iterations per start and per refine
 MAX_DESCENT = 4000             # modified-Newton descent steps per start and stage
 MIN_PERIOD_N = 32              # truncation of find_min_period's odd half-wave class
@@ -74,8 +76,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.symmetry not in ("odd", "even"):
             raise ValueError("symmetry must be 'odd' or 'even'")
-        if self.N < 8:
-            raise ValueError("truncation N must be at least 8")
+        if not isinstance(self.N, numbers.Integral) or self.N < 8:
+            raise ValueError(f"truncation N must be an integer at least 8, got {self.N!r}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,9 @@ def _shifted(H):
             tau = max(2.0 * tau, beta)
 
 
-def _descent(cls: _SymmetryClass, c, well):
-    """Modified-Newton descent on the full-period energy E.
+def _descent(cls: _SymmetryClass, c, well, finished=()):
+    """Modified-Newton descent on the full-period energy E; None once an
+    iterate lies within class-L^2 distance DISTINCT_L2 of one of finished.
 
     In a half-wave class every coefficient carries the L^2 weight T/2, so
     dE/dc = (T/2) residual and the Hessian of E is (T/2) J: the step is one
@@ -122,6 +125,8 @@ def _descent(cls: _SymmetryClass, c, well):
     """
     energy = cls.energy_full(c, well)
     for _ in range(MAX_DESCENT):
+        if any(cls.l2_norm(c - d) < DISTINCT_L2 for d in finished):
+            return None
         grad = cls.residual(c, well)
         if cls.l2_norm(grad) < DESCENT_GRAD_TOL:
             break
@@ -173,12 +178,12 @@ def _package(cls: _SymmetryClass, c, rnorm, frac, well):
 def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell):
     """Yield (c, residual norm) of each start that converges to a nonconstant u with |u| < 1."""
     first = _SymmetryClass("odd", cls.T, cls.N // 4, frac, half_wave=True) if cls.N >= COARSE_MIN_N else cls
-    finished = []   # coarse endpoints whose fine stage succeeded
+    finished = []   # (coarse) descent endpoints of the starts yielded so far
     for c0 in _starts(first):
-        c = coarse = _descent(first, c0.copy(), well)
-        if first is not cls:   # prolong by zero padding and finish at N, once per distinct endpoint
-            if any(first.l2_norm(coarse - d) < DISTINCT_L2 for d in finished):
-                continue
+        c = coarse = _descent(first, c0.copy(), well, finished)
+        if c is None:
+            continue   # merged onto a nonconstant minimizer already found
+        if first is not cls:   # prolong by zero padding and finish at N
             c = _descent(cls, cls.from_function(first.to_function(c)), well)
         try:
             c, rnorm = _newton(*cls.newton_pair(well), c, MAX_NEWTON, cls.l2_norm)
@@ -187,8 +192,8 @@ def _nonconstant_starts(cls: _SymmetryClass, frac: FracOrder, well: DoubleWell):
         vals = cls.values(c)
         if np.max(np.abs(vals)) >= 1.0:
             continue  # spurious: genuine solutions satisfy |u| < 1
-        finished.append(coarse)
         if _nonconstant(vals):
+            finished.append(coarse)
             yield c, rnorm
 
 

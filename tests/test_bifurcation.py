@@ -591,11 +591,32 @@ def test_newton_iterates_are_evaluated_on_the_grid_once(monkeypatch):
     lambda frac: verify_T0_bound(frac, well(), lambda_grid=[1.01, 1.5], N=6),
 ], ids=["minimize-odd", "minimize-even", "newton-refine", "t0-bound"])
 def test_nothing_is_evaluated_on_the_grid_after_the_last_newton_run(monkeypatch, solve):
-    # the amplitude, the nonconstant test and the sign of the solution read
-    # the grid values of Newton's last iterate, which its class kept
+    # the amplitude, the nonconstant test and the sign of each solution read
+    # the grid values of its own Newton's last iterate, which its class kept:
+    # _package follows its Newton run with no evaluation between or inside.
+    # Later minimize_energy starts may still descend, until they merge onto
+    # the minimizer found; those descents are the only evaluations left
     evaluations, runs = _count_grid_evaluations(monkeypatch)
+    packaged, merged = [], []   # evaluation counts around each _package / merged descent
+    package, descent = semilinear._package, semilinear._descent
+
+    def spied_package(*args):
+        before, sol = len(evaluations), package(*args)
+        packaged.append((runs[-1][3], before, len(evaluations)))
+        return sol
+
+    def spied_descent(*args):
+        before, c = len(evaluations), descent(*args)
+        if c is None:
+            merged.append((before, len(evaluations)))
+        return c
+
+    monkeypatch.setattr(semilinear, "_package", spied_package)
+    monkeypatch.setattr(semilinear, "_descent", spied_descent)
     solve(FracOrder(0.5))
-    assert runs and len(evaluations) == runs[-1][3], runs
+    assert runs and all(newton_end == before == after for newton_end, before, after in packaged), packaged
+    tail = sum(after - before for before, after in merged if before >= runs[-1][3])
+    assert len(evaluations) == runs[-1][3] + tail, (runs, merged)
 
 
 def test_branch_points_are_read_from_the_corrector_s_last_evaluation(monkeypatch):

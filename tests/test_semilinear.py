@@ -38,6 +38,14 @@ def test_solve_config_validation():
         SolveConfig(N=4)
 
 
+@pytest.mark.parametrize("N", [8.5, 64.0, "64", None])
+def test_solve_config_rejects_a_truncation_that_is_not_an_integer(N):
+    # 8.5 reached the class tables and died there with a bare TypeError
+    with pytest.raises(ValueError, match=r"^truncation N must be an integer at least 8, got "):
+        SolveConfig(N=N)
+    assert SolveConfig(N=np.int64(64)).N == 64
+
+
 def test_odd_solution_above_threshold():
     sol = minimize_energy(8.0, FracOrder(0.5), well(), SolveConfig(N=48))
     assert sol.nonconstant
@@ -491,6 +499,62 @@ def test_fine_stage_once_per_distinct_coarse_minimizer(monkeypatch):
     assert deduped.classification == every.classification == "nonconstant"
     assert abs(deduped.energy - every.energy) <= 1e-12 * abs(every.energy)
     assert abs(deduped.amplitude - every.amplitude) <= 1e-12 * every.amplitude
+
+
+def _every_start_finished(monkeypatch, solve):
+    """solve() as it is, and again with every start finished (DISTINCT_L2 = 0),
+    with the number of Newton runs of each."""
+    calls = []
+    newton = semilinear._newton
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(semilinear, "_newton", counted)
+    merged = solve()
+    n_merged = len(calls)
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(semilinear, "DISTINCT_L2", 0.0)
+        every = solve()
+    return merged, n_merged, every, len(calls)
+
+
+@pytest.mark.parametrize("symmetry", ["odd", "even"])
+@pytest.mark.parametrize("s,T,N", [(0.25, 16.0, 64), (0.5, 8.0, 48)])
+def test_starts_merge_onto_the_minimizer_found_below_the_coarse_stage(monkeypatch, symmetry, s, T, N):
+    # below COARSE_MIN_N the starts stop descending once they reach the first
+    # start's minimizer: one Newton run, and the minimizer every start finds
+    frac, cfg = FracOrder(s), SolveConfig(symmetry=symmetry, N=N)
+    merged, n_merged, every, n_every = _every_start_finished(
+        monkeypatch, lambda: minimize_energy(T, frac, well(), cfg))
+    assert n_merged == 1 < n_every
+    assert merged.classification == every.classification == "nonconstant"
+    for a, b in ((merged.u.sin_coeffs, every.u.sin_coeffs), (merged.u.cos_coeffs, every.u.cos_coeffs)):
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-10
+    assert abs(merged.energy - every.energy) <= 1e-10
+
+
+@pytest.mark.parametrize("symmetry", ["odd", "even"])
+@pytest.mark.parametrize("T", [TWO_PI * (1.0 - 1e-4), TWO_PI * (1.0 + 1e-4)])
+def test_merging_keeps_the_classification_at_the_bifurcation(monkeypatch, symmetry, T):
+    # trivial endpoints absorb no start, so a small nonconstant minimizer
+    # next to u = 0 is still found on both sides of 2 pi
+    frac, cfg = FracOrder(0.5), SolveConfig(symmetry=symmetry, N=32)
+    merged, _, every, _ = _every_start_finished(monkeypatch, lambda: minimize_energy(T, frac, well(), cfg))
+    assert merged.classification == every.classification == ("nonconstant" if T > TWO_PI else "trivial")
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_min_period_is_unchanged_by_merging(monkeypatch, s, tol):
+    # the predicate stops at the first nonconstant start, before any endpoint
+    # could absorb another, so the bisection takes the same path bit for bit
+    frac = FracOrder(s)
+    T_hi = 1.3 * linearization_bound(frac, well())
+    merged, _, every, _ = _every_start_finished(monkeypatch, lambda: find_min_period(frac, well(), T_hi, tol=tol))
+    assert merged == every
 
 
 def test_failed_fine_stage_does_not_suppress_its_duplicates(monkeypatch):
