@@ -48,6 +48,10 @@ PYTHONWARNINGS=error fracperiodic continue --s 0.5 --potential poly:0.5,0,-0.5,0
 # the Poisson route at a height 1e5 periods up: its kernel's binomial tails run about 20 terms
 python -c 'from fracperiodic import PeriodicFunction; print(PeriodicFunction.from_modes(1.0, sin_coeffs=[0.5, 0, -0.2]).to_json())' > "$RUNNER_TEMP/trace.json"
 PYTHONWARNINGS=error fracperiodic extend --s 0.5 --input "$RUNNER_TEMP/trace.json" --method poisson --points "0.25,1e5;0.5,30"
+# the Galerkin matrix reads every mode of k: with k = 1.5 + 0.5 cos 20x at N = 4
+# no two basis modes couple, and the lowest eigenvalue is the mean of k (it read 2)
+python -c 'import math; from fracperiodic import PeriodicFunction; print(PeriodicFunction.from_modes(2 * math.pi, cos_coeffs=[1.5] + [0] * 19 + [0.5]).to_json())' > "$RUNNER_TEMP/k20.json"
+PYTHONWARNINGS=error fracperiodic eig --s 0.5 --T 6.283185307179586 --N 4 --count 3 --k "$RUNNER_TEMP/k20.json" | grep -x '0,1.5'
 # an output file is written in place: a shorter second write leaves exactly its own bytes
 rm -f "$RUNNER_TEMP/branch.csv" "$RUNNER_TEMP/fresh.csv"
 PYTHONWARNINGS=error fracperiodic continue --s 0.5 --steps 12 --out "$RUNNER_TEMP/branch.csv"

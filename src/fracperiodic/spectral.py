@@ -137,15 +137,6 @@ def _hankel(c, n):
     return np.ndarray((n, n), buffer=v, strides=(v.itemsize, v.itemsize))
 
 
-def gram_blocks(N, g):
-    """gram's full class, mean row not yet halved, as blocks on modes 0..N:
-    cos-cos, sin-cos (rows sin_m; gs_0 = 0 keeps its diagonal zero), sin-sin."""
-    spec = np.fft.rfft(g) / g.shape[0]
-    gc, gs = spec.real, -spec.imag
-    dist, tot = _toeplitz(gc[: N + 1], gc[: N + 1]), _hankel(gc, N + 1)   # g_|m-n|, g_{m+n}
-    return dist + tot, _hankel(gs, N + 1) + _toeplitz(gs[: N + 1], -gs[: N + 1]), dist - tot
-
-
 def gram(symmetry, N, g, half_wave=False):
     """Matrix of c -> (coefficients of g * u_c) for samples g on the class
     grid of M = 4(N+1) points, in a symmetry class: odd c = [a_1..a_N],
@@ -162,9 +153,12 @@ def gram(symmetry, N, g, half_wave=False):
     moment rows (_tables), where the half-wave block reads only the first M/2
     samples: it assumes a T/2-periodic g, as F''(u) of a half-wave u is.
     """
-    if symmetry == "full":
-        cc, sc, ss = gram_blocks(N, g)
-        cc = np.block([[cc, sc.T[:, 1:]], [sc[1:], ss[1:, 1:]]])
+    if symmetry == "full":   # blocks on modes 0..N: cos-cos, sin-cos (rows sin_m; gs_0 = 0), sin-sin
+        spec = np.fft.rfft(g) / g.shape[0]
+        gc, gs = spec.real, -spec.imag
+        dist, tot = _toeplitz(gc[: N + 1], gc[: N + 1]), _hankel(gc, N + 1)   # g_|m-n|, g_{m+n}
+        sc = _hankel(gs, N + 1) + _toeplitz(gs[: N + 1], -gs[: N + 1])
+        cc = np.block([[dist + tot, sc.T[:, 1:]], [sc[1:], (dist - tot)[1:, 1:]]])
         cc[0] *= 0.5   # the mean carries weight 1, the other rows 2
         return cc
     step = 2 if half_wave else 1

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fracperiodic import linear
 from fracperiodic.errors import NegativePotential, NotCoercive, SolvabilityViolation
 from fracperiodic.linear import (
     KERNEL_RTOL,
@@ -104,15 +105,37 @@ def reordered_gram(T, N, lam, k):
 
 
 @pytest.mark.parametrize("N", [0, 1, 16, 256])
-def test_matrix_is_bit_identical_to_the_reordered_gram(N):
+def test_matrix_matches_the_reordered_gram_within_a_few_ulp(N):
+    # up to degree 2N + 3 the sampled route does not alias: the band fill
+    # agrees with it to round-off of ||A||_max, or of the samples of k, at most
+    # kappa = sum |coefficients|, when they are larger; it is zero off the band
     rng = np.random.default_rng(N + 1)
     T = 7.3
     lam = (2.0 * math.pi / T * np.arange(1, N + 1)) ** 0.74
-    for modes in (0, 2, N + 3):
+    i, j = np.indices((2 * N + 1, 2 * N + 1))
+    for modes in (0, 2, N + 3, 2 * N + 3):
         k = PeriodicFunction.from_modes(T, sin_coeffs=rng.standard_normal(modes),
                                         cos_coeffs=rng.standard_normal(modes + 1))
-        A = _galerkin_matrix(T, N, lam, k)
-        assert A.flags.c_contiguous and np.array_equal(A, reordered_gram(T, N, lam, k))
+        A, ref = _galerkin_matrix(T, N, lam, k), reordered_gram(T, N, lam, k)
+        assert A.flags.c_contiguous and np.array_equal(A, A.T)
+        kappa = np.sum(np.abs(k.cos_coeffs)) + np.sum(np.abs(k.sin_coeffs))
+        assert np.max(np.abs(A - ref)) <= 8 * EPS * max(np.max(np.abs(ref)), kappa)
+        assert not np.any(A[np.abs(i - j) > 2 * min(modes, 2 * N) + 1])
+
+
+@pytest.mark.parametrize("N", [1, 4, 16])
+def test_matrix_is_the_leading_block_at_any_degree(N):
+    # past degree 2N + 3 the modes of k that reach the matrix are still exact:
+    # it is the leading block of the quadrature matrix at a truncation N' >= deg k
+    rng = np.random.default_rng(N + 7)
+    T = 7.3
+    for modes in (2 * N + 4, 5 * N, 5 * N + 9):
+        k = PeriodicFunction.from_modes(T, sin_coeffs=rng.standard_normal(modes),
+                                        cos_coeffs=rng.standard_normal(modes + 1))
+        lam = (2.0 * math.pi / T * np.arange(1, modes + 1)) ** 0.74
+        ref = dense_galerkin(T, modes, lam, k)[: 2 * N + 1, : 2 * N + 1]
+        A = _galerkin_matrix(T, N, lam[:N], k)
+        assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_matrix_symmetric():
@@ -207,22 +230,29 @@ def test_operator_rejects_a_non_integer_n(N):
 
 def test_matrix_row_sums_are_taken_once(monkeypatch):
     # ||A||_inf, the eigensolve tolerance and the solve certificate all read
-    # the row sums of |A|: one pass over the matrix for every query of it
+    # the row sums of |A|: taken once per matrix, from its band, with no
+    # pass over the whole matrix
     op = make_op(N=64, k=low_mode_potential(np.random.default_rng(2), TWO_PI, 2, 0.25, 1.5))
     g = low_mode_potential(np.random.default_rng(3), TWO_PI, 3, 1.0, 0.5)
-    passes = []
-    absolute = np.abs
+    passes, sums = [], []
+    absolute, band_rows = np.abs, linear._band_rows
 
     def counted(a, *args, **kwargs):
         if np.shape(a) == op.matrix.shape:
             passes.append(None)
         return absolute(a, *args, **kwargs)
 
+    def summed(A, width):
+        sums.append(width)
+        return band_rows(A, width)
+
     monkeypatch.setattr(np, "abs", counted)
+    monkeypatch.setattr(linear, "_band_rows", summed)
     eigenvalue_set(op, 8)
     solve_coercive(op, 0.5, g)
     solve_fredholm(op, g)
-    assert len(passes) == 1
+    schrodinger_fractional_spectrum(op.k, FracOrder(0.5), 8, N=64)
+    assert not passes and sums == [5, 5]
 
 
 def test_not_coercive_at_the_threshold():
@@ -402,6 +432,21 @@ def test_schrodinger_constant_potential():
     vals = sorted(lam for lam, _ in pairs)
     expected = sorted([4.0**s] + [float(m * m + 4) ** s for m in (1, 1, 2, 2, 3, 3)])
     assert np.allclose(vals, expected, atol=1e-10)
+
+
+def cos40_potential():
+    """0.5 + 0.6 cos 40x, of min -0.1: the 8(N + 1) = 40 nodes of N = 4 all sit on its maxima."""
+    return PeriodicFunction.from_modes(TWO_PI, cos_coeffs=[0.5] + [0.0] * 39 + [0.6])
+
+
+def test_schrodinger_sign_check_reads_every_mode_of_the_potential():
+    with pytest.raises(NegativePotential):
+        schrodinger_fractional_spectrum(cos40_potential(), FracOrder(0.5), 3, N=4)
+
+
+def test_coercivity_shift_reads_every_mode_of_the_coefficient():
+    # gamma = max(0, -min k) + 0.1 = 0.2 up to the grid's miss of the minimum; it read 0.1
+    assert abs(make_op(N=4, k=cos40_potential()).gamma - 0.2) <= 0.01
 
 
 def test_schrodinger_negative_potential_rejected():
@@ -675,11 +720,12 @@ def test_one_operator_climbs_the_block_ladder_once(monkeypatch):
 
 
 def test_lowest_eigh_is_the_same_with_the_row_sums_supplied():
-    # off the band of V's two modes nearly every entry is nonzero round-off,
-    # which the trailing bound must read, from the row sums or from C itself
+    # off the band of V's two modes nearly every entry of the sampled route's
+    # matrix is nonzero round-off, which the trailing bound must read, from
+    # the row sums or from C itself
     rng = np.random.default_rng(6)
     for N, count in ((64, 3), (64, 9), (256, 8), (256, 21)):
-        A = schrodinger_matrix(low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5), N)
+        A = reordered_gram(TWO_PI, N, np.arange(1, N + 1) ** 2.0, low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5))
         i, j = np.indices(A.shape)
         assert np.count_nonzero(A[np.abs(i - j) > 8]) > 0.99 * np.count_nonzero(np.abs(i - j) > 8)
         rows = np.sum(np.abs(A), axis=1)
@@ -695,6 +741,47 @@ def test_lowest_eigh_does_not_miss_an_eigenvalue_outside_the_block_with_row_sums
     w, Q = _lowest_eigh(A, 2, np.sum(np.abs(A), axis=1))
     assert np.array_equal(w, [1.0, 1.5])
     assert is_full_eigh(A, 2, w, Q)
+
+
+def test_eigenvalues_do_not_alias_a_coefficient_of_high_degree():
+    # k = 1.5 + 0.5 cos 20x at N = 4 couples no two basis modes: the
+    # eigenvalues are 1.5 + (0, 1, 1, 2, 2, ...) at s = 1/2
+    k = PeriodicFunction.from_modes(TWO_PI, cos_coeffs=[1.5] + [0.0] * 19 + [0.5])
+    assert [lam for lam, _ in eigenvalue_set(make_op(N=4, k=k), 3)] == [1.5, 2.5, 2.5]
+    # in general the pairs are those of the leading block at a truncation N' >= deg k
+    rng = np.random.default_rng(12)
+    N, s = 8, 0.45
+    for modes in (2 * N + 3, 2 * N + 4, 5 * N):
+        k = low_mode_potential(rng, TWO_PI, modes, 0.25 / modes, 1.5)   # k >= 1 > 0
+        big = make_op(s=s, N=modes, k=k).matrix[: 2 * N + 1, : 2 * N + 1]
+        got = [lam for lam, _ in eigenvalue_set(make_op(s=s, N=N, k=k), 2 * N + 1)]
+        ref = np.linalg.eigvalsh(big)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        ref = np.linalg.eigvalsh(schrodinger_matrix(k, modes)[: 2 * N + 1, : 2 * N + 1]) ** s
+        got = [lam for lam, _ in schrodinger_fractional_spectrum(k, FracOrder(s), 2 * N + 1, N=N)]
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_band_trimmed_ladder_makes_the_cuts_of_the_untrimmed_one():
+    # random symmetric matrices of band width w on a growing diagonal: the
+    # ladder that reads only B's w x w corner certifies the same cuts
+    rng = np.random.default_rng(21)
+    cuts = []
+    for trial in range(24):
+        n, w = int(rng.choice([65, 129, 257])), int(rng.integers(1, 12))
+        A = np.diag(np.sort(rng.uniform(0.0, 4.0, n)) + np.arange(n) ** 1.2)
+        for d in range(1, w + 1):
+            v = rng.uniform(-0.3, 0.3, n - d) * (rng.random(n - d) < 0.7)
+            A[np.arange(d, n), np.arange(n - d)] = A[np.arange(n - d), np.arange(d, n)] = v
+        rows = np.sum(np.abs(A), axis=1)
+        for count in (1, 5, 17):
+            wb, Qb = linear._certified_pairs(A, count, rows, w)
+            wd, Qd = linear._certified_pairs(A, count, rows)
+            assert len(wb) == len(wd)
+            assert np.max(np.abs(wb - wd)) <= 1e-13 * np.max(np.abs(wd))
+            assert np.max(np.abs(np.abs(Qb.T @ Qd) - np.eye(len(wd)))) <= 1e-12
+            cuts.append(len(wd) < n)
+    assert sum(cuts) > 0.75 * len(cuts)   # most ladders stop at a leading block
 
 
 def test_pairs_served_from_the_operator_agree_with_a_fresh_ladder_to_the_certificate():
