@@ -42,7 +42,7 @@ def _galerkin_matrix(T, N, lam, k):
     (b'_0 = 2 b_0, b'_q = b_q, a_-q = -a_q), plus Hankel in p = m + n,
     [[b_p, a_p], [a_p, -b_p]]/2 (Boyd, Chebyshev and Fourier Spectral Methods,
     2001, ch. 8); the mean row is (b_j, a_j)/sqrt(2).  Only modes j <= K =
-    min(k.N, 2N) reach A, so A[i, j] = 0 once |i - j| > _width(N, k) = 2K + 1.
+    min(k.N, 2N) reach A, so A[i, j] = 0 once |i - j| > w = 2K + 1.  Returns (A, w).
     """
     n, K = 2 * N + 1, min(k.N, 2 * N)
     b, a = np.zeros(K + 2), np.zeros(K + 2)   # b_j / 2 and a_j / 2, zero at j = K + 1 (and a_0)
@@ -50,7 +50,7 @@ def _galerkin_matrix(T, N, lam, k):
     A = np.empty((n, n))
     A.fill(0.0)   # 0.2-0.3 ms faster than np.zeros per certify linear_solve (2-core VM)
     flat = A.reshape(-1)
-    for d in range(1, min(_width(N, k), n - 1) + 1):
+    for d in range(1, min(2 * K + 1, n - 1) + 1):
         v = flat[d * n :: n + 1]   # A[i, i - d], i = d..n-1; v[0] is the mean column, set below
         v[1::2], v[2::2] = (a[d // 2], -a[d // 2 + 1]) if d % 2 else (b[d // 2],) * 2   # rows sin_m, cos_m
         flat[d :: n + 1][: n - d] = v
@@ -62,21 +62,14 @@ def _galerkin_matrix(T, N, lam, k):
     A[1:, 0] = A[0, 1:]
     flat[:: n + 1] += 2.0 * b[0]
     flat[n + 1 :: n + 1] += np.repeat(lam, 2)
-    return A
-
-
-def _width(N, k):
-    """w with A[i, j] = 0 once |i - j| > w, for the Galerkin matrix of k at truncation N."""
-    return 2 * min(k.N, 2 * N) + 1
+    return A, 2 * K + 1
 
 
 def _band_rows(A, w):
-    """Row sums of |A|, A symmetric and zero once |i - j| > w; summed whole when the band is most of A."""
+    """Row sums of |A|, A symmetric and zero once |i - j| > w."""
     n, flat = A.shape[0], A.reshape(-1)
-    if 2 * w >= n:
-        return np.sum(np.abs(A), axis=1)
     rows = np.abs(A.diagonal())
-    for d in range(1, w + 1):
+    for d in range(1, min(w, n - 1) + 1):
         v = np.abs(flat[d * n :: n + 1])
         rows[d:] += v
         rows[:-d] += v
@@ -125,22 +118,22 @@ class GalerkinOperator:
         if not isinstance(self.N, numbers.Integral) or self.N < 0:
             raise ValueError(f"truncation N must be nonnegative and an integer, got {self.N!r}")
         lam = (2.0 * math.pi / self.T * np.arange(1, self.N + 1)) ** (2.0 * self.frac.s)
-        A = _galerkin_matrix(self.T, self.N, lam, self.k)
+        A, w = _galerkin_matrix(self.T, self.N, lam, self.k)
         A.flags.writeable = False
         object.__setattr__(self, "matrix", A)
+        object.__setattr__(self, "_width", w)   # A[i, j] = 0 once |i - j| > w
         object.__setattr__(self, "_symbol", lam)   # lambda_m on the pair of mode m, m = 1..N
         object.__setattr__(self, "_ladder", (lam[:0], A[:, :0]))   # (w, Q): every certified pair so far
 
     @cached_property
     def _rows(self):
         """Row sums of |A| from its band: every norm and bound of the matrix reads them."""
-        return _band_rows(self.matrix, _width(self.N, self.k))
+        return _band_rows(self.matrix, self._width)
 
     def _pairs(self, count):
         """The lowest `count` eigenpairs, from the last ladder's pairs, or a new ladder's."""
         if len(self._ladder[0]) < count:
-            pairs = _certified_pairs(self.matrix, count, self._rows, _width(self.N, self.k))
-            object.__setattr__(self, "_ladder", pairs)
+            object.__setattr__(self, "_ladder", _certified_pairs(self.matrix, count, self._rows, self._width))
         return self._ladder[0][:count], self._ladder[1][:, :count]
 
     @cached_property
@@ -325,10 +318,10 @@ def schrodinger_fractional_spectrum(V: PeriodicFunction, frac: FracOrder, count:
     """
     N = N or max(V.N, 16)
     _check_count(count, 2 * N + 1)
-    grid = np.linspace(0.0, V.T, 8 * (max(N, V.N) + 1), endpoint=False)
-    if np.any(V(grid) < 0.0):
+    kappa = float(np.sum(np.abs(V.cos_coeffs)) + np.sum(np.abs(V.sin_coeffs)))   # >= sup |V|
+    if np.any(V.sample(8 * (max(N, V.N) + 1)) < -64.0 * np.finfo(float).eps * kappa):   # the FFT's round-off
         raise NegativePotential("potential must be nonnegative on the grid")
-    A = _galerkin_matrix(V.T, N, (2.0 * math.pi / V.T * np.arange(1, N + 1)) ** 2, V)
-    evals, Q = _lowest_eigh(A, count, _band_rows(A, _width(N, V)), _width(N, V))
+    A, w = _galerkin_matrix(V.T, N, (2.0 * math.pi / V.T * np.arange(1, N + 1)) ** 2, V)
+    evals, Q = _lowest_eigh(A, count, _band_rows(A, w), w)
     evals = np.clip(evals, 0.0, None)  # round-off can push the zero mode negative
     return [(float(lam**frac.s), coords_to_function(V.T, v)) for lam, v in zip(evals, Q.T)]

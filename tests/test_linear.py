@@ -2,6 +2,7 @@
 coercive shift, Fredholm alternative, eigenvalue sets."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -116,11 +117,12 @@ def test_matrix_matches_the_reordered_gram_within_a_few_ulp(N):
     for modes in (0, 2, N + 3, 2 * N + 3):
         k = PeriodicFunction.from_modes(T, sin_coeffs=rng.standard_normal(modes),
                                         cos_coeffs=rng.standard_normal(modes + 1))
-        A, ref = _galerkin_matrix(T, N, lam, k), reordered_gram(T, N, lam, k)
+        (A, w), ref = _galerkin_matrix(T, N, lam, k), reordered_gram(T, N, lam, k)
         assert A.flags.c_contiguous and np.array_equal(A, A.T)
+        assert w == 2 * min(modes, 2 * N) + 1
         kappa = np.sum(np.abs(k.cos_coeffs)) + np.sum(np.abs(k.sin_coeffs))
         assert np.max(np.abs(A - ref)) <= 8 * EPS * max(np.max(np.abs(ref)), kappa)
-        assert not np.any(A[np.abs(i - j) > 2 * min(modes, 2 * N) + 1])
+        assert not np.any(A[np.abs(i - j) > w])
 
 
 @pytest.mark.parametrize("N", [1, 4, 16])
@@ -134,7 +136,7 @@ def test_matrix_is_the_leading_block_at_any_degree(N):
                                         cos_coeffs=rng.standard_normal(modes + 1))
         lam = (2.0 * math.pi / T * np.arange(1, modes + 1)) ** 0.74
         ref = dense_galerkin(T, modes, lam, k)[: 2 * N + 1, : 2 * N + 1]
-        A = _galerkin_matrix(T, N, lam[:N], k)
+        A = _galerkin_matrix(T, N, lam[:N], k)[0]
         assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -409,7 +411,7 @@ def test_eigenvalue_subset_matches_full_spectrum(count):
         c = function_to_coords(v, 16)
         assert np.linalg.norm(op.matrix @ c - lam * c) < 1e-10
     # Schrodinger: the bottom of the full spectrum of -d_xx + k, to the power s
-    A = _galerkin_matrix(TWO_PI, 16, np.arange(1, 17) ** 2.0, k)
+    A = _galerkin_matrix(TWO_PI, 16, np.arange(1, 17) ** 2.0, k)[0]
     ref = np.clip(np.linalg.eigvalsh(A), 0.0, None)[:count] ** 0.4
     sch = schrodinger_fractional_spectrum(k, FracOrder(0.4), count, N=16)
     assert np.allclose([lam for lam, _ in sch], ref, rtol=0, atol=1e-12)
@@ -442,6 +444,23 @@ def cos40_potential():
 def test_schrodinger_sign_check_reads_every_mode_of_the_potential():
     with pytest.raises(NegativePotential):
         schrodinger_fractional_spectrum(cos40_potential(), FracOrder(0.5), 3, N=4)
+    # degree 1000 at N = 4: the check samples V by one FFT on its 8008 nodes; a
+    # pointwise evaluation there holds 8008 x 1000 sin and cos tables, 64 MB each
+    V = PeriodicFunction.from_modes(TWO_PI, cos_coeffs=[0.5] + [0.0] * 999 + [0.6])
+    tracemalloc.start()
+    try:
+        with pytest.raises(NegativePotential):
+            schrodinger_fractional_spectrum(V, FracOrder(0.5), 3, N=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_schrodinger_accepts_a_potential_that_touches_zero_on_a_node():
+    # 1 + cos x is 0 at the node x = pi of N = 4's 40; its FFT samples read -4e-17 there
+    V = PeriodicFunction.from_modes(TWO_PI, cos_coeffs=[1.0, 1.0])
+    assert schrodinger_fractional_spectrum(V, FracOrder(0.5), 1, N=4)[0][0] >= 0.0
 
 
 def test_coercivity_shift_reads_every_mode_of_the_coefficient():
@@ -521,7 +540,7 @@ EPS = np.finfo(float).eps
 
 
 def schrodinger_matrix(V, N):
-    return _galerkin_matrix(V.T, N, (2.0 * math.pi / V.T * np.arange(1, N + 1)) ** 2, V)
+    return _galerkin_matrix(V.T, N, (2.0 * math.pi / V.T * np.arange(1, N + 1)) ** 2, V)[0]
 
 
 def low_mode_potential(rng, T, modes, scale, const):
