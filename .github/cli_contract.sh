@@ -52,6 +52,11 @@ PYTHONWARNINGS=error fracperiodic extend --s 0.5 --input "$RUNNER_TEMP/trace.jso
 # no two basis modes couple, and the lowest eigenvalue is the mean of k (it read 2)
 python -c 'import math; from fracperiodic import PeriodicFunction; print(PeriodicFunction.from_modes(2 * math.pi, cos_coeffs=[1.5] + [0] * 19 + [0.5]).to_json())' > "$RUNNER_TEMP/k20.json"
 PYTHONWARNINGS=error fracperiodic eig --s 0.5 --T 6.283185307179586 --N 4 --count 3 --k "$RUNNER_TEMP/k20.json" | grep -x '0,1.5'
+# the Fredholm deflation A + ||A||_inf Z Z^T, the one solve that builds the dense matrix:
+# with k = 0 the constants span the kernel, and a mean-free g is solvable
+python -c 'import math; from fracperiodic import PeriodicFunction; print(PeriodicFunction.constant(2 * math.pi, 0.0).to_json())' > "$RUNNER_TEMP/k0.json"
+python -c 'import math; from fracperiodic import PeriodicFunction; print(PeriodicFunction.from_modes(2 * math.pi, sin_coeffs=[0.5], cos_coeffs=[0.0, 1.0]).to_json())' > "$RUNNER_TEMP/g0.json"
+PYTHONWARNINGS=error fracperiodic solve-linear --s 0.5 --k "$RUNNER_TEMP/k0.json" --g "$RUNNER_TEMP/g0.json" 2>&1 >/dev/null | grep '^kernel_dim=1 '
 # an output file is written in place: a shorter second write leaves exactly its own bytes
 rm -f "$RUNNER_TEMP/branch.csv" "$RUNNER_TEMP/fresh.csv"
 PYTHONWARNINGS=error fracperiodic continue --s 0.5 --steps 12 --out "$RUNNER_TEMP/branch.csv"

@@ -158,10 +158,16 @@ def _modica_kinetic(field: ExtensionField, rule: YQuadrature, x, y_pos):
     rules = [_gauss_legendre_01(n) for n in _MODICA_ORDERS]
     tau = np.concatenate([lo + width * t for t, _ in rules], axis=2)   # (panel, sub-panel, node)
     wk = np.concatenate([width * w for _, w in rules], axis=2)
-    ux2, uy2 = _squared_fields(field, x, tau, tau)
-    terms = ((wk * tau ** a)[..., None] * ux2 - (wk * tau ** -a)[..., None] * uy2).sum(axis=1)
-    n = _MODICA_ORDERS[0]
-    low, high = terms[:, :n].sum(axis=1), terms[:, n:].sum(axis=1)
+
+    def orders(b):   # (low, high) on the panels b; the weights scale the fields in place
+        ux2, uy2 = _squared_fields(field, x, tau[b], tau[b])
+        ux2 *= (wk[b] * tau[b] ** a)[..., None]
+        uy2 *= (wk[b] * tau[b] ** -a)[..., None]
+        terms = np.subtract(ux2, uy2, out=ux2).sum(axis=1)
+        return terms[:, : _MODICA_ORDERS[0]].sum(axis=1), terms[:, _MODICA_ORDERS[0] :].sum(axis=1)
+
+    # two blocks of panels halve the temporaries, which then come from the heap, not fresh pages
+    low, high = np.concatenate([orders(b) for b in np.array_split(np.arange(len(tau)), 2)], axis=1)
     kinetic = np.cumsum(np.vstack([first, high]), axis=0)
     err = float(np.max(np.abs(np.cumsum(low - high, axis=0)) / np.maximum(1.0, np.abs(kinetic[1:])),
                        initial=0.0))

@@ -2,6 +2,7 @@
 energy scaling regimes, and the ramp-competitor upper bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,21 @@ def test_modica_panel_orders_too_low_raise(monkeypatch):
     monkeypatch.setattr(diagnostics, "_MODICA_ORDERS", (1, 2))
     with pytest.raises(QuadratureNonConvergence):
         modica_check(solved(), FracOrder(0.5), well())
+
+
+def test_modica_check_temporaries_stay_small():
+    # at the CLI defaults (nx = ny = 64, N = 48) the 62 panels' (node x point)
+    # fields are evaluated in two blocks of heights and multiplied in place:
+    # the traced peak of one check is below 2 MiB (2.5 MiB in one block)
+    sol, frac = solved(symmetry="even"), FracOrder(0.5)
+    modica_check(sol, frac, well())
+    tracemalloc.start()
+    try:
+        modica_check(sol, frac, well())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("ny", [1, 2, 3, 9])

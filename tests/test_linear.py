@@ -90,6 +90,72 @@ def test_matrix_matches_dense_quadrature(N):
     assert np.max(np.abs(op.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def band(A, w=None):
+    """The lower band L[d, i] = A[i + d, i] of the dense symmetric A, of width w
+    (2N, the whole matrix, by default), zero past the last row."""
+    w = len(A) - 1 if w is None else w
+    return np.array([np.pad(np.diagonal(A, -d), (0, d)) for d in range(w + 1)])
+
+
+def dense(L):
+    """The dense symmetric matrix of the lower band L, one diagonal at a time."""
+    n = L.shape[1]
+    return sum(np.diag(L[d, : n - d], -d) + (np.diag(L[d, : n - d], d) if d else 0.0) for d in range(len(L)))
+
+
+def dense_fill(T, N, lam, k):
+    """(A, w): the Galerkin matrix filled densely, one sub-diagonal at a time, and
+    its band width w = 2 min(deg k, 2N) + 1: the oracle of the band assembly."""
+    n, K = 2 * N + 1, min(k.N, 2 * N)
+    b, a = np.zeros(K + 2), np.zeros(K + 2)
+    b[: K + 1], a[1 : K + 1] = 0.5 * k.cos_coeffs[: K + 1], 0.5 * k.sin_coeffs[:K]
+    A = np.zeros((n, n))
+    flat = A.reshape(-1)
+    for d in range(1, min(2 * K + 1, n - 1) + 1):
+        v = flat[d * n :: n + 1]
+        v[1::2], v[2::2] = (a[d // 2], -a[d // 2 + 1]) if d % 2 else (b[d // 2],) * 2
+        flat[d :: n + 1][: n - d] = v
+    h = min(K, N)
+    p = np.minimum(np.add.outer(np.arange(1, h + 1), np.arange(1, h + 1)), K + 1)
+    H = np.array([[b[p], a[p]], [a[p], -b[p]]])
+    A[1 : 2 * h + 1, 1 : 2 * h + 1] += H.transpose(2, 0, 3, 1).reshape(2 * h, 2 * h)
+    A[0, 1 : 2 * h + 1] = math.sqrt(2.0) * np.stack((b[1 : h + 1], a[1 : h + 1]), axis=1).ravel()
+    A[1:, 0] = A[0, 1:]
+    flat[:: n + 1] += 2.0 * b[0]
+    flat[n + 1 :: n + 1] += np.repeat(lam, 2)
+    return A, 2 * K + 1
+
+
+def loop_rows(A, w):
+    """Row sums of |A| over its band, one diagonal at a time."""
+    n, flat = A.shape[0], A.reshape(-1)
+    rows = np.abs(A.diagonal())
+    for d in range(1, min(w, n - 1) + 1):
+        v = np.abs(flat[d * n :: n + 1])
+        rows[d:] += v
+        rows[:-d] += v
+    return rows
+
+
+@pytest.mark.parametrize("N", [0, 1, 16, 256])
+def test_band_is_the_dense_fill_bit_for_bit(N):
+    # every width, from the diagonal alone (deg k = 0) to the whole matrix (5N):
+    # the band holds the dense fill's entries exactly, zero past the last row;
+    # its row sums, of at most 2w + 1 terms >= 0, are the diagonal loop's up to
+    # the round-off of summing them in another order
+    rng = np.random.default_rng(N + 3)
+    T = 7.3
+    lam = (2.0 * math.pi / T * np.arange(1, N + 1)) ** 0.74
+    for modes in (0, 2, 2 * N + 3, 5 * N):
+        k = PeriodicFunction.from_modes(T, sin_coeffs=rng.standard_normal(modes),
+                                        cos_coeffs=rng.standard_normal(modes + 1))
+        L, (A, w) = _galerkin_matrix(T, N, lam, k), dense_fill(T, N, lam, k)
+        assert L.shape == (min(w, 2 * N) + 1, 2 * N + 1)
+        assert np.array_equal(L, band(A, len(L) - 1))
+        ref = loop_rows(A, w)
+        assert np.all(np.abs(linear._band_rows(L) - ref) <= 2 * (2 * len(L) - 1) * EPS * ref)
+
+
 def reordered_gram(T, N, lam, k):
     """The matrix as first assembled: gram's full class fancy-indexed into
     [b_0, b_1, a_1, ...], rescaled to the orthonormal basis, symmetrized."""
@@ -117,9 +183,12 @@ def test_matrix_matches_the_reordered_gram_within_a_few_ulp(N):
     for modes in (0, 2, N + 3, 2 * N + 3):
         k = PeriodicFunction.from_modes(T, sin_coeffs=rng.standard_normal(modes),
                                         cos_coeffs=rng.standard_normal(modes + 1))
-        (A, w), ref = _galerkin_matrix(T, N, lam, k), reordered_gram(T, N, lam, k)
+        L, ref = _galerkin_matrix(T, N, lam, k), reordered_gram(T, N, lam, k)
+        w = len(L) - 1
+        assert w == min(2 * min(modes, 2 * N) + 1, 2 * N)
+        A = dense(L)
         assert A.flags.c_contiguous and np.array_equal(A, A.T)
-        assert w == 2 * min(modes, 2 * N) + 1
+        assert np.array_equal(L, band(A, w))   # zero past the last row
         kappa = np.sum(np.abs(k.cos_coeffs)) + np.sum(np.abs(k.sin_coeffs))
         assert np.max(np.abs(A - ref)) <= 8 * EPS * max(np.max(np.abs(ref)), kappa)
         assert not np.any(A[np.abs(i - j) > w])
@@ -136,7 +205,7 @@ def test_matrix_is_the_leading_block_at_any_degree(N):
                                         cos_coeffs=rng.standard_normal(modes + 1))
         lam = (2.0 * math.pi / T * np.arange(1, modes + 1)) ** 0.74
         ref = dense_galerkin(T, modes, lam, k)[: 2 * N + 1, : 2 * N + 1]
-        A = _galerkin_matrix(T, N, lam[:N], k)[0]
+        A = dense(_galerkin_matrix(T, N, lam[:N], k))
         assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -144,6 +213,14 @@ def test_matrix_symmetric():
     k = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[0.2], cos_coeffs=[0.1, 0.3])
     op = make_op(s=0.35, k=k)
     assert np.max(np.abs(op.matrix - op.matrix.T)) < 1e-12
+
+
+def test_matrix_is_built_on_first_access_read_only_and_kept():
+    op = make_op(N=8, k=PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[0.2], cos_coeffs=[1.0, 0.3]))
+    assert "matrix" not in vars(op)   # the operator holds only its band
+    A = op.matrix
+    assert op.matrix is A and not A.flags.writeable
+    assert np.array_equal(band(A, len(op._band) - 1), op._band)
 
 
 def test_matrix_diagonal_without_potential():
@@ -230,23 +307,75 @@ def test_operator_rejects_a_non_integer_n(N):
         make_op(N=N)
 
 
+@pytest.mark.parametrize("N", [True, -3, 2.5, 8.0, "8", math.nan])
+def test_operator_and_schrodinger_share_one_check_of_n(N):
+    # N = True was accepted as N = 1; in the Schrodinger spectrum N = 16.5
+    # failed deep inside with numpy's TypeError, and N = -3 was reported as
+    # "count exceeds the Galerkin dimension"
+    with pytest.raises(ValueError, match="truncation N must be nonnegative and an integer"):
+        make_op(N=N)
+    with pytest.raises(ValueError, match="truncation N must be nonnegative and an integer"):
+        schrodinger_fractional_spectrum(PeriodicFunction.constant(TWO_PI, 1.0), FracOrder(0.5), 1, N=N)
+
+
+@pytest.mark.parametrize("count", [True, 2.5, 8.5, 8.0, math.nan, -1, 34])
+def test_eigenvalue_set_and_schrodinger_share_one_check_of_count(count):
+    # 8.5 and nan failed with "slice indices must be integers", 2.5 with an
+    # IndexError in the Schrodinger spectrum, and True was read as 1
+    with pytest.raises(ValueError, match="count"):
+        eigenvalue_set(make_op(N=16), count)
+    with pytest.raises(ValueError, match="count"):
+        schrodinger_fractional_spectrum(PeriodicFunction.constant(TWO_PI, 1.0), FracOrder(0.5), count, N=16)
+
+
+def test_schrodinger_takes_n_zero_as_given():
+    # N = 0 became max(V.N, 16) through `N or ...`: it is the one-mode
+    # truncation, whose only eigenvalue is the mean of V
+    V = PeriodicFunction.from_modes(TWO_PI, cos_coeffs=[1.5, 0.25])
+    (lam, v), = schrodinger_fractional_spectrum(V, FracOrder(0.5), 1, N=0)
+    assert lam == 1.5**0.5 and v.N == 0
+    with pytest.raises(ValueError, match="count"):
+        schrodinger_fractional_spectrum(V, FracOrder(0.5), 2, N=0)
+    assert len(schrodinger_fractional_spectrum(V, FracOrder(0.5), 33, N=None)) == 33   # N = 16
+
+
+def test_certify_linear_path_holds_no_dense_matrix():
+    # perfbench's certify config: the operator at N = 256, eigenvalue_set(op, 8),
+    # both solves and the Schrodinger spectrum trace at most 1 MiB at their peak;
+    # one dense 513 x 513 matrix alone is 2 MiB
+    rng = np.random.default_rng(0)
+    k = low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5)
+    g = low_mode_potential(rng, TWO_PI, 3, 1.0, 0.0)
+    tracemalloc.start()
+    try:
+        op = make_op(s=0.45, N=256, k=k)
+        assert len(eigenvalue_set(op, 8)) == 8
+        solve_coercive(op, 0.5, g)
+        assert solve_fredholm(op, g).unique
+        schrodinger_fractional_spectrum(k, FracOrder(0.45), 8, N=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 def test_matrix_row_sums_are_taken_once(monkeypatch):
     # ||A||_inf, the eigensolve tolerance and the solve certificate all read
     # the row sums of |A|: taken once per matrix, from its band, with no
-    # pass over the whole matrix
+    # pass over an array the size of the whole matrix
     op = make_op(N=64, k=low_mode_potential(np.random.default_rng(2), TWO_PI, 2, 0.25, 1.5))
     g = low_mode_potential(np.random.default_rng(3), TWO_PI, 3, 1.0, 0.5)
     passes, sums = [], []
     absolute, band_rows = np.abs, linear._band_rows
 
     def counted(a, *args, **kwargs):
-        if np.shape(a) == op.matrix.shape:
+        if np.size(a) >= (2 * op.N + 1) ** 2:
             passes.append(None)
         return absolute(a, *args, **kwargs)
 
-    def summed(A, width):
-        sums.append(width)
-        return band_rows(A, width)
+    def summed(L):
+        sums.append(len(L) - 1)
+        return band_rows(L)
 
     monkeypatch.setattr(np, "abs", counted)
     monkeypatch.setattr(linear, "_band_rows", summed)
@@ -411,7 +540,7 @@ def test_eigenvalue_subset_matches_full_spectrum(count):
         c = function_to_coords(v, 16)
         assert np.linalg.norm(op.matrix @ c - lam * c) < 1e-10
     # Schrodinger: the bottom of the full spectrum of -d_xx + k, to the power s
-    A = _galerkin_matrix(TWO_PI, 16, np.arange(1, 17) ** 2.0, k)[0]
+    A = dense(_galerkin_matrix(TWO_PI, 16, np.arange(1, 17) ** 2.0, k))
     ref = np.clip(np.linalg.eigvalsh(A), 0.0, None)[:count] ** 0.4
     sch = schrodinger_fractional_spectrum(k, FracOrder(0.4), count, N=16)
     assert np.allclose([lam for lam, _ in sch], ref, rtol=0, atol=1e-12)
@@ -540,7 +669,7 @@ EPS = np.finfo(float).eps
 
 
 def schrodinger_matrix(V, N):
-    return _galerkin_matrix(V.T, N, (2.0 * math.pi / V.T * np.arange(1, N + 1)) ** 2, V)[0]
+    return dense(_galerkin_matrix(V.T, N, (2.0 * math.pi / V.T * np.arange(1, N + 1)) ** 2, V))
 
 
 def low_mode_potential(rng, T, modes, scale, const):
@@ -564,7 +693,7 @@ def test_lowest_eigh_matches_scipy_subset():
     rng = np.random.default_rng(5)
     for N, count in ((64, 1), (64, 9), (256, 9), (256, 21)):   # no cos/sin pair is cut
         A = schrodinger_matrix(low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5), N)
-        w, Q = _lowest_eigh(A, count)
+        w, Q = _lowest_eigh(band(A), count)
         assert block_rows(Q) < 2 * N + 1   # a leading block was certified
         ref, R = eigh(A, subset_by_index=[0, count - 1])
         assert np.max(np.abs(w - ref)) <= 1e-11 * max(1.0, float(np.max(np.abs(ref))))
@@ -581,7 +710,7 @@ def test_lowest_eigh_cuts_below_a_near_degenerate_pair():
     wf, Qf = np.linalg.eigh(A)
     assert wf[8] - wf[7] < 1e-6
     for count in (8, 9):
-        w, Q = _lowest_eigh(A, count)
+        w, Q = _lowest_eigh(band(A), count)
         assert block_rows(Q) == {8: 33, 9: 37}[count]   # p = 16 or 18: modes <= p suffice
         assert np.max(np.abs(w - wf[:count])) <= 1e-11 * max(1.0, float(wf[count - 1]))
         r = np.linalg.norm(A @ Q - Q * w, axis=0)
@@ -596,11 +725,11 @@ def test_lowest_eigh_falls_back_to_the_full_eigh_bit_for_bit():
     rng = np.random.default_rng(2)
     for N in (16, 64):
         A = schrodinger_matrix(low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5), N)
-        assert is_full_eigh(A, 2 * N + 1, *_lowest_eigh(A, 2 * N + 1))
+        assert is_full_eigh(A, 2 * N + 1, *_lowest_eigh(band(A), 2 * N + 1))
         # a potential with modes up to N couples the lowest modes to every block
         V = low_mode_potential(rng, TWO_PI, N, 0.3, 2.0 * N)
         A = schrodinger_matrix(V, N)
-        assert is_full_eigh(A, 8, *_lowest_eigh(A, 8))
+        assert is_full_eigh(A, 8, *_lowest_eigh(band(A), 8))
 
 
 def test_lowest_eigh_does_not_miss_an_eigenvalue_outside_the_block():
@@ -608,7 +737,7 @@ def test_lowest_eigh_does_not_miss_an_eigenvalue_outside_the_block():
     # the second-lowest eigenvalue: the Gershgorin bound of C rules out every cut
     A = np.diag(np.arange(1.0, 66.0))
     A[-1, -1] = 1.5
-    w, Q = _lowest_eigh(A, 2)
+    w, Q = _lowest_eigh(band(A), 2)
     assert np.array_equal(w, [1.0, 1.5])
     assert is_full_eigh(A, 2, w, Q)
 
@@ -622,7 +751,7 @@ def test_lowest_eigh_does_not_keep_a_ritz_value_above_a_coupled_eigenvalue():
     A[1, 17] = A[17, 1] = 5.0
     wf = np.linalg.eigvalsh(A)
     assert wf[0] < 0.75
-    w, Q = _lowest_eigh(A, 1)
+    w, Q = _lowest_eigh(band(A), 1)
     assert abs(w[0] - wf[0]) <= 1e-13
     assert np.linalg.norm(A @ Q - Q * w) <= EPS * np.max(np.sum(np.abs(A), axis=1))
 
@@ -641,7 +770,7 @@ def test_schrodinger_spectrum_sweep_against_the_full_eigh():
         wf = np.linalg.eigvalsh(A)
         tol = EPS * np.max(np.sum(np.abs(A), axis=1))
         for count in (0, 1, 8, 2 * N + 1):
-            w, Q = _lowest_eigh(A, count)
+            w, Q = _lowest_eigh(band(A), count)
             assert w.shape == (count,) and Q.shape == (2 * N + 1, count)
             assert np.all(np.abs(w - wf[:count]) <= 1e-11 * np.maximum(1.0, np.abs(wf[:count])))
             if count and not is_full_eigh(A, count, w, Q):
@@ -671,10 +800,13 @@ def test_leading_solve_matches_scipy(N):
         b = function_to_coords(low_mode_potential(rng, T, 3, 1.0, float(rng.uniform(-1.0, 1.0))), N)
         for shift in (0.0, op.gamma + float(rng.uniform(0.0, 1.0))):
             M = op.matrix + shift * np.eye(2 * N + 1)
-            x = _leading_solve(op.matrix, shift, b)
+            x, r = _leading_solve(op._band, shift, b)
             ref = solve(M, b)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
             assert backward_error(M, x, b) <= EPS
+            # the residual it returns, read on the block's rows of the band, is the dense one's
+            scale = np.max(np.sum(np.abs(M), axis=1)) * np.linalg.norm(x) + np.linalg.norm(b)
+            assert abs(r - np.linalg.norm(M @ x - b)) <= 16 * EPS * scale
             blocks.add(block_rows(x[:, None]))
     if N > 16:   # at N = 16 the one block below 2N + 1, of modes <= 8, does not suffice for these k
         assert min(blocks) < 2 * N + 1
@@ -688,7 +820,9 @@ def test_leading_solve_falls_back_to_the_full_solve_bit_for_bit():
         b[-1] = 0.5   # a mode at N: no leading block holds b
         for shift in (0.0, 0.7):
             want = np.linalg.solve(op.matrix + shift * np.eye(2 * N + 1), b)
-            assert np.array_equal(_leading_solve(op.matrix, shift, b), want)
+            x, r = _leading_solve(op._band, shift, b)
+            assert np.array_equal(x, want)
+            assert r == np.linalg.norm(op.matrix @ want + shift * want - b)
 
 
 def test_linear_solves_run_no_full_eigh_at_the_certify_config(monkeypatch):
@@ -748,16 +882,16 @@ def test_lowest_eigh_is_the_same_with_the_row_sums_supplied():
         i, j = np.indices(A.shape)
         assert np.count_nonzero(A[np.abs(i - j) > 8]) > 0.99 * np.count_nonzero(np.abs(i - j) > 8)
         rows = np.sum(np.abs(A), axis=1)
-        w, Q = _lowest_eigh(A, count, rows)
+        w, Q = _lowest_eigh(band(A), count, rows)
         assert block_rows(Q) < 2 * N + 1
-        w0, Q0 = _lowest_eigh(A, count)
+        w0, Q0 = _lowest_eigh(band(A), count)
         assert np.array_equal(w, w0) and np.array_equal(Q, Q0)
 
 
 def test_lowest_eigh_does_not_miss_an_eigenvalue_outside_the_block_with_row_sums():
     A = np.diag(np.arange(1.0, 66.0))
     A[-1, -1] = 1.5
-    w, Q = _lowest_eigh(A, 2, np.sum(np.abs(A), axis=1))
+    w, Q = _lowest_eigh(band(A), 2, np.sum(np.abs(A), axis=1))
     assert np.array_equal(w, [1.0, 1.5])
     assert is_full_eigh(A, 2, w, Q)
 
@@ -794,8 +928,8 @@ def test_band_trimmed_ladder_makes_the_cuts_of_the_untrimmed_one():
             A[np.arange(d, n), np.arange(n - d)] = A[np.arange(n - d), np.arange(d, n)] = v
         rows = np.sum(np.abs(A), axis=1)
         for count in (1, 5, 17):
-            wb, Qb = linear._certified_pairs(A, count, rows, w)
-            wd, Qd = linear._certified_pairs(A, count, rows)
+            wb, Qb = linear._certified_pairs(band(A, w), count, rows)
+            wd, Qd = linear._certified_pairs(band(A), count, rows)
             assert len(wb) == len(wd)
             assert np.max(np.abs(wb - wd)) <= 1e-13 * np.max(np.abs(wd))
             assert np.max(np.abs(np.abs(Qb.T @ Qd) - np.eye(len(wd)))) <= 1e-12
