@@ -57,7 +57,7 @@ def _galerkin_matrix(T, N, lam, k):
     p = np.minimum(np.add.outer(np.arange(h), 2 * np.arange(1, h + 1)), K + 1)   # column 2n - 1 + t:
     H = np.array([[b, -b], [a, np.append(a[1:], 0.0)]])[:, :, p]   # H[s, t, q, n - 1], p = 2n + q
     L[: 2 * h, 1 : 2 * h + 1] += H.transpose(2, 0, 3, 1).reshape(2 * h, 2 * h)
-    np.copyto(L, 0.0, where=np.arange(n) >= n - np.arange(w + 1)[:, None])   # rows past n - 1
+    np.copyto(L, 0.0, where=np.arange(n) >= n - np.arange(w + 1)[:, None])   # i + d past the last row
     L[1 : 2 * h + 1 : 2, 0] = math.sqrt(2.0) * b[1 : h + 1]   # the mean column
     L[2 : 2 * h + 1 : 2, 0] = math.sqrt(2.0) * a[1 : h + 1]
     L[0] += 2.0 * b[0]
@@ -101,13 +101,17 @@ def _full_band(A):
 def coords_to_function(T, c):
     """Coordinate vector in the orthonormal basis -> PeriodicFunction; odd
     when every cosine coordinate is at most 1e-14 times the largest entry."""
-    b = np.empty((c.shape[0] + 1) // 2)
+    N = (c.shape[0] - 1) // 2
+    b = np.empty(N + 1)
+    a = np.empty(N)
     b[0] = c[0] / math.sqrt(T)
     b[1:] = c[1::2] * math.sqrt(2.0 / T)
+    a[:] = c[2::2] * math.sqrt(2.0 / T)
     tiny = 1e-14 * np.max(np.abs(c))
     odd = bool(abs(c[0]) <= tiny and np.all(np.abs(c[1::2]) <= tiny))
-    return PeriodicFunction(T=T, sin_coeffs=c[2::2] * math.sqrt(2.0 / T), cos_coeffs=np.zeros_like(b) if odd else b,
-                            odd=odd)
+    if odd:
+        b = np.zeros_like(b)
+    return PeriodicFunction(T=T, sin_coeffs=a, cos_coeffs=b, odd=odd)
 
 
 def function_to_coords(u: PeriodicFunction, N):
