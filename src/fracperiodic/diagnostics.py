@@ -8,10 +8,18 @@ The conserved quantity along x is
     w(x) - F(u(x)),   w(x) = (d_s / 2) int_0^inf [U_x^2 - U_y^2] y^a dy,
 
 with U the degenerate-harmonic extension of a solution u; the d_s factor
-makes the identity hold for every order s (it is 1 at s = 1/2).
+makes the identity hold for every order s (it is 1 at s = 1/2).  With alpha_m = omega m, its two
+y-integrals are quadratic forms in the trace's coefficients, the phases at omega m x:
+
+    (d_s/2) int U_x^2 y^a dy = (1/2) sum_mn A_m A_n S_s(m, n),    A_m = alpha_m^s (a_m cos - b_m sin),
+    (d_s/2) int U_y^2 y^a dy = (1/2) sum_mn B_m B_n S_{1-s}(m, n),  B_m = alpha_m^s (a_m sin + b_m cos),
+
+S_nu(m, n) = sinh(nu r) / sinh(r) at r = log(m / n) and S_nu(m, m) = nu, by Gradshteyn and Ryzhik
+6.521.3 for int_0^inf t K_nu(pt) K_nu(qt) dt and Gamma(s) Gamma(1 - s) = pi / sin(pi s).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +41,6 @@ __all__ = [
     "test_function_bound",
 ]
 
-HAMILTONIAN_NODES = 128   # Jacobi nodes per weight of the y-integral of w(x)
 MODICA_NODES = 96         # Jacobi nodes per weight on [0, y_1] of the Modica scan
 PDE_STEP = 1e-4           # centered-difference step of modica_pde_residual
 
@@ -43,13 +50,13 @@ def _trace(u):
 
 
 def _check_certificate_args(tol, **counts):
-    """A NaN or negative tol, or a sample count below 1, would switch the
-    certificate off instead of running it; tol = inf only reports."""
+    """A NaN or negative tol, or a sample count that is no integer >= 1, would switch
+    the certificate off or space its samples wrongly; tol = inf only reports."""
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative (inf allowed), got {tol!r}")
     for name, n in counts.items():
-        if n < 1:
-            raise ValueError(f"{name} must be at least 1, got {n!r}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"{name} must be an integer at least 1, got {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -68,18 +75,19 @@ class HamiltonianReport:
             yield xi, vi, vi - self.c_t
 
 
-def _squared_fields(field: ExtensionField, x, y_plus, y_minus):
-    """U_x^2 on y_plus times x (None when y_plus is None) and (y^a U_y)^2 on
-    y_minus times x, of shapes y.shape + x.shape.
+def _axis_forms(u, s, x):
+    """(d_s/2) int_0^inf U_x^2 y^a dy and (d_s/2) int_0^inf U_y^2 y^a dy at the points x, by the
+    module docstring's closed form over the modes with a nonzero coefficient."""
+    m = np.flatnonzero((u.sin_coeffs != 0.0) | (u.cos_coeffs[1:] != 0.0)) + 1
+    sin, cos, (a, b), _ = u._modes(x, m)
+    r = np.log(np.divide.outer(m, m))
 
-    U_x = sum_m J_m(y) omega_m [a_m cos - b_m sin] and y^a U_y = sum_m
-    psi_m(y) [a_m sin + b_m cos] with psi_m = y^a J_m', so a whole node batch
-    takes one profile table and one matmul per factor; both run over the
-    field's support, the modes with a nonzero coefficient.
-    """
-    sin, cos, (a, b), (a_x, b_x) = field._modes(x)
-    ux2 = None if y_plus is None else (field._table(y_plus) @ (sin * a_x + cos * b_x).T) ** 2
-    return ux2, (field._table(y_minus, "weighted_deriv") @ (sin * a + cos * b).T) ** 2
+    def form(c, nu):
+        S = np.divide(np.sinh(nu * r), np.sinh(r), out=np.full(r.shape, nu), where=r != 0.0)
+        c = c * (u.omega * m) ** s
+        return 0.5 * np.sum((c @ S) * c, axis=-1)
+
+    return form(cos * a - sin * b, s), form(sin * a + cos * b, 1.0 - s)
 
 
 def hamiltonian_check(u, frac: FracOrder, well: DoubleWell, n_samples=64,
@@ -88,21 +96,16 @@ def hamiltonian_check(u, frac: FracOrder, well: DoubleWell, n_samples=64,
 
     Samples the conserved quantity at n_samples points over one period and
     compares against its mean; raises IdentityViolation with the worst
-    sample when the deviation exceeds tol (an under-resolved quadrature or
-    a non-solution input both trip it).  Raises ValueError when the squared
+    sample when the deviation exceeds tol (a non-solution input or an
+    under-resolved truncation trips it).  Raises ValueError when the squared
     top frequency (2 pi N / T)^2 of the trace exceeds 1e150, where U_x^2
     overflows.
     """
     _check_certificate_args(tol, n_samples=n_samples)
     trace = _trace(u)
     _check_period(trace.T, trace.N, 1.0)
-    field = extend_bessel(trace, frac)
     x = np.arange(n_samples) * (trace.T / n_samples)
-    rule = YQuadrature(field.y_max, frac.a, HAMILTONIAN_NODES)
-    # int_0^ymax [U_x^2 - U_y^2] y^a dy: U_y^2 y^a is (y^a U_y)^2 y^{-a}, finite at y = 0
-    ux2, uy2 = _squared_fields(field, x, rule.nodes_plus, rule.nodes_minus)
-    w = 0.5 * frac.d_s * (rule.weights_plus @ ux2 - rule.weights_minus @ uy2)
-    values = w - well.f(trace(x))
+    values = np.subtract(*_axis_forms(trace, frac.s, x)) - well.f(trace(x))
     c_t = float(np.mean(values))
     dev = np.abs(values - c_t)
     worst = int(np.argmax(dev))
@@ -125,6 +128,20 @@ class ModicaReport:
     c_hat_lower: float         # (d_s/2) int_0^inf U_y^2(T/2, tau) tau^a dtau
     argmax: tuple              # (x, y) of the grid maximum
     top_row_max: float         # max |v_hat| on the largest-y row (tail -> 0)
+
+
+def _squared_fields(field: ExtensionField, x, y_plus, y_minus):
+    """U_x^2 on y_plus times x and (y^a U_y)^2 on y_minus times x, of shapes
+    y.shape + x.shape.
+
+    U_x = sum_m J_m(y) omega_m [a_m cos - b_m sin] and y^a U_y = sum_m
+    psi_m(y) [a_m sin + b_m cos] with psi_m = y^a J_m', so a whole node batch
+    takes one profile table and one matmul per factor; both run over the
+    field's support, the modes with a nonzero coefficient.
+    """
+    sin, cos, (a, b), (a_x, b_x) = field._modes(x)
+    ux2 = (field._table(y_plus) @ (sin * a_x + cos * b_x).T) ** 2
+    return ux2, (field._table(y_minus, "weighted_deriv") @ (sin * a + cos * b).T) ** 2
 
 
 _MODICA_ORDERS = (8, 12)   # Gauss-Legendre nodes per y-panel: the value and its check
@@ -184,8 +201,9 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, nx=64, ny=64, tol=1e-5) -
     v_hat(x,y) = (d_s/2) int_0^y [U_x^2 - U_y^2] tau^a dtau - F(u(x)) - C_T
     with C_hat = sup_x (-F(u(x)) - C_T) > 0 and C_T the constant of
     hamiltonian_check on the same nx points; the grid maximum must sit on
-    the y = 0 row.  Raises InequalityViolation at the first offending point,
-    and ValueError at a period too small for hamiltonian_check.
+    the y = 0 row; c_hat_lower, the U_y integral at x = T/2 in closed form, equals C_hat
+    for an even solution.  Raises InequalityViolation at the first offending
+    point, and ValueError at a period too small for hamiltonian_check.
     """
     _check_certificate_args(tol, nx=nx, ny=ny)
     trace = _trace(u)
@@ -206,10 +224,8 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, nx=64, ny=64, tol=1e-5) -
         raise InequalityViolation((float(x[ix]), float(y[iy])), worst - c_hat)
     # C_hat >= (d_s/2) int U_y^2(T/2, tau) tau^a dtau, with equality for even
     # solutions (U_x vanishes on the reflection axis x = T/2)
-    _, uy2 = _squared_fields(field, trace.T / 2.0, None, rule.nodes_minus)
-    lower = 0.5 * frac.d_s * float(rule.weights_minus @ uy2)
     return ModicaReport(
-        x=x, y=y, v_hat=v_hat, c_hat=c_hat, c_hat_lower=lower,
+        x=x, y=y, v_hat=v_hat, c_hat=c_hat, c_hat_lower=float(_axis_forms(trace, frac.s, trace.T / 2.0)[1]),
         argmax=(float(x[ix]), float(y[iy])),
         top_row_max=float(np.max(np.abs(v_hat[-1]))),
     )

@@ -92,12 +92,6 @@ def _leading(L, m):
     return A
 
 
-def _full_band(A):
-    """The lower band of the dense symmetric A at width n - 1."""
-    d, i = np.ogrid[: len(A), : len(A)]
-    return np.where(i + d < len(A), A[np.minimum(i + d, len(A) - 1), i], 0.0)
-
-
 def coords_to_function(T, c):
     """Coordinate vector in the orthonormal basis -> PeriodicFunction; odd
     when every cosine coordinate is at most 1e-14 times the largest entry."""
@@ -234,8 +228,8 @@ def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction) -> FredholmSolve:
     The kernel Z holds the eigenvectors with |w| < KERNEL_RTOL ||A||_inf.  With
     a trivial kernel the unique solution is returned.  Otherwise the data must
     satisfy <g, v> = 0 for every kernel vector (SolvabilityViolation if not);
-    the minimal-norm solution, of (A + ||A||_inf Z Z^T) u = (I - Z Z^T) g, is
-    returned together with the kernel basis.
+    the minimal-norm solution, of (A + ||A||_inf Z Z^T) u = (I - Z Z^T) g by one
+    dense solve, is returned together with the kernel basis.
     """
     if g.T != op.T:
         raise ValueError(f"right-hand side g must have the operator's period {op.T!r}, got {g.T!r}")
@@ -243,14 +237,14 @@ def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction) -> FredholmSolve:
     Z = Q[:, np.abs(w) < thresh]
     gc = function_to_coords(g, op.N)
     kernel = KernelBasis(vectors=tuple(coords_to_function(op.T, v) for v in Z.T), threshold=thresh)
-    L = op._band
     if kernel.dim:
         proj = Z.T @ gc
         worst = float(proj[np.argmax(np.abs(proj))])
         if abs(worst) > ORTH_TOL * max(1.0, float(np.linalg.norm(gc))):
             raise SolvabilityViolation(worst)
-        L, gc = _full_band(_leading(L, len(gc)) + (thresh / KERNEL_RTOL) * (Z @ Z.T)), gc - Z @ proj
-    u, _ = _leading_solve(L, 0.0, gc, None if kernel.dim else op._rows)   # a deflated A's rows are summed anew
+        u = np.linalg.solve(_leading(op._band, len(gc)) + (thresh / KERNEL_RTOL) * (Z @ Z.T), gc - Z @ proj)
+    else:
+        u, _ = _leading_solve(op._band, 0.0, gc, op._rows)
     return FredholmSolve(solution=coords_to_function(op.T, u), kernel=kernel)
 
 

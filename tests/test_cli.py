@@ -574,6 +574,14 @@ def test_hamiltonian_writes_the_first_integral(tmp_path, capsys):
     assert np.allclose(w - f_u - deviation, float(fields["C_T"]), rtol=0, atol=1e-12)
 
 
+def test_hamiltonian_passes_at_a_large_period_off_one_half(tmp_path, capsys):
+    # the 128-node y-rule of the density erred by 2.1e-5 here, above tol = 1e-5:
+    # this exited 1 with "identity deviation 2.073e-05 at x = 0"
+    out = tmp_path / "ham.csv"
+    assert run(["hamiltonian", "--s", "0.3", "--T", "40", "--out", str(out)]) == 0
+    assert float(dict(summary(capsys.readouterr().err))["max_deviation"]) <= 1e-5
+
+
 def test_modica_writes_the_half_strip_scan(tmp_path, capsys):
     out = tmp_path / "modica.csv"
     assert run(["modica", "--s", "0.5", "--T", "8", "--out", str(out)]) == 0
@@ -682,10 +690,18 @@ def test_period_below_the_newton_resolution_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("cmd", ["hamiltonian", "modica"])
 @pytest.mark.parametrize("s", ["1e-300", "6e-17"])
 def test_certificate_at_a_vanishing_order_is_usage_error(tmp_path, capsys, cmd, s):
-    # beta = 2s - 1 of the y^-a rule rounds to 2 + beta = 1: this failed as
+    # beta = 2s - 1 of modica's y^-a rule rounds to 2 + beta = 1: this failed as
     # "usage error: Eigenvalues did not converge" after a RuntimeWarning at
-    # 1e-300, and exited 0 with nan in the output at 6e-17
+    # 1e-300, and exited 0 with nan in the output at 6e-17; hamiltonian's
+    # closed-form density builds no rule and takes its s -> 0 limit
     out = tmp_path / "out.csv"
+    if cmd == "hamiltonian":
+        assert run([cmd, "--s", s, "--T", "8", "--out", str(out)]) == 0
+        fields = dict(summary(capsys.readouterr().err))
+        _, rows = read_csv(out)
+        assert np.isfinite(np.array(rows, dtype=float)).all() and len(rows) == 64
+        assert np.isfinite([float(v) for v in fields.values()]).all()
+        return
     assert run([cmd, "--s", s, "--T", "8", "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("usage error: Gauss-Jacobi weight r^beta needs 2 + beta > 1")

@@ -18,7 +18,13 @@ from fracperiodic.diagnostics import (
 from fracperiodic.errors import IdentityViolation, QuadratureNonConvergence
 from fracperiodic.extension import YQuadrature, extend_bessel, extension_energy, poisson_kernel_periodized
 from fracperiodic.semilinear import SolveConfig, minimize_energy
-from fracperiodic.spectral import DoubleWell, FracOrder, PeriodicFunction, singular_integral_oracle
+from fracperiodic.spectral import (
+    DoubleWell,
+    FracOrder,
+    PeriodicFunction,
+    singular_integral_oracle,
+    spectral_dirichlet,
+)
 
 
 def well():
@@ -27,6 +33,41 @@ def well():
 
 def solved(T=8.0, s=0.5, symmetry="odd", N=48):
     return minimize_energy(T, FracOrder(s), well(), SolveConfig(symmetry=symmetry, N=N))
+
+
+def kv_power(nu, t):
+    """t^nu K_nu(t) by scipy's kv, with its limit Gamma(nu) 2^(nu - 1) at t = 0."""
+    from scipy.special import kv
+
+    t = np.asarray(t, dtype=float)
+    return np.where(t > 0.0, t**nu * kv(nu, np.where(t > 0.0, t, 1.0)), math.gamma(nu) * 2.0 ** (nu - 1.0))
+
+
+def y_quad(g, c, lo, hi):
+    """int_0^inf y^c g(y) dy by scipy quad, for g bounded at y = 0 and decaying
+    like exp(-lo y): the algebraic weight y^c on (0, 1/hi), then panels that
+    double up to y = 80/lo (IntegrationWarning stays an error)."""
+    from scipy.integrate import quad
+
+    edges = [1.0 / hi]
+    while edges[-1] < 80.0 / lo:
+        edges.append(2.0 * edges[-1])
+    total = quad(g, 0.0, edges[0], weight="alg", wvar=(c, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    for y0, y1 in zip(edges, edges[1:]):
+        total += quad(lambda y: y**c * g(y), y0, y1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+def quad_axis_uy2(u, frac, x):
+    """(d_s/2) int_0^inf U_y(x, y)^2 y^a dy by y_quad: y^a U_y^2 = y^-a mu^2
+    (sum_m alpha_m^(2s-1) h(alpha_m y) B_m)^2 with h(t) = t^(1-s) K_(1-s)(t),
+    B_m = alpha_m (a_m sin + b_m cos)(alpha_m x) and mu = 2^(1-s) / Gamma(s)."""
+    s, m = frac.s, np.arange(1, u.N + 1)
+    alpha = u.omega * m
+    B = alpha ** (2 * s) * (u.sin_coeffs * np.sin(alpha * x) + u.cos_coeffs[1:] * np.cos(alpha * x))
+    mu = 2.0 ** (1.0 - s) / math.gamma(s)
+    integral = y_quad(lambda y: (mu * kv_power(1.0 - s, alpha * y) @ B) ** 2, -frac.a, alpha[0], alpha[-1])
+    return 0.5 * frac.d_s * integral
 
 
 # -- Hamiltonian identity ------------------------------------------------------
@@ -55,13 +96,17 @@ def test_hamiltonian_negative_control():
 
 def test_certificates_reject_settings_that_disable_them():
     # a NaN tol passed any deviation (7e-3 here), and a zero sample count
-    # divided by zero; tol = inf stays allowed, it only reads c_t
+    # divided by zero; tol = inf stays allowed, it only reads c_t.  A count
+    # that is no integer spaced the samples wrongly: n_samples = 2.5 sampled
+    # x = 0, 3.2, 6.4 on T = 8, True sampled once, and nx = 4.5 gave 5 columns
+    # spaced T / 4.5
     u = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.6], cos_coeffs=None)
     frac = FracOrder(0.5)
-    for bad in ({"tol": math.nan}, {"tol": -1e-5}, {"n_samples": 0}, {"n_samples": -4}):
+    for bad in ({"tol": math.nan}, {"tol": -1e-5}, {"n_samples": 0}, {"n_samples": -4},
+                {"n_samples": 2.5}, {"n_samples": True}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             hamiltonian_check(u, frac, well(), **bad)
-    for bad in ({"tol": math.nan}, {"tol": -1.0}, {"nx": 0}, {"ny": 0}):
+    for bad in ({"tol": math.nan}, {"tol": -1.0}, {"nx": 0}, {"ny": 0}, {"nx": 4.5}, {"ny": 8.0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             modica_check(u, frac, well(), **bad)
     assert hamiltonian_check(u, frac, well(), tol=math.inf).max_deviation > 1e-3
@@ -71,6 +116,91 @@ def test_hamiltonian_rows_sum_to_zero_deviation():
     rep = hamiltonian_check(solved(), FracOrder(0.5), well())
     devs = [row[2] for row in rep.rows()]
     assert abs(float(np.mean(devs))) < 1e-14
+
+
+def closed_form_pair(s, T, m, n):
+    """(P_mn, Q_mn) = int_0^inf y^a (phi, phi')(alpha_m y) (phi, phi')(alpha_n y) dy,
+    read off diagnostics._axis_forms by polarization: at x = 0 a trace with
+    a_k = b_k = 1 on the modes k has (d_s/2) sum_kl alpha_k alpha_l (P, Q)_kl
+    for its two forms."""
+    frac, om = FracOrder(s), 2.0 * math.pi / T
+
+    def forms(*modes):
+        c = np.zeros(max(m, n) + 1)
+        c[list(modes)] = 1.0
+        u = PeriodicFunction.from_modes(T, sin_coeffs=c[1:], cos_coeffs=c)
+        return 2.0 / frac.d_s * np.array(diagnostics._axis_forms(u, s, 0.0))
+
+    if m == n:
+        return forms(m) / (om * m) ** 2
+    return (forms(m, n) - forms(m) - forms(n)) / (2.0 * om * m * om * n)
+
+
+@pytest.mark.parametrize("T", [8.0, 40.0, 80.0])
+@pytest.mark.parametrize("s", [0.2, 0.3, 0.5, 0.7, 0.9])
+def test_closed_form_profile_integrals_match_quad(s, T):
+    # the independent route: scipy quad of the kv products, y^a phi(py) phi(qy)
+    # = y^a mu^2 h_s(py) h_s(qy) and y^a phi'(py) phi'(qy) = y^-a mu^2 (pq)^(2s-1)
+    # h_(1-s)(py) h_(1-s)(qy), with h_nu(t) = t^nu K_nu(t) and mu = 2^(1-s) / Gamma(s)
+    a, mu, om = 1.0 - 2.0 * s, 2.0 ** (1.0 - s) / math.gamma(s), 2.0 * math.pi / T
+    for m, n in [(1, 1), (1, 2), (2, 3), (5, 5), (7, 8), (2, 9), (30, 31)]:
+        p, q = om * m, om * n
+        P = y_quad(lambda y: mu**2 * kv_power(s, p * y) * kv_power(s, q * y), a, p, q)
+        Q = y_quad(lambda y: mu**2 * (p * q) ** (2 * s - 1) * kv_power(1 - s, p * y) * kv_power(1 - s, q * y),
+                   -a, p, q)
+        closed = closed_form_pair(s, T, m, n)
+        assert np.all(np.abs(closed - [P, Q]) <= 1e-12 * np.abs([P, Q])), (m, n, closed, P, Q)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_axis_forms_integrate_to_the_dirichlet_energy(s):
+    # the forms are trigonometric polynomials of degree 2N in x, so their mean
+    # over 4N + 4 points is exact: T mean(U_x + U_y form) = <u, (-d_xx)^s u> / 2
+    # and T mean(U_x - U_y form) = (s - 1/2) <u, (-d_xx)^s u>, by Parseval
+    rng = np.random.default_rng(7)
+    N, T, frac = 12, 8.0, FracOrder(s)
+    u = PeriodicFunction(T=T, sin_coeffs=rng.standard_normal(N), cos_coeffs=rng.standard_normal(N + 1))
+    ux2, uy2 = diagnostics._axis_forms(u, s, np.arange(4 * N + 4) * (T / (4 * N + 4)))
+    dirichlet = spectral_dirichlet(u, frac)
+    assert abs(T * np.mean(ux2 + uy2) - 0.5 * dirichlet) <= 1e-13 * dirichlet
+    assert abs(T * np.mean(ux2 - uy2) - (s - 0.5) * dirichlet) <= 1e-13 * dirichlet
+    # extension_energy's own 384-node rule is off by 1.34e-8 relative at s = 0.3
+    # and 0.7, for every trace (each mode's profile integral runs to t = 40)
+    energy = 0.5 * frac.d_s * extension_energy(extend_bessel(u, frac))
+    assert abs(T * np.mean(ux2 + uy2) - energy) <= 2e-8 * energy
+
+
+def test_hamiltonian_check_builds_no_profile_or_rule(monkeypatch):
+    # the density is a quadratic form in the coefficients: no Bessel profile
+    # table and no y-rule
+    from fracperiodic import extension
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hamiltonian_check evaluated a y-profile or built a y-rule")
+
+    for name in ("__init__", "value", "deriv", "weighted_deriv"):
+        monkeypatch.setattr(extension._Profile, name, forbidden)
+    monkeypatch.setattr(YQuadrature, "__post_init__", forbidden)
+    for s in (0.3, 0.5):
+        rep = hamiltonian_check(solved(s=s), FracOrder(s), well())
+        assert rep.max_deviation < 1e-6
+
+
+@pytest.mark.parametrize("s", [0.2, 0.3, 0.8])
+def test_hamiltonian_at_large_period_is_exact_on_resolved_minimizers(s):
+    # the 128-node y-rule it replaces erred by up to 7.1e-5 here, whatever N
+    rep = hamiltonian_check(solved(T=80.0, s=s, N=480), FracOrder(s), well())
+    assert rep.max_deviation <= 1e-12
+
+
+@pytest.mark.parametrize("T", [8.0, 40.0])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_modica_lower_bound_is_attained_by_even_minimizers(s, T):
+    # U_x vanishes on the reflection axis x = T/2 of an even solution, so the
+    # axis integral of U_y^2 equals C_hat; the y-rule missed it by 1.0e-6 at
+    # s = 0.7, T = 40
+    rep = modica_check(solved(T=T, s=s, symmetry="even", N=int(4 * T)), FracOrder(s), well())
+    assert abs(rep.c_hat - rep.c_hat_lower) <= 1e-9
 
 
 # -- Modica-type inequality ----------------------------------------------------
@@ -95,18 +225,15 @@ def test_modica_lower_bound_even_solution():
 
 @pytest.mark.parametrize("s", [0.3, 0.7])
 def test_modica_lower_bound_is_per_node_sum(s):
-    # c_hat_lower against (d_s/2) sum_q w_q (y^a U_y(T/2, y_q))^2, node by node
+    # c_hat_lower, in closed form, against (d_s/2) int U_y^2(T/2, y) y^a dy by
+    # adaptive quadrature of scipy's kv; a 96-node Jacobi rule is off by 1.0e-7
+    # here at s = 0.3
     frac = FracOrder(s)
     sol = solved(s=s, symmetry="even")
     rep = modica_check(sol, frac, well())
-    field = extend_bessel(sol.u, frac)
-    rule = YQuadrature(field.y_max, frac.a, 96)
-    ref = 0.5 * frac.d_s * sum(
-        wq * float(field.weighted_dy(sol.u.T / 2.0, yq)) ** 2
-        for yq, wq in zip(rule.nodes_minus, rule.weights_minus)
-    )
+    ref = quad_axis_uy2(sol.u, frac, sol.u.T / 2.0)
     assert ref > 0.01
-    assert abs(rep.c_hat_lower - ref) <= 1e-13 * ref
+    assert abs(rep.c_hat_lower - ref) <= 1e-12 * ref
 
 
 def nested_v_hat(sol, frac, c_t, n, nx=64, ny=64):
@@ -148,10 +275,8 @@ def test_modica_report_agrees_with_nested_96_node_rule(s, T):
     iy, ix = np.unravel_index(int(np.argmax(ref)), ref.shape)
     assert rep.argmax == (float(rep.x[ix]), float(rep.y[iy]))
     assert abs(rep.c_hat - float(np.max(ref[0]))) <= 1e-12
-    field = extend_bessel(sol.u, frac)
-    rule = YQuadrature(field.y_max, frac.a, 96)
-    lower = 0.5 * frac.d_s * float(rule.weights_minus @ field.weighted_dy(T / 2.0, rule.nodes_minus) ** 2)
-    assert abs(rep.c_hat_lower - lower) <= 1e-12
+    lower = quad_axis_uy2(sol.u, frac, T / 2.0)   # the 96-node rule misses it by 1e-9 at s = 0.514
+    assert abs(rep.c_hat_lower - lower) <= 1e-12 * lower
     assert abs(rep.top_row_max - float(np.max(np.abs(ref[-1])))) <= 1e-8
 
 
@@ -334,10 +459,14 @@ def test_zeta_routes_at_a_vanishing_order_raise(s):
 
 @pytest.mark.parametrize("s", [1e-300, 6e-17])
 def test_certificates_at_a_vanishing_order_raise(s):
-    # beta = 2s - 1 of the y^-a rule rounds to 2 + beta = 1: the Jacobi matrix
-    # divided by zero and the eigensolve failed after a RuntimeWarning
+    # beta = 2s - 1 of modica's y^-a rule rounds to 2 + beta = 1: the Jacobi
+    # matrix divided by zero and the eigensolve failed after a RuntimeWarning
     u = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.6], cos_coeffs=None)
-    for check in (hamiltonian_check, modica_check):
-        with pytest.raises(ValueError, match=r"2 \+ beta > 1 .* got beta = -(1\.0|0\.9999999999999999) "):
-            check(u, FracOrder(s), well(), tol=np.inf)
+    with pytest.raises(ValueError, match=r"2 \+ beta > 1 .* got beta = -(1\.0|0\.9999999999999999) "):
+        modica_check(u, FracOrder(s), well(), tol=np.inf)
+    # the closed-form density needs no rule: it takes its limit w = -(u - b_0)^2 / 2
+    u = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.6], cos_coeffs=[0.3, 0.0, -0.2])
+    rep = hamiltonian_check(u, FracOrder(s), well(), tol=np.inf)
+    limit = -0.5 * (u(rep.x) - 0.3) ** 2 - well().f(u(rep.x))
+    assert np.max(np.abs(rep.values - limit)) <= 1e-15
     assert np.isfinite(hamiltonian_check(u, FracOrder(1e-16), well(), tol=np.inf).c_t)
