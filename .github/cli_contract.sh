@@ -24,11 +24,12 @@ test "$code" -eq 1
 # a period at which the Newton tolerance accepts a nonconstant start unmoved is a usage error
 code=0; PYTHONWARNINGS=error fracperiodic solve --s 0.2 --T 1e-100 || code=$?
 test "$code" -eq 2
-# an order so small that modica's y^-a Jacobi rule has 2 + beta = 1 is a usage error
-code=0; PYTHONWARNINGS=error fracperiodic modica --s 1e-300 --T 8 || code=$?
-test "$code" -eq 2
-# the Hamiltonian density is in closed form: it builds no rule and takes its s -> 0 limit
+# the Hamiltonian density and the Modica tails are in closed form: they build no rule
+# and take their s -> 0 limits (modica's y^-a Jacobi rule had 2 + beta = 1 there)
 PYTHONWARNINGS=error fracperiodic hamiltonian --s 1e-300 --T 8
+PYTHONWARNINGS=error fracperiodic modica --s 1e-300 --T 8
+# the 30-mode Modica tails divide by alpha_m^2 - alpha_n^2 off the diagonal only
+PYTHONWARNINGS=error fracperiodic modica --s 0.3 --T 40
 # and a large period off s = 1/2 passes (a 128-node y-rule failed it at deviation 2.1e-5)
 PYTHONWARNINGS=error fracperiodic hamiltonian --s 0.3 --T 40
 # so is one at which p = 1 + 2s of the image kernel's zeta(p, q) rounds to 1

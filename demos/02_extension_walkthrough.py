@@ -42,6 +42,6 @@ print()
 e_ext = extension_energy(field_b)
 e_spec = spectral_dirichlet(u, frac) / frac.d_s
 print("weighted Dirichlet energy of the extension vs spectral seminorm:")
-print(f"  integral route  {e_ext:.10f}")
+print(f"  Green identity  {e_ext:.10f}")
 print(f"  spectral route  {e_spec:.10f}")
 print(f"  difference      {abs(e_ext - e_spec):.2e}")

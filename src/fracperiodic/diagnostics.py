@@ -16,6 +16,15 @@ y-integrals are quadratic forms in the trace's coefficients, the phases at omega
 
 S_nu(m, n) = sinh(nu r) / sinh(r) at r = log(m / n) and S_nu(m, m) = nu, by Gradshteyn and Ryzhik
 6.521.3 for int_0^inf t K_nu(pt) K_nu(qt) dt and Gamma(s) Gamma(1 - s) = pi / sin(pi s).
+
+The Modica scan needs the partial integrals int_0^y, i.e. these minus their tails beyond y.  Each
+mode's profile J_m(y) = phi(alpha_m y) solves (y^a J_m')' = alpha_m^2 y^a J_m, so Lommel's
+identity (Watson, A Treatise on the Theory of Bessel Functions, 1944, 5.11) gives every tail from
+J and W = y^a J' at the height itself:
+
+    P_mn(y) = int_y^inf t^a J_m J_n dt = (J_m W_n - W_m J_n) / (alpha_m^2 - alpha_n^2),   m != n,
+    P_mm(y) = (1/2) [y^{1-a} W_m^2 / alpha_m^2 - y^{1+a} J_m^2 - (2s / alpha_m^2) J_m W_m],
+    Q_mn(y) = int_y^inf t^a J_m' J_n' dt = -W_m J_n - alpha_m^2 P_mn(y)   (by parts).
 """
 
 import math
@@ -24,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentityViolation, InequalityViolation, QuadratureNonConvergence
-from .extension import ExtensionField, YQuadrature, extend_bessel
+from .errors import IdentityViolation, InequalityViolation
+from .extension import ExtensionField, extend_bessel
 from .semilinear import SemilinearSolution, SolveConfig, minimize_energy
-from .spectral import DoubleWell, FracOrder, _check_period, _gauss_jacobi_01, _gauss_legendre_01, _hurwitz_zeta
+from .spectral import (DoubleWell, FracOrder, PeriodicFunction, _check_period, _check_types, _gauss_jacobi_01,
+                       _gauss_legendre_01, _hurwitz_zeta)
 
 __all__ = [
     "HamiltonianReport",
@@ -41,11 +51,12 @@ __all__ = [
     "test_function_bound",
 ]
 
-MODICA_NODES = 96         # Jacobi nodes per weight on [0, y_1] of the Modica scan
 PDE_STEP = 1e-4           # centered-difference step of modica_pde_residual
 
 
-def _trace(u):
+def _trace(u, frac, **more):
+    """The trace of u, once u, frac and the parameters ``more`` have their types."""
+    _check_types(u=(u, (PeriodicFunction, SemilinearSolution)), frac=(frac, FracOrder), **more)
     return u.u if isinstance(u, SemilinearSolution) else u
 
 
@@ -102,7 +113,7 @@ def hamiltonian_check(u, frac: FracOrder, well: DoubleWell, n_samples=64,
     overflows.
     """
     _check_certificate_args(tol, n_samples=n_samples)
-    trace = _trace(u)
+    trace = _trace(u, frac, well=(well, DoubleWell))
     _check_period(trace.T, trace.N, 1.0)
     x = np.arange(n_samples) * (trace.T / n_samples)
     values = np.subtract(*_axis_forms(trace, frac.s, x)) - well.f(trace(x))
@@ -130,69 +141,20 @@ class ModicaReport:
     top_row_max: float         # max |v_hat| on the largest-y row (tail -> 0)
 
 
-def _squared_fields(field: ExtensionField, x, y_plus, y_minus):
-    """U_x^2 on y_plus times x and (y^a U_y)^2 on y_minus times x, of shapes
-    y.shape + x.shape.
-
-    U_x = sum_m J_m(y) omega_m [a_m cos - b_m sin] and y^a U_y = sum_m
-    psi_m(y) [a_m sin + b_m cos] with psi_m = y^a J_m', so a whole node batch
-    takes one profile table and one matmul per factor; both run over the
-    field's support, the modes with a nonzero coefficient.
-    """
-    sin, cos, (a, b), (a_x, b_x) = field._modes(x)
-    ux2 = (field._table(y_plus) @ (sin * a_x + cos * b_x).T) ** 2
-    return ux2, (field._table(y_minus, "weighted_deriv") @ (sin * a + cos * b).T) ** 2
-
-
-_MODICA_ORDERS = (8, 12)   # Gauss-Legendre nodes per y-panel: the value and its check
-_MODICA_TOL = 1e-10
-_PANEL_RATIO = 1.25        # coarser height grids are split into geometric sub-panels
-
-
-def _modica_kinetic(field: ExtensionField, rule: YQuadrature, x, y_pos):
-    """int_0^{y_j} [U_x^2 - U_y^2] tau^a dtau at every height: the running sum
-    of the integrals over [0, y_1] and over each panel [y_{j-1}, y_j].
-
-    The first row uses the Jacobi rules on (0, y_max) rescaled to (0, y_1), which
-    absorb the weights tau^{+-a}.  Away from tau = 0 the integrand is smooth,
-    so on the panels (each split into sub-panels of ratio <= _PANEL_RATIO)
-    one Gauss-Legendre node set carries both weights, and the two orders of
-    _MODICA_ORDERS share one profile table.  QuadratureNonConvergence is
-    raised when their running sums differ by more than
-    _MODICA_TOL * max(1, |sum|).
-    """
-    if not y_pos.size:
-        return np.zeros((0, np.size(x)))
-    a = field.frac.a
-    r = y_pos[0] / field.y_max   # rescaled Jacobi rule: weights pick up r^{1 +- a}
-    ux2, uy2 = _squared_fields(field, x, r * rule.nodes_plus, r * rule.nodes_minus)
-    first = r ** (1.0 + a) * (rule.weights_plus @ ux2) - r ** (1.0 - a) * (rule.weights_minus @ uy2)
-
-    ratio = y_pos[1:] / y_pos[:-1]
-    k = max(1, math.ceil(np.log(np.max(ratio, initial=1.0)) / math.log(_PANEL_RATIO)))
-    edges = y_pos[:-1, None] * ratio[:, None] ** (np.arange(k + 1) / k)
-    lo, width = edges[:, :-1, None], np.diff(edges, axis=1)[..., None]
-    rules = [_gauss_legendre_01(n) for n in _MODICA_ORDERS]
-    tau = np.concatenate([lo + width * t for t, _ in rules], axis=2)   # (panel, sub-panel, node)
-    wk = np.concatenate([width * w for _, w in rules], axis=2)
-
-    def orders(b):   # (low, high) on the panels b; the weights scale the fields in place
-        ux2, uy2 = _squared_fields(field, x, tau[b], tau[b])
-        ux2 *= (wk[b] * tau[b] ** a)[..., None]
-        uy2 *= (wk[b] * tau[b] ** -a)[..., None]
-        terms = np.subtract(ux2, uy2, out=ux2).sum(axis=1)
-        return terms[:, : _MODICA_ORDERS[0]].sum(axis=1), terms[:, _MODICA_ORDERS[0] :].sum(axis=1)
-
-    # two blocks of panels halve the temporaries, which then come from the heap, not fresh pages
-    low, high = np.concatenate([orders(b) for b in np.array_split(np.arange(len(tau)), 2)], axis=1)
-    kinetic = np.cumsum(np.vstack([first, high]), axis=0)
-    err = float(np.max(np.abs(np.cumsum(low - high, axis=0)) / np.maximum(1.0, np.abs(kinetic[1:])),
-                       initial=0.0))
-    if err > _MODICA_TOL:
-        raise QuadratureNonConvergence(
-            f"Modica y-panels: orders {_MODICA_ORDERS} differ by {err:.3e} (tol {_MODICA_TOL:.0e})"
-        )
-    return kinetic
+def _tails(field: ExtensionField, y):
+    """P_mn(y_j) and Q_mn(y_j) of the module docstring over the field's support, each of
+    shape y.shape + (S, S)."""
+    s = field.frac.s
+    J, W = field._table(y), field._table(y, "weighted_deriv")
+    alpha2 = (field.base.omega * field._support) ** 2
+    gap = np.subtract.outer(alpha2, alpha2)
+    jw = J[..., :, None] * W[..., None, :]   # J_m W_n
+    wj = np.swapaxes(jw, -1, -2)
+    P = jw - wj
+    np.divide(P, gap, out=P, where=gap != 0.0)
+    yk, m = y[..., None], np.arange(alpha2.size)
+    P[..., m, m] = 0.5 * (yk ** (2.0 * s) * W**2 / alpha2 - yk ** (2.0 - 2.0 * s) * J**2 - 2.0 * s / alpha2 * J * W)
+    return P, -wj - alpha2[:, None] * P
 
 
 def modica_check(u, frac: FracOrder, well: DoubleWell, nx=64, ny=64, tol=1e-5) -> ModicaReport:
@@ -202,19 +164,27 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, nx=64, ny=64, tol=1e-5) -
     with C_hat = sup_x (-F(u(x)) - C_T) > 0 and C_T the constant of
     hamiltonian_check on the same nx points; the grid maximum must sit on
     the y = 0 row; c_hat_lower, the U_y integral at x = T/2 in closed form, equals C_hat
-    for an even solution.  Raises InequalityViolation at the first offending
-    point, and ValueError at a period too small for hamiltonian_check.
+    for an even solution.  Above y = 0, v_hat is hamiltonian_check's w - F - C_T (the
+    y = inf row) minus the closed-form tails beyond y of the module docstring.  Raises
+    InequalityViolation at the first offending point, and ValueError at a period too
+    small for hamiltonian_check.
     """
     _check_certificate_args(tol, nx=nx, ny=ny)
-    trace = _trace(u)
-    c_t = hamiltonian_check(u, frac, well, n_samples=nx, tol=np.inf).c_t
+    trace = _trace(u, frac, well=(well, DoubleWell))
+    ham = hamiltonian_check(u, frac, well, n_samples=nx, tol=np.inf)
+    c_t, x = ham.c_t, ham.x
+    y = np.concatenate(([0.0], np.geomspace(0.02 / trace.omega, 12.0 / trace.omega, ny - 1)))
     field = extend_bessel(trace, frac)
-    rule = YQuadrature(field.y_max, frac.a, MODICA_NODES)
-    x = np.arange(nx) * (trace.T / nx)
-    y_pos = np.geomspace(0.02 / trace.omega, 12.0 / trace.omega, ny - 1)
+    P, Q = _tails(field, y[1:])
+    sin, cos, (a, b), (a_x, b_x) = field._modes(x)
+
+    def form(c, M):   # sum_mn c_m(x) c_n(x) M_mn(y_j), of shape (ny - 1, nx), by one matmul
+        cc = (c[:, :, None] * c[:, None, :]).reshape(nx, -1)
+        return M.reshape(len(M), cc.shape[1]) @ cc.T
+
+    tails = form(sin * a_x + cos * b_x, P) - form(sin * a + cos * b, Q)
     boundary = -well.f(trace(x)) - c_t
-    v_hat = np.vstack([boundary, 0.5 * frac.d_s * _modica_kinetic(field, rule, x, y_pos) + boundary])
-    y = np.concatenate(([0.0], y_pos))
+    v_hat = np.vstack([boundary, ham.values - c_t - 0.5 * frac.d_s * tails])
 
     c_hat = float(np.max(boundary))
     flat = int(np.argmax(v_hat))
@@ -242,7 +212,7 @@ def modica_pde_residual(u, frac: FracOrder, points):
     low = [(x0, y0) for x0, y0 in points if not y0 > PDE_STEP]
     if low:
         raise ValueError(f"points must have y > PDE_STEP = {PDE_STEP:g}, the difference step; got {low[0]}")
-    trace = _trace(u)
+    trace = _trace(u, frac)
     field = extend_bessel(trace, frac)
     d_s, a, h = frac.d_s, frac.a, PDE_STEP
 

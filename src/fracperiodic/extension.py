@@ -14,6 +14,11 @@ c_m(y) = int P_per(z, y) cos(omega m z) dz, which a fixed composite
 Gauss-Legendre rule computes from kernel values alone (no Bessel function).
 The two routes agree and cross-certify each other; the Bessel route
 additionally exposes analytic x/y derivatives for the diagnostics module.
+
+The weighted Dirichlet energy needs no y-integral: the profile J_m of mode
+m solves (y^a J_m')' = alpha_m^2 y^a J_m, so by Green's identity
+int_0^inf y^a (alpha_m^2 J_m^2 + J_m'^2) dy = -lim_{y->0} y^a J_m'(y), the
+same limit the Bessel Dirichlet-to-Neumann map reads.
 """
 
 import math
@@ -22,8 +27,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ExtrapolationDivergence, QuadratureNonConvergence, TailNotConverged
-from .spectral import FracOrder, PeriodicFunction, _gauss_jacobi_01, _gauss_legendre_01, _hurwitz_zeta
+from .errors import ExtrapolationDivergence, QuadratureNonConvergence
+from .spectral import (FracOrder, PeriodicFunction, _check_types, _gauss_jacobi_01, _gauss_legendre_01,
+                       _hurwitz_zeta)
 
 __all__ = [
     "BesselProfile",
@@ -344,7 +350,6 @@ class ExtensionField:
     base: PeriodicFunction
     frac: FracOrder
     method: str
-    y_max: float
 
     # -- evaluation --------------------------------------------------------
 
@@ -428,20 +433,16 @@ class ExtensionField:
         return u.cos_coeffs[0] * c[..., 0] + self._modal(x, c[..., self._support])
 
 
-def extend_bessel(u: PeriodicFunction, frac: FracOrder, y_max=None) -> ExtensionField:
-    """Mode-by-mode extension U(x,y) = b_0 + sum J_m(y) [a_m sin + b_m cos].
-
-    Raises ValueError unless y_max, the top of the y-integrals, is positive
-    and finite."""
-    y_max = 40.0 / u.omega if y_max is None else y_max
-    if not 0.0 < y_max < math.inf:
-        raise ValueError(f"y_max must be positive and finite, got {y_max!r}")
-    return ExtensionField(base=u, frac=frac, method="bessel-series", y_max=y_max)
+def extend_bessel(u: PeriodicFunction, frac: FracOrder) -> ExtensionField:
+    """Mode-by-mode extension U(x,y) = b_0 + sum J_m(y) [a_m sin + b_m cos]."""
+    _check_types(u=(u, PeriodicFunction), frac=(frac, FracOrder))
+    return ExtensionField(base=u, frac=frac, method="bessel-series")
 
 
 def extend_poisson(u: PeriodicFunction, frac: FracOrder) -> ExtensionField:
     """Extension by convolution with the periodized s-Poisson kernel."""
-    return ExtensionField(base=u, frac=frac, method="poisson-convolution", y_max=40.0 / u.omega)
+    _check_types(u=(u, PeriodicFunction), frac=(frac, FracOrder))
+    return ExtensionField(base=u, frac=frac, method="poisson-convolution")
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +481,7 @@ def dirichlet_to_neumann(field: ExtensionField) -> PeriodicFunction:
     of heights, sampled on the coefficient grid (one field evaluation per
     height, one least-squares solve for the whole grid).
     """
+    _check_types(field=(field, ExtensionField))
     u = field.base
     if field.method == "bessel-series":
         lam = -field.frac.d_s * field.profile_table(0.0, "weighted_deriv")
@@ -492,32 +494,15 @@ def dirichlet_to_neumann(field: ExtensionField) -> PeriodicFunction:
 # ---------------------------------------------------------------------------
 # weighted Dirichlet energy
 
-_ENERGY_NODES = 384
-
 
 def extension_energy(field: ExtensionField):
     """int int y^a |grad U|^2 over one period x (0, infinity).
 
-    Mode orthogonality in x reduces the integral to the universal profile
-    integral int_0^{t_m} [t^a phi^2 + t^{-a} psi^2] dt (psi = t^a phi') per
-    mode of nonzero power, t_m = min(omega_m y_max, 40); one pair of Jacobi
-    rules on (0, 1) serves every mode.  Equals (1/d_s) <u, (-d_xx)^s u> up to
-    quadrature error.  Raises TailNotConverged unless omega_1 * y_max >= 15,
-    where the exponential tail beyond the field's y_max is negligible.
+    Mode orthogonality in x and the module docstring's Green identity give
+    -(T/2) sum_m (a_m^2 + b_m^2) W_m(0) over the trace's support, with W_m(0)
+    = lim y^a J_m'(y) = -C_s omega_m^{2s}; this is (1/d_s) <u, (-d_xx)^s u>.
     """
-    u, frac, y_max = field.base, field.frac, field.y_max
-    if u.N == 0:
-        return 0.0
-    om1 = u.omega
-    if om1 * y_max < 15.0:
-        raise TailNotConverged(f"omega_1 * y_max = {om1 * y_max:.2f} < 15: y_max cuts the tail too early")
-    power = u.sin_coeffs**2 + u.cos_coeffs[1:] ** 2
-    m = np.flatnonzero(power) + 1   # a mode of zero power adds nothing
-    power, om = power[m - 1], u.omega * m
-    t_max = np.minimum(om * y_max, 40.0)
-    unit = YQuadrature(y_max=1.0, a=frac.a, n=_ENERGY_NODES)   # rescaled per mode
-    phi = BesselProfile(omega=1.0, frac=frac)
-    plus = phi.value(np.multiply.outer(t_max, unit.nodes_plus)) ** 2 @ unit.weights_plus
-    minus = phi.weighted_deriv(np.multiply.outer(t_max, unit.nodes_minus)) ** 2 @ unit.weights_minus
-    integral = plus * t_max ** (1.0 + frac.a) + minus * t_max ** (1.0 - frac.a)
-    return 0.5 * u.T * float(power * om ** (2 * frac.s) @ integral)
+    _check_types(field=(field, ExtensionField))
+    u, m = field.base, field._support
+    power = u.sin_coeffs[m - 1] ** 2 + u.cos_coeffs[m] ** 2
+    return -0.5 * u.T * float(power @ field._table(0.0, "weighted_deriv"))

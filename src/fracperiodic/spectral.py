@@ -599,6 +599,15 @@ def _check_period(T, N=0, s=0.0):
         raise ValueError(f"period T={T!r} is too small at N={N}, s={s}: (2 pi N / T)^(2s) exceeds 1e150")
 
 
+def _check_types(**args):
+    """Raise TypeError naming the first parameter of the wrong type; each keyword maps
+    a parameter to (value, class or tuple of classes)."""
+    for name, (value, kind) in args.items():
+        if not isinstance(value, kind):
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+            raise TypeError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, got {type(value).__name__}")
+
+
 def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell, half_wave=False):
     """The class of a semilinear solve with this well; an even request gets
     the odd class, whose half-wave solutions shifted by T/4 are the even

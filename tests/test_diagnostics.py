@@ -15,8 +15,14 @@ from fracperiodic.diagnostics import (
     modica_pde_residual,
     test_function_bound as competitor_bound,
 )
-from fracperiodic.errors import IdentityViolation, QuadratureNonConvergence
-from fracperiodic.extension import YQuadrature, extend_bessel, extension_energy, poisson_kernel_periodized
+from fracperiodic.errors import IdentityViolation
+from fracperiodic.extension import (
+    ExtensionField,
+    YQuadrature,
+    extend_bessel,
+    extension_energy,
+    poisson_kernel_periodized,
+)
 from fracperiodic.semilinear import SolveConfig, minimize_energy
 from fracperiodic.spectral import (
     DoubleWell,
@@ -43,18 +49,23 @@ def kv_power(nu, t):
     return np.where(t > 0.0, t**nu * kv(nu, np.where(t > 0.0, t, 1.0)), math.gamma(nu) * 2.0 ** (nu - 1.0))
 
 
-def y_quad(g, c, lo, hi):
-    """int_0^inf y^c g(y) dy by scipy quad, for g bounded at y = 0 and decaying
-    like exp(-lo y): the algebraic weight y^c on (0, 1/hi), then panels that
-    double up to y = 80/lo (IntegrationWarning stays an error)."""
+def y_quad(g, c, lo, hi, y=0.0):
+    """int_y^inf t^c g(t) dt by scipy quad, for g bounded at t = 0 and decaying
+    like exp(-lo t): panels from y whose lengths double from 1/hi up to t = y +
+    80/lo, the first with the algebraic weight t^c when y = 0 (IntegrationWarning
+    stays an error)."""
     from scipy.integrate import quad
 
-    edges = [1.0 / hi]
-    while edges[-1] < 80.0 / lo:
-        edges.append(2.0 * edges[-1])
-    total = quad(g, 0.0, edges[0], weight="alg", wvar=(c, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    for y0, y1 in zip(edges, edges[1:]):
-        total += quad(lambda y: y**c * g(y), y0, y1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    edges = [y + 1.0 / hi]
+    while edges[-1] < y + 80.0 / lo:
+        edges.append(y + 2.0 * (edges[-1] - y))
+    total = 0.0
+    if y == 0.0:
+        total = quad(g, 0.0, edges[0], weight="alg", wvar=(c, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    else:
+        edges.insert(0, y)
+    for t0, t1 in zip(edges, edges[1:]):
+        total += quad(lambda t: t**c * g(t), t0, t1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
     return total
 
 
@@ -152,6 +163,36 @@ def test_closed_form_profile_integrals_match_quad(s, T):
         assert np.all(np.abs(closed - [P, Q]) <= 1e-12 * np.abs([P, Q])), (m, n, closed, P, Q)
 
 
+def closed_form_tails(s, T, m, n, y):
+    """(P_mn(y), Q_mn(y)) = int_y^inf t^a (J_m J_n, J_m' J_n') dt, read off
+    diagnostics._tails for a trace on the modes m and n."""
+    c = np.zeros(max(m, n))
+    c[[m - 1, n - 1]] = 1.0
+    field = extend_bessel(PeriodicFunction.from_modes(T, sin_coeffs=c), FracOrder(s))
+    i, j = np.searchsorted(field._support, [m, n])
+    P, Q = diagnostics._tails(field, np.array([y]))
+    return P[0, i, j], Q[0, i, j]
+
+
+@pytest.mark.parametrize("s", [0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_closed_form_tails_match_quad(s):
+    # Lommel's tails against scipy quad of the kv products on [y, inf):
+    # t^a J_m J_n = t^a mu^2 h_s(pt) h_s(qt) and t^a J_m' J_n' = t^-a mu^2 (pq)^(2s)
+    # h_(1-s)(pt) h_(1-s)(qt), with h_nu(t) = t^nu K_nu(t), p = alpha_m and q = alpha_n;
+    # tails below 1e-30 are skipped (the profile is clamped to 0 beyond t = 40)
+    a, mu = 1.0 - 2.0 * s, 2.0 ** (1.0 - s) / math.gamma(s)
+    for T in (8.0, 80.0):
+        om = 2.0 * math.pi / T
+        for m, n in [(1, 1), (1, 3), (5, 5), (7, 9), (23, 25), (40, 41)]:
+            p, q = om * m, om * n
+            for y in (0.02 / om, 0.5 / om, 3.0 / om):
+                P = mu**2 * y_quad(lambda t: kv_power(s, p * t) * kv_power(s, q * t), a, p, q, y)
+                Q = mu**2 * (p * q) ** (2 * s) * y_quad(
+                    lambda t: kv_power(1 - s, p * t) * kv_power(1 - s, q * t), -a, p, q, y)
+                for got, ref in zip(closed_form_tails(s, T, m, n, y), (P, Q)):
+                    assert ref <= 1e-30 or abs(got - ref) <= 1e-12 * ref, (T, m, n, y, got, ref)
+
+
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
 def test_axis_forms_integrate_to_the_dirichlet_energy(s):
     # the forms are trigonometric polynomials of degree 2N in x, so their mean
@@ -164,10 +205,9 @@ def test_axis_forms_integrate_to_the_dirichlet_energy(s):
     dirichlet = spectral_dirichlet(u, frac)
     assert abs(T * np.mean(ux2 + uy2) - 0.5 * dirichlet) <= 1e-13 * dirichlet
     assert abs(T * np.mean(ux2 - uy2) - (s - 0.5) * dirichlet) <= 1e-13 * dirichlet
-    # extension_energy's own 384-node rule is off by 1.34e-8 relative at s = 0.3
-    # and 0.7, for every trace (each mode's profile integral runs to t = 40)
+    # extension_energy, by Green's identity, is the same number to round-off
     energy = 0.5 * frac.d_s * extension_energy(extend_bessel(u, frac))
-    assert abs(T * np.mean(ux2 + uy2) - energy) <= 2e-8 * energy
+    assert abs(T * np.mean(ux2 + uy2) - energy) <= 1e-13 * energy
 
 
 def test_hamiltonian_check_builds_no_profile_or_rule(monkeypatch):
@@ -184,6 +224,50 @@ def test_hamiltonian_check_builds_no_profile_or_rule(monkeypatch):
     for s in (0.3, 0.5):
         rep = hamiltonian_check(solved(s=s), FracOrder(s), well())
         assert rep.max_deviation < 1e-6
+
+
+def test_modica_and_energy_build_no_rule(monkeypatch):
+    # both are closed forms: no Jacobi rule, no YQuadrature, and modica reads
+    # one (height x mode) table per kind at its ny - 1 heights above y = 0
+    from fracperiodic import extension, spectral
+
+    sol, frac = solved(symmetry="even"), FracOrder(0.3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a y-rule was built")
+
+    for module in (spectral, extension, diagnostics):
+        monkeypatch.setattr(module, "_gauss_jacobi_01", forbidden)
+    monkeypatch.setattr(YQuadrature, "__post_init__", forbidden)
+    shapes = []
+    for name in ("value", "deriv", "weighted_deriv"):
+        original = getattr(extension._Profile, name)
+
+        def spy(self, t, original=original, name=name):
+            shapes.append((name, np.shape(t)))
+            return original(self, t)
+
+        monkeypatch.setattr(extension._Profile, name, spy)
+    modica_check(sol, frac, well(), nx=16, ny=8)
+    assert sorted(shapes) == [("value", (7, 24)), ("weighted_deriv", (7, 24))]
+    shapes.clear()
+    extension_energy(extend_bessel(sol.u, frac))
+    assert shapes == [("weighted_deriv", (24,))]
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda u, frac, w: hamiltonian_check(u, w, frac), "frac"),
+    (lambda u, frac, w: hamiltonian_check(frac, u, w), "u"),
+    (lambda u, frac, w: hamiltonian_check(u, frac, 1.0), "well"),
+    (lambda u, frac, w: modica_check(u, w, frac), "frac"),
+    (lambda u, frac, w: modica_check(u, 0.5, w), "frac"),
+    (lambda u, frac, w: modica_pde_residual(u, 0.5, [(1.0, 0.5)]), "frac"),
+])
+def test_certificates_name_a_wrongly_typed_argument(call, name):
+    # each of these failed with an AttributeError deep inside
+    u = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.6])
+    with pytest.raises(TypeError, match=f"^{name} must be "):
+        call(u, FracOrder(0.5), well())
 
 
 @pytest.mark.parametrize("s", [0.2, 0.3, 0.8])
@@ -236,6 +320,20 @@ def test_modica_lower_bound_is_per_node_sum(s):
     assert abs(rep.c_hat_lower - ref) <= 1e-12 * ref
 
 
+def _squared_fields(field: ExtensionField, x, y_plus, y_minus):
+    """U_x^2 on y_plus times x and (y^a U_y)^2 on y_minus times x, of shapes
+    y.shape + x.shape.
+
+    U_x = sum_m J_m(y) omega_m [a_m cos - b_m sin] and y^a U_y = sum_m
+    psi_m(y) [a_m sin + b_m cos] with psi_m = y^a J_m', so a whole node batch
+    takes one profile table and one matmul per factor; both run over the
+    field's support, the modes with a nonzero coefficient.
+    """
+    sin, cos, (a, b), (a_x, b_x) = field._modes(x)
+    ux2 = (field._table(y_plus) @ (sin * a_x + cos * b_x).T) ** 2
+    return ux2, (field._table(y_minus, "weighted_deriv") @ (sin * a + cos * b).T) ** 2
+
+
 def nested_v_hat(sol, frac, c_t, n, nx=64, ny=64):
     """v_hat with a fresh n-node Jacobi rule on (0, y_j) for every height y_j."""
     u = sol.u
@@ -243,8 +341,8 @@ def nested_v_hat(sol, frac, c_t, n, nx=64, ny=64):
     x = np.arange(nx) * (u.T / nx)
     y_pos = np.geomspace(0.02 / u.omega, 12.0 / u.omega, ny - 1)
     unit = YQuadrature(y_max=1.0, a=frac.a, n=n)
-    ux2, uy2 = diagnostics._squared_fields(field, x, np.multiply.outer(y_pos, unit.nodes_plus),
-                                           np.multiply.outer(y_pos, unit.nodes_minus))
+    ux2, uy2 = _squared_fields(field, x, np.multiply.outer(y_pos, unit.nodes_plus),
+                               np.multiply.outer(y_pos, unit.nodes_minus))
     wp = unit.weights_plus * y_pos[:, None] ** (1.0 + frac.a)
     wm = unit.weights_minus * y_pos[:, None] ** (1.0 - frac.a)
     kinetic = np.einsum("jnx,jn->jx", ux2, wp) - np.einsum("jnx,jn->jx", uy2, wm)
@@ -255,8 +353,9 @@ def nested_v_hat(sol, frac, c_t, n, nx=64, ny=64):
 @pytest.mark.parametrize("symmetry", ["odd", "even"])
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
 def test_modica_panels_match_refined_nested_rule(s, symmetry):
-    # the nested rule converges like n^-4 away from s = 1/2 (3.8e-9 apart at
-    # n = 192 and 384 for s = 0.3), so the reference takes 384 nodes
+    # the closed-form tails against an independent rule: the nested rule
+    # converges like n^-4 away from s = 1/2 (3.8e-9 apart at n = 192 and 384
+    # for s = 0.3), so the reference takes 384 nodes
     frac = FracOrder(s)
     sol = solved(s=s, symmetry=symmetry)
     c_t = hamiltonian_check(sol, frac, well(), tol=np.inf).c_t
@@ -280,16 +379,10 @@ def test_modica_report_agrees_with_nested_96_node_rule(s, T):
     assert abs(rep.top_row_max - float(np.max(np.abs(ref[-1])))) <= 1e-8
 
 
-def test_modica_panel_orders_too_low_raise(monkeypatch):
-    monkeypatch.setattr(diagnostics, "_MODICA_ORDERS", (1, 2))
-    with pytest.raises(QuadratureNonConvergence):
-        modica_check(solved(), FracOrder(0.5), well())
-
-
 def test_modica_check_temporaries_stay_small():
-    # at the CLI defaults (nx = ny = 64, N = 48) the 62 panels' (node x point)
-    # fields are evaluated in two blocks of heights and multiplied in place:
-    # the traced peak of one check is below 2 MiB (2.5 MiB in one block)
+    # at the CLI defaults (nx = ny = 64, N = 48, 24 modes) the tails are two
+    # (height x mode x mode) arrays, and each form multiplies one of them by a
+    # (point x mode pair) table: the traced peak of one check is below 2 MiB
     sol, frac = solved(symmetry="even"), FracOrder(0.5)
     modica_check(sol, frac, well())
     tracemalloc.start()
@@ -303,7 +396,7 @@ def test_modica_check_temporaries_stay_small():
 
 @pytest.mark.parametrize("ny", [1, 2, 3, 9])
 def test_modica_coarse_height_grids(ny):
-    # coarse grids have wide panels; they are split into sub-panels
+    # each height's tails are closed-form, so a coarse grid is as exact as a fine one
     frac = FracOrder(0.3)
     sol = solved(s=0.3, N=32)
     c_t = hamiltonian_check(sol, frac, well(), n_samples=8, tol=np.inf).c_t
@@ -459,14 +552,14 @@ def test_zeta_routes_at_a_vanishing_order_raise(s):
 
 @pytest.mark.parametrize("s", [1e-300, 6e-17])
 def test_certificates_at_a_vanishing_order_raise(s):
-    # beta = 2s - 1 of modica's y^-a rule rounds to 2 + beta = 1: the Jacobi
-    # matrix divided by zero and the eigensolve failed after a RuntimeWarning
-    u = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.6], cos_coeffs=None)
-    with pytest.raises(ValueError, match=r"2 \+ beta > 1 .* got beta = -(1\.0|0\.9999999999999999) "):
-        modica_check(u, FracOrder(s), well(), tol=np.inf)
     # the closed-form density needs no rule: it takes its limit w = -(u - b_0)^2 / 2
     u = PeriodicFunction.from_modes(8.0, sin_coeffs=[0.6], cos_coeffs=[0.3, 0.0, -0.2])
     rep = hamiltonian_check(u, FracOrder(s), well(), tol=np.inf)
     limit = -0.5 * (u(rep.x) - 0.3) ** 2 - well().f(u(rep.x))
     assert np.max(np.abs(rep.values - limit)) <= 1e-15
+    # and so does the Modica scan, whose y^-a Jacobi rule had 2 + beta = 1 here and
+    # raised: the tails beyond every y > 0 vanish as s -> 0, so each row above the
+    # boundary is row 0 + w
+    rep = modica_check(u, FracOrder(s), well(), tol=np.inf)
+    assert np.max(np.abs(rep.v_hat[1:] - (rep.v_hat[0] - 0.5 * (u(rep.x) - 0.3) ** 2))) <= 1e-15
     assert np.isfinite(hamiltonian_check(u, FracOrder(1e-16), well(), tol=np.inf).c_t)

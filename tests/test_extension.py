@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from fracperiodic import extension
-from fracperiodic.errors import (
-    ExtrapolationDivergence,
-    QuadratureNonConvergence,
-    TailNotConverged,
-)
+from fracperiodic.errors import ExtrapolationDivergence, QuadratureNonConvergence
 from fracperiodic.extension import (
     BesselProfile,
     _kv_chebyshev,
@@ -522,24 +518,20 @@ def test_energy_matches_spectral():
         u = random_function(rng, N=4)
         e_ext = extension_energy(extend_bessel(u, frac))
         e_spec = spectral_dirichlet(u, frac) / frac.d_s
-        assert abs(e_ext - e_spec) < 1e-6 * max(1.0, e_spec)
+        assert abs(e_ext - e_spec) < 1e-13 * max(1.0, e_spec)
 
 
-def test_energy_short_strip_matches_parseval():
-    # y_max = 15.5 / omega_1 cuts modes 1 and 2 at t_max = 15.5 and 31 and
-    # clips the others at 40; the profile tails beyond are far below the
-    # quadrature error
-    rng = np.random.default_rng(41)
-    for s in (0.3, 0.5, 0.8):
-        frac = FracOrder(s)
-        u = random_function(rng, T=9.0, N=6)
-        field = extend_bessel(u, frac, y_max=15.5 / (TWO_PI / 9.0))
-        e_ext = extension_energy(field)
-        e_spec = spectral_dirichlet(u, frac) / frac.d_s
-        assert abs(e_ext - e_spec) < 1e-7 * e_spec
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_energy_is_parseval_to_round_off(s):
+    # Green's identity leaves only each mode's limit y^a J_m'(0) = -C_s omega_m^{2s};
+    # the 384-node rule it replaces was off by up to 4.6e-8 relative
+    u = every_third_mode_zero()
+    frac = FracOrder(s)
+    e_spec = spectral_dirichlet(u, frac) / frac.d_s
+    assert abs(extension_energy(extend_bessel(u, frac)) - e_spec) <= 1e-13 * e_spec
 
 
-def test_energy_builds_two_jacobi_rules(monkeypatch):
+def test_energy_builds_no_jacobi_rule(monkeypatch):
     rng = np.random.default_rng(3)
     field = extend_bessel(random_function(rng, N=12), FracOrder(0.4))
     calls = []
@@ -551,14 +543,7 @@ def test_energy_builds_two_jacobi_rules(monkeypatch):
 
     monkeypatch.setattr(extension, "_gauss_jacobi_01", counting)
     extension_energy(field)
-    assert len(calls) <= 2
-
-
-def test_energy_tail_guard():
-    u = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[1.0], cos_coeffs=None)
-    field = extend_bessel(u, FracOrder(0.5), y_max=5.0)
-    with pytest.raises(TailNotConverged):
-        extension_energy(field)
+    assert calls == []
 
 
 def test_energy_minimality():
@@ -655,12 +640,16 @@ def test_field_rejects_points_off_the_half_strip(x, y, name):
             call(x, y)
 
 
-@pytest.mark.parametrize("y_max", [math.nan, math.inf, 0.0, -1.0])
-def test_extend_bessel_rejects_bad_y_max(y_max):
-    # a NaN y_max used to slip past the tail guard of extension_energy
-    u = PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[1.0])
-    with pytest.raises(ValueError, match="y_max must be positive and finite"):
-        extend_bessel(u, FracOrder(0.4), y_max=y_max)
+@pytest.mark.parametrize("call, name", [
+    (lambda u: extend_bessel(u, 0.5), "frac"),
+    (lambda u: extend_poisson(FracOrder(0.5), u), "u"),
+    (lambda u: extension_energy(u), "field"),
+    (lambda u: dirichlet_to_neumann(u), "field"),
+])
+def test_extension_names_a_wrongly_typed_argument(call, name):
+    # each of these failed with an AttributeError deep inside
+    with pytest.raises(TypeError, match=f"^{name} must be "):
+        call(PeriodicFunction.from_modes(TWO_PI, sin_coeffs=[1.0]))
 
 
 # -- support of the trace ----------------------------------------------------
@@ -687,7 +676,7 @@ def per_mode_energy(field):
         a, b = np.zeros(u.N), np.zeros(u.N + 1)
         a[m - 1], b[m] = u.sin_coeffs[m - 1], u.cos_coeffs[m]
         mode = PeriodicFunction(T=u.T, sin_coeffs=a, cos_coeffs=b)
-        total += extension_energy(extend_bessel(mode, field.frac, y_max=field.y_max))
+        total += extension_energy(extend_bessel(mode, field.frac))
     return total
 
 

@@ -51,7 +51,6 @@ PINNED = {
     "diagnostics.modica_check:tol",
     "extension.ExtensionField.profile_table:kind",
     "extension.YQuadrature:n",
-    "extension.extend_bessel:y_max",
     "linear.schrodinger_fractional_spectrum:N",
     "semilinear.SolveConfig:N",
     "semilinear.SolveConfig:symmetry",
@@ -144,7 +143,8 @@ REMOVED = {
     "PeriodicFunction.constant(N)": lambda: PeriodicFunction.constant(TWO_PI, 1.0, N=0),
     "modica_check(c_t)": lambda: modica_check(_U, _FRAC, _WELL, tol=math.inf, c_t=None),
     "extend_bessel(n_quad)": lambda: extend_bessel(_U, _FRAC, n_quad=128),
-    "ExtensionField(quadrature)": lambda: ExtensionField(_U, _FRAC, "bessel-series", 1.0, quadrature=None),
+    "extend_bessel(y_max)": lambda: extend_bessel(_U, _FRAC, y_max=None),
+    "ExtensionField(quadrature)": lambda: ExtensionField(_U, _FRAC, "bessel-series", quadrature=None),
     "potential_energy_half(n_grid)": lambda: potential_energy_half(_U, _WELL, n_grid=None),
     "singular_integral_oracle(quad_tol)": lambda: singular_integral_oracle(_U, _FRAC, 0.0, quad_tol=1e-10),
     "detect_bifurcation_points(N)": lambda: detect_bifurcation_points(_FRAC, _WELL, 1, N=None),
