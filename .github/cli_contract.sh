@@ -48,9 +48,12 @@ PYTHONWARNINGS=error fracperiodic solve --s 0.5 --T 6.29 --N 32 2>&1 >/dev/null 
 PYTHONWARNINGS=error fracperiodic solve --s 0.5 --T 6.27 --N 32 2>&1 >/dev/null | grep '^classification=trivial '
 # a continuation step whose corrector lands on u = 0 is retried at half the step
 PYTHONWARNINGS=error fracperiodic continue --s 0.5 --potential poly:0.5,0,-0.5,0,-0.5,0,0.5 --lambda-start 3 --steps 12 --ds 0.1
-# the Poisson route at a height 1e5 periods up: its kernel's binomial tails run about 20 terms
+# the Poisson route at a height 1e5 periods up: its kernel's image tails, about 300 000
+# images out, take 19 binomial orders, whose y-powers are formed relative to (jc + 1) T
 python -c 'from fracperiodic import PeriodicFunction; print(PeriodicFunction.from_modes(1.0, sin_coeffs=[0.5, 0, -0.2]).to_json())' > "$RUNNER_TEMP/trace.json"
 PYTHONWARNINGS=error fracperiodic extend --s 0.5 --input "$RUNNER_TEMP/trace.json" --method poisson --points "0.25,1e5;0.5,30"
+# and it agrees with the Bessel route to 1e-9 (the two share no special function)
+for m in poisson bessel; do PYTHONWARNINGS=error fracperiodic extend --s 0.3 --input "$RUNNER_TEMP/trace.json" --method "$m" --points "0.1,0.05;0.37,0.2;0.8,0.5" --out "$RUNNER_TEMP/$m.csv"; done; paste -d, "$RUNNER_TEMP/poisson.csv" "$RUNNER_TEMP/bessel.csv" | awk -F, 'NR > 1 { d = $3 - $6; if (d > 1e-9 || d < -1e-9 || $6 == "") bad = 1 } END { exit bad || NR != 4 }'
 # the Galerkin matrix reads every mode of k: with k = 1.5 + 0.5 cos 20x at N = 4
 # no two basis modes couple, and the lowest eigenvalue is the mean of k (it read 2)
 python -c 'import math; from fracperiodic import PeriodicFunction; print(PeriodicFunction.from_modes(2 * math.pi, cos_coeffs=[1.5] + [0] * 19 + [0.5]).to_json())' > "$RUNNER_TEMP/k20.json"

@@ -221,49 +221,57 @@ class YQuadrature:
 # ---------------------------------------------------------------------------
 # periodized Poisson kernel
 
-_MAX_BINOMIAL_TERMS = 60
 _BLOCK = 1 << 18   # array elements per block of kernel images or cosine terms
+_MAX_ORDERS = 64   # binomial and Taylor orders searched by the tail truncations
 
 
-def _binomial_tails(zr, y, p, T, jc, stop):
-    """sum_{j > jc} + sum_{j < -jc} of ((zr + jT)^2 + y^2)^{-p}, expanded binomially
-    in (y / |zr + jT|)^2: term i is coeff_i y^{2i} T^{-q_i} [zeta(q_i, jc + 1 +- zr/T)]
-    with q_i = 2p + 2i, added one at a time until one is below ``stop``.
+@lru_cache(maxsize=256)
+def _image_taylor_table(s, jc):
+    """E[i, k] = binom(-p, i) a^{2i} 2 (q_i)_k / k! zeta(q_i + k, a) for even k,
+    with q_i = 2p + 2i, p = 1/2 + s and a = jc + 1; cached per (s, jc) as one
+    read-only array.  Binomial term i of the two image tails is
+    y^{2i} T^{-q_i} [zeta(q_i, a + x) + zeta(q_i, a - x)] with x = zr/T, and
+    d/da zeta(q, a) = -q zeta(q + 1, a) (DLMF 25.11.17) expands it in x: the
+    tails are T^{-2p} sum_k D_k x^k with D = ((y / (a T))^{2i})_i @ E.
 
-    The zeta values of a batch of terms, both sides, come from one call.  A
-    term's zeta part shrinks by at least rho = (y / ((jc + 1/2) T))^2 < 1/9
-    per term, so a batch holds the terms up to the first with rho^i below
-    1e-18: one batch nearly always ends the sum, and little zeta work is
-    spent past the stop.  The factors y^{2i} T^{-q_i} are formed term by
-    term, never past the stop, where they could overflow.
+    Both truncations are bounded a priori for every y <= (jc - 8) T / 3, the
+    heights that share this jc.  Every tail image sits at t >= (a - 1/2) T,
+    so binomial term i is at most |binom(-p, i)| rho^i h T^{-2p}, with
+    rho = (y / ((a - 1/2) T))^2 < 1/9 and h = 2 zeta(2p, a - 1/2).  Since
+    zeta(q + k, a) <= a^{-k} zeta(q, a) and |x| <= 1/2, its Taylor terms from
+    order K on add at most that times sum_{k >= K} (q_i)_k / k! (2a)^{-k}.
+    At every node the direct sum is at least 2 sum_{j=1}^{min(jc, _BLOCK)}
+    ((j + 1/2)^2 + (y/T)^2)^{-p} T^{-2p}.  Each truncation keeps what it
+    omits below half of 1e-18 of that, in fewer than _MAX_ORDERS orders
+    wherever zeta(2p, .) is finite in floating point.
     """
-    sides = np.stack([jc + 1.0 + zr / T, jc + 1.0 - zr / T])
-    rho = (y / ((jc + 0.5) * T)) ** 2
-    size = 1 + (math.ceil(math.log(1e-18) / math.log(rho)) if rho else 0)
-    size = min(size, max(1, _BLOCK // sides.size))
-    tail = np.zeros_like(zr)
-    coeff = 1.0
-    ypow = 1.0
-    for lo in range(0, _MAX_BINOMIAL_TERMS, size):
-        q = [2.0 * p + 2.0 * i for i in range(lo, min(lo + size, _MAX_BINOMIAL_TERMS))]
-        zeta = _hurwitz_zeta(np.reshape(q, (-1,) + (1,) * sides.ndim), sides)
-        for i, qi, (left, right) in zip(range(lo, _MAX_BINOMIAL_TERMS), q, zeta):
-            term = coeff * ypow * T ** (-qi) * (left + right)
-            tail += term
-            if np.max(np.abs(term)) < stop:
-                return tail
-            coeff *= -(p + i) / (i + 1.0)
-            ypow *= y * y
-    return tail
+    p, a, ym = 0.5 + s, jc + 1.0, (jc - 8.0) / 3.0   # ym: the largest y/T with this jc
+    order = np.arange(_MAX_ORDERS)
+    binom = np.cumprod(np.concatenate(([1.0], -(p + order[:-1]) / order[1:])))
+    # h and the limit both carry a factor s, so that h = O(1/s) cannot overflow
+    h = 2.0 * s * (a - 0.5) ** (-2.0 * p) + (a - 0.5) ** (-2.0 * s)   # >= 2 s zeta(2p, a - 1/2)
+    limit = 0.5e-18 * s * 2.0 * np.sum((np.arange(1.5, min(jc, _BLOCK) + 1) ** 2 + ym * ym) ** -p)
+    bound = np.abs(binom) * (ym / (a - 0.5)) ** (2.0 * order) * h
+    n = np.count_nonzero(np.cumsum(bound[::-1])[::-1] > limit)
+    q = 2.0 * p + 2.0 * order[:n, None]
+    rising = np.cumprod(np.concatenate((np.ones((n, 1)), (q + order[:-1]) / order[1:]), axis=1), axis=1)
+    rest = np.cumsum((rising * (2.0 * a) ** -order)[:, ::-1], axis=1)[:, ::-1]
+    k = order[:np.count_nonzero(bound[:n] @ rest > limit):2]
+    zeta = _hurwitz_zeta(q + k, a)   # the ValueError for 2p = 1 comes before any a^i
+    table = 2.0 * binom[:n, None] * rising[:, k] * (zeta * a ** order[:n, None]) * a ** order[:n, None]
+    table.flags.writeable = False
+    return table
 
 
 def poisson_kernel_periodized(z, y, frac: FracOrder, T):
     """sum_j p_s(z + jT, y): the s-Poisson kernel folded over all images.
 
-    Near images are summed directly, in blocks of at most _BLOCK array
-    elements; the two one-sided tails are expanded binomially in
-    (y/|z+jT|)^2 and summed in closed form with Hurwitz zeta, which is exact
-    to machine precision, until a term falls below 1e-18 of the direct sum.
+    Images |j| <= jc = 8 + ceil(3|y|/T) are summed directly, in blocks of at
+    most _BLOCK array elements.  The two one-sided tails beyond are one even
+    polynomial in the offset zr/T of z from its nearest image, with
+    coefficients from the cached table of _image_taylor_table: one small
+    product and one Horner pass per call, omitting less than 1e-18 of the
+    direct sum.
     """
     s = frac.s
     p = (1.0 + 2.0 * s) / 2.0
@@ -273,7 +281,8 @@ def poisson_kernel_periodized(z, y, frac: FracOrder, T):
     step = max(1, _BLOCK // zr.size)   # images per block: memory stays flat as y grows
     direct = sum(np.sum(((zr[..., None] + np.arange(lo, min(lo + step, jc + 1)) * T) ** 2
                          + y * y) ** (-p), axis=-1) for lo in range(-jc, jc + 1, step))
-    tail = _binomial_tails(zr, y, p, T, jc, 1e-18 * max(np.max(direct), 1e-300))
+    table = _image_taylor_table(s, jc)   # the tails: powers of (y / ((jc + 1) T))^2, then x^2 = (zr/T)^2
+    tail = T ** (-2.0 * p) * _horner((y / ((jc + 1.0) * T)) ** (2.0 * np.arange(len(table))) @ table, (zr / T) ** 2)
     return frac.c_poisson * abs(y) ** (2.0 * s) * (direct + tail)
 
 
@@ -302,8 +311,9 @@ def _poisson_cosine_coeffs(frac: FracOrder, T, N, y):
     geo = y * 2.0 ** np.arange(-2.0, math.log2(half / y))   # y/4, y/2, y, ... below T/2
     edges = np.concatenate(([0.0], geo, [half]))
     pieces = np.ceil(np.diff(edges) * (max(N, 1) / half)).astype(int)
-    edges = np.concatenate([np.linspace(a, b, n, endpoint=False)
-                            for a, b, n in zip(edges[:-1], edges[1:], pieces)] + [[half]])
+    seg = np.repeat(np.arange(pieces.size), pieces)   # each panel's piece m of n, as np.linspace
+    m = np.arange(seg.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    edges = np.append(m * (np.diff(edges) / pieces)[seg] + edges[seg], half)
     left, width = edges[:-1], np.diff(edges)
     rules = [_gauss_legendre_01(n) for n in _POISSON_ORDERS]
     z = np.concatenate([(left[:, None] + np.multiply.outer(width, r)).ravel() for r, _ in rules])

@@ -123,6 +123,15 @@ def test_certificates_reject_settings_that_disable_them():
     assert hamiltonian_check(u, frac, well(), tol=math.inf).max_deviation > 1e-3
 
 
+def test_hamiltonian_rejects_a_trace_whose_u_x_squared_overflows():
+    # a trace passed in directly meets no solver period guard: the certificate's
+    # own guard at s = 1 bounds (2 pi N / T)^2, the scale of U_x^2, by 1e150
+    u = PeriodicFunction.from_modes(1e-76, sin_coeffs=[0.6], cos_coeffs=[0.0, 0.2])
+    for frac in (FracOrder(0.5), FracOrder(0.9)):
+        with pytest.raises(ValueError, match=r"too small at N=1, s=1\.0: \(2 pi N / T\)\^\(2s\) exceeds 1e150"):
+            hamiltonian_check(u, frac, well(), tol=np.inf)
+
+
 def test_hamiltonian_rows_sum_to_zero_deviation():
     rep = hamiltonian_check(solved(), FracOrder(0.5), well())
     devs = [row[2] for row in rep.rows()]

@@ -395,14 +395,48 @@ def test_poisson_kernel_batched_tails_match_the_term_by_term_sum(y, T, monkeypat
     z = np.array([-0.37, 0.0, 0.21, 0.5]) * T
     for s in (0.25, 0.5, 0.75):
         frac = FracOrder(s)
+        extension._image_taylor_table.cache_clear()
         for zs in (z, z[2], np.asarray(z[0])):
             orders.clear()
             got = poisson_kernel_periodized(zs, y, frac, T)
             ref = _kernel_term_by_term(zs, y, frac, T)
             assert np.shape(got) == np.shape(zs)
             assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
-            # one batch, sized from the decay (y / ((jc + 1/2) T))^2 < 1/9 per term
-            assert len(orders) == 1 and orders[0] <= 20
+            # one zeta table per (s, jc), built by the first call and reused by every later one
+            assert len(orders) == (zs is z)
+
+
+def _kernel_mpmath(mp, z, y, s, T):
+    """The periodized kernel to 30 digits: the images |j| <= 200 directly, the
+    rest binomially in (y / |z + jT|)^2 with mpmath's Hurwitz zeta at
+    201 +- z/T, until a term is below 1e-32 of the direct sum."""
+    with mp.workdps(30):
+        z, y, s, T = (mp.mpf(v) for v in (z, y, s, T))   # the exact values of the float inputs
+        p = 0.5 + s
+        direct = mp.fsum(((z + j * T) ** 2 + y * y) ** -p for j in range(-200, 201))
+        tail, coeff, i = mp.mpf(0), mp.mpf(1), 0
+        while True:
+            q = 2 * p + 2 * i
+            term = coeff * y ** (2 * i) * T ** -q * (mp.zeta(q, 201 + z / T) + mp.zeta(q, 201 - z / T))
+            tail += term
+            if abs(term) < mp.mpf(10) ** -32 * direct:
+                break
+            coeff *= -(p + i) / (i + 1)
+            i += 1
+        return float(mp.gamma(p) / (mp.sqrt(mp.pi) * mp.gamma(s)) * y ** (2 * s) * (direct + tail))
+
+
+@pytest.mark.parametrize("T", [1.0, TWO_PI])
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.75])
+def test_poisson_kernel_matches_an_mpmath_image_sum(s, T):
+    # at s = 0.05 the tails beyond the direct images carry most of the kernel
+    mp = pytest.importorskip("mpmath")
+    frac = FracOrder(s)
+    z = np.array([0.0, 0.17, -0.31, 0.5]) * T
+    for y in (1e-3, 1.0, 10.0):
+        got = poisson_kernel_periodized(z, y, frac, T)
+        ref = np.array([_kernel_mpmath(mp, zi, y, s, T) for zi in z])
+        assert np.max(np.abs(got / ref - 1.0)) <= 5e-15
 
 
 def test_half_order_closed_form_field():

@@ -380,8 +380,8 @@ def test_hurwitz_zeta_matches_scipy():
     q = np.linspace(8.5, 60.0, 201)
     for p in np.linspace(1.02, 121.0, 60):
         assert np.max(np.abs(_hurwitz_zeta(p, q) / zeta(p, q) - 1.0)) <= 1e-14
-    # an array of orders broadcast against q, as the Poisson kernel's batched
-    # tails call it: the same values as one call per order
+    # an array of orders broadcast against q, as the Poisson kernel's Taylor
+    # table calls it: the same values as one call per order
     p = np.linspace(1.02, 121.0, 60)
     for orders, qs in ((p[:, None], q), (p[:, None, None], np.stack([q, 1.0 + q / 20.0]))):
         batch = _hurwitz_zeta(orders, qs)
@@ -389,6 +389,15 @@ def test_hurwitz_zeta_matches_scipy():
         assert np.max(np.abs(batch / zeta(orders, qs) - 1.0)) <= 1e-14
         for pk, values in zip(p, batch):
             assert np.array_equal(values, _hurwitz_zeta(pk, qs))
+    # the Poisson kernel's Taylor table: integer q = jc + 1 >= 9 and orders
+    # 2p + 2i + k up to 47 for s >= 1e-3 and up to 79 as s -> 1e-16, wherever
+    # the value is a normal float
+    p = np.concatenate(([1.0 + 2e-16, 1.0 + 2e-12, 1.0 + 2e-6], np.linspace(1.02, 80.0, 80)))
+    for q in (9.0, 10.0, 13.0, 21.0, 101.0, 1001.0, 47756.0, 300009.0):
+        ref = zeta(p, q)
+        keep = ref > 1e-290
+        assert keep.sum() >= 56
+        assert np.max(np.abs(_hurwitz_zeta(p[keep], q) / ref[keep] - 1.0)) <= 1e-14
 
 
 def test_hurwitz_zeta_rejects_an_array_with_an_order_at_one():
