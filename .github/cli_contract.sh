@@ -71,6 +71,11 @@ PYTHONWARNINGS=error fracperiodic continue --s 0.5 --steps 4 --out "$RUNNER_TEMP
 cmp "$RUNNER_TEMP/branch.csv" "$RUNNER_TEMP/fresh.csv"
 # and a device that cannot be truncated takes the output
 PYTHONWARNINGS=error fracperiodic continue --s 0.5 --steps 4 --out /dev/null
+# two outputs of the semilinear solver core, pinned to 1e-9 relative so that a faster kernel
+# (gram, the class residual and Jacobian, the quartic well) cannot move them unseen: the last
+# branch point (lambda, amplitude) of continue at s = 1/2 and the min-period estimate
+PYTHONWARNINGS=error fracperiodic continue --s 0.5 2>/dev/null | tail -n 1 | awk -F, '{ a = $1 / 2.953840109210498 - 1; b = $2 / 0.86463278494201568 - 1; bad = a * a > 1e-18 || b * b > 1e-18 } END { exit bad || NR != 1 }'
+PYTHONWARNINGS=error fracperiodic min-period --s 0.5 --T-hi 8 2>/dev/null | awk -F, 'NR == 2 { d = $1 / 6.2922427743048948 - 1; ok = d * d <= 1e-18 } END { exit !ok }'
 # the README's examples, through the console script, in a scratch directory
 grep '^fracperiodic ' README.md > "$RUNNER_TEMP/readme_examples.sh"
 cd "$(mktemp -d)"

@@ -114,7 +114,7 @@ def _corrector(cls, well, scale, z, tangent, target, max_iter=30):
     def residual(z):
         a = z[:-1]
         last[:] = z, a, cls.project(well.f1(cls.values(a)))
-        np.add(cls.linear_part(a), z[-1] * scale * last[2], out=r[:-1])
+        np.add(cls.mult * a, z[-1] * scale * last[2], out=r[:-1])
         r[-1] = tangent @ (z - target)
         return r
 

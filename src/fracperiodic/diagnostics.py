@@ -142,19 +142,18 @@ class ModicaReport:
 
 
 def _tails(field: ExtensionField, y):
-    """P_mn(y_j) and Q_mn(y_j) of the module docstring over the field's support, each of
-    shape y.shape + (S, S)."""
+    """(P, J, W): P_mn(y_j) of the module docstring over the pairs m <= n of the field's support, in
+    np.triu_indices order, of shape (len(y), S(S+1)/2), and J and W of shape (len(y), S)."""
     s = field.frac.s
     J, W = field._table(y), field._table(y, "weighted_deriv")
     alpha2 = (field.base.omega * field._support) ** 2
-    gap = np.subtract.outer(alpha2, alpha2)
-    jw = J[..., :, None] * W[..., None, :]   # J_m W_n
-    wj = np.swapaxes(jw, -1, -2)
-    P = jw - wj
-    np.divide(P, gap, out=P, where=gap != 0.0)
-    yk, m = y[..., None], np.arange(alpha2.size)
-    P[..., m, m] = 0.5 * (yk ** (2.0 * s) * W**2 / alpha2 - yk ** (2.0 - 2.0 * s) * J**2 - 2.0 * s / alpha2 * J * W)
-    return P, -wj - alpha2[:, None] * P
+    m, n = np.triu_indices(alpha2.size)
+    P = J[:, m] * W[:, n]
+    P -= W[:, m] * J[:, n]
+    P /= np.where(m != n, alpha2[m] - alpha2[n], 1.0)
+    yk = y[:, None]
+    P[:, m == n] = 0.5 * (yk ** (2.0 * s) * W**2 / alpha2 - yk ** (2.0 - 2.0 * s) * J**2 - 2.0 * s / alpha2 * J * W)
+    return P, J, W
 
 
 def modica_check(u, frac: FracOrder, well: DoubleWell, nx=64, ny=64, tol=1e-5) -> ModicaReport:
@@ -175,14 +174,15 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, nx=64, ny=64, tol=1e-5) -
     c_t, x = ham.c_t, ham.x
     y = np.concatenate(([0.0], np.geomspace(0.02 / trace.omega, 12.0 / trace.omega, ny - 1)))
     field = extend_bessel(trace, frac)
-    P, Q = _tails(field, y[1:])
+    P, J, W = _tails(field, y[1:])
     sin, cos, (a, b), (a_x, b_x) = field._modes(x)
-
-    def form(c, M):   # sum_mn c_m(x) c_n(x) M_mn(y_j), of shape (ny - 1, nx), by one matmul
-        cc = (c[:, :, None] * c[:, None, :]).reshape(nx, -1)
-        return M.reshape(len(M), cc.shape[1]) @ cc.T
-
-    tails = form(sin * a_x + cos * b_x, P) - form(sin * a + cos * b, Q)
+    c, c_x, alpha2 = sin * a + cos * b, sin * a_x + cos * b_x, (trace.omega * field._support) ** 2
+    # sum_mn [c_x,m c_x,n P_mn - c_m c_n Q_mn] = (c.W)(c.J) + sum_mn K_mn P_mn, one matmul on m <= n (P is symmetric)
+    m, n = np.triu_indices(alpha2.size)
+    K = c_x[:, m] * c_x[:, n]
+    K += c[:, m] * c[:, n] * (0.5 * (alpha2[m] + alpha2[n]))
+    K[:, m != n] *= 2.0   # for (m, n) and (n, m)
+    tails = P @ K.T + (W @ c.T) * (J @ c.T)
     boundary = -well.f(trace(x)) - c_t
     v_hat = np.vstack([boundary, ham.values - c_t - 0.5 * frac.d_s * tails])
 
@@ -382,6 +382,7 @@ def test_function_bound(frac: FracOrder, T, d, well: DoubleWell) -> TestFunction
     fewer than 64 spacings of the autocorrelation grid, which then misses
     the double integral by more than 1 % at s = 1/2.
     """
+    _check_types(frac=(frac, FracOrder), well=(well, DoubleWell))
     if not T / 128.0 <= d < T / 4.0:
         raise ValueError(f"layer width d must lie in [T/128, T/4) = [{T / 128.0:g}, {T / 4.0:g}), got {d!r}")
     s = frac.s

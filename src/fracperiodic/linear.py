@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NegativePotential, NotCoercive, SolvabilityViolation
-from .spectral import FracOrder, PeriodicFunction
+from .spectral import FracOrder, PeriodicFunction, _check_types
 
 __all__ = [
     "GalerkinOperator",
@@ -83,13 +83,16 @@ def _band_matvec(L, x):
     return y
 
 
-def _leading(L, m):
-    """The leading m x m block of the symmetric A of lower band L (all of A at m = n)."""
+def _leading(L, m, blocks=None):
+    """The leading m x m block of the symmetric A of lower band L (all of A at m = n).  Given the dict
+    blocks, a block smaller than A is kept there and read back: an operator's two ladders share it."""
+    if blocks is not None and m in blocks:
+        return blocks[m]
     A = np.zeros((m, m))
     flat = A.reshape(-1)
     for d in range(min(len(L), m)):   # the sub- and the super-diagonal d
         flat[d * m :: m + 1] = flat[d : (m - d) * (m + 1) : m + 1] = L[d, : m - d]
-    return A
+    return A if blocks is None or m == L.shape[1] else blocks.setdefault(m, A)
 
 
 def coords_to_function(T, c):
@@ -135,6 +138,7 @@ class GalerkinOperator:
         object.__setattr__(self, "_band", _galerkin_matrix(self.T, self.N, lam, self.k))
         object.__setattr__(self, "_symbol", lam)   # lambda_m on the pair of mode m, m = 1..N
         object.__setattr__(self, "_ladder", (lam[:0], np.zeros((2 * self.N + 1, 0))))   # the certified pairs
+        object.__setattr__(self, "_blocks", {})   # the leading blocks both ladders share
 
     @cached_property
     def matrix(self):
@@ -151,7 +155,7 @@ class GalerkinOperator:
     def _pairs(self, count):
         """The lowest `count` eigenpairs, from the last ladder's pairs, or a new ladder's."""
         if len(self._ladder[0]) < count:
-            object.__setattr__(self, "_ladder", _certified_pairs(self._band, count, self._rows))
+            object.__setattr__(self, "_ladder", _certified_pairs(self._band, count, self._rows, self._blocks))
         return self._ladder[0][:count], self._ladder[1][:, :count]
 
     @cached_property
@@ -215,7 +219,7 @@ def solve_coercive(op: GalerkinOperator, mu: float, g: PeriodicFunction) -> Coer
     if not w0 + mu > 0.0:
         raise NotCoercive(f"L + mu is not positive definite (mu={mu:g}): lowest eigenvalue {w0 + mu:.3e}")
     gc = function_to_coords(g, op.N)
-    uc, res = _leading_solve(op._band, mu, gc, op._rows)
+    uc, res = _leading_solve(op._band, mu, gc, op._rows, op._blocks)
     gn = float(np.linalg.norm(gc))
     u = coords_to_function(op.T, uc)
     stability = float(np.linalg.norm(uc)) / gn if gn > 0 else 0.0
@@ -244,7 +248,7 @@ def solve_fredholm(op: GalerkinOperator, g: PeriodicFunction) -> FredholmSolve:
             raise SolvabilityViolation(worst)
         u = np.linalg.solve(_leading(op._band, len(gc)) + (thresh / KERNEL_RTOL) * (Z @ Z.T), gc - Z @ proj)
     else:
-        u, _ = _leading_solve(op._band, 0.0, gc, op._rows)
+        u, _ = _leading_solve(op._band, 0.0, gc, op._rows, op._blocks)
     return FredholmSolve(solution=coords_to_function(op.T, u), kernel=kernel)
 
 
@@ -259,6 +263,7 @@ def _check_sizes(N, count=0):
 
 def eigenvalue_set(op: GalerkinOperator, count: int):
     """Lowest `count` eigenpairs of the symmetric Galerkin matrix, nondecreasing."""
+    _check_types(op=(op, GalerkinOperator))
     _check_sizes(op.N, count)
     w, Q = op._pairs(count)
     return [(float(lam), coords_to_function(op.T, v)) for lam, v in zip(w, Q.T)]
@@ -282,7 +287,7 @@ def _lowest_eigh(L, count, rows=None):
     return w[:count], Q[:, :count]
 
 
-def _certified_pairs(L, count, rows=None):
+def _certified_pairs(L, count, rows=None, blocks=None):
     """The ladder of _lowest_eigh: every pair below the highest certified cut, or all of them. P and
     B's w x w corner, its nonzeros, are built from the band; the residuals, Gershgorin bound and ||B||_F read it."""
     width, n = len(L) - 1, L.shape[1]
@@ -291,7 +296,7 @@ def _certified_pairs(L, count, rows=None):
     p = max(8, count)
     while 2 * p + 1 < n:
         d = 2 * p + 1
-        D = _leading(L, min(n, d + width))   # P = D[:d, :d] and B's nonzero corner
+        D = _leading(L, min(n, d + width), blocks)   # P = D[:d, :d] and B's nonzero corner
         w, Q = np.linalg.eigh(D[:d, :d])
         B, rc = D[max(0, d - width) : d, d:], rows[d:].copy()
         res = np.sqrt(np.cumsum(np.sum((B.T @ Q[d - len(B) :]) ** 2, axis=0)))   # res[c-1]: of Q[:, :c]
@@ -306,7 +311,7 @@ def _certified_pairs(L, count, rows=None):
     return np.linalg.eigh(_leading(L, n))
 
 
-def _leading_solve(L, shift, b, rows=None):
+def _leading_solve(L, shift, b, rows=None, blocks=None):
     """(x, r): x with (A + shift) x = b, A symmetric of lower band L, rows the row sums of |A| (summed
     here when None), and r = ||(A + shift) x - b||_2: from the leading block (modes <= p, p doubling
     from max(8, the highest mode of b)) when r <= eps (||A + shift||_inf ||x||_2 + ||b||_2), a normwise
@@ -318,7 +323,7 @@ def _leading_solve(L, shift, b, rows=None):
     p = max(8, len(np.trim_zeros(b, "b")) // 2)
     while True:
         d = min(n, 2 * p + 1)
-        M = _leading(L, min(n, d + len(L) - 1))[:, :d]
+        M = _leading(L, min(n, d + len(L) - 1), blocks)[:, :d]
         x = np.zeros(n)
         x[:d] = np.linalg.solve(M[:d] + shift * np.eye(d), b[:d])
         r = float(np.linalg.norm(M @ x[:d] + shift * x[: len(M)] - b[: len(M)]))

@@ -19,6 +19,7 @@ potential term over half a period, so J(0) = F(0) T / 2.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma
@@ -151,7 +152,8 @@ def gram(symmetry, N, g, half_wave=False):
     so the half-wave block reads every other g_k.  They come from one rfft
     of g for the full class and from N = FFT_MIN_N on, else from the class's
     moment rows (_tables), where the half-wave block reads only the first M/2
-    samples: it assumes a T/2-periodic g, as F''(u) of a half-wave u is.
+    samples: it assumes a T/2-periodic g, as F''(u) of a half-wave u is.  Up to
+    GATHER_MAX_N unknowns there it is one gather, else strided views: same bits.
     """
     if symmetry == "full":   # blocks on modes 0..N: cos-cos, sin-cos (rows sin_m; gs_0 = 0), sin-sin
         spec = np.fft.rfft(g) / g.shape[0]
@@ -163,7 +165,10 @@ def gram(symmetry, N, g, half_wave=False):
         return cc
     step = 2 if half_wave else 1
     if N < FFT_MIN_N:   # g_0, g_step, .., g_2N
-        gk = _tables(symmetry, N, half_wave)[2] @ g[: g.shape[0] // step]
+        _, _, moments, dist, tot = _tables(symmetry, N, half_wave)
+        gk = moments @ g[: g.shape[0] // step]
+        if dist.size:   # one gather of g_|m-n| - g_{m+n}
+            return gk[dist] - gk[tot]
     else:
         gk = (np.fft.rfft(g) / g.shape[0]).real[::step]
     n = -(-N // step)   # modes 1, 1 + step, .. up to N
@@ -401,9 +406,9 @@ class DoubleWell:
         if not math.isfinite(c):
             raise ValueError(f"quartic scale must be finite, got {c!r}")
         return cls(
-            f=lambda u: c * (1.0 - np.asarray(u) ** 2) ** 2 / 4.0,
-            f1=lambda u: c * np.asarray(u) * (np.asarray(u) ** 2 - 1.0),   # exactly odd, unlike u**3
-            f2=lambda u: c * (3.0 * np.asarray(u) ** 2 - 1.0),
+            f=lambda u: c * (1.0 - np.square(u)) ** 2 / 4.0,   # np.square(u): the bits of np.asarray(u) ** 2
+            f1=lambda u: c * np.asarray(u) * (np.square(u) - 1.0),   # exactly odd, unlike u**3
+            f2=lambda u: c * (3.0 * np.square(u) - 1.0),
             f3=lambda u: c * 6.0 * np.asarray(u),
             f4=lambda u: c * 6.0 * np.ones_like(np.asarray(u, dtype=float)),
             even=True,
@@ -447,6 +452,7 @@ class DoubleWell:
 def unstable_curvature(well: DoubleWell, who=""):
     """-F''(0) for a well whose constant state u = 0 is unstable; raises
     ValueError("<who> requires F''(0) < 0") otherwise."""
+    _check_types(well=(well, DoubleWell))
     f2_0 = float(well.f2(0.0))
     if f2_0 >= 0:
         raise ValueError(f"{who} requires F''(0) < 0".lstrip())
@@ -456,6 +462,7 @@ def unstable_curvature(well: DoubleWell, who=""):
 def linearization_bound(frac: FracOrder, well: DoubleWell, who=""):
     """2 pi (-F''(0))^{-1/(2s)}: the period above which the first mode of the
     linearization at u = 0 is unstable."""
+    _check_types(frac=(frac, FracOrder))
     return 2.0 * math.pi * unstable_curvature(well, who) ** (-1.0 / (2.0 * frac.s))
 
 
@@ -463,6 +470,7 @@ def linearization_bound(frac: FracOrder, well: DoubleWell, who=""):
 # symmetry classes: the discretized semilinear system
 
 FFT_MIN_N = 256   # below this the dense basis products beat an FFT call
+GATHER_MAX_N = 48   # up to this many unknowns gram's gather beats its strided views
 NONCONSTANT_AMPLITUDE = 1e-6   # deviation-from-mean threshold for classification
 NEWTON_TOL = 1e-10   # residual norm at which every Newton run of _newton stops
 
@@ -470,15 +478,17 @@ NEWTON_TOL = 1e-10   # residual norm at which every Newton run of _newton stops
 @lru_cache(maxsize=8)   # a large_period pass uses 5 sets, a cli_suite pass 7
 def _tables(symmetry, N, half_wave):
     """The read-only dense tables of a class below FFT_MIN_N, shared by every
-    period: grid basis, projection weights and gram's moment rows
+    period: grid basis, projection weights, gram's moment rows
     cos(2 pi k j / M) / M, k = 0..2N (none for the full class; the even k on
     j < M/2, doubled, for a half-wave class), read at k j mod M from one
-    table of sin(2 pi k / M), reflected exactly from its first quarter.
+    table of sin(2 pi k / M), reflected exactly from its first quarter, and up
+    to GATHER_MAX_N unknowns gram's n x n gather indices |i - j|, i + j + 2 / step
+    into them (intp: numpy casts narrower ones on every gather; <= 36 KiB).
 
     The eight most recently used sets are kept.  A set holds the M x n basis
     and, outside the full class, the moment rows; the largest is an odd
-    class just below FFT_MIN_N (N = 255: 6.0 MiB), so the cache holds at
-    most about 48 MiB."""
+    class just below FFT_MIN_N (N = 255: 6.0 MiB, no index tables), so the
+    cache holds at most about 48 MiB."""
     M, idx = 4 * (N + 1), _SymmetryClass._index(symmetry, N, half_wave)
     q = np.sin((0.5 * math.pi / (N + 1)) * np.arange(N + 2))   # M / 4 = N + 1
     sin = np.hstack((q, q[-2:0:-1], -q, -q[-2:0:-1]))
@@ -486,7 +496,9 @@ def _tables(symmetry, N, half_wave):
     j, step = np.arange(M)[:, None], 2 if half_wave else 1
     basis = np.hstack((cos[j * idx[idx <= N] % M], sin[j * (idx[idx > N] - N) % M]))   # cos m, then sin m
     k = np.arange(0, 2 * N + 1, step)[:, None] if symmetry != "full" else np.empty((0, 1), int)
-    out = basis, np.where(idx == 0, 1.0 / M, 2.0 / M), cos[k * j[: M // step, 0] % M] * (step / M)
+    i = np.arange(idx.size if symmetry != "full" and idx.size <= GATHER_MAX_N else 0)
+    out = (basis, np.where(idx == 0, 1.0 / M, 2.0 / M), cos[k * j[: M // step, 0] % M] * (step / M),
+           np.abs(i[:, None] - i), i[:, None] + i + 2 // step)
     for t in out:
         t.flags.writeable = False
     return out
@@ -511,7 +523,7 @@ class _SymmetryClass:
     use the dense basis table of _tables, one per (N, class) for every T,
     below N = FFT_MIN_N and grid_synthesis / grid_analysis from there on;
     both give the same numbers to round-off.  Products with a grid function
-    enter only through gram, at every N.
+    enter only through gram, at every N, from the set's moment rows and indices.
     """
 
     def __init__(self, symmetry, T, N, frac: FracOrder, half_wave=False):
@@ -528,7 +540,7 @@ class _SymmetryClass:
         self.M = M
         self.fft = N >= FFT_MIN_N
         if not self.fft:
-            self.basis, self.proj_scale, _ = _tables(symmetry, N, half_wave)
+            self.basis, self.proj_scale = _tables(symmetry, N, half_wave)[:2]
         self._last = None, None   # the last array values evaluated, and its grid values
 
     @staticmethod
@@ -557,15 +569,14 @@ class _SymmetryClass:
             return np.concatenate(grid_analysis(samples, self.N))[self.idx]
         return self.proj_scale * (self.basis.T @ samples)
 
-    def linear_part(self, c):
-        return self.mult * c
-
     def residual(self, c, well: DoubleWell, k=1.0):
-        return self.linear_part(c) + k * self.project(well.f1(self.values(c)))
+        p = self.project(well.f1(self.values(c)))
+        return self.mult * c + (p if k == 1.0 else k * p)
 
     def jacobian(self, c, well: DoubleWell, k=1.0):
-        J = gram(self.symmetry, self.N, k * well.f2(self.values(c)), self.half_wave)
-        J.flat[:: J.shape[0] + 1] += self.mult   # the diagonal
+        g = well.f2(self.values(c))
+        J = gram(self.symmetry, self.N, g if k == 1.0 else k * g, self.half_wave)
+        J.reshape(-1)[:: J.shape[0] + 1] += self.mult   # the diagonal
         return J
 
     def newton_pair(self, well: DoubleWell, k=1.0):
@@ -577,7 +588,7 @@ class _SymmetryClass:
         return math.sqrt(self.T / 2.0 * float(c @ (self.weight * c)))
 
     def energy_full(self, c, well: DoubleWell):
-        pot = float(np.sum(well.f(self.values(c)))) * (self.T / self.M)
+        pot = float(well.f(self.values(c)).sum()) * (self.T / self.M)
         return 0.5 * (self.T / 2.0) * float(self.mult @ (c**2)) + pot
 
     def to_function(self, c):
@@ -619,6 +630,7 @@ def _solve_class(symmetry, T, N, frac: FracOrder, well: DoubleWell, half_wave=Fa
     NONCONSTANT_AMPLITUDE has a residual of norm at most sqrt(T/2)
     ((2 pi / T)^{2s} + |F''(0)|) NONCONSTANT_AMPLITUDE; where that is <=
     NEWTON_TOL, Newton accepts it, and any start near it, unmoved."""
+    _check_types(T=(T, numbers.Real), frac=(frac, FracOrder), well=(well, DoubleWell))
     _check_period(T, N, frac.s)
     if symmetry != "full" and not well.even:
         raise ValueError(f"the {symmetry} class needs an even potential, got {well.label!r}")
@@ -646,7 +658,7 @@ def _newton(residual, jacobian, z, max_iter, norm):
             delta = np.linalg.solve(J, res)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             raise SingularJacobian("Newton step is not finite")
         z = z - delta
         res = residual(z)
@@ -668,6 +680,7 @@ def multipliers(u: PeriodicFunction, frac: FracOrder):
 
 def frac_laplacian(u: PeriodicFunction, frac: FracOrder) -> PeriodicFunction:
     """Apply (-d_xx)^s as a Fourier multiplier; the constant mode maps to 0."""
+    _check_types(u=(u, PeriodicFunction), frac=(frac, FracOrder))
     lam = multipliers(u, frac)
     b = np.concatenate(([0.0], lam * u.cos_coeffs[1:]))
     return PeriodicFunction(T=u.T, sin_coeffs=lam * u.sin_coeffs, cos_coeffs=b, odd=u.odd)
@@ -803,6 +816,7 @@ def singular_integral_oracle(u: PeriodicFunction, frac: FracOrder, x):
     ORACLE_TOL relative to max(1, |value|); raises QuadratureNonConvergence
     if refinement stalls.  Independent of the Fourier-multiplier route.
     """
+    _check_types(u=(u, PeriodicFunction), frac=(frac, FracOrder))
     scalar = np.isscalar(x) or np.ndim(x) == 0
     prev = _oracle_fixed(u, frac, x, 48)
     for n in (96, 192, 384, 768):

@@ -962,3 +962,32 @@ def test_pairs_served_from_the_operator_agree_with_a_fresh_ladder_to_the_certifi
     assert served.dim == fresh.dim == 1
     Z, Zf = (np.stack([function_to_coords(v, 64) for v in b.vectors], axis=1) for b in (served, fresh))
     assert np.linalg.norm(Z - Zf @ (Zf.T @ Z), 2) <= 1e-8
+
+
+def test_the_solve_reads_the_leading_blocks_of_the_eigen_ladder(monkeypatch):
+    # at N = 32 with a degree-2 k neither the 17- nor the 33-row leading block certifies:
+    # the eigen-ladder builds the blocks of 22 and 38 rows (B's corner included) and the
+    # full 65 rows, and the solve reads the first two back, with the bits of a solve that
+    # builds its own
+    rng = np.random.default_rng(0)
+    op = make_op(s=0.45, N=32, k=low_mode_potential(rng, TWO_PI, 2, 0.25, 1.5))
+    g = low_mode_potential(rng, TWO_PI, 3, 1.0, 0.0)
+    eigenvalue_set(op, 4)
+    kept = dict(op._blocks)
+    assert sorted(kept) == [22, 38]
+    built = []
+    leading = linear._leading
+
+    def counted(L, m, blocks=None):
+        if blocks is None or m not in blocks:
+            built.append(m)
+        return leading(L, m, blocks)
+
+    monkeypatch.setattr(linear, "_leading", counted)
+    sol = solve_coercive(op, 0.5, g)
+    monkeypatch.undo()
+    assert built == [65] and all(op._blocks[m] is kept[m] for m in kept)
+    alone, res = linear._leading_solve(op._band, 0.5, linear.function_to_coords(g, op.N))
+    ref = linear.coords_to_function(op.T, alone)
+    assert np.array_equal(sol.u.sin_coeffs, ref.sin_coeffs) and np.array_equal(sol.u.cos_coeffs, ref.cos_coeffs)
+    assert sol.residual == res

@@ -159,3 +159,28 @@ def test_removed_setting_is_a_type_error(setting):
     keyword = setting.split("(")[-1].rstrip(")").split(".")[-1]
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         REMOVED[setting]()
+
+
+# each of these failed with an AttributeError, or "unsupported operand", deep inside
+WRONGLY_TYPED = {
+    "minimize_energy(frac, 8.0, well)": (lambda: fracperiodic.minimize_energy(_FRAC, 8.0, _WELL), "T"),
+    "minimize_energy(8.0, well, frac)": (lambda: fracperiodic.minimize_energy(8.0, _WELL, _FRAC), "frac"),
+    "newton_refine(u, frac, 8.0, well)": (lambda: newton_refine(_U, _FRAC, 8.0, _WELL), "T"),
+    "energy_scan(well, frac, Ts)": (lambda: fracperiodic.energy_scan(_WELL, _FRAC, [8.0, 16.0]), "frac"),
+    "continue_branch(well, frac, ..)": (lambda: continue_branch(_WELL, _FRAC, 1.1, 5, 0.05), "well"),
+    "find_min_period(well, frac, 8.0)": (lambda: find_min_period(_WELL, _FRAC, 8.0), "frac"),
+    "find_min_period(0.5, well, 8.0)": (lambda: find_min_period(0.5, _WELL, 8.0), "frac"),
+    "verify_T0_bound(well, frac)": (lambda: fracperiodic.verify_T0_bound(_WELL, _FRAC), "well"),
+    "eigenvalue_set(frac, 4)": (lambda: fracperiodic.eigenvalue_set(_FRAC, 4), "op"),
+    "frac_laplacian(u, 0.5)": (lambda: fracperiodic.frac_laplacian(_U, 0.5), "frac"),
+    "singular_integral_oracle(u, 0.5, 0.0)": (lambda: singular_integral_oracle(_U, 0.5, 0.0), "frac"),
+    "test_function_bound(8.0, frac, 2.0, well)": (lambda: fracperiodic.test_function_bound(8.0, _FRAC, 2.0, _WELL),
+                                                  "frac"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONGLY_TYPED))
+def test_entry_points_name_a_wrongly_typed_argument(call):
+    run, name = WRONGLY_TYPED[call]
+    with pytest.raises(TypeError, match=f"^{name} must be "):
+        run()

@@ -344,6 +344,31 @@ def test_quartic_monotone_between_wells():
     assert np.all(np.diff(well.f(right)) <= 0.0)  # nonincreasing on (0,1)
 
 
+def _asarray_quartic(c):
+    """The quartic's F, F', F'' as they were written with np.asarray(u) ** 2."""
+    return (lambda u: c * (1.0 - np.asarray(u) ** 2) ** 2 / 4.0,
+            lambda u: c * np.asarray(u) * (np.asarray(u) ** 2 - 1.0),
+            lambda u: c * (3.0 * np.asarray(u) ** 2 - 1.0))
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 0.5])
+def test_quartic_is_bit_identical_to_the_asarray_form(scale):
+    # an array's ** 2 runs np.square, but a numpy scalar's does not: F keeps the outer ** 2,
+    # so a scalar, a 0-d array, a list and an array each give the same bits and type as before
+    rng = np.random.default_rng(5)
+    u = np.concatenate((rng.standard_normal(2000), rng.uniform(-40.0, 40.0, 200), [0.0, -0.0, 1.0, -1.0, 1e-300]))
+    well = DoubleWell.quartic(scale)
+    for new, old in zip((well.f, well.f1, well.f2), _asarray_quartic(float(scale))):
+        assert np.array_equal(new(u), old(u))
+        assert np.array_equal(new(list(u[:50])), old(list(u[:50])))
+        for v in u[:400]:
+            for arg in (float(v), np.float64(v), np.asarray(v)):
+                got, ref = new(arg), old(arg)
+                assert type(got) is type(ref) and got == ref, (arg, got, ref)
+    assert np.array_equal(well.f1(-u), -well.f1(u))   # F' exactly odd
+    assert all(well.f1(-v) == -well.f1(v) for v in map(float, u[:400]))
+
+
 @pytest.mark.parametrize("coeffs,match", [
     pytest.param([0.5, 0.0, -0.5, 0.0, 0.25], r"F\(\+-1\) must vanish", id="F(+-1)=1/4"),
     pytest.param([0.25, -0.5, 0.25], r"F\(\+-1\) must vanish", id="F(-1)=1"),

@@ -76,7 +76,7 @@ def test_symmetry_class_matches_dense(name, N):
     u = B @ c
     assert_rel(cls.values(c), u)
     assert_rel(cls.project(u), (weight / cls.M) * (B.T @ u))
-    assert_rel(cls.linear_part(c), mult * c)
+    assert_rel(cls.mult * c, mult * c)
     well = DoubleWell.quartic()
     for k in (1.0, 1.7):
         assert_rel(cls.residual(c, well, k), mult * c + k * (weight / cls.M) * (B.T @ well.f1(u)))
@@ -193,11 +193,13 @@ def scipy_gram(cls, g):
     return cc
 
 
-@pytest.mark.parametrize("N", [32, 300, 512, 17])
+@pytest.mark.parametrize("N", [32, 300, 512, 17, 8, 48, 49, 96, 97, 255])
 @pytest.mark.parametrize("name", list(CLASSES))
 def test_gram_strided_blocks_bit_identical(name, N):
-    # the strided Toeplitz/Hankel views against scipy's, on the same moments:
-    # those of the rfft where gram takes one, else those of the class table
+    # the gather (up to GATHER_MAX_N = 48 unknowns below FFT_MIN_N) and the strided
+    # Toeplitz/Hankel views against scipy's, on the same moments: those of the rfft
+    # where gram takes one, else those of the class table; N = 8 and 255 are the
+    # ends of the table path, 48/49 (odd) and 96/97 (half-wave) the gather's edge
     symmetry, half_wave = CLASSES[name]
     cls = _SymmetryClass(symmetry, 7.3, N, FracOrder(0.5), half_wave)
     g = np.random.default_rng(N).standard_normal(cls.M)
@@ -275,6 +277,26 @@ def test_values_are_kept_for_the_very_array_evaluated_last(name, N):
     assert v is not copy and np.array_equal(v, cls.values(other.copy()))
     assert_rel(v, values(other), 2e-15)
     assert np.max(np.abs(v - u)) > 0.1
+
+
+@pytest.mark.parametrize("N", [8, 24, 48, 49, 97, 255])
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_class_tables_are_read_only_with_gather_indices_up_to_the_limit(name, N):
+    symmetry, half_wave = CLASSES[name]
+    tables = spectral._tables(symmetry, N, half_wave)
+    assert len(tables) == 5 and not any(t.flags.writeable for t in tables)
+    for t in (t for t in tables if t.size):
+        with pytest.raises(ValueError, match="read-only"):
+            t.flat[0] = t.flat[0]
+    dist, tot = tables[3:]
+    n = _SymmetryClass._index(symmetry, N, half_wave).size
+    if symmetry == "full" or n > spectral.GATHER_MAX_N:
+        assert dist.size == tot.size == 0
+    else:
+        i = np.arange(n)
+        assert dist.dtype == tot.dtype == np.intp
+        assert np.array_equal(dist, np.abs(i[:, None] - i))
+        assert np.array_equal(tot, i[:, None] + i + (1 if half_wave else 2))
 
 
 def counted_tables(monkeypatch):
