@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 PDE_STEP = 1e-4           # centered-difference step of modica_pde_residual
+_PAIR_BLOCK = 2**14       # entries of modica_check's tables per block of mode pairs: 128 KiB, glibc's mmap threshold
 
 
 def _trace(u, frac, **more):
@@ -142,17 +143,21 @@ class ModicaReport:
 
 
 def _tails(field: ExtensionField, y):
-    """(P, J, W): P_mn(y_j) of the module docstring over the pairs m <= n of the field's support, in
-    np.triu_indices order, of shape (len(y), S(S+1)/2), and J and W of shape (len(y), S)."""
+    """(P, J, W) at the heights y: J and W of shape (len(y), S), S the field's support, and P(m, n),
+    of shape (len(y), len(m)), the P_mn(y_j) of the module docstring at support index pairs m <= n."""
     s = field.frac.s
     J, W = field._table(y), field._table(y, "weighted_deriv")
     alpha2 = (field.base.omega * field._support) ** 2
-    m, n = np.triu_indices(alpha2.size)
-    P = J[:, m] * W[:, n]
-    P -= W[:, m] * J[:, n]
-    P /= np.where(m != n, alpha2[m] - alpha2[n], 1.0)
     yk = y[:, None]
-    P[:, m == n] = 0.5 * (yk ** (2.0 * s) * W**2 / alpha2 - yk ** (2.0 - 2.0 * s) * J**2 - 2.0 * s / alpha2 * J * W)
+    diag = 0.5 * (yk ** (2.0 * s) * W**2 / alpha2 - yk ** (2.0 - 2.0 * s) * J**2 - 2.0 * s / alpha2 * J * W)
+
+    def P(m, n):
+        p = J[:, m] * W[:, n]
+        p -= W[:, m] * J[:, n]
+        p /= np.where(m != n, alpha2[m] - alpha2[n], 1.0)
+        p[:, m == n] = diag[:, m[m == n]]
+        return p
+
     return P, J, W
 
 
@@ -177,12 +182,15 @@ def modica_check(u, frac: FracOrder, well: DoubleWell, nx=64, ny=64, tol=1e-5) -
     P, J, W = _tails(field, y[1:])
     sin, cos, (a, b), (a_x, b_x) = field._modes(x)
     c, c_x, alpha2 = sin * a + cos * b, sin * a_x + cos * b_x, (trace.omega * field._support) ** 2
-    # sum_mn [c_x,m c_x,n P_mn - c_m c_n Q_mn] = (c.W)(c.J) + sum_mn K_mn P_mn, one matmul on m <= n (P is symmetric)
-    m, n = np.triu_indices(alpha2.size)
-    K = c_x[:, m] * c_x[:, n]
-    K += c[:, m] * c[:, n] * (0.5 * (alpha2[m] + alpha2[n]))
-    K[:, m != n] *= 2.0   # for (m, n) and (n, m)
-    tails = P @ K.T + (W @ c.T) * (J @ c.T)
+    # sum_mn [c_x,m c_x,n P_mn - c_m c_n Q_mn] = (c.W)(c.J) + sum_mn K_mn P_mn, on m <= n (P is symmetric), by
+    # blocks of pairs whose (point or height) x pair tables hold at most _PAIR_BLOCK entries
+    pairs = np.vstack(np.triu_indices(alpha2.size))
+    tails = (W @ c.T) * (J @ c.T)
+    for m, n in np.array_split(pairs, max(1, -(-pairs.shape[1] * max(nx, ny) // _PAIR_BLOCK)), axis=1):
+        K = c_x[:, m] * c_x[:, n]
+        K += c[:, m] * c[:, n] * (0.5 * (alpha2[m] + alpha2[n]))
+        K[:, m != n] *= 2.0   # for (m, n) and (n, m)
+        tails += P(m, n) @ K.T
     boundary = -well.f(trace(x)) - c_t
     v_hat = np.vstack([boundary, ham.values - c_t - 0.5 * frac.d_s * tails])
 
