@@ -62,7 +62,7 @@ def dense_multipliers(symmetry, T, N, s, half_wave=False):
     return {"odd": lam, "full": np.concatenate(([0.0], lam, lam))}[symmetry]
 
 
-@pytest.mark.parametrize("N", [32, 300])
+@pytest.mark.parametrize("N", [32, 97, 300])   # the gather, the strided views and the FFT
 @pytest.mark.parametrize("name", list(CLASSES))
 def test_symmetry_class_matches_dense(name, N):
     T = 7.3
